@@ -11,7 +11,9 @@ destinations agree, 0 means they never do).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -55,6 +57,47 @@ def kernel_eval(spec: KernelSpec, a: Value, b: Value) -> float:
     if not isinstance(a, str) or not isinstance(b, str):
         raise TypeError(f"equality kernel {spec.relation}.{spec.attribute} got a non-string")
     return 1.0 if a == b else 0.0
+
+
+def _checked_values(spec: KernelSpec, values: Sequence[Value] | np.ndarray) -> np.ndarray:
+    """``values`` as an array, with kernel_eval's null and type checks."""
+    arr = np.asarray(values)
+    if spec.kind == "numeric":
+        ok = arr.dtype.kind in "iuf"
+    else:
+        # numpy turns a list mixing strings and numbers into strings, so the
+        # elements themselves are checked
+        ok = arr.size == 0 or (
+            arr.dtype.kind == "U" and all(map(isinstance, values, repeat(str)))
+        )
+    if ok:
+        return arr.astype(np.float64, copy=False) if spec.kind == "numeric" else arr
+    if arr.dtype.kind == "O" and any(v is None for v in arr.ravel().tolist()):
+        raise ValueError(f"kernel {spec.relation}.{spec.attribute} got a null argument")
+    if spec.kind == "numeric":
+        raise TypeError(f"numeric kernel {spec.relation}.{spec.attribute} got a non-number")
+    raise TypeError(f"equality kernel {spec.relation}.{spec.attribute} got a non-string")
+
+
+def kernel_eval_batch(
+    spec: KernelSpec, a: Sequence[Value] | np.ndarray, b: Sequence[Value] | np.ndarray
+) -> np.ndarray:
+    """``kernel_eval`` over two aligned value sequences, as a float64 array.
+
+    Raises what ``kernel_eval`` raises for any element: ValueError on a
+    null, TypeError on a value of the wrong kind.  The Gaussian may differ
+    from ``kernel_eval`` in the last bit, where numpy's exp rounds
+    differently from the math module's."""
+    xa = _checked_values(spec, a)
+    xb = _checked_values(spec, b)
+    if xa.shape != xb.shape:
+        raise ValueError(
+            f"kernel {spec.relation}.{spec.attribute} got {xa.shape} and {xb.shape} values"
+        )
+    if spec.kind == "numeric":
+        d = xa - xb
+        return np.exp(-(d * d) / (2.0 * spec.sigma * spec.sigma))
+    return (xa == xb).astype(np.float64)
 
 
 def default_kernels(db: Database) -> KernelMap:

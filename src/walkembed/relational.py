@@ -15,6 +15,7 @@ database whose index extensions match what a full rebuild would produce.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -236,6 +237,8 @@ def _check_value(rel: RelationSchema, attr: AttributeDecl, value: Value, where: 
     if attr.kind == "numeric":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise IntegrityError(f"non-numeric value {value!r} in {rel.name}.{attr.name} ({where})")
+        if not math.isfinite(value):
+            raise IntegrityError(f"non-finite value {value!r} in {rel.name}.{attr.name} ({where})")
         return float(value)
     if not isinstance(value, str):
         raise IntegrityError(f"expected string for {rel.name}.{attr.name}, got {value!r} ({where})")
@@ -465,11 +468,16 @@ def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, where: str)
         return None
     if attr.kind == "numeric":
         try:
-            return float(cell)
+            value = float(cell)
         except ValueError:
             raise IntegrityError(
                 f"cannot parse {cell!r} as numeric for {rel.name}.{attr.name} ({where})"
             ) from None
+        if not math.isfinite(value):
+            raise IntegrityError(
+                f"non-finite value {cell!r} in {rel.name}.{attr.name} ({where})"
+            )
+        return value
     return cell
 
 

@@ -9,10 +9,13 @@ trained.  Higher score always means "keep".  Strategies:
 - mutual information: walks are sampled per scheme and the smallest
   empirical mutual information between consecutive walk positions is the
   bottleneck; its negation is the score (an information-poor step makes
-  the whole scheme uninformative).
+  the whole scheme uninformative).  Each step counts only the value pairs
+  that occur: O(walks * log walks) time and linear memory.
 - kernel variance: the variance of the expected kernel distance across
   start-fact pairs, estimated from sampled walk pairs; a scheme whose
-  similarity never varies cannot distinguish tuples.
+  similarity never varies cannot distinguish tuples.  After sampling, a
+  scheme costs one vectorised kernel pass and one grouping of the draws
+  by start pair.
 - one epoch: train a throwaway model for a single epoch on all schemes
   and score each scheme by its mean loss in that epoch (negated is NOT
   applied: low loss means the scheme is easy to fit and carries little
@@ -32,12 +35,20 @@ finite score, so they are eliminated first, with a diagnostic attached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import UsageError
-from .kernels import KernelMap, default_kernels, kd_exact, kernel_eval, kernel_for
+from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches it here)
+    KernelMap,
+    default_kernels,
+    kd_exact,
+    kernel_eval,
+    kernel_eval_batch,
+    kernel_for,
+)
 from .relational import Database, build_database
 from .schemes import (
     TargetedWalkScheme,
@@ -100,19 +111,19 @@ def score_length(schemes: list[TargetedWalkScheme]) -> list[SchemeScore]:
 
 
 def _empirical_mi(a: np.ndarray, b: np.ndarray) -> float:
-    """Plug-in mutual information (natural log) of two aligned samples."""
-    va, ia = np.unique(a, return_inverse=True)
+    """Plug-in mutual information (natural log) of two aligned samples.
+
+    Only the value pairs that occur are counted, so time is O(n log n) and
+    memory O(n) in the sample size n, whatever the number of distinct
+    values on either side."""
+    _, ia = np.unique(a, return_inverse=True)
     vb, ib = np.unique(b, return_inverse=True)
-    joint = np.zeros((len(va), len(vb)))
-    np.add.at(joint, (ia, ib), 1.0)
-    n = joint.sum()
-    joint /= n
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    mi = 0.0
-    for i, j in zip(*np.nonzero(joint)):
-        pij = joint[i, j]
-        mi += pij * math.log(pij / (pa[i] * pb[j]))
+    n = len(ia)
+    pairs, counts = np.unique(ia * len(vb) + ib, return_counts=True)
+    pij = counts / n
+    pa = np.bincount(ia) / n
+    pb = np.bincount(ib) / n
+    mi = float(np.sum(pij * np.log(pij / (pa[pairs // len(vb)] * pb[pairs % len(vb)]))))
     return max(0.0, mi)
 
 
@@ -164,7 +175,7 @@ def score_mi(
     return _fill_unassessable(schemes, raw, notes, "mi")
 
 
-def _unbiased_variance(values: list[float]) -> float | None:
+def _unbiased_variance(values: Sequence[float] | np.ndarray) -> float | None:
     if len(values) < 2:
         return None
     return float(np.var(np.asarray(values, dtype=np.float64), ddof=1))
@@ -189,7 +200,9 @@ def score_kvar(
     Each draw takes a uniform pair f != f', one destination value from
     each side, and uses the kernel of the two values as a one-sample
     estimate of the pair's expected kernel distance; estimates are
-    averaged per pair before the unbiased variance is taken."""
+    averaged per pair before the unbiased variance is taken.  Draws where
+    either side found no non-null destination within the retry cap are
+    left out."""
     if pair_budget < 2:
         raise UsageError("pair_budget must be at least 2")
     raw: dict[TargetedWalkScheme, float] = {}
@@ -208,15 +221,14 @@ def score_kvar(
         pos_b = (pos_a + 1 + rng.integers(0, m - 1, size=pair_budget)) % m
         facts_a = start_ids[pos_a]
         facts_b = start_ids[pos_b]
-        _, vals_a = sample_target_values_batch(db, facts_a, tws, rng, retry_cap)
-        _, vals_b = sample_target_values_batch(db, facts_b, tws, rng, retry_cap)
-        per_pair: dict[tuple[int, int], list[float]] = {}
-        for fa, fb, va, vb in zip(facts_a, facts_b, vals_a, vals_b):
-            if va is None or vb is None:
-                continue
-            pair = (int(min(fa, fb)), int(max(fa, fb)))
-            per_pair.setdefault(pair, []).append(kernel_eval(spec, va, vb))
-        means = [float(np.mean(v)) for v in per_pair.values()]
+        dests_a, vals_a = sample_target_values_batch(db, facts_a, tws, rng, retry_cap)
+        dests_b, vals_b = sample_target_values_batch(db, facts_b, tws, rng, retry_cap)
+        ok = np.flatnonzero((dests_a >= 0) & (dests_b >= 0))
+        k = kernel_eval_batch(spec, [vals_a[i] for i in ok], [vals_b[i] for i in ok])
+        lo = np.minimum(facts_a[ok], facts_b[ok])
+        hi = np.maximum(facts_a[ok], facts_b[ok])
+        _, pair = np.unique(lo * db.n_facts + hi, return_inverse=True)
+        means = np.bincount(pair, weights=k) / np.bincount(pair)
         var = _unbiased_variance(means)
         if var is None:
             notes[tws] = f"only {len(means)} assessable pair(s) within the retry cap"
@@ -259,14 +271,7 @@ def score_one_epoch(
     """Mean per-scheme loss over one from-scratch epoch on a throwaway
     model.  Low loss means easy to fit, hence uninformative, hence the
     loss itself is the keep score."""
-    one = TrainConfig(
-        k=cfg.k,
-        n_samples=cfg.n_samples,
-        epochs=1,
-        learning_rate=cfg.learning_rate,
-        seed=cfg.seed,
-        retry_cap=cfg.retry_cap,
-    )
+    one = replace(cfg, epochs=1)
     start = schemes[0].scheme.start_relation if schemes else ""
     if not schemes:
         raise UsageError("scheme list is empty")
@@ -358,14 +363,7 @@ def score_sampling(
         raise UsageError(
             "sampled sub-database has fewer than two start facts; raise facts_per_scheme"
         )
-    sub_cfg = TrainConfig(
-        k=cfg.k,
-        n_samples=cfg.n_samples,
-        epochs=params.epochs,
-        learning_rate=cfg.learning_rate,
-        seed=cfg.seed,
-        retry_cap=cfg.retry_cap,
-    )
+    sub_cfg = replace(cfg, epochs=params.epochs)
     sub_kernels = default_kernels(sub) if kernels is None else kernels
     _, history = train(sub, start, schemes, sub_cfg, sub_kernels)
     cumulative = history[-1].cumulative_mean_loss

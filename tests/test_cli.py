@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import walkembed
 from walkembed.cli import main
 from walkembed.evaluation import strip_attribute
 from walkembed.model_io import load_model, save_model
@@ -315,6 +317,21 @@ def test_extend_dangling_reference_exits_3(ws, trained, tmp_path):
     assert code == 3
 
 
+def test_non_finite_numeric_cell_exits_3(toy_db, tmp_path, capsys):
+    save_schema(toy_db.schema, tmp_path / "schema.json")
+    write_database_csv(toy_db, tmp_path / "data")
+    with open(tmp_path / "data" / "S.csv", "a", encoding="utf-8") as fh:
+        fh.write("w,nan\n")
+    config = {"schema": "schema.json", "data_dir": "data", "task": {"relation": "R", "attribute": "B"}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, _ = _run([
+        "--out-dir", str(tmp_path / "out"), "score", "--config", str(tmp_path / "config.json"),
+        "--strategy", "length",
+    ])
+    assert code == 3
+    assert "non-finite value 'nan' in S.D (S.csv line 5)" in capsys.readouterr().err
+
+
 def test_extend_wrong_header_exits_3(ws, trained, tmp_path):
     new_dir = tmp_path / "bad_header"
     new_dir.mkdir()
@@ -516,11 +533,14 @@ def test_malformed_config_exits_2(tmp_path):
 
 
 def test_installed_entry_point_runs(ws):
+    # the child imports the package the tests import, installed or not
+    package_root = str(Path(walkembed.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "walkembed.cli", "schemes",
          "--schema", str(ws["root"] / "schema.json"),
          "--start", "item", "--max-length", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "# targeted schemes:" in proc.stdout

@@ -5,6 +5,8 @@ The foreign-key index is checked against a brute-force oracle that scans
 every fact pair; insertion is checked against rebuilding from scratch.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,25 @@ def test_load_bad_numeric_cell(tmp_path, toy_db):
         fh.write("w,abc\n")
     with pytest.raises(IntegrityError):
         load_database(toy_db.schema, tmp_path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_load_non_finite_numeric_cell(tmp_path, toy_db, cell):
+    write_database_csv(toy_db, tmp_path)
+    with open(tmp_path / "S.csv", "a", encoding="utf-8") as fh:
+        fh.write(f"w,{cell}\n")
+    with pytest.raises(IntegrityError, match=r"S\.D \(S\.csv line 5\)"):
+        load_database(toy_db.schema, tmp_path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numeric_value_rejected(toy_schema, value):
+    with pytest.raises(IntegrityError, match=r"S\.D \(row 1\)"):
+        build_database(toy_schema, [("S", ("x", 1.0)), ("S", ("y", value))])
+    db = build_database(toy_schema, [("S", ("x", 1.0))])
+    with pytest.raises(IntegrityError, match=r"S\.D \(inserted row 1\)"):
+        insert_facts(db, [Fact("S", ("y", value))])
+    assert db.n_facts == 1
 
 
 def test_empty_cell_loads_as_null(tmp_path, toy_db):

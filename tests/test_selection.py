@@ -3,11 +3,14 @@
 Exact kernel variance is checked against a literal brute-force loop over
 all unordered fact pairs; the mutual-information estimator against the
 closed forms ln(n) for a bijective step and 0 for a constant step; and
-selection invariants with property-based ratios.
+selection invariants with property-based ratios.  The array-based mutual
+information and sampled kernel variance are checked against the
+dense-table and per-pair loops they replaced, kept here as references.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkembed.errors import NumericError, UsageError
-from walkembed.kernels import default_kernels, kd_exact, kernel_for
-from walkembed.schemes import enumerate_targeted_schemes, targeted_text
+from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
+from walkembed.relational import build_database, schema_from_dict
+from walkembed.schemes import (
+    enumerate_targeted_schemes,
+    sample_target_values_batch,
+    targeted_text,
+)
+from walkembed.seeding import derive_rng
 from walkembed.selection import (
     SamplingParams,
     SchemeScore,
+    _empirical_mi,
+    _fill_unassessable,
     build_sample_database,
     default_pair_budget,
     online_elimination_train,
@@ -94,6 +105,49 @@ def test_mi_length_zero_unassessable_below_finite():
     for s in zero:
         assert s.score == pytest.approx(min(finite) - 1.0)
         assert s.diagnostic != ""
+
+
+def _dense_mi(a, b):
+    """Reference plug-in mutual information: a dense joint table and a
+    loop over its non-zero cells."""
+    va, ia = np.unique(a, return_inverse=True)
+    vb, ib = np.unique(b, return_inverse=True)
+    joint = np.zeros((len(va), len(vb)))
+    np.add.at(joint, (ia, ib), 1.0)
+    joint /= joint.sum()
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    mi = 0.0
+    for i, j in zip(*np.nonzero(joint)):
+        pij = joint[i, j]
+        mi += pij * math.log(pij / (pa[i] * pb[j]))
+    return max(0.0, mi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(-4, 40)), min_size=1, max_size=80
+    )
+)
+def test_empirical_mi_matches_dense_table(pairs):
+    a = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    b = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    assert _empirical_mi(a, b) == pytest.approx(_dense_mi(a, b), rel=1e-12)
+
+
+def test_empirical_mi_memory_is_linear_in_walks():
+    # 5000 distinct values on each side: a dense joint table would hold
+    # 25M cells (200 MB); the sparse count keeps only the 5000 that occur
+    a = np.arange(5000)
+    tracemalloc.start()
+    try:
+        got = _empirical_mi(a, a.copy())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(math.log(5000), rel=1e-12)
+    assert peak < 10 * 2**20
 
 
 def test_mi_deterministic_under_seed():
@@ -177,6 +231,97 @@ def test_kvar_deterministic_under_seed():
     a = [s.score for s in score_kvar(db, schemes, kernels, 50, seed=3)]
     b = [s.score for s in score_kvar(db, schemes, kernels, 50, seed=3)]
     assert a == b
+
+
+def _reference_kvar(db, schemes, kernels, pair_budget, seed, retry_cap=20):
+    """Reference sampled kernel variance: a dict of per-pair kernel lists,
+    one scalar kernel_eval per draw, and a mean per pair."""
+    raw, notes = {}, {}
+    for idx, tws in enumerate(schemes):
+        start_ids = np.asarray(db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64)
+        m = len(start_ids)
+        if m < 2:
+            notes[tws] = "fewer than two start facts"
+            continue
+        rng = derive_rng(seed, "score", "kvar", idx)
+        spec = kernel_for(kernels, tws)
+        pos_a = rng.integers(0, m, size=pair_budget)
+        pos_b = (pos_a + 1 + rng.integers(0, m - 1, size=pair_budget)) % m
+        facts_a = start_ids[pos_a]
+        facts_b = start_ids[pos_b]
+        _, vals_a = sample_target_values_batch(db, facts_a, tws, rng, retry_cap)
+        _, vals_b = sample_target_values_batch(db, facts_b, tws, rng, retry_cap)
+        per_pair = {}
+        for fa, fb, va, vb in zip(facts_a, facts_b, vals_a, vals_b):
+            if va is None or vb is None:
+                continue
+            pair = (int(min(fa, fb)), int(max(fa, fb)))
+            per_pair.setdefault(pair, []).append(kernel_eval(spec, va, vb))
+        means = [float(np.mean(v)) for v in per_pair.values()]
+        if len(means) < 2:
+            notes[tws] = f"only {len(means)} assessable pair(s) within the retry cap"
+            continue
+        raw[tws] = float(np.var(means, ddof=1))
+        notes[tws] = f"pairs={len(means)}"
+    return _fill_unassessable(schemes, raw, notes, "kvar")
+
+
+def _nullable_numeric_db(n_items=15, n_obs=50, seed=0):
+    """Items with observations whose numeric value is null about a third of
+    the time; some items have no observation, some only null ones."""
+    schema = schema_from_dict(
+        {
+            "relations": [
+                {
+                    "name": "item",
+                    "attributes": [{"name": "iid", "kind": "categorical", "nullable": False}],
+                    "key": ["iid"],
+                },
+                {
+                    "name": "obs",
+                    "attributes": [
+                        {"name": "oid", "kind": "categorical", "nullable": False},
+                        {"name": "ref", "kind": "categorical", "nullable": False},
+                        {"name": "val", "kind": "numeric", "nullable": True},
+                        {"name": "tag", "kind": "categorical", "nullable": True},
+                    ],
+                    "key": ["oid"],
+                },
+            ],
+            "foreign_keys": [
+                {"src": "obs", "src_attrs": ["ref"], "dst": "item", "dst_attrs": ["iid"]}
+            ],
+        }
+    )
+    rng = np.random.default_rng(seed)
+    rows = [("item", (f"i{i}",)) for i in range(n_items)]
+    for j in range(n_obs):
+        ref = f"i{rng.integers(0, n_items - 3)}"  # the last three items have no obs
+        val = None if rng.random() < 0.35 else round(float(rng.normal(0.0, 2.0)), 3)
+        tag = None if rng.random() < 0.2 else f"t{rng.integers(0, 3)}"
+        rows.append(("obs", (f"o{j}", ref, val, tag)))
+    return build_database(schema, rows)
+
+
+@pytest.mark.parametrize("case", ["two_cluster", "chain", "nullable_numeric"])
+def test_kvar_matches_per_pair_reference(case, chain_db):
+    if case == "two_cluster":
+        db, starts = two_cluster_database(6), ["item"]
+    elif case == "chain":
+        db, starts = chain_db, ["R", "S"]
+    else:
+        db, starts = _nullable_numeric_db(), ["item", "obs"]
+    kernels = default_kernels(db)
+    for start in starts:
+        schemes = enumerate_targeted_schemes(db.schema, start, 2)
+        for budget, seed in ((10, 0), (300, 7)):
+            got = score_kvar(db, schemes, kernels, budget, seed)
+            want = _reference_kvar(db, schemes, kernels, budget, seed)
+            assert [s.tws for s in got] == [s.tws for s in want]
+            assert [s.diagnostic for s in got] == [s.diagnostic for s in want]
+            for g, w in zip(got, want):
+                assert g.score == pytest.approx(w.score, rel=1e-12)
+            assert select(got, 0.5).kept == select(want, 0.5).kept
 
 
 def test_default_pair_budget():
