@@ -38,7 +38,7 @@ from .evaluation import (
 from .extension import ExtensionConfig, extend_embedding
 from .kernels import default_kernels
 from .model_io import export_embeddings_csv, load_model, save_model
-from .relational import Fact, insert_facts, load_database, load_schema
+from .relational import Fact, insert_facts, load_database, load_schema, read_relation_csv
 from .schemes import enumerate_targeted_schemes, scheme_text, targeted_text
 from .selection import online_elimination_train, ranked, select
 from .trainer import train
@@ -257,19 +257,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         path = new_dir / f"{rel.name}.csv"
         if not path.exists():
             continue
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != rel.attr_names:
-                raise IntegrityError(f"{path} header does not match attributes of {rel.name!r}")
-            for cells in reader:
-                values = tuple(
-                    None
-                    if cell == ""
-                    else (float(cell) if attr.kind == "numeric" else cell)
-                    for attr, cell in zip(rel.attributes, cells)
-                )
-                batch.append(Fact(rel.name, values))
+        batch.extend(Fact(rel.name, values) for values in read_relation_csv(rel, path))
     db_new = insert_facts(db, batch)
     new_ids = list(range(db.n_facts, db_new.n_facts))
     new_start = [f for f in new_ids if db_new.fact(f).relation == model.start_relation]

@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegrityError, SchemaError
 
@@ -481,12 +481,40 @@ def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, where: str)
     return cell
 
 
+def read_relation_csv(rel: RelationSchema, path: Path) -> Iterator[tuple[Value, ...]]:
+    """The parsed rows of one relation's CSV file, one at a time.
+
+    The header must equal the attribute names in schema order and every
+    row must have one cell per attribute.  Empty cells are nulls; numeric
+    cells must parse as finite floats.  Errors name the file and line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IntegrityError(f"{path} is empty; expected a header row") from None
+        if tuple(header) != rel.attr_names:
+            raise IntegrityError(
+                f"{path} header {header!r} does not match attributes {rel.attr_names!r}"
+            )
+        for line_no, cells in enumerate(reader, start=2):
+            if len(cells) != len(rel.attributes):
+                raise IntegrityError(
+                    f"{path} line {line_no}: expected {len(rel.attributes)} cells, got {len(cells)}"
+                )
+            yield tuple(
+                _parse_cell(rel, attr, cell, f"{path.name} line {line_no}")
+                for attr, cell in zip(rel.attributes, cells)
+            )
+
+
 def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
     """Load one CSV per relation from ``data_dir``.
 
-    Files are named ``<relation>.csv``; the header must equal the attribute
-    names in schema order.  Empty cells are nulls.  Fact ids follow file row
-    order, relations in schema order, so loading is deterministic.
+    Files are named ``<relation>.csv`` and read by ``read_relation_csv``.
+    Fact ids follow file row order, relations in schema order, so loading
+    is deterministic.
     """
     data_dir = Path(data_dir)
     rows: list[tuple[str, tuple[Value, ...]]] = []
@@ -494,26 +522,7 @@ def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
         path = data_dir / f"{rel.name}.csv"
         if not path.exists():
             raise IntegrityError(f"missing data file for relation {rel.name!r}: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IntegrityError(f"{path} is empty; expected a header row") from None
-            if tuple(header) != rel.attr_names:
-                raise IntegrityError(
-                    f"{path} header {header!r} does not match attributes {rel.attr_names!r}"
-                )
-            for line_no, cells in enumerate(reader, start=2):
-                if len(cells) != len(rel.attributes):
-                    raise IntegrityError(
-                        f"{path} line {line_no}: expected {len(rel.attributes)} cells, got {len(cells)}"
-                    )
-                values = tuple(
-                    _parse_cell(rel, attr, cell, f"{path.name} line {line_no}")
-                    for attr, cell in zip(rel.attributes, cells)
-                )
-                rows.append((rel.name, values))
+        rows.extend((rel.name, values) for values in read_relation_csv(rel, path))
     return build_database(schema, rows)
 
 

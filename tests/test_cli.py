@@ -343,6 +343,42 @@ def test_extend_wrong_header_exits_3(ws, trained, tmp_path):
     assert code == 3
 
 
+def test_extend_extra_cell_exits_3(ws, trained, tmp_path, capsys):
+    new_dir = tmp_path / "extra_cell"
+    new_dir.mkdir()
+    (new_dir / "item.csv").write_text("iid\nfresh,EXTRA-CELL\n")
+    code, _ = _run([
+        "--out-dir", str(tmp_path / "out"), "extend", "--config", str(ws["config"]),
+        "--model", str(trained / "model.json"), "--new-dir", str(new_dir),
+    ])
+    assert code == 3
+    assert f"{new_dir / 'item.csv'} line 2: expected 1 cells, got 2" in capsys.readouterr().err
+
+
+def test_extend_non_numeric_cell_exits_3(toy_db, tmp_path, capsys):
+    save_schema(toy_db.schema, tmp_path / "schema.json")
+    write_database_csv(toy_db, tmp_path / "data")
+    config = {
+        "schema": "schema.json",
+        "data_dir": "data",
+        "task": {"relation": "R", "attribute": "B"},
+        "max_length": 1,
+        "trainer": {"k": 2, "n_samples": 1, "epochs": 1},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), "train", "--config", str(tmp_path / "config.json")])
+    assert code == 0
+    new_dir = tmp_path / "new"
+    new_dir.mkdir()
+    (new_dir / "S.csv").write_text("C,D\nw,abc\n")
+    code, _ = _run([
+        "--out-dir", str(tmp_path / "out"), "extend", "--config", str(tmp_path / "config.json"),
+        "--model", str(tmp_path / "out" / "model.json"), "--new-dir", str(new_dir),
+    ])
+    assert code == 3
+    assert "cannot parse 'abc' as numeric for S.D (S.csv line 2)" in capsys.readouterr().err
+
+
 # -- strict clone verification ----------------------------------------------------------
 
 

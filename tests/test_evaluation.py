@@ -3,6 +3,7 @@ experiment grid, with hand-checked threshold arithmetic."""
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,8 @@ def test_write_report_emits_json_and_curves(small_report, tmp_path):
     assert doc["format_version"] == 1
     assert doc["baseline_accuracy"] == report.baseline_accuracy
     assert {c["strategy"] for c in doc["cells"]} == {"baseline", "length"}
+    assert [c["cv_seconds"] for c in doc["cells"]] == [c.cv_seconds for c in report.cells]
+    assert all(c["cv_seconds"] > 0.0 for c in doc["cells"])
     curve = tmp_path / "out" / "curve_baseline_1.csv"
     assert curve.exists()
     assert curve.read_text().splitlines()[0] == "seconds,accuracy"
@@ -342,6 +345,39 @@ def test_online_strategy_keeps_ceil_counts(tmp_path):
     report = run_experiment(cfg)
     assert report.kept_counts[("online", 0.5)] == math.ceil(0.5 * n)
     assert ("online", 0.5) in report.ensembles
+
+
+def test_parallel_grid_matches_serial_and_records_failures(tmp_path):
+    """workers=2 gives the serial accuracies, and a failing cell (online
+    elimination rejects per_epoch_removals=0) is recorded under the same
+    key and message while the rest of the grid survives."""
+    setup, schema_path, data_dir = _materialise(tmp_path, n_items=10)
+    cfg = ExperimentConfig(
+        schema_path=str(schema_path),
+        data_dir=str(data_dir),
+        task_relation="item",
+        task_attribute="cls",
+        max_length=1,
+        trainer=TrainConfig(k=4, n_samples=2, epochs=2, learning_rate=0.1, seed=0),
+        strategies=("length", "online"),
+        ratios=(0.5,),
+        seeds=(0, 1),
+        folds=3,
+        per_epoch_removals=0,
+    )
+    serial = run_experiment(cfg)
+    parallel = run_experiment(replace(cfg, workers=2))
+    expected = {f"train:online:0.5:{seed}": "per_epoch_removals must be at least 1" for seed in (0, 1)}
+    assert serial.failures == expected
+    assert parallel.failures == expected
+    assert parallel.baseline_accuracy == serial.baseline_accuracy
+    assert [(c.strategy, c.ratio, c.seed) for c in parallel.cells] == [
+        (c.strategy, c.ratio, c.seed) for c in serial.cells
+    ]
+    for p, s in zip(parallel.cells, serial.cells):
+        assert [a for _, a in p.curve.points] == [a for _, a in s.curve.points]
+        assert p.cv_seconds > 0.0
+    assert set(parallel.ensembles) == {("baseline", 1.0), ("length", 0.5)}
 
 
 # -- dynamic protocol -----------------------------------------------------------------

@@ -18,7 +18,6 @@ from walkembed.synth import convergence_database, two_cluster_database
 from walkembed.trainer import (
     EmbeddingModel,
     TrainConfig,
-    TrainingSample,
     bilinear,
     init_model,
     loss_and_grads,
@@ -135,9 +134,8 @@ def test_sgd_step_uses_pre_update_gradients():
     db = two_cluster_database(2)
     tws = _gval_scheme(db)
     model = _toy_model(tws)
-    sample = TrainingSample(0, 1, tws, -1, -1)
     # prediction = e0^T I e1 = 0, kappa = 1, residual = -1, loss = 0.5
-    loss = sgd_step(model, sample, 1.0, learning_rate=0.1)
+    loss = sgd_step(model.phi[0], model.phi[1], model.psi[tws], 1.0, learning_rate=0.1)
     assert loss == pytest.approx(0.5, abs=1e-15)
     # grad_f = r * psi phi_p = -e1; grad_p = -e0; grad_psi = -outer(e0, e1),
     # symmetrised to -0.5 (e0 e1^T + e1 e0^T)
@@ -157,7 +155,7 @@ def test_sgd_step_keeps_psi_symmetric():
     model.phi[0] = rng.normal(size=2)
     model.phi[1] = rng.normal(size=2)
     for _ in range(20):
-        sgd_step(model, TrainingSample(0, 1, tws, -1, -1), float(rng.uniform()), 0.05)
+        sgd_step(model.phi[0], model.phi[1], model.psi[tws], float(rng.uniform()), 0.05)
     assert np.array_equal(model.psi[tws], model.psi[tws].T)
 
 
@@ -167,7 +165,54 @@ def test_sgd_step_non_finite_loss_raises():
     model = _toy_model(tws)
     model.phi[0] = np.array([np.inf, 0.0])
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-        sgd_step(model, TrainingSample(0, 1, tws, -1, -1), 1.0, 0.1)
+        sgd_step(model.phi[0], model.phi[1], model.psi[tws], 1.0, 0.1)
+
+
+def test_sgd_step_matches_loss_and_grads_bitwise():
+    """The fused update equals the update built from loss_and_grads, bit
+    for bit (grad_p reuses phi_f @ psi in place of psi.T @ phi_f)."""
+    for trial in range(50):
+        rng = derive_rng(0, "fused", str(trial))
+        k = int(rng.integers(1, 33))
+        phi_f, phi_p = rng.normal(size=k), rng.normal(size=k)
+        a = rng.normal(size=(k, k))
+        psi = a + a.T
+        kappa, lr = float(rng.uniform()), float(rng.uniform(0.01, 0.5))
+        loss, g_f, g_p, g_psi = loss_and_grads(phi_f, phi_p, psi, kappa)
+        want = (phi_f - lr * g_f, phi_p - lr * g_p, psi - lr * 0.5 * (g_psi + g_psi.T))
+        got = (phi_f.copy(), phi_p.copy(), psi.copy())
+        assert sgd_step(*got, kappa, lr) == loss
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_non_finite_loss_writes_nothing_and_names_the_scheme():
+    db = two_cluster_database(2)
+    tws = _gval_scheme(db)
+    model = init_model(db, "item", [tws], TrainConfig(k=2))
+    first = db.relation_fact_ids("item")[0]
+    model.phi[first][0] = np.inf
+    before = model.phi[first].copy()
+
+    from walkembed.trainer import train_epoch, _LossLedger
+
+    cfg = TrainConfig(k=2, n_samples=2, epochs=1, seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        train_epoch(db, model, cfg, default_kernels(db), 1, _LossLedger())
+    assert targeted_text(tws) in str(err.value)
+    assert "facts " in str(err.value) and "kappa=" in str(err.value)
+    # a write would have turned the infinite row into NaN
+    assert np.array_equal(model.phi[first], before)
+
+
+def test_epoch_phase_times_add_up_to_at_most_the_wall_time():
+    db = convergence_database(6)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    _, history = train(db, "item", schemes, TrainConfig(k=4, n_samples=3, epochs=2, seed=0))
+    for stats in history:
+        assert set(stats.phase_seconds) == {"sample", "kernel", "sgd", "check"}
+        assert all(v >= 0.0 for v in stats.phase_seconds.values())
+        assert sum(stats.phase_seconds.values()) <= stats.wall_time
 
 
 # -- full training ------------------------------------------------------------------
