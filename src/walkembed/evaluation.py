@@ -197,15 +197,14 @@ def _fit_stack(
 def train_classifier(
     X: np.ndarray,
     labels: list[Value],
-    seed: int = 0,
     l2: float = 1e-4,
     learning_rate: float = 1.0,
     iterations: int = 400,
 ) -> LogisticModel:
-    """Multinomial logistic regression, deterministic for a given seed.
+    """Multinomial logistic regression by full-batch gradient descent.
 
-    Weights start at zero and full-batch gradient descent is run for a
-    fixed iteration count, so identical inputs give identical models.
+    Weights start at zero and the descent runs for a fixed iteration
+    count; nothing is random, so identical inputs give identical models.
     """
     classes, mean, scale, Xs, y = _prepare(X, labels)
     W = _fit_stack(Xs[None], y[None], l2, learning_rate, iterations)[0]
@@ -270,7 +269,6 @@ def cross_validate(
     folds: int = 10,
     split_seed: int = 0,
     fold_assign: np.ndarray | None = None,
-    classifier_seed: int = 0,
 ) -> float:
     """Mean test accuracy over the fixed k-fold split.
 

@@ -10,6 +10,15 @@ Existing phi rows and every psi matrix are never touched.
 Partners are drawn only from facts embedded before the batch arrived and
 each new fact uses its own derived random stream, so the result does not
 depend on the order of the batch.
+
+With sampled targets, each (new fact, scheme) costs one sampler call.  Its
+stream first draws the partners, then the walks of one batch: S walks from
+the new fact per partner, followed by S walks from each partner (S =
+samples_per_partner), with the usual retries over dead ends and nulls.
+Row i of the first half is paired with row i of the second, the kernel is
+evaluated once over the pairs in which both walks succeeded, and each
+partner's target is the mean over its surviving pairs; a partner with none
+is dropped.
 """
 
 from __future__ import annotations
@@ -19,9 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .kernels import KernelMap, kd_exact, kernel_eval, kernel_for
+from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches it here)
+    KernelMap,
+    kd_exact,
+    kernel_eval,
+    kernel_eval_batch,
+    kernel_for,
+)
 from .relational import Database
-from .schemes import TargetedWalkScheme, sample_target_values_batch
+from .schemes import sample_target_values_batch
 from .seeding import derive_rng
 from .trainer import EmbeddingModel
 
@@ -64,36 +79,6 @@ def solve_ridge(rows: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarr
     return x
 
 
-def _targets_for_partner(
-    db: Database,
-    new_fact: int,
-    partner: int,
-    tws: TargetedWalkScheme,
-    kernels: KernelMap,
-    cfg: ExtensionConfig,
-    rng: np.random.Generator,
-    retry_cap: int,
-) -> float | None:
-    spec = kernel_for(kernels, tws)
-    if cfg.exact_targets:
-        try:
-            return kd_exact(db, new_fact, partner, tws, spec)
-        except NumericError:
-            return None
-    starts_new = np.full(cfg.samples_per_partner, new_fact, dtype=np.int64)
-    starts_old = np.full(cfg.samples_per_partner, partner, dtype=np.int64)
-    _, vals_new = sample_target_values_batch(db, starts_new, tws, rng, retry_cap)
-    _, vals_old = sample_target_values_batch(db, starts_old, tws, rng, retry_cap)
-    kept = [
-        kernel_eval(spec, a, b)
-        for a, b in zip(vals_new, vals_old)
-        if a is not None and b is not None
-    ]
-    if not kept:
-        return None
-    return float(np.mean(kept))
-
-
 def extend_embedding(
     db: Database,
     model: EmbeddingModel,
@@ -114,11 +99,12 @@ def extend_embedding(
     if not existing:
         raise UsageError("model has no existing embeddings to extend from")
     new_set = set(new_fact_ids)
-    partners_pool = [f for f in existing if f not in new_set]
-    if not partners_pool:
+    pool = np.asarray([f for f in existing if f not in new_set], dtype=np.int64)
+    if not len(pool):
         raise UsageError("no pre-existing partner facts available")
 
     phi = dict(model.phi)
+    n_draws = cfg.samples_per_partner
     for new_fact in new_fact_ids:
         fact = db.fact(new_fact)
         if fact.relation != model.start_relation:
@@ -126,34 +112,51 @@ def extend_embedding(
                 f"fact {new_fact} is in {fact.relation!r}, model embeds {model.start_relation!r}"
             )
         rng = derive_rng(seed, "extend", str(db.key_of(new_fact)))
-        rows: list[np.ndarray] = []
-        targets: list[float] = []
+        blocks: list[np.ndarray] = []
+        targets: list = []
         for tws in model.active_schemes:
             if cfg.exhaustive_partners:
-                partners = list(partners_pool)
+                partners = pool
             else:
-                take = min(cfg.partners_per_scheme, len(partners_pool))
-                partners = [
-                    partners_pool[int(i)]
-                    for i in rng.choice(len(partners_pool), size=take, replace=False)
-                ]
-            psi = model.psi[tws]
-            for partner in partners:
-                target = _targets_for_partner(
-                    db, new_fact, partner, tws, kernels, cfg, rng, retry_cap
+                take = min(cfg.partners_per_scheme, len(pool))
+                partners = pool[rng.choice(len(pool), size=take, replace=False)]
+            spec = kernel_for(kernels, tws)
+            if cfg.exact_targets:
+                exact: dict[int, float] = {}
+                for partner in partners.tolist():
+                    try:
+                        exact[partner] = kd_exact(db, new_fact, partner, tws, spec)
+                    except NumericError:
+                        continue
+                kept, means = list(exact), list(exact.values())
+            else:
+                # one sampler call: n_draws walks from the new fact per
+                # partner, then n_draws from each partner; row i of the two
+                # halves is one pair
+                half = len(partners) * n_draws
+                starts = np.concatenate(
+                    [np.full(half, new_fact, dtype=np.int64), np.repeat(partners, n_draws)]
                 )
-                if target is None:
-                    continue
-                rows.append(psi @ phi[partner])
-                targets.append(target)
-        if not rows:
+                _, values = sample_target_values_batch(db, starts, tws, rng, retry_cap)
+                ok = [
+                    i for i in range(half)
+                    if values[i] is not None and values[half + i] is not None
+                ]
+                sims = kernel_eval_batch(
+                    spec, [values[i] for i in ok], [values[half + i] for i in ok]
+                )
+                owner = np.asarray(ok, dtype=np.int64) // n_draws
+                counts = np.bincount(owner, minlength=len(partners))
+                sums = np.bincount(owner, weights=sims, minlength=len(partners))
+                has = counts > 0  # a partner without a surviving pair is dropped
+                kept, means = partners[has].tolist(), sums[has] / counts[has]
+            if kept:
+                blocks.append(np.stack([phi[p] for p in kept]) @ model.psi[tws].T)
+                targets.append(means)
+        if not blocks:
             raise NumericError(
                 f"no complete walks for any scheme from new fact {new_fact}; "
                 f"cannot build an extension system"
             )
-        phi[new_fact] = solve_ridge(
-            np.asarray(rows, dtype=np.float64),
-            np.asarray(targets, dtype=np.float64),
-            cfg.ridge,
-        )
+        phi[new_fact] = solve_ridge(np.concatenate(blocks), np.concatenate(targets), cfg.ridge)
     return EmbeddingModel(model.k, model.start_relation, phi, model.psi, model.active_schemes)

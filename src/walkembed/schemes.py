@@ -14,6 +14,7 @@ sampling one yields the attribute value at the walk's destination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -272,18 +273,22 @@ def _step_table(db: Database, step: WalkStep) -> _StepTable:
     pos = _fk_pos(db, step.fk)
     n = db.n_facts
     if step.direction == FORWARD:
+        refs = db._forward[pos]
         fwd = np.full(n, -1, dtype=np.int64)
-        for src, dst in db._forward[pos].items():
-            fwd[src] = dst
+        fwd[np.fromiter(refs.keys(), np.int64, len(refs))] = np.fromiter(
+            refs.values(), np.int64, len(refs)
+        )
         table = _StepTable(FORWARD, fwd=fwd)
     else:
+        back = db._backward[pos]
+        dsts = sorted(back)
+        members = [back[d] for d in dsts]
         counts = np.zeros(n + 1, dtype=np.int64)
-        for dst, srcs in db._backward[pos].items():
-            counts[dst + 1] = len(srcs)
+        counts[np.asarray(dsts, dtype=np.int64) + 1] = np.fromiter(
+            map(len, members), np.int64, len(members)
+        )
         offsets = np.cumsum(counts)
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        for dst, srcs in db._backward[pos].items():
-            flat[offsets[dst] : offsets[dst] + len(srcs)] = srcs
+        flat = np.fromiter(chain.from_iterable(members), np.int64, int(offsets[-1]))
         table = _StepTable(BACKWARD, offsets=offsets, flat=flat)
     db._step_tables[key] = table
     return table
@@ -336,6 +341,7 @@ def sample_target_values_batch(
     start = np.asarray(fact_ids, dtype=np.int64)
     rel = db.schema.relation(tws.scheme.end_relation)
     attr_pos = rel.attr_index(tws.target_attr)
+    facts = db.facts
     dests = np.full(len(start), -1, dtype=np.int64)
     values: list[Value] = [None] * len(start)
     pending = np.arange(len(start))
@@ -344,11 +350,12 @@ def sample_target_values_batch(
             break
         got = sample_dest_batch(db, start[pending], tws.scheme, rng)
         still = []
-        for row, dest in zip(pending, got):
+        # plain ints: a numpy scalar per row costs more than the row's work
+        for row, dest in zip(pending.tolist(), got.tolist()):
             if dest < 0:
                 still.append(row)
                 continue
-            v = db.fact(int(dest)).values[attr_pos]
+            v = facts[dest].values[attr_pos]
             if v is None:
                 still.append(row)
                 continue

@@ -2,17 +2,21 @@
 
 The clone check is the core oracle: a model whose bilinear responses equal
 the exact kernel distances must give an inserted duplicate row a vector
-that behaves like its twin's, up to the ridge shrinkage lam/(n + lam).
+that behaves like its twin's, up to the ridge shrinkage lam/(n + lam)
+with exact targets, and up to Monte Carlo noise with sampled ones.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from walkembed import extension
 from walkembed.errors import NumericError, UsageError
 from walkembed.extension import ExtensionConfig, extend_embedding, solve_ridge
-from walkembed.kernels import default_kernels
-from walkembed.relational import Fact, insert_facts
-from walkembed.schemes import enumerate_targeted_schemes, targeted_text
+from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
+from walkembed.relational import Fact, build_database, insert_facts, schema_from_dict
+from walkembed.schemes import enumerate_targeted_schemes, exact_value_distribution, targeted_text
 from walkembed.model_io import save_model
 from walkembed.synth import two_cluster_database
 from walkembed.trainer import EmbeddingModel, TrainConfig, bilinear, train
@@ -225,3 +229,166 @@ def test_empty_batch_is_identity():
     assert set(ext.phi) == set(model.phi)
     for f in model.phi:
         assert np.array_equal(ext.phi[f], model.phi[f])
+
+
+# -- sampled targets ----------------------------------------------------------------
+
+
+def _tagged_database(tags):
+    """item(iid) and tag(tid, item, val, num), tag.item -> item.iid.
+
+    ``tags`` maps an item key to its tags' (val, num) pairs; either may be
+    null, which makes the backward walk from the item retry.
+    """
+    schema = schema_from_dict(
+        {
+            "relations": [
+                {
+                    "name": "item",
+                    "attributes": [{"name": "iid", "kind": "categorical", "nullable": False}],
+                    "key": ["iid"],
+                },
+                {
+                    "name": "tag",
+                    "attributes": [
+                        {"name": "tid", "kind": "categorical", "nullable": False},
+                        {"name": "item", "kind": "categorical", "nullable": False},
+                        {"name": "val", "kind": "categorical", "nullable": True},
+                        {"name": "num", "kind": "numeric", "nullable": True},
+                    ],
+                    "key": ["tid"],
+                },
+            ],
+            "foreign_keys": [
+                {"src": "tag", "src_attrs": ["item"], "dst": "item", "dst_attrs": ["iid"]}
+            ],
+        }
+    )
+    rows = [("item", (key,)) for key in tags]
+    rows += [
+        ("tag", (f"{key}-{i}", key, val, num))
+        for key, pairs in tags.items()
+        for i, (val, num) in enumerate(pairs)
+    ]
+    return build_database(schema, rows)
+
+
+def _tag_schemes(db):
+    """The item -> tag schemes targeting ``val`` and ``num``, by attribute."""
+    return {
+        t.target_attr: t
+        for t in enumerate_targeted_schemes(db.schema, "item", 1)
+        if t.scheme.length == 1 and t.target_attr in ("val", "num")
+    }
+
+
+def _new_fact(db, key, pairs):
+    """``db`` plus item ``key`` and its tags, and the new item's id."""
+    grown = insert_facts(
+        db,
+        [Fact("item", (key,))]
+        + [Fact("tag", (f"{key}-{i}", key, val, num)) for i, (val, num) in enumerate(pairs)],
+    )
+    return grown, grown.fact_by_key("item", (key,))
+
+
+def _system_of(monkeypatch, db, model, new_id, cfg, kernels):
+    """Run ``extend_embedding`` and return the rows and targets it hands
+    to the ridge solve."""
+    seen = []
+
+    def capture(rows, targets, ridge):
+        seen.append((rows.copy(), targets.copy()))
+        return solve_ridge(rows, targets, ridge)
+
+    monkeypatch.setattr(extension, "solve_ridge", capture)
+    extend_embedding(db, model, [new_id], cfg, kernels, seed=11)
+    (system,) = seen
+    return system
+
+
+def test_one_sampler_call_per_new_fact_and_scheme(monkeypatch):
+    db, model = _trained_cluster_model()
+    rel = db.schema.relation("item")
+    g0 = db.fact(next(iter(db.relation_fact_ids("item")))).value(rel, "g")
+    db2 = insert_facts(db, [Fact("item", ("n1", g0)), Fact("item", ("n2", g0))])
+    new_ids = [db2.n_facts - 2, db2.n_facts - 1]
+    calls = []
+    real = extension.sample_target_values_batch
+
+    def counting(db_, starts, tws, rng, retry_cap=20):
+        calls.append((int(starts[0]), tws, len(starts)))
+        return real(db_, starts, tws, rng, retry_cap)
+
+    monkeypatch.setattr(extension, "sample_target_values_batch", counting)
+    cfg = ExtensionConfig(partners_per_scheme=3, samples_per_partner=4)
+    extend_embedding(db2, model, new_ids, cfg, default_kernels(db))
+    assert len(calls) == len(new_ids) * len(model.active_schemes)
+    expected = [(f, tws, 2 * 3 * 4) for f in new_ids for tws in model.active_schemes]
+    assert calls == expected
+    calls.clear()
+    extend_embedding(db2, model, new_ids, ExtensionConfig(exact_targets=True), default_kernels(db))
+    assert calls == []
+
+
+def test_sampled_targets_match_exact_distances(monkeypatch):
+    # nulls among the tags make walks retry; the kernel's variance is
+    # computed from the exact value laws, so each target gets a stderr
+    tags = {
+        "i0": [("a", 0.0), ("b", 1.0)],
+        "i1": [("a", 0.5), ("a", None), (None, 2.0)],
+        "i2": [("b", -1.0), ("c", 0.0), ("a", 1.5)],
+        "i3": [("c", 3.0)],
+        "i4": [("b", 0.2), (None, None), ("b", 0.4)],
+    }
+    db = _tagged_database(tags)
+    db2, new_id = _new_fact(db, "new", [("a", 0.1), ("c", None), (None, 1.2), ("b", -0.5)])
+    kernels = default_kernels(db)
+    partners = [db.fact_by_key("item", (k,)) for k in tags]
+    phi = {f: np.eye(len(partners))[i] for i, f in enumerate(partners)}
+    n_draws = 4000
+    cfg = ExtensionConfig(exhaustive_partners=True, samples_per_partner=n_draws)
+    for attr, tws in _tag_schemes(db).items():
+        model = EmbeddingModel(len(partners), "item", phi, {tws: np.eye(len(partners))}, [tws])
+        rows, targets = _system_of(monkeypatch, db2, model, new_id, cfg, kernels)
+        assert rows.shape == (len(partners), len(partners))
+        spec = kernel_for(kernels, tws)
+        law_new = exact_value_distribution(db2, new_id, tws)
+        for row, target in zip(rows, targets):
+            partner = partners[int(np.argmax(row))]
+            mean = kd_exact(db2, new_id, partner, tws, spec)
+            second = sum(
+                pa * pb * kernel_eval(spec, va, vb) ** 2
+                for va, pa in law_new.items()
+                for vb, pb in exact_value_distribution(db2, partner, tws).items()
+            )
+            stderr = math.sqrt(max(second - mean * mean, 0.0) / n_draws)
+            assert abs(target - mean) <= 4 * stderr + 1e-12, (attr, partner, target, mean)
+
+
+def test_sampled_clone_gets_twin_like_responses():
+    # type-A items tag values {a, b}, type-B items {b, c}: exact distances
+    # are 1/2 within a type and 1/4 across, which psi reproduces on the
+    # one-hot type indicator, so the twin's responses are exact
+    n_per_type = 6
+    tags = {f"a{i}": [("a", None), ("b", None)] for i in range(n_per_type)}
+    tags.update({f"b{i}": [("b", None), ("c", None)] for i in range(n_per_type)})
+    db = _tagged_database(tags)
+    tws = _tag_schemes(db)["val"]
+    phi = {db.fact_by_key("item", (k,)): np.eye(2)[0 if k[0] == "a" else 1] for k in tags}
+    psi = np.array([[0.5, 0.25], [0.25, 0.5]])
+    model = EmbeddingModel(2, "item", phi, {tws: psi}, [tws])
+    twin = db.fact_by_key("item", ("a0",))
+    db2, clone = _new_fact(db, "clone", [("b", None), (None, None), ("a", None)])
+    n_draws = 400
+    cfg = ExtensionConfig(exhaustive_partners=True, samples_per_partner=n_draws)
+    ext = extend_embedding(db2, model, [clone], cfg, default_kernels(db))
+    # a response to a type is the mean of its n_per_type sampled targets
+    # (the two row directions are independent and the ridge is negligible);
+    # one kernel value has sd at most 1/2
+    tolerance = 4 * 0.5 / math.sqrt(n_per_type * n_draws)
+    worst = max(
+        abs(bilinear(ext, clone, p, tws) - bilinear(ext, twin, p, tws)) for p in phi
+    )
+    assert worst < tolerance
+    assert worst > 0  # sampled, so not exact

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkembed.errors import SchemaError, UsageError
+from walkembed.relational import Fact, insert_facts
 from walkembed.schemes import (
     BACKWARD,
     FORWARD,
     TargetedWalkScheme,
     WalkScheme,
     WalkStep,
+    _step_table,
     dest_attr_sample,
     enumerate_targeted_schemes,
     enumerate_walk_schemes,
@@ -352,3 +354,138 @@ def test_enumeration_is_deterministic(seed):
     a = enumerate_walk_schemes(schema, start, 2)
     b = enumerate_walk_schemes(schema, start, 2)
     assert a == b
+
+
+# -- the sampler's row loop against the loop it replaced ------------------------------
+
+
+def _reference_target_values_batch(db, fact_ids, tws, rng, retry_cap=20):
+    """The retry loop as first written, one numpy scalar and one ``db.fact``
+    call per row; the sampler must reproduce it draw for draw."""
+    start = np.asarray(fact_ids, dtype=np.int64)
+    attr_pos = db.schema.relation(tws.scheme.end_relation).attr_index(tws.target_attr)
+    dests = np.full(len(start), -1, dtype=np.int64)
+    values = [None] * len(start)
+    pending = np.arange(len(start))
+    for _ in range(max(1, retry_cap)):
+        if len(pending) == 0:
+            break
+        got = sample_dest_batch(db, start[pending], tws.scheme, rng)
+        still = []
+        for row, dest in zip(pending, got):
+            if dest < 0:
+                still.append(row)
+                continue
+            v = db.fact(int(dest)).values[attr_pos]
+            if v is None:
+                still.append(row)
+                continue
+            dests[row] = dest
+            values[row] = v
+        pending = np.asarray(still, dtype=np.int64)
+    return dests, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db_seed=st.integers(min_value=0, max_value=400),
+    pick=st.integers(min_value=0, max_value=10_000),
+    n_starts=st.integers(min_value=0, max_value=30),
+    rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    retry_cap=st.sampled_from([1, 20]),
+)
+def test_sampler_row_loop_matches_reference(db_seed, pick, n_starts, rng_seed, retry_cap):
+    # random databases carry nullable targets and nullable references,
+    # so rows retry over null destinations and dead ends
+    schema = random_schema(db_seed)
+    db = random_database(schema, db_seed)
+    start_rel = schema.relations[0].name
+    schemes = enumerate_targeted_schemes(schema, start_rel, 2)
+    tws = schemes[pick % len(schemes)]
+    ids = db.relation_fact_ids(start_rel)
+    starts = np.asarray([ids[(pick + 7 * i) % len(ids)] for i in range(n_starts)], dtype=np.int64)
+    _assert_sampler_matches_reference(db, starts, tws, rng_seed, retry_cap)
+
+
+def _assert_sampler_matches_reference(db, starts, tws, rng_seed, retry_cap):
+    rng_new = np.random.default_rng(rng_seed)
+    rng_ref = np.random.default_rng(rng_seed)
+    dests, values = sample_target_values_batch(db, starts, tws, rng_new, retry_cap)
+    want_dests, want_values = _reference_target_values_batch(db, starts, tws, rng_ref, retry_cap)
+    assert dests.dtype == want_dests.dtype
+    assert np.array_equal(dests, want_dests)
+    assert values == want_values
+    assert [type(v) for v in values] == [type(v) for v in want_values]
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("retry_cap", [1, 20])
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_sampler_row_loop_matches_reference_on_long_retries(chain_schema, retry_cap, rng_seed):
+    # from r1 three of four walks reach a null, so rows retry many times;
+    # from r2 every walk draws and reaches a null; r3 is a dead end
+    from walkembed.relational import build_database
+
+    db = build_database(
+        chain_schema,
+        [("R", ("r1",)), ("R", ("r2",)), ("R", ("r3",))]
+        + [("S", (f"x{i}", "r1", "vd" if i == 0 else None)) for i in range(4)]
+        + [("S", (f"y{i}", "r2", None)) for i in range(2)],
+    )
+    fk = db.schema.foreign_keys[0]
+    tws = TargetedWalkScheme(WalkScheme("R", (WalkStep(fk, BACKWARD),)), "sval")
+    starts = np.asarray([0] * 40 + [1, 2, 0, 1], dtype=np.int64)
+    _assert_sampler_matches_reference(db, starts, tws, rng_seed, retry_cap)
+
+
+# -- step tables --------------------------------------------------------------------
+
+
+def _reference_step_table(db, step):
+    """Per-element build of a step table, as first written."""
+    pos = db.schema.foreign_keys.index(step.fk)
+    n = db.n_facts
+    if step.direction == FORWARD:
+        fwd = np.full(n, -1, dtype=np.int64)
+        for src, dst in db._forward[pos].items():
+            fwd[src] = dst
+        return fwd, None, None
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for dst, srcs in db._backward[pos].items():
+        counts[dst + 1] = len(srcs)
+    offsets = np.cumsum(counts)
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
+    for dst, srcs in db._backward[pos].items():
+        flat[offsets[dst] : offsets[dst] + len(srcs)] = srcs
+    return None, offsets, flat
+
+
+def _assert_step_tables_match_reference(db):
+    checked = 0
+    for fk in db.schema.foreign_keys:
+        for direction in (FORWARD, BACKWARD):
+            step = WalkStep(fk, direction)
+            table = _step_table(db, step)
+            fwd, offsets, flat = _reference_step_table(db, step)
+            assert table.kind == direction
+            for got, want in ((table.fwd, fwd), (table.offsets, offsets), (table.flat, flat)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            checked += 1
+    return checked
+
+
+def test_step_tables_match_per_element_build(chain_db):
+    assert _assert_step_tables_match_reference(chain_db) == 2
+    # the insert appends facts referencing both an old and a new R fact,
+    # so back-reference lists grow and a new one appears
+    grown = insert_facts(
+        chain_db,
+        [Fact("R", ("r3",)), Fact("S", ("z", "r3", "vc")), Fact("S", ("w", "r1", None))],
+    )
+    assert _assert_step_tables_match_reference(grown) == 2
+    for seed in range(8):
+        db = random_database(random_schema(seed), seed)
+        _assert_step_tables_match_reference(db)
