@@ -97,10 +97,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise UsageError(f"config is not valid JSON: {exc}") from exc
     config = ExperimentConfig.from_dict(doc, base_dir=path.parent)
     if args.seed is not None:
-        config.trainer = replace(config.trainer, seed=args.seed)
-        config.seeds = tuple(args.seed + i for i in range(len(config.seeds)))
+        config = replace(
+            config,
+            trainer=replace(config.trainer, seed=args.seed),
+            seeds=tuple(args.seed + i for i in range(len(config.seeds))),
+        )
     if args.workers is not None:
-        config.workers = args.workers
+        config = replace(config, workers=args.workers)  # validated like the file's value
     return config
 
 

@@ -40,11 +40,10 @@ from .errors import IntegrityError, UsageError
 from .kernels import KernelMap, KernelSpec, default_kernels
 from .relational import (
     Database,
-    DatabaseSchema,
     Fact,
-    RelationSchema,
     Value,
     build_database,
+    drop_attribute,
     insert_facts,
     load_database,
     load_schema,
@@ -86,7 +85,12 @@ def strip_attribute(db: Database, relation: str, attribute: str) -> tuple[Databa
 
     The attribute must not be part of the relation's key or of any foreign
     key, so removing it keeps the schema valid and fact ids stable.  Facts
-    with a null label are simply absent from the task's label map.
+    with a null label are simply absent from the task's label map, whose
+    keys are in fact-id order.
+
+    The stripped database is derived by ``drop_attribute``, not rebuilt: it
+    shares the source's key maps and foreign-key index, and only the task
+    relation's facts are new, so a load costs one validated build.
     """
     rel = db.schema.relation(relation)
     if attribute not in rel.attr_names:
@@ -99,27 +103,12 @@ def strip_attribute(db: Database, relation: str, attribute: str) -> tuple[Databa
                 f"prediction attribute {attribute!r} participates in foreign key {fk.name}"
             )
     drop = rel.attr_index(attribute)
-    new_rel = RelationSchema(
-        relation,
-        tuple(a for a in rel.attributes if a.name != attribute),
-        rel.key,
-    )
-    schema = DatabaseSchema(
-        tuple(new_rel if r.name == relation else r for r in db.schema.relations),
-        db.schema.foreign_keys,
-    )
-    rows = []
     labels: dict[int, Value] = {}
-    for fact in db.facts:
-        if fact.relation == relation:
-            label = fact.values[drop]
-            if label is not None:
-                labels[fact.fact_id] = label
-            rows.append((relation, fact.values[:drop] + fact.values[drop + 1 :]))
-        else:
-            rows.append((fact.relation, fact.values))
-    stripped = build_database(schema, rows)
-    assert attribute not in stripped.schema.relation(relation).attr_names
+    for fact_id in db.relation_fact_ids(relation):
+        label = db.fact(fact_id).values[drop]
+        if label is not None:
+            labels[fact_id] = label
+    stripped = drop_attribute(db, relation, attribute)
     return stripped, DownstreamTask(relation, attribute, labels)
 
 
@@ -378,36 +367,52 @@ class ExperimentConfig:
                 raise UsageError("ratios must lie in (0, 1]")
         if not self.seeds:
             raise UsageError("at least one ensemble seed is required")
+        for name, least in (
+            ("max_length", 0),
+            ("folds", 2),
+            ("walk_budget", 1),
+            ("facts_per_scheme", 1),
+            ("per_epoch_removals", 1),
+            ("workers", 1),
+        ):
+            if getattr(self, name) < least:
+                raise UsageError(f"{name} must be at least {least}")
+        if self.pair_budget is not None and self.pair_budget < 2:
+            raise UsageError("pair_budget must be at least 2 (or absent for the default)")
 
     @staticmethod
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
-        base = Path(base_dir)
-        trainer = TrainConfig(**doc.get("trainer", {}))
-        task = doc["task"]
-        kernels = tuple(
-            KernelSpec(k["relation"], k["attribute"], k["kind"], k.get("sigma"))
-            for k in doc.get("kernels", [])
-        )
-        return ExperimentConfig(
-            schema_path=str(base / doc["schema"]),
-            data_dir=str(base / doc["data_dir"]),
-            task_relation=task["relation"],
-            task_attribute=task["attribute"],
-            max_length=int(doc.get("max_length", 2)),
-            trainer=trainer,
-            strategies=tuple(doc.get("strategies", ["kvar"])),
-            ratios=tuple(float(r) for r in doc.get("ratios", [0.5])),
-            seeds=tuple(int(s) for s in doc.get("seeds", [0, 1, 2, 3, 4])),
-            folds=int(doc.get("folds", 10)),
-            split_seed=int(doc.get("split_seed", 0)),
-            walk_budget=int(doc.get("walk_budget", 2000)),
-            pair_budget=doc.get("pair_budget"),
-            facts_per_scheme=int(doc.get("facts_per_scheme", 10)),
-            sampling_epochs=int(doc.get("sampling_epochs", 10)),
-            per_epoch_removals=int(doc.get("per_epoch_removals", 1)),
-            workers=int(doc.get("workers", 1)),
-            kernel_overrides=kernels,
-        )
+        """The config of a JSON document; a missing or ill-typed field is a UsageError."""
+        try:
+            base = Path(base_dir)
+            trainer = TrainConfig(**doc.get("trainer", {}))
+            task = doc["task"]
+            kernels = tuple(
+                KernelSpec(k["relation"], k["attribute"], k["kind"], k.get("sigma"))
+                for k in doc.get("kernels", [])
+            )
+            return ExperimentConfig(
+                schema_path=str(base / doc["schema"]),
+                data_dir=str(base / doc["data_dir"]),
+                task_relation=task["relation"],
+                task_attribute=task["attribute"],
+                max_length=int(doc.get("max_length", 2)),
+                trainer=trainer,
+                strategies=tuple(doc.get("strategies", ["kvar"])),
+                ratios=tuple(float(r) for r in doc.get("ratios", [0.5])),
+                seeds=tuple(int(s) for s in doc.get("seeds", [0, 1, 2, 3, 4])),
+                folds=int(doc.get("folds", 10)),
+                split_seed=int(doc.get("split_seed", 0)),
+                walk_budget=int(doc.get("walk_budget", 2000)),
+                pair_budget=None if doc.get("pair_budget") is None else int(doc["pair_budget"]),
+                facts_per_scheme=int(doc.get("facts_per_scheme", 10)),
+                sampling_epochs=int(doc.get("sampling_epochs", 10)),
+                per_epoch_removals=int(doc.get("per_epoch_removals", 1)),
+                workers=int(doc.get("workers", 1)),
+                kernel_overrides=kernels,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed config: {type(exc).__name__}: {exc}") from exc
 
 
 def apply_kernel_overrides(kernels: KernelMap, overrides: tuple[KernelSpec, ...]) -> KernelMap:

@@ -10,6 +10,15 @@ Facts get integer ids in load order across the whole database; ids are
 stable and serve as the identity of a fact everywhere else in the package.
 Databases are immutable once built.  ``insert_facts`` returns a new
 database whose index extensions match what a full rebuild would produce.
+
+Databases derived from another share its index structures instead of
+copying them.  ``drop_attribute`` (a column in no key and no foreign key)
+shares the fact ids, the key maps and the forward and backward
+foreign-key maps with its source; this is safe because nothing mutates
+them after construction and the index reads only key and foreign-key
+attributes.  ``insert_facts`` shares the backward tuples of every
+destination its batch does not reference.  Only the lazily built walk
+step tables are per database.
 """
 
 from __future__ import annotations
@@ -229,19 +238,20 @@ class Database:
 # -- construction ----------------------------------------------------------
 
 
-def _check_value(rel: RelationSchema, attr: AttributeDecl, value: Value, where: str) -> Value:
+def _check_value(rel: RelationSchema, attr: AttributeDecl, value: Value, where: str, n: int) -> Value:
+    """``value`` as stored; errors name the row as ``where`` followed by ``n``."""
     if value is None:
         if not attr.nullable:
-            raise IntegrityError(f"null in non-nullable attribute {rel.name}.{attr.name} ({where})")
+            raise IntegrityError(f"null in non-nullable attribute {rel.name}.{attr.name} ({where} {n})")
         return None
     if attr.kind == "numeric":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise IntegrityError(f"non-numeric value {value!r} in {rel.name}.{attr.name} ({where})")
+            raise IntegrityError(f"non-numeric value {value!r} in {rel.name}.{attr.name} ({where} {n})")
         if not math.isfinite(value):
-            raise IntegrityError(f"non-finite value {value!r} in {rel.name}.{attr.name} ({where})")
+            raise IntegrityError(f"non-finite value {value!r} in {rel.name}.{attr.name} ({where} {n})")
         return float(value)
     if not isinstance(value, str):
-        raise IntegrityError(f"expected string for {rel.name}.{attr.name}, got {value!r} ({where})")
+        raise IntegrityError(f"expected string for {rel.name}.{attr.name}, got {value!r} ({where} {n})")
     return value
 
 
@@ -250,65 +260,67 @@ def build_database(schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Va
     facts: list[Fact] = []
     by_relation: dict[str, list[int]] = {r: [] for r in schema.relation_names}
     key_to_fact: dict[str, dict[tuple[Value, ...], int]] = {r: {} for r in schema.relation_names}
+    # Per relation, looked up once: schema, width, key positions and the
+    # key and id buckets the rows go into.
+    plans: dict[str, tuple] = {}
 
     for rel_name, values in rows:
-        rel = schema.relation(rel_name)
-        if len(values) != len(rel.attributes):
-            raise IntegrityError(
-                f"relation {rel_name!r} expects {len(rel.attributes)} values, got {len(values)}"
+        plan = plans.get(rel_name)
+        if plan is None:
+            rel = schema.relation(rel_name)
+            key_pos = tuple(rel.attr_index(a) for a in rel.key)
+            plan = plans[rel_name] = (
+                rel, len(rel.attributes), key_pos, key_to_fact[rel_name], by_relation[rel_name]
             )
-        checked = tuple(
-            _check_value(rel, attr, v, f"row {len(facts)}")
-            for attr, v in zip(rel.attributes, values)
-        )
+        rel, width, key_pos, keys, ids = plan
+        if len(values) != width:
+            raise IntegrityError(
+                f"relation {rel_name!r} expects {width} values, got {len(values)}"
+            )
         fact_id = len(facts)
-        fact = Fact(rel_name, checked, fact_id)
-        key = tuple(checked[rel.attr_index(a)] for a in rel.key)
-        if any(v is None for v in key):
+        checked = tuple([
+            _check_value(rel, attr, v, "row", fact_id) for attr, v in zip(rel.attributes, values)
+        ])
+        key = tuple([checked[p] for p in key_pos])
+        if None in key:
             raise IntegrityError(f"null key value in {rel_name!r} row {fact_id}")
-        if key in key_to_fact[rel_name]:
+        if key in keys:
             raise IntegrityError(f"duplicate key {key!r} in relation {rel_name!r}")
-        key_to_fact[rel_name][key] = fact_id
-        facts.append(fact)
-        by_relation[rel_name].append(fact_id)
+        keys[key] = fact_id
+        facts.append(Fact(rel_name, checked, fact_id))
+        ids.append(fact_id)
 
-    forward, backward = _build_fk_index(schema, facts, key_to_fact)
-    return Database(
-        schema,
-        tuple(facts),
-        {r: tuple(ids) for r, ids in by_relation.items()},
-        key_to_fact,
-        forward,
-        backward,
-    )
+    by_relation_ids = {r: tuple(ids) for r, ids in by_relation.items()}
+    forward, backward = _build_fk_index(schema, facts, by_relation_ids, key_to_fact)
+    return Database(schema, tuple(facts), by_relation_ids, key_to_fact, forward, backward)
 
 
 def _build_fk_index(
     schema: DatabaseSchema,
     facts: Sequence[Fact],
+    by_relation: dict[str, tuple[int, ...]],
     key_to_fact: dict[str, dict[tuple[Value, ...], int]],
 ) -> tuple[tuple[dict[int, int], ...], tuple[dict[int, tuple[int, ...]], ...]]:
     forward: list[dict[int, int]] = []
     backward: list[dict[int, tuple[int, ...]]] = []
-    by_relation: dict[str, list[Fact]] = {}
-    for fact in facts:
-        by_relation.setdefault(fact.relation, []).append(fact)
     for fk in schema.foreign_keys:
         src_rel = schema.relation(fk.src)
         src_pos = [src_rel.attr_index(a) for a in fk.src_attrs]
+        dst_keys = key_to_fact[fk.dst]
         fwd: dict[int, int] = {}
         back: dict[int, list[int]] = {}
-        for fact in by_relation.get(fk.src, []):
-            ref = tuple(fact.values[p] for p in src_pos)
-            if any(v is None for v in ref):
+        for fact_id in by_relation[fk.src]:
+            values = facts[fact_id].values
+            ref = tuple([values[p] for p in src_pos])
+            if None in ref:
                 continue  # a null anywhere in the reference makes it non-referencing
-            dst_id = key_to_fact[fk.dst].get(ref)
+            dst_id = dst_keys.get(ref)
             if dst_id is None:
                 raise IntegrityError(
-                    f"dangling reference {ref!r} from {fk.src}(id {fact.fact_id}) via {fk.name}"
+                    f"dangling reference {ref!r} from {fk.src}(id {fact_id}) via {fk.name}"
                 )
-            fwd[fact.fact_id] = dst_id
-            back.setdefault(dst_id, []).append(fact.fact_id)
+            fwd[fact_id] = dst_id
+            back.setdefault(dst_id, []).append(fact_id)
         forward.append(fwd)
         backward.append({k: tuple(v) for k, v in back.items()})
     return tuple(forward), tuple(backward)
@@ -332,11 +344,11 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
                 f"relation {fact.relation!r} expects {len(rel.attributes)} values, got {len(fact.values)}"
             )
         checked = tuple(
-            _check_value(rel, attr, v, f"inserted row {next_id}")
+            _check_value(rel, attr, v, "inserted row", next_id)
             for attr, v in zip(rel.attributes, fact.values)
         )
         key = tuple(checked[rel.attr_index(a)] for a in rel.key)
-        if any(v is None for v in key):
+        if None in key:
             raise IntegrityError(f"null key value in inserted {fact.relation!r} row")
         if db.fact_by_key(fact.relation, key) is not None or key in key_extra[fact.relation]:
             raise IntegrityError(f"duplicate key {key!r} in relation {fact.relation!r}")
@@ -351,19 +363,21 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
         return key_extra[rel_name].get(key)
 
     # Validate all references (old facts cannot dangle; only new ones checked),
-    # then extend the per-fk maps incrementally.
+    # then extend the per-fk maps incrementally.  The backward map is a
+    # shallow copy: a destination the batch references gets a new, longer
+    # tuple, and every other destination shares the source's tuple.
     forward: list[dict[int, int]] = []
     backward: list[dict[int, tuple[int, ...]]] = []
     for pos, fk in enumerate(schema.foreign_keys):
         src_rel = schema.relation(fk.src)
         src_pos = [src_rel.attr_index(a) for a in fk.src_attrs]
         fwd = dict(db._forward[pos])
-        back = {k: list(v) for k, v in db._backward[pos].items()}
+        back = dict(db._backward[pos])
         for fact in staged:
             if fact.relation != fk.src:
                 continue
             ref = tuple(fact.values[p] for p in src_pos)
-            if any(v is None for v in ref):
+            if None in ref:
                 continue
             dst_id = resolve(fk.dst, ref)
             if dst_id is None:
@@ -371,9 +385,9 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
                     f"dangling reference {ref!r} from inserted {fk.src} row via {fk.name}"
                 )
             fwd[fact.fact_id] = dst_id
-            back.setdefault(dst_id, []).append(fact.fact_id)
+            back[dst_id] = back.get(dst_id, ()) + (fact.fact_id,)
         forward.append(fwd)
-        backward.append({k: tuple(v) for k, v in back.items()})
+        backward.append(back)
 
     facts = db.facts + tuple(staged)
     by_relation = {
@@ -384,6 +398,37 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
         r: {**db._key_to_fact.get(r, {}), **key_extra[r]} for r in schema.relation_names
     }
     return Database(schema, facts, by_relation, key_to_fact, tuple(forward), tuple(backward))
+
+
+def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
+    """``db`` without one attribute of ``relation``, under the same fact ids.
+
+    The attribute must be in neither the relation's key nor any foreign
+    key.  Then the key maps and the foreign-key index, which read only
+    key and foreign-key attributes, are the source's own and are shared
+    with it; only the facts of ``relation`` are rebuilt.
+    """
+    rel = db.schema.relation(relation)
+    drop = rel.attr_index(attribute)
+    if attribute in rel.key:
+        raise SchemaError(f"cannot drop key attribute {relation}.{attribute}")
+    for fk in db.schema.foreign_keys:
+        if fk.src == relation and attribute in fk.src_attrs:
+            raise SchemaError(f"cannot drop {relation}.{attribute}: it is in foreign key {fk.name}")
+    new_rel = RelationSchema(
+        relation, rel.attributes[:drop] + rel.attributes[drop + 1 :], rel.key
+    )
+    schema = DatabaseSchema(
+        tuple(new_rel if r.name == relation else r for r in db.schema.relations),
+        db.schema.foreign_keys,
+    )
+    facts = list(db.facts)
+    for fact_id in db.relation_fact_ids(relation):
+        values = facts[fact_id].values
+        facts[fact_id] = Fact(relation, values[:drop] + values[drop + 1 :], fact_id)
+    return Database(
+        schema, tuple(facts), db._by_relation, db._key_to_fact, db._forward, db._backward
+    )
 
 
 # -- schema and CSV loading -------------------------------------------------
@@ -463,7 +508,7 @@ def load_schema(path: str | Path) -> DatabaseSchema:
     return schema_from_dict(doc)
 
 
-def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, where: str) -> Value:
+def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, file: str, line_no: int) -> Value:
     if cell == "":
         return None
     if attr.kind == "numeric":
@@ -471,11 +516,11 @@ def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, where: str)
             value = float(cell)
         except ValueError:
             raise IntegrityError(
-                f"cannot parse {cell!r} as numeric for {rel.name}.{attr.name} ({where})"
+                f"cannot parse {cell!r} as numeric for {rel.name}.{attr.name} ({file} line {line_no})"
             ) from None
         if not math.isfinite(value):
             raise IntegrityError(
-                f"non-finite value {cell!r} in {rel.name}.{attr.name} ({where})"
+                f"non-finite value {cell!r} in {rel.name}.{attr.name} ({file} line {line_no})"
             )
         return value
     return cell
@@ -498,15 +543,15 @@ def read_relation_csv(rel: RelationSchema, path: Path) -> Iterator[tuple[Value, 
             raise IntegrityError(
                 f"{path} header {header!r} does not match attributes {rel.attr_names!r}"
             )
+        attributes, width, file = rel.attributes, len(rel.attributes), path.name
         for line_no, cells in enumerate(reader, start=2):
-            if len(cells) != len(rel.attributes):
+            if len(cells) != width:
                 raise IntegrityError(
-                    f"{path} line {line_no}: expected {len(rel.attributes)} cells, got {len(cells)}"
+                    f"{path} line {line_no}: expected {width} cells, got {len(cells)}"
                 )
-            yield tuple(
-                _parse_cell(rel, attr, cell, f"{path.name} line {line_no}")
-                for attr, cell in zip(rel.attributes, cells)
-            )
+            yield tuple([
+                _parse_cell(rel, attr, cell, file, line_no) for attr, cell in zip(attributes, cells)
+            ])
 
 
 def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:

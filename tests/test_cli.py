@@ -568,6 +568,27 @@ def test_malformed_config_exits_2(tmp_path):
     assert code == 2
 
 
+def test_out_of_range_config_exits_2_before_training(ws, tmp_path, capsys):
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"),
+                  strategies=["online"], per_epoch_removals=0)
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(config))
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), "experiment", "--config", str(bad)])
+    assert code == 2
+    assert "per_epoch_removals must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_workers_flag_is_validated(ws, tmp_path, capsys):
+    code, _ = _run([
+        "--workers", "0", "--out-dir", str(tmp_path / "out"), "experiment",
+        "--config", str(ws["config"]),
+    ])
+    assert code == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_installed_entry_point_runs(ws):
     # the child imports the package the tests import, installed or not
     package_root = str(Path(walkembed.__file__).resolve().parents[1])

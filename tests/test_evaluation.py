@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import walkembed.evaluation as evaluation
 from walkembed.errors import UsageError
@@ -27,9 +29,18 @@ from walkembed.evaluation import (
     predict,
     write_report,
 )
-from walkembed.relational import save_schema, write_database_csv
+from walkembed.relational import (
+    DatabaseSchema,
+    Fact,
+    RelationSchema,
+    build_database,
+    insert_facts,
+    save_schema,
+    write_database_csv,
+)
 from walkembed.schemes import enumerate_targeted_schemes
-from walkembed.synth import planted_database
+from walkembed.selection import SchemeScore
+from walkembed.synth import planted_database, random_database, random_schema
 from walkembed.trainer import TrainConfig
 
 
@@ -62,6 +73,89 @@ def test_strip_attribute_rejects_bad_targets():
         strip_attribute(setup.db, "item", "iid")  # key attribute
     with pytest.raises(UsageError):
         strip_attribute(setup.db, "obs0", "ref")  # foreign-key source
+
+
+def _reference_strip_attribute(db, relation, attribute):
+    """Stripping by a full rebuild of the remaining columns, as first written."""
+    rel = db.schema.relation(relation)
+    drop = rel.attr_index(attribute)
+    new_rel = RelationSchema(
+        relation, tuple(a for a in rel.attributes if a.name != attribute), rel.key
+    )
+    schema = DatabaseSchema(
+        tuple(new_rel if r.name == relation else r for r in db.schema.relations),
+        db.schema.foreign_keys,
+    )
+    rows = []
+    labels = {}
+    for fact in db.facts:
+        if fact.relation == relation:
+            label = fact.values[drop]
+            if label is not None:
+                labels[fact.fact_id] = label
+            rows.append((relation, fact.values[:drop] + fact.values[drop + 1 :]))
+        else:
+            rows.append((fact.relation, fact.values))
+    return build_database(schema, rows), labels
+
+
+def _index_snapshot(db):
+    """Every observable part of a database's ids, key maps and fk index."""
+    return (
+        db.facts,
+        {r: db.relation_fact_ids(r) for r in db.schema.relation_names},
+        [db.fact_by_key(db.fact(f).relation, db.key_of(f)) for f in range(db.n_facts)],
+        [
+            (db.forward_ref(pos, f), db.back_refs(pos, f))
+            for pos in range(len(db.schema.foreign_keys))
+            for f in range(db.n_facts)
+        ],
+    )
+
+
+def _strippable(schema, pick):
+    """One (relation, attribute) in no key and no foreign key, chosen by ``pick``."""
+    fk_attrs = {(fk.src, a) for fk in schema.foreign_keys for a in fk.src_attrs}
+    options = [
+        (rel.name, a)
+        for rel in schema.relations
+        for a in rel.attr_names
+        if a not in rel.key and (rel.name, a) not in fk_attrs
+    ]
+    return options[pick % len(options)] if options else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(db_seed=st.integers(min_value=0, max_value=400), pick=st.integers(min_value=0, max_value=1000))
+def test_strip_attribute_matches_rebuild(db_seed, pick):
+    """The derived database equals a full rebuild of the stripped rows:
+    facts, ids, key lookups, both directions of every foreign key, and the
+    labels including their order.  Random schemas bring null labels,
+    nullable and self-referencing foreign keys."""
+    schema = random_schema(db_seed)
+    target = _strippable(schema, pick)
+    assume(target is not None)
+    db = random_database(schema, db_seed)
+    stripped, task = strip_attribute(db, *target)
+    rebuilt, labels = _reference_strip_attribute(db, *target)
+    assert stripped.schema == rebuilt.schema
+    assert _index_snapshot(stripped) == _index_snapshot(rebuilt)
+    assert list(task.labels.items()) == list(labels.items())
+
+
+def test_insert_into_stripped_database_leaves_source_index_alone():
+    setup = planted_database(n_items=8, n_obs=2, with_noise=False, seed=0)
+    before = _index_snapshot(setup.db)
+    stripped, _ = strip_attribute(setup.db, "item", "cls")
+    item = stripped.fact(stripped.relation_fact_ids("item")[0])
+    obs = stripped.fact(stripped.relation_fact_ids("obs0")[0])
+    grown = insert_facts(
+        stripped,
+        [Fact("item", ("fresh",) + item.values[1:]), Fact("obs0", ("fresh-obs", item.values[0]) + obs.values[2:])],
+    )
+    assert grown.back_refs(0, item.fact_id)[-1] == grown.n_facts - 1
+    assert _index_snapshot(setup.db) == before
+    assert _index_snapshot(stripped)[1:] == before[1:]
 
 
 # -- classifier --------------------------------------------------------------------
@@ -192,6 +286,28 @@ def test_experiment_config_validation():
         ExperimentConfig(**_config_kwargs(seeds=()))
 
 
+@pytest.mark.parametrize(
+    "field, bad, least",
+    [
+        ("per_epoch_removals", 0, 1),
+        ("folds", 1, 2),
+        ("workers", 0, 1),
+        ("walk_budget", 0, 1),
+        ("max_length", -1, 0),
+        ("facts_per_scheme", 0, 1),
+        ("pair_budget", 1, 2),
+    ],
+)
+def test_experiment_config_rejects_out_of_range_counts(field, bad, least):
+    with pytest.raises(UsageError, match=field):
+        ExperimentConfig(**_config_kwargs(**{field: bad}))
+    assert getattr(ExperimentConfig(**_config_kwargs(**{field: least})), field) == least
+
+
+def test_experiment_config_default_pair_budget_is_valid():
+    assert ExperimentConfig(**_config_kwargs(pair_budget=None)).pair_budget is None
+
+
 def test_experiment_config_from_dict_resolves_paths():
     doc = {
         "schema": "schema.json",
@@ -214,6 +330,26 @@ def test_experiment_config_from_dict_resolves_paths():
     assert cfg.ratios == (0.25, 0.75)
     assert cfg.seeds == (1, 2)
     assert cfg.kernel_overrides[0].sigma == 2.0
+
+
+def _config_doc(**over):
+    doc = {"schema": "schema.json", "data_dir": "data", "task": {"relation": "item", "attribute": "cls"}}
+    doc.update(over)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "over",
+    [{"folds": "x"}, {"pair_budget": "many"}, {"trainer": {"bogus": 1}}, {"task": {}}, {"schema": None}],
+)
+def test_experiment_config_from_dict_rejects_malformed_fields(over):
+    with pytest.raises(UsageError, match="malformed config"):
+        ExperimentConfig.from_dict(_config_doc(**over))
+
+
+def test_experiment_config_from_dict_reads_pair_budget_as_int():
+    assert ExperimentConfig.from_dict(_config_doc(pair_budget="5")).pair_budget == 5
+    assert ExperimentConfig.from_dict(_config_doc()).pair_budget is None
 
 
 # -- the experiment grid ----------------------------------------------------------
@@ -347,11 +483,24 @@ def test_online_strategy_keeps_ceil_counts(tmp_path):
     assert ("online", 0.5) in report.ensembles
 
 
-def test_parallel_grid_matches_serial_and_records_failures(tmp_path):
-    """workers=2 gives the serial accuracies, and a failing cell (online
-    elimination rejects per_epoch_removals=0) is recorded under the same
-    key and message while the rest of the grid survives."""
+def test_parallel_grid_matches_serial_and_records_failures(tmp_path, monkeypatch):
+    """workers=2 gives the serial accuracies, and a failing cell is recorded
+    under the same key and message while the rest of the grid survives.
+
+    The failure is raised inside the cell: the ``length`` scores gain a
+    scheme that targets the stripped label, which has no kernel, so its
+    training stops in the worker process, not in the scoring step."""
     setup, schema_path, data_dir = _materialise(tmp_path, n_items=10)
+    real_scores = evaluation.compute_scores
+
+    def scores_with_label_scheme(strategy, *args, **kwargs):
+        scores = real_scores(strategy, *args, **kwargs)
+        if strategy == "length":
+            label_tws = replace(scores[0].tws, target_attr="cls")
+            scores = [SchemeScore(label_tws, math.inf, "length")] + scores
+        return scores
+
+    monkeypatch.setattr(evaluation, "compute_scores", scores_with_label_scheme)
     cfg = ExperimentConfig(
         schema_path=str(schema_path),
         data_dir=str(data_dir),
@@ -363,11 +512,10 @@ def test_parallel_grid_matches_serial_and_records_failures(tmp_path):
         ratios=(0.5,),
         seeds=(0, 1),
         folds=3,
-        per_epoch_removals=0,
     )
     serial = run_experiment(cfg)
     parallel = run_experiment(replace(cfg, workers=2))
-    expected = {f"train:online:0.5:{seed}": "per_epoch_removals must be at least 1" for seed in (0, 1)}
+    expected = {f"train:length:0.5:{seed}": "no kernel configured for attribute item.cls" for seed in (0, 1)}
     assert serial.failures == expected
     assert parallel.failures == expected
     assert parallel.baseline_accuracy == serial.baseline_accuracy
@@ -377,7 +525,7 @@ def test_parallel_grid_matches_serial_and_records_failures(tmp_path):
     for p, s in zip(parallel.cells, serial.cells):
         assert [a for _, a in p.curve.points] == [a for _, a in s.curve.points]
         assert p.cv_seconds > 0.0
-    assert set(parallel.ensembles) == {("baseline", 1.0), ("length", 0.5)}
+    assert set(parallel.ensembles) == {("baseline", 1.0), ("online", 0.5)}
 
 
 # -- dynamic protocol -----------------------------------------------------------------

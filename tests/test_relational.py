@@ -132,35 +132,38 @@ def test_attr_value_and_active_domain(toy_db):
 
 
 def test_null_key_rejected(toy_schema):
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"null in non-nullable attribute S\.C \(row 0\)"):
         build_database(toy_schema, [("S", (None, 1.0))])
 
 
 def test_duplicate_key_rejected(toy_schema):
     rows = [("S", ("x", 1.0)), ("S", ("x", 2.0))]
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"duplicate key \('x',\) in relation 'S'"):
         build_database(toy_schema, rows)
 
 
 def test_non_nullable_null_rejected(toy_schema):
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"null in non-nullable attribute R\.A \(row 0\)"):
         build_database(toy_schema, [("R", (None, "b"))])
 
 
 def test_wrong_arity_rejected(toy_schema):
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"relation 'S' expects 2 values, got 1"):
         build_database(toy_schema, [("S", ("x",))])
 
 
 def test_type_mismatch_rejected(toy_schema):
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"non-numeric value 'not-a-number' in S\.D \(row 0\)"):
         build_database(toy_schema, [("S", ("x", "not-a-number"))])
-    with pytest.raises(IntegrityError):
-        build_database(toy_schema, [("R", (1.5, "b"))])
+    with pytest.raises(IntegrityError, match=r"expected string for R\.A, got 1\.5 \(row 1\)"):
+        build_database(toy_schema, [("S", ("x", 1.0)), ("R", (1.5, "b"))])
+    db = build_database(toy_schema, [("S", ("x", 1.0))])
+    with pytest.raises(IntegrityError, match=r"non-numeric value True in S\.D \(inserted row 1\)"):
+        insert_facts(db, [Fact("S", ("y", True))])
 
 
 def test_dangling_reference_rejected(toy_schema):
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"dangling reference \('x',\) from R\(id 0\)"):
         build_database(toy_schema, [("R", ("x", None))])
 
 
@@ -322,6 +325,31 @@ def test_insert_does_not_mutate_original(chain_db):
     assert grown.back_refs(0, 0) == (2, 3, 4)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_insert_shares_untouched_back_refs(seed):
+    """An insert leaves the source's backward index as it was, and the new
+    database shares the tuple of every destination the batch does not
+    reference."""
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    n_fk = len(schema.foreign_keys)
+    before = [[db.back_refs(pos, f) for f in range(db.n_facts)] for pos in range(n_fk)]
+    # copies of existing facts under fresh keys reference what the originals do
+    batch = [
+        Fact(db.fact(f).relation, (f"new{f}",) + db.fact(f).values[1:])
+        for f in range(0, db.n_facts, 3)
+    ]
+    grown = insert_facts(db, batch)
+    for pos in range(n_fk):
+        assert [db.back_refs(pos, f) for f in range(db.n_facts)] == before[pos]
+        touched = {grown.forward_ref(pos, f) for f in range(db.n_facts, grown.n_facts)}
+        for f in range(db.n_facts):
+            if f in touched:
+                assert grown.back_refs(pos, f)[: len(before[pos][f])] == before[pos][f]
+            elif before[pos][f]:
+                assert grown.back_refs(pos, f) is db.back_refs(pos, f)
+
+
 # -- file round-trips -------------------------------------------------------------
 
 
@@ -364,7 +392,7 @@ def test_load_bad_numeric_cell(tmp_path, toy_db):
     write_database_csv(toy_db, tmp_path)
     with open(tmp_path / "S.csv", "a", encoding="utf-8") as fh:
         fh.write("w,abc\n")
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"cannot parse 'abc' as numeric for S\.D \(S\.csv line 5\)"):
         load_database(toy_db.schema, tmp_path)
 
 
