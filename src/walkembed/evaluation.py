@@ -382,10 +382,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
-        """The config of a JSON document; a missing or ill-typed field is a UsageError."""
+        """The config of a JSON document; a missing or ill-typed field, or a
+        count that is not a whole number, is a UsageError."""
         try:
             base = Path(base_dir)
-            trainer = TrainConfig(**doc.get("trainer", {}))
+            trainer_doc = dict(doc.get("trainer", {}))
+            for name in ("k", "n_samples", "epochs", "seed", "retry_cap"):
+                if name in trainer_doc:
+                    trainer_doc[name] = _count(trainer_doc[name], f"trainer.{name}")
+            trainer = TrainConfig(**trainer_doc)
             task = doc["task"]
             kernels = tuple(
                 KernelSpec(k["relation"], k["attribute"], k["kind"], k.get("sigma"))
@@ -396,23 +401,32 @@ class ExperimentConfig:
                 data_dir=str(base / doc["data_dir"]),
                 task_relation=task["relation"],
                 task_attribute=task["attribute"],
-                max_length=int(doc.get("max_length", 2)),
+                max_length=_count(doc.get("max_length", 2), "max_length"),
                 trainer=trainer,
                 strategies=tuple(doc.get("strategies", ["kvar"])),
                 ratios=tuple(float(r) for r in doc.get("ratios", [0.5])),
-                seeds=tuple(int(s) for s in doc.get("seeds", [0, 1, 2, 3, 4])),
-                folds=int(doc.get("folds", 10)),
-                split_seed=int(doc.get("split_seed", 0)),
-                walk_budget=int(doc.get("walk_budget", 2000)),
-                pair_budget=None if doc.get("pair_budget") is None else int(doc["pair_budget"]),
-                facts_per_scheme=int(doc.get("facts_per_scheme", 10)),
-                sampling_epochs=int(doc.get("sampling_epochs", 10)),
-                per_epoch_removals=int(doc.get("per_epoch_removals", 1)),
-                workers=int(doc.get("workers", 1)),
+                seeds=tuple(_count(s, "seeds") for s in doc.get("seeds", [0, 1, 2, 3, 4])),
+                folds=_count(doc.get("folds", 10), "folds"),
+                split_seed=_count(doc.get("split_seed", 0), "split_seed"),
+                walk_budget=_count(doc.get("walk_budget", 2000), "walk_budget"),
+                pair_budget=None if doc.get("pair_budget") is None else _count(doc["pair_budget"], "pair_budget"),
+                facts_per_scheme=_count(doc.get("facts_per_scheme", 10), "facts_per_scheme"),
+                sampling_epochs=_count(doc.get("sampling_epochs", 10), "sampling_epochs"),
+                per_epoch_removals=_count(doc.get("per_epoch_removals", 1), "per_epoch_removals"),
+                workers=_count(doc.get("workers", 1), "workers"),
                 kernel_overrides=kernels,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed config: {type(exc).__name__}: {exc}") from exc
+
+
+def _count(value, name: str) -> int:
+    """A config count: ``int()`` of the value, but a number that is not a
+    whole number (2.7, inf, nan) or a JSON boolean is rejected instead of
+    truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def apply_kernel_overrides(kernels: KernelMap, overrides: tuple[KernelSpec, ...]) -> KernelMap:

@@ -16,13 +16,24 @@ are skipped and counted.  All surviving samples of the epoch are then
 applied in one seeded shuffled order.
 
 Cost: an epoch interns its active schemes to list indices once and keeps
-its samples as parallel lists, so an update indexes lists instead of
-hashing scheme dataclasses.  One update is one ``sgd_step`` call of about
-a dozen small numpy operations, about 18-20 µs at k=16 on a 2-vCPU Xeon
-VM.  The arithmetic is that of ``loss_and_grads`` to the bit, so a fixed
-seed fixes phi, psi and the losses (tests/test_golden.py holds their
-hashes).  Kernel targets stay on the scalar ``kernel_eval``, because
-``np.exp`` can round the Gaussian differently from ``math.exp``.
+its samples as parallel lists, so the sampling phase indexes lists instead
+of hashing scheme dataclasses.  The shuffled updates then run level by
+level (see ``_apply_levels``): an update's level is one more than the
+highest level of any earlier update that shares its fact row, its partner
+row or its scheme matrix.  Updates of one level touch disjoint rows and
+matrices (a partner is never its own fact), and every row and matrix gets
+its updates in shuffle order, so running a level as one stack of numpy
+operations on gathered copies gives the sequential result.  It gives it to
+the bit: numpy's stacked ``matmul`` calls the same BLAS gemv and ddot per
+element as the 1-D products of ``sgd_step``, and the rest is elementwise
+in the same expression order.  A level costs about two dozen numpy calls:
+at k=16 on a 2-vCPU Xeon VM about 30 µs for up to four updates and about
+2 µs per further update.  With 16 schemes on 80 start facts a level holds
+about 6 updates, so an update costs about 6 µs, against 14-20 µs for one
+``sgd_step`` call; with two start facts every level holds one update.  A fixed seed fixes phi, psi and
+the losses (tests/test_golden.py holds their hashes).  Kernel targets stay
+on the scalar ``kernel_eval``, because ``np.exp`` can round the Gaussian
+differently from ``math.exp``.
 """
 
 from __future__ import annotations
@@ -78,6 +89,9 @@ class EpochStats:
     # seconds spent drawing walks, evaluating kernel targets, applying
     # updates and checking finiteness; they add up to at most wall_time
     phase_seconds: dict[str, float]
+    # conflict-free batches the updates ran in (see _apply_levels): at most
+    # samples_used, at least the largest per-scheme sample count
+    sgd_levels: int
 
 
 def init_model(
@@ -132,7 +146,8 @@ def sgd_step(
     loss; a non-finite loss raises before anything is written.  The
     arithmetic is that of ``loss_and_grads`` to the bit: ``phi_f @ psi``
     is computed once and serves both the prediction and grad_p (it runs
-    the same matrix-vector product as ``psi.T @ phi_f``).
+    the same matrix-vector product as ``psi.T @ phi_f``).  Training runs
+    the same arithmetic on stacks of updates (``_apply_levels``).
     """
     row = phi_f @ psi
     residual = float(row @ phi_p) - kappa
@@ -163,14 +178,72 @@ class _LossLedger:
 
 
 def _draw_partners(
-    start_ids: np.ndarray, n_samples: int, rng: np.random.Generator
+    m: int, n_samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(facts repeated n_samples times, uniform partners distinct from each)."""
-    m = len(start_ids)
+    """Start positions: each of range(m) repeated n_samples times, and a
+    uniform partner position distinct from each."""
     fact_pos = np.repeat(np.arange(m), n_samples)
     offsets = rng.integers(0, m - 1, size=len(fact_pos))
-    partner_pos = (fact_pos + 1 + offsets) % m
-    return start_ids[fact_pos], start_ids[partner_pos]
+    return fact_pos, (fact_pos + 1 + offsets) % m
+
+
+def _levels(f: list[int], p: list[int], s: list[int], n_rows: int, n_mats: int) -> list[int]:
+    """Level of each update (f[i], p[i], s[i]), in order: 1 + the highest
+    level of any earlier update sharing its fact row, partner row or matrix."""
+    row_level = [0] * n_rows
+    mat_level = [0] * n_mats
+    levels = []
+    for a, b, c in zip(f, p, s):
+        level = max(row_level[a], row_level[b], mat_level[c]) + 1
+        row_level[a] = row_level[b] = mat_level[c] = level
+        levels.append(level)
+    return levels
+
+
+def _apply_levels(
+    phi: np.ndarray,
+    psi: np.ndarray,
+    f: np.ndarray,
+    p: np.ndarray,
+    s: np.ndarray,
+    kappa: np.ndarray,
+    learning_rate: float,
+) -> tuple[np.ndarray, int]:
+    """Apply the updates (rows f[i], p[i] of phi, matrix s[i] of psi,
+    target kappa[i]), given in shuffle order, in place, one level at a time.
+
+    Returns each update's pre-update loss, in shuffle order, and the number
+    of levels.  Each level is ``sgd_step`` on stacked arrays, with the same
+    BLAS calls and the same elementwise expression order.  A non-finite
+    loss does not stop the loop: it can only spoil updates that come later
+    in shuffle order, so the earliest non-finite loss is the one the
+    sequential order would have raised on.
+    """
+    level = np.array(_levels(f.tolist(), p.tolist(), s.tolist(), len(phi), len(psi)), dtype=np.int64)
+    by_level = np.argsort(level, kind="stable")
+    ends = np.cumsum(np.bincount(level, minlength=1)).tolist()
+    # per update: its fact and partner row, matrix, and target as (1, 1)
+    rows = np.stack((f, p), axis=1)[by_level]
+    mats = s[by_level]
+    target = kappa[by_level, None, None]
+    residual = np.empty_like(target)
+    half_lr = learning_rate * 0.5
+    for a, b in zip(ends[:-1], ends[1:]):
+        fp, m = rows[a:b], mats[a:b]
+        x, ps = phi.take(fp, axis=0), psi.take(m, axis=0)  # x: (w, 2, k)
+        pf, pp = x[:, :1], x[:, 1:]
+        pp_col = pp.transpose(0, 2, 1)
+        row = np.matmul(pf, ps)  # phi_f @ psi, (w, 1, k)
+        r = np.matmul(row, pp_col) - target[a:b]
+        residual[a:b] = r
+        # (psi @ phi_p, phi_f @ psi): the gradients of phi_f and phi_p divided by r
+        grads = np.concatenate((np.matmul(ps, pp_col).transpose(0, 2, 1), row), axis=1)
+        phi[fp] = x - learning_rate * (r * grads)
+        grad_psi = r * (pf.transpose(0, 2, 1) * pp)
+        psi[m] = ps - half_lr * (grad_psi + grad_psi.transpose(0, 2, 1))
+    loss = np.empty(len(level))
+    loss[by_level] = (0.5 * residual * residual).ravel()
+    return loss, len(ends) - 1
 
 
 def train_epoch(
@@ -193,7 +266,8 @@ def train_epoch(
         raise UsageError("start relation needs at least two facts for partner sampling")
     rng = derive_rng(cfg.seed, "epoch", epoch_index)
 
-    # Surviving samples as parallel lists, each scheme by its index in active.
+    # Surviving samples as parallel lists: fact and partner by position in
+    # start_ids, each scheme by its index in active.
     active = list(model.active_schemes)
     facts: list[int] = []
     partners: list[int] = []
@@ -204,12 +278,12 @@ def train_epoch(
     for s, tws in enumerate(active):
         t1 = time.perf_counter()
         spec = kernel_for(kernels, tws)
-        fs, ps = _draw_partners(start_ids, cfg.n_samples, rng)
-        _, vals_f = sample_target_values_batch(db, fs, tws, rng, cfg.retry_cap)
-        _, vals_p = sample_target_values_batch(db, ps, tws, rng, cfg.retry_cap)
+        fpos, ppos = _draw_partners(len(start_ids), cfg.n_samples, rng)
+        _, vals_f = sample_target_values_batch(db, start_ids[fpos], tws, rng, cfg.retry_cap)
+        _, vals_p = sample_target_values_batch(db, start_ids[ppos], tws, rng, cfg.retry_cap)
         t2 = time.perf_counter()
         sample_s += t2 - t1
-        for f, p, a, b in zip(fs.tolist(), ps.tolist(), vals_f, vals_p):
+        for f, p, a, b in zip(fpos.tolist(), ppos.tolist(), vals_f, vals_p):
             if a is None or b is None:
                 skipped += 1
                 continue
@@ -219,28 +293,41 @@ def train_epoch(
             kappas.append(kernel_eval(spec, a, b))
         kernel_s += time.perf_counter() - t2
 
-    # sgd_step is looked up as a module global on every call, so that it
-    # can be wrapped from outside (bench/layertrace.py counts updates).
+    # The rows and active matrices are copied in, updated level by level and
+    # written back into the model's arrays once; frozen psi stay untouched.
     t3 = time.perf_counter()
     order = rng.permutation(len(kappas))
-    phi, psis, lr = model.phi, [model.psi[t] for t in active], cfg.learning_rate
-    loss_sum = [0.0] * len(active)
-    loss_n = [0] * len(active)
-    for j in order.tolist():
-        f, p, s = facts[j], partners[j], scheme_of[j]
-        try:
-            loss = sgd_step(phi[f], phi[p], psis[s], kappas[j], lr)
-        except NumericError as exc:
-            raise NumericError(
-                f"non-finite loss on scheme {targeted_text(active[s])} "
-                f"(facts {f},{p}, kappa={kappas[j]})"
-            ) from exc
-        loss_sum[s] += loss
-        loss_n[s] += 1
-
-    # Loss means keyed in the order the shuffle first reached each scheme,
-    # the row order of training_log.csv.
+    phi_rows = [model.phi[f] for f in start_ids.tolist()]
+    psi_mats = [model.psi[t] for t in active]
+    phi, psi = np.stack(phi_rows), np.array(psi_mats).reshape(len(active), model.k, model.k)
     shuffled = np.asarray(scheme_of, dtype=np.int64)[order]
+    losses, n_levels = _apply_levels(
+        phi,
+        psi,
+        np.asarray(facts, dtype=np.int64)[order],
+        np.asarray(partners, dtype=np.int64)[order],
+        shuffled,
+        np.asarray(kappas, dtype=np.float64)[order],
+        cfg.learning_rate,
+    )
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if len(bad):
+        j = int(order[bad[0]])
+        raise NumericError(
+            f"non-finite loss on scheme {targeted_text(active[scheme_of[j]])} "
+            f"(facts {start_ids[facts[j]]},{start_ids[partners[j]]}, kappa={kappas[j]})"
+        )
+    for vec, new in zip(phi_rows, phi):
+        vec[...] = new
+    for mat, new in zip(psi_mats, psi):
+        mat[...] = new
+
+    # Per-scheme loss sums added in shuffle order; means keyed in the order
+    # the shuffle first reached each scheme, the row order of training_log.csv.
+    loss_sum = [0.0] * len(active)
+    for s, loss in zip(shuffled.tolist(), losses.tolist()):
+        loss_sum[s] += loss
+    loss_n = np.bincount(shuffled, minlength=len(active)).tolist()
     _, first = np.unique(shuffled, return_index=True)
     epoch_mean_loss = {}
     for s in shuffled[np.sort(first)].tolist():
@@ -248,14 +335,15 @@ def train_epoch(
         ledger.add(active[s], loss_sum[s], loss_n[s])
     t4 = time.perf_counter()
 
-    for fid, vec in model.phi.items():
-        if not np.all(np.isfinite(vec)):
-            raise NumericError(f"non-finite embedding for fact {fid} after epoch {epoch_index}")
-    for tws, mat in model.psi.items():
-        if not np.all(np.isfinite(mat)):
-            raise NumericError(
-                f"non-finite scheme matrix for {targeted_text(tws)} after epoch {epoch_index}"
-            )
+    if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+        for fid, vec in model.phi.items():
+            if not np.all(np.isfinite(vec)):
+                raise NumericError(f"non-finite embedding for fact {fid} after epoch {epoch_index}")
+        for tws, mat in model.psi.items():
+            if not np.all(np.isfinite(mat)):
+                raise NumericError(
+                    f"non-finite scheme matrix for {targeted_text(tws)} after epoch {epoch_index}"
+                )
     t5 = time.perf_counter()
 
     return EpochStats(
@@ -267,6 +355,7 @@ def train_epoch(
         wall_time=time.perf_counter() - t0,
         active_schemes=tuple(active),
         phase_seconds={"sample": sample_s, "kernel": kernel_s, "sgd": t4 - t3, "check": t5 - t4},
+        sgd_levels=n_levels,
     )
 
 

@@ -580,6 +580,37 @@ def test_out_of_range_config_exits_2_before_training(ws, tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "over, field",
+    [
+        ({"folds": 2.7}, "folds"),
+        ({"pair_budget": 1.5}, "pair_budget"),
+        ({"seeds": [0, 0.5]}, "seeds"),
+        ({"trainer": {"epochs": 1.5}}, "trainer.epochs"),
+        ({"walk_budget": float("inf")}, "walk_budget"),
+        ({"workers": True}, "workers"),
+    ],
+)
+def test_fractional_count_exits_2_naming_the_field(ws, tmp_path, capsys, over, field):
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"), **over)
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(config))
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), "experiment", "--config", str(bad)])
+    assert code == 2
+    assert f"{field} must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_integral_float_counts_are_accepted(ws, tmp_path, capsys):
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"), folds=2.0)
+    good = tmp_path / "config.json"
+    good.write_text(json.dumps(config))
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), "score", "--config", str(good), "--strategy", "length"])
+    assert code == 0
+
+
 def test_workers_flag_is_validated(ws, tmp_path, capsys):
     code, _ = _run([
         "--workers", "0", "--out-dir", str(tmp_path / "out"), "experiment",

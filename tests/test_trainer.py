@@ -1,28 +1,40 @@
 """Bilinear trainer: gradients against central differences, fixed points,
-loss bookkeeping, and determinism.
+loss bookkeeping, determinism, and the level-batched epoch against the
+sequential one.
 
 The gradient oracle perturbs every coordinate of phi_f, phi_p, and psi by
 h = 1e-5 and compares the two-sided difference quotient to the analytic
 gradient; psi is treated as unconstrained here because the analytic value
 is the raw (unsymmetrised) matrix gradient.
+
+The epoch oracle is the sequential trainer: one ``sgd_step`` per surviving
+sample, in shuffle order.  The level-batched trainer must match it bit for
+bit, and raise the same message on the same update.
 """
+
+import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walkembed import trainer
 from walkembed.errors import NumericError, UsageError
-from walkembed.kernels import default_kernels
-from walkembed.schemes import enumerate_targeted_schemes, targeted_text
+from walkembed.kernels import default_kernels, kernel_eval, kernel_for
+from walkembed.schemes import enumerate_targeted_schemes, sample_target_values_batch, targeted_text
 from walkembed.seeding import derive_rng
-from walkembed.synth import convergence_database, two_cluster_database
+from walkembed.synth import convergence_database, random_database, random_schema, two_cluster_database
 from walkembed.trainer import (
     EmbeddingModel,
     TrainConfig,
+    _LossLedger,
     bilinear,
     init_model,
     loss_and_grads,
     sgd_step,
     train,
+    train_epoch,
 )
 
 
@@ -359,3 +371,241 @@ def test_bilinear_definition():
     model.psi[tws] = np.array([[2.0, 0.5], [0.5, 1.0]])
     assert bilinear(model, 0, 1, tws) == pytest.approx(0.5, abs=1e-15)
     assert bilinear(model, 0, 0, tws) == pytest.approx(2.0, abs=1e-15)
+
+
+# -- level-batched epochs against the sequential oracle ---------------------------
+
+
+def _reference_train_epoch(db, model, cfg, kernels, epoch_index, ledger):
+    """The sequential epoch: the same draws, then one ``sgd_step`` per
+    surviving sample in shuffle order.  Returns (epoch means, cumulative
+    means, samples used, samples skipped)."""
+    start_ids = np.asarray(db.relation_fact_ids(model.start_relation), dtype=np.int64)
+    rng = derive_rng(cfg.seed, "epoch", epoch_index)
+    active = list(model.active_schemes)
+    facts, partners, scheme_of, kappas = [], [], [], []
+    skipped = 0
+    m = len(start_ids)
+    for s, tws in enumerate(active):
+        spec = kernel_for(kernels, tws)
+        fact_pos = np.repeat(np.arange(m), cfg.n_samples)
+        partner_pos = (fact_pos + 1 + rng.integers(0, m - 1, size=len(fact_pos))) % m
+        fs, ps = start_ids[fact_pos], start_ids[partner_pos]
+        _, vals_f = sample_target_values_batch(db, fs, tws, rng, cfg.retry_cap)
+        _, vals_p = sample_target_values_batch(db, ps, tws, rng, cfg.retry_cap)
+        for f, p, a, b in zip(fs.tolist(), ps.tolist(), vals_f, vals_p):
+            if a is None or b is None:
+                skipped += 1
+                continue
+            facts.append(f)
+            partners.append(p)
+            scheme_of.append(s)
+            kappas.append(kernel_eval(spec, a, b))
+    order = rng.permutation(len(kappas))
+    loss_sum = [0.0] * len(active)
+    loss_n = [0] * len(active)
+    for j in order.tolist():
+        f, p, s = facts[j], partners[j], scheme_of[j]
+        try:
+            loss = sgd_step(model.phi[f], model.phi[p], model.psi[active[s]], kappas[j], cfg.learning_rate)
+        except NumericError:
+            raise NumericError(
+                f"non-finite loss on scheme {targeted_text(active[s])} "
+                f"(facts {f},{p}, kappa={kappas[j]})"
+            ) from None
+        loss_sum[s] += loss
+        loss_n[s] += 1
+    epoch_mean_loss = {}
+    for j in order.tolist():
+        s = scheme_of[j]
+        if active[s] not in epoch_mean_loss:
+            epoch_mean_loss[active[s]] = loss_sum[s] / loss_n[s]
+            ledger.add(active[s], loss_sum[s], loss_n[s])
+    for fid, vec in model.phi.items():
+        if not np.all(np.isfinite(vec)):
+            raise NumericError(f"non-finite embedding for fact {fid} after epoch {epoch_index}")
+    for tws, mat in model.psi.items():
+        if not np.all(np.isfinite(mat)):
+            raise NumericError(f"non-finite scheme matrix for {targeted_text(tws)} after epoch {epoch_index}")
+    return epoch_mean_loss, ledger.means(), len(kappas), skipped
+
+
+def _run(epoch_fn, db, start, schemes, cfg, shrink):
+    """Train with epoch_fn; after epoch 1 keep only the first ``shrink``
+    active schemes (None keeps all).  Returns (model, per-epoch records,
+    the NumericError message or None)."""
+    kernels = default_kernels(db)
+    model = init_model(db, start, schemes, cfg)
+    ledger = _LossLedger()
+    records = []
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            out = epoch_fn(db, model, cfg, kernels, epoch, ledger)
+            if isinstance(out, trainer.EpochStats):
+                out = (out.epoch_mean_loss, out.cumulative_mean_loss, out.samples_used, out.samples_skipped)
+            records.append((list(out[0].items()), list(out[1].items()), out[2], out[3]))
+            if epoch == 1 and shrink is not None:
+                model.active_schemes = model.active_schemes[:shrink]
+    except NumericError as exc:
+        return model, records, str(exc)
+    return model, records, None
+
+
+def _case(kind, db_seed):
+    """(database, start relation, schemes) of one generated case, or None."""
+    if kind == "two":  # two start facts: every update shares both rows
+        db = two_cluster_database(1)
+        return db, "item", enumerate_targeted_schemes(db.schema, "item", 1)
+    if kind == "convergence":
+        db = convergence_database(4 + db_seed % 6, obs_per_item=1 + db_seed % 3, seed=db_seed)
+        return db, "item", enumerate_targeted_schemes(db.schema, "item", 1)
+    # random schemas: nullable attributes and foreign keys, dead ends, retries, skips
+    schema = random_schema(db_seed)
+    db = random_database(schema, db_seed)
+    for rel in schema.relations:
+        schemes = enumerate_targeted_schemes(schema, rel.name, 2)
+        if len(db.relation_fact_ids(rel.name)) >= 2 and schemes:
+            return db, rel.name, schemes[:8]
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["two", "convergence", "random"]),
+    db_seed=st.integers(min_value=0, max_value=300),
+    k=st.integers(min_value=1, max_value=33),
+    n_samples=st.integers(min_value=1, max_value=4),
+    epochs=st.integers(min_value=1, max_value=3),
+    learning_rate=st.floats(min_value=0.01, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    shrink=st.none() | st.integers(min_value=0, max_value=3),
+)
+def test_level_batched_training_matches_sequential_oracle(
+    kind, db_seed, k, n_samples, epochs, learning_rate, seed, shrink
+):
+    """Full train runs agree bit for bit with the sequential oracle: phi,
+    psi (active and frozen), epoch and cumulative loss means with their
+    key order, and sample counts; a run that diverges raises the same
+    message in both.  ``shrink`` 0 leaves an epoch with no active scheme."""
+    case = _case(kind, db_seed)
+    if case is None:
+        return
+    db, start, schemes = case
+    cfg = TrainConfig(k=k, n_samples=n_samples, epochs=epochs, learning_rate=learning_rate, seed=seed)
+    with np.errstate(all="ignore"):
+        got = _run(train_epoch, db, start, schemes, cfg, shrink)
+        want = _run(_reference_train_epoch, db, start, schemes, cfg, shrink)
+    assert got[2] == want[2]
+    if want[2] is None:
+        for fid in want[0].phi:
+            assert np.array_equal(got[0].phi[fid], want[0].phi[fid])
+        for tws in schemes:
+            assert np.array_equal(got[0].psi[tws], want[0].psi[tws])
+    assert got[1] == want[1]
+
+
+def test_epoch_without_surviving_samples_is_a_no_op(chain_db):
+    schemes = [
+        t
+        for t in enumerate_targeted_schemes(chain_db.schema, "R", 1)
+        if t.scheme.length == 1 and t.target_attr == "sval"
+    ]
+    cfg = TrainConfig(k=3, n_samples=4, epochs=1, seed=0)
+    model = init_model(chain_db, "R", schemes, cfg)
+    before = copy.deepcopy(model)
+    stats = train_epoch(chain_db, model, cfg, default_kernels(chain_db), 1, _LossLedger())
+    assert (stats.samples_used, stats.sgd_levels, stats.epoch_mean_loss) == (0, 0, {})
+    for fid, vec in model.phi.items():
+        assert np.array_equal(vec, before.phi[fid])
+    for tws, mat in model.psi.items():
+        assert np.array_equal(mat, before.psi[tws])
+
+
+def _planted_model(db, schemes, cfg, plant_seed, n_bad):
+    """A fresh model with n_bad non-finite entries in random phi rows."""
+    model = init_model(db, "item", schemes, cfg)
+    rng = derive_rng(plant_seed, "plant")
+    ids = db.relation_fact_ids("item")
+    for i in rng.choice(len(ids), size=n_bad, replace=False).tolist():
+        model.phi[ids[i]][int(rng.integers(0, cfg.k))] = [np.inf, -np.inf, np.nan][int(rng.integers(0, 3))]
+    return model
+
+
+def _raise_message(epoch_fn, db, model, cfg):
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+        epoch_fn(db, model, cfg, default_kernels(db), 1, _LossLedger())
+    return str(err.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**16),
+    plant_seed=st.integers(min_value=0, max_value=2**16),
+    n_bad=st.integers(min_value=1, max_value=3),
+)
+def test_non_finite_loss_names_the_oracles_update_and_writes_nothing(k, seed, plant_seed, n_bad):
+    db = convergence_database(8)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    cfg = TrainConfig(k=k, n_samples=2, epochs=1, seed=seed)
+    model = _planted_model(db, schemes, cfg, plant_seed, n_bad)
+    before = copy.deepcopy(model)
+    got = _raise_message(train_epoch, db, model, cfg)
+    assert got == _raise_message(_reference_train_epoch, db, copy.deepcopy(before), cfg)
+    assert got.startswith("non-finite loss on scheme ")
+    for fid, vec in model.phi.items():
+        assert np.array_equal(vec, before.phi[fid], equal_nan=True)
+    for tws, mat in model.psi.items():
+        assert np.array_equal(mat, before.psi[tws])
+
+
+def test_earliest_failure_wins_over_a_later_one_on_a_lower_level(monkeypatch):
+    """With two planted rows, some epoch's first failing update in shuffle
+    order sits on a higher level than a later, independent failure; the
+    message still names the first, as the sequential order does."""
+    db = convergence_database(8)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    seen = []
+    apply_levels = trainer._apply_levels
+
+    def spy(phi, psi, f, p, s, kappa, learning_rate):
+        loss, n_levels = apply_levels(phi, psi, f, p, s, kappa, learning_rate)
+        seen.append((trainer._levels(f.tolist(), p.tolist(), s.tolist(), len(phi), len(psi)), loss))
+        return loss, n_levels
+
+    monkeypatch.setattr(trainer, "_apply_levels", spy)
+    inverted = 0
+    for trial in range(20):
+        cfg = TrainConfig(k=4, n_samples=1, epochs=1, seed=trial)
+        model = _planted_model(db, schemes, cfg, trial, 2)
+        before = copy.deepcopy(model)
+        got = _raise_message(train_epoch, db, model, cfg)
+        assert got == _raise_message(_reference_train_epoch, db, before, cfg)
+        levels, loss = seen[-1]
+        bad = np.flatnonzero(~np.isfinite(loss))
+        inverted += levels[bad[0]] > min(levels[i] for i in bad)
+    assert inverted > 0
+
+
+def _stats(db, schemes, cfg):
+    _, history = train(db, "item", schemes, cfg)
+    return history
+
+
+def test_sgd_levels_bounds():
+    """Updates of one scheme share its matrix, so they sit on distinct
+    levels: a scheme's sample count bounds the level count from below."""
+    db = convergence_database(10)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    cfg = TrainConfig(k=4, n_samples=3, epochs=2, seed=5)
+    for stats in _stats(db, schemes, cfg):
+        assert stats.samples_skipped == 0  # every scheme keeps 10 * 3 samples
+        assert 10 * 3 <= stats.sgd_levels < stats.samples_used
+
+
+def test_sgd_levels_equal_samples_with_two_start_facts():
+    db = two_cluster_database(1)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    for stats in _stats(db, schemes, TrainConfig(k=3, n_samples=4, epochs=2, seed=1)):
+        assert stats.samples_used > 0
+        assert stats.sgd_levels == stats.samples_used
