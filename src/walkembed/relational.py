@@ -8,17 +8,22 @@ a non-null reference always resolves to exactly one fact.
 
 Facts get integer ids in load order across the whole database; ids are
 stable and serve as the identity of a fact everywhere else in the package.
-Databases are immutable once built.  ``insert_facts`` returns a new
-database whose index extensions match what a full rebuild would produce.
+Databases are immutable once built.
 
-Databases derived from another share its index structures instead of
-copying them.  ``drop_attribute`` (a column in no key and no foreign key)
-shares the fact ids, the key maps and the forward and backward
-foreign-key maps with its source; this is safe because nothing mutates
-them after construction and the index reads only key and foreign-key
-attributes.  ``insert_facts`` shares the backward tuples of every
-destination its batch does not reference.  Only the lazily built walk
-step tables are per database.
+The foreign-key index holds one ``FkIndex`` of int64 arrays per foreign
+key, in schema order, and is the only form of the index: the walk
+samplers step through these arrays directly.  ``fwd[f]`` is the fact that
+fact ``f`` references, or -1 when ``f`` is not in the source relation or
+has a null in a referencing attribute.  The backward direction is CSR:
+the facts referencing ``d`` are ``flat[offsets[d]:offsets[d + 1]]``, in
+ascending id (load) order.  ``build_database`` builds the arrays once.
+``insert_facts`` extends copies of its source's arrays with the batch's
+references, so the result equals a full rebuild on the combined rows and
+the source is left as it was.  ``drop_attribute`` (a column in no key and
+no foreign key) shares the fact ids, the key maps and the index arrays
+with its source; this is safe because nothing mutates them after
+construction and the index reads only key and foreign-key attributes.
+There is no per-database cache.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import IntegrityError, SchemaError
 
@@ -109,6 +116,7 @@ class DatabaseSchema:
     relations: tuple[RelationSchema, ...]
     foreign_keys: tuple[ForeignKey, ...]
     _by_name: dict[str, RelationSchema] = field(init=False, repr=False, compare=False)
+    _fk_pos: dict[ForeignKey, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_name: dict[str, RelationSchema] = {}
@@ -117,11 +125,11 @@ class DatabaseSchema:
                 raise SchemaError(f"duplicate relation name {rel.name!r}")
             by_name[rel.name] = rel
         object.__setattr__(self, "_by_name", by_name)
-        seen: set[ForeignKey] = set()
-        for fk in self.foreign_keys:
-            if fk in seen:
+        fk_pos: dict[ForeignKey, int] = {}
+        for pos, fk in enumerate(self.foreign_keys):
+            if fk in fk_pos:
                 raise SchemaError(f"duplicate foreign key {fk.name}")
-            seen.add(fk)
+            fk_pos[fk] = pos
             for side, rel_name, attrs in (("source", fk.src, fk.src_attrs), ("destination", fk.dst, fk.dst_attrs)):
                 if rel_name not in by_name:
                     raise SchemaError(f"foreign key {fk.name} references unknown {side} relation {rel_name!r}")
@@ -134,12 +142,20 @@ class DatabaseSchema:
                     f"foreign key {fk.name} must target the key of {fk.dst!r} "
                     f"(key is {by_name[fk.dst].key})"
                 )
+        object.__setattr__(self, "_fk_pos", fk_pos)
 
     def relation(self, name: str) -> RelationSchema:
         try:
             return self._by_name[name]
         except KeyError:
             raise SchemaError(f"unknown relation {name!r}") from None
+
+    def fk_position(self, fk: ForeignKey) -> int:
+        """Index of ``fk`` in ``foreign_keys``."""
+        try:
+            return self._fk_pos[fk]
+        except KeyError:
+            raise SchemaError(f"foreign key {fk.name} is not part of the schema") from None
 
     @property
     def relation_names(self) -> tuple[str, ...]:
@@ -158,14 +174,19 @@ class Fact:
         return self.values[schema.attr_index(attr)]
 
 
-class Database:
-    """Immutable fact store plus the foreign-key index.
+class FkIndex(NamedTuple):
+    """One foreign key's index: ``fwd`` maps a fact id to the referenced
+    id (-1 for none); the facts referencing ``d`` are
+    ``flat[offsets[d]:offsets[d + 1]]`` in ascending id order."""
 
-    The index keeps, per foreign key, the forward map (referencing fact id
-    to referenced fact id; facts with a null in any referencing attribute
-    are absent) and the backward map (referenced fact id to the tuple of
-    referencing fact ids, in load order).
-    """
+    fwd: np.ndarray
+    offsets: np.ndarray
+    flat: np.ndarray
+
+
+class Database:
+    """Immutable fact store plus the foreign-key index, one ``FkIndex`` per
+    foreign key in schema order."""
 
     def __init__(
         self,
@@ -173,18 +194,13 @@ class Database:
         facts: tuple[Fact, ...],
         by_relation: dict[str, tuple[int, ...]],
         key_to_fact: dict[str, dict[tuple[Value, ...], int]],
-        forward: tuple[dict[int, int], ...],
-        backward: tuple[dict[int, tuple[int, ...]], ...],
+        fk_index: tuple[FkIndex, ...],
     ) -> None:
         self.schema = schema
         self._facts = facts
         self._by_relation = by_relation
         self._key_to_fact = key_to_fact
-        self._forward = forward
-        self._backward = backward
-        # Derived, lazily built lookup tables for vectorised walking; see
-        # schemes.py.  Keyed by (fk position, direction).
-        self._step_tables: dict = {}
+        self.fk_index = fk_index
 
     # -- basic access ------------------------------------------------------
 
@@ -222,11 +238,13 @@ class Database:
 
     def forward_ref(self, fk_pos: int, fact_id: int) -> int | None:
         """Fact referenced by ``fact_id`` through the fk at ``fk_pos``, if any."""
-        return self._forward[fk_pos].get(fact_id)
+        dst = int(self.fk_index[fk_pos].fwd[fact_id])
+        return None if dst < 0 else dst
 
     def back_refs(self, fk_pos: int, fact_id: int) -> tuple[int, ...]:
         """Facts referencing ``fact_id`` through the fk at ``fk_pos``, in load order."""
-        return self._backward[fk_pos].get(fact_id, ())
+        index = self.fk_index[fk_pos]
+        return tuple(index.flat[index.offsets[fact_id] : index.offsets[fact_id + 1]].tolist())
 
     def active_domain(self, relation: str, attr: str) -> set[Value]:
         rel = self.schema.relation(relation)
@@ -291,8 +309,8 @@ def build_database(schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Va
         ids.append(fact_id)
 
     by_relation_ids = {r: tuple(ids) for r, ids in by_relation.items()}
-    forward, backward = _build_fk_index(schema, facts, by_relation_ids, key_to_fact)
-    return Database(schema, tuple(facts), by_relation_ids, key_to_fact, forward, backward)
+    fk_index = _build_fk_index(schema, facts, by_relation_ids, key_to_fact)
+    return Database(schema, tuple(facts), by_relation_ids, key_to_fact, fk_index)
 
 
 def _build_fk_index(
@@ -300,15 +318,15 @@ def _build_fk_index(
     facts: Sequence[Fact],
     by_relation: dict[str, tuple[int, ...]],
     key_to_fact: dict[str, dict[tuple[Value, ...], int]],
-) -> tuple[tuple[dict[int, int], ...], tuple[dict[int, tuple[int, ...]], ...]]:
-    forward: list[dict[int, int]] = []
-    backward: list[dict[int, tuple[int, ...]]] = []
+) -> tuple[FkIndex, ...]:
+    n = len(facts)
+    index: list[FkIndex] = []
     for fk in schema.foreign_keys:
         src_rel = schema.relation(fk.src)
         src_pos = [src_rel.attr_index(a) for a in fk.src_attrs]
         dst_keys = key_to_fact[fk.dst]
-        fwd: dict[int, int] = {}
-        back: dict[int, list[int]] = {}
+        srcs: list[int] = []
+        dsts: list[int] = []
         for fact_id in by_relation[fk.src]:
             values = facts[fact_id].values
             ref = tuple([values[p] for p in src_pos])
@@ -319,11 +337,39 @@ def _build_fk_index(
                 raise IntegrityError(
                     f"dangling reference {ref!r} from {fk.src}(id {fact_id}) via {fk.name}"
                 )
-            fwd[fact_id] = dst_id
-            back.setdefault(dst_id, []).append(fact_id)
-        forward.append(fwd)
-        backward.append({k: tuple(v) for k, v in back.items()})
-    return tuple(forward), tuple(backward)
+            srcs.append(fact_id)
+            dsts.append(dst_id)
+        src = np.asarray(srcs, dtype=np.int64)
+        dst = np.asarray(dsts, dtype=np.int64)
+        fwd = np.full(n, -1, dtype=np.int64)
+        fwd[src] = dst
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=offsets[1:])
+        # sources come in ascending id order, so a stable sort by
+        # destination keeps each group in load order
+        index.append(FkIndex(fwd, offsets, src[np.argsort(dst, kind="stable")]))
+    return tuple(index)
+
+
+def _extend_fk_index(old: FkIndex, n: int, srcs: list[int], dsts: list[int]) -> FkIndex:
+    """``old`` grown to ``n`` facts plus the references ``srcs[i] -> dsts[i]``.
+
+    ``srcs`` must ascend and exceed every id ``old`` covers; then each new
+    source belongs at the end of its destination's group, and the groups
+    stay in load order.  ``old`` is not changed.
+    """
+    n_old = len(old.fwd)
+    src = np.asarray(srcs, dtype=np.int64)
+    dst = np.asarray(dsts, dtype=np.int64)
+    fwd = np.concatenate([old.fwd, np.full(n - n_old, -1, dtype=np.int64)])
+    fwd[src] = dst
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    # offsets[i] grows by the number of new references to ids below i
+    offsets = np.concatenate([old.offsets, np.full(n - n_old, old.offsets[-1])])
+    offsets += np.repeat(np.arange(len(dst) + 1), np.diff(dst + 1, prepend=0, append=n + 1))
+    ends = old.offsets[np.minimum(dst + 1, n_old)]
+    return FkIndex(fwd, offsets, np.insert(old.flat, ends, src))
 
 
 def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
@@ -362,17 +408,14 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
             return hit
         return key_extra[rel_name].get(key)
 
-    # Validate all references (old facts cannot dangle; only new ones checked),
-    # then extend the per-fk maps incrementally.  The backward map is a
-    # shallow copy: a destination the batch references gets a new, longer
-    # tuple, and every other destination shares the source's tuple.
-    forward: list[dict[int, int]] = []
-    backward: list[dict[int, tuple[int, ...]]] = []
+    # Validate all references (old facts cannot dangle; only new ones
+    # checked), then extend copies of the source's arrays.
+    fk_index: list[FkIndex] = []
     for pos, fk in enumerate(schema.foreign_keys):
         src_rel = schema.relation(fk.src)
         src_pos = [src_rel.attr_index(a) for a in fk.src_attrs]
-        fwd = dict(db._forward[pos])
-        back = dict(db._backward[pos])
+        srcs: list[int] = []
+        dsts: list[int] = []
         for fact in staged:
             if fact.relation != fk.src:
                 continue
@@ -384,10 +427,9 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
                 raise IntegrityError(
                     f"dangling reference {ref!r} from inserted {fk.src} row via {fk.name}"
                 )
-            fwd[fact.fact_id] = dst_id
-            back[dst_id] = back.get(dst_id, ()) + (fact.fact_id,)
-        forward.append(fwd)
-        backward.append(back)
+            srcs.append(fact.fact_id)
+            dsts.append(dst_id)
+        fk_index.append(_extend_fk_index(db.fk_index[pos], next_id, srcs, dsts))
 
     facts = db.facts + tuple(staged)
     by_relation = {
@@ -397,7 +439,7 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
     key_to_fact = {
         r: {**db._key_to_fact.get(r, {}), **key_extra[r]} for r in schema.relation_names
     }
-    return Database(schema, facts, by_relation, key_to_fact, tuple(forward), tuple(backward))
+    return Database(schema, facts, by_relation, key_to_fact, tuple(fk_index))
 
 
 def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
@@ -426,9 +468,7 @@ def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
     for fact_id in db.relation_fact_ids(relation):
         values = facts[fact_id].values
         facts[fact_id] = Fact(relation, values[:drop] + values[drop + 1 :], fact_id)
-    return Database(
-        schema, tuple(facts), db._by_relation, db._key_to_fact, db._forward, db._backward
-    )
+    return Database(schema, tuple(facts), db._by_relation, db._key_to_fact, db.fk_index)
 
 
 # -- schema and CSV loading -------------------------------------------------
@@ -510,6 +550,12 @@ def load_schema(path: str | Path) -> DatabaseSchema:
 
 def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, file: str, line_no: int) -> Value:
     if cell == "":
+        if not attr.nullable:
+            raise IntegrityError(
+                f"null in non-nullable attribute {rel.name}.{attr.name} ({file} line {line_no})"
+            )
+        if attr.name in rel.key:
+            raise IntegrityError(f"null key value in {rel.name}.{attr.name} ({file} line {line_no})")
         return None
     if attr.kind == "numeric":
         try:
@@ -530,8 +576,9 @@ def read_relation_csv(rel: RelationSchema, path: Path) -> Iterator[tuple[Value, 
     """The parsed rows of one relation's CSV file, one at a time.
 
     The header must equal the attribute names in schema order and every
-    row must have one cell per attribute.  Empty cells are nulls; numeric
-    cells must parse as finite floats.  Errors name the file and line.
+    row must have one cell per attribute.  Empty cells are nulls, which
+    key and non-nullable attributes reject; numeric cells must parse as
+    finite floats.  Errors name the file and line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

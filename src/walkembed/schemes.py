@@ -14,7 +14,6 @@ sampling one yields the attribute value at the walk's destination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -140,42 +139,16 @@ def enumerate_targeted_schemes(
     return out
 
 
-# -- single walks ------------------------------------------------------------
-
-
-def _fk_pos(db: Database, fk: ForeignKey) -> int:
-    try:
-        return db.schema.foreign_keys.index(fk)
-    except ValueError:
-        raise SchemaError(f"foreign key {fk.name} is not part of the schema") from None
+# -- scalar stepping and exact laws ---------------------------------------------
 
 
 def step_candidates(db: Database, fact_id: int, step: WalkStep) -> tuple[int, ...]:
-    pos = _fk_pos(db, step.fk)
+    """The facts one step of a walk can move to from ``fact_id``."""
+    pos = db.schema.fk_position(step.fk)
     if step.direction == FORWARD:
         dst = db.forward_ref(pos, fact_id)
         return () if dst is None else (dst,)
     return db.back_refs(pos, fact_id)
-
-
-def sample_walk(
-    db: Database, fact_id: int, scheme: WalkScheme, rng: np.random.Generator
-) -> tuple[int, ...] | None:
-    """One random walk as a fact-id sequence, or None on a dead end."""
-    fact = db.fact(fact_id)
-    if fact.relation != scheme.start_relation:
-        raise UsageError(
-            f"fact {fact_id} is in {fact.relation!r}, scheme starts at {scheme.start_relation!r}"
-        )
-    path = [fact_id]
-    here = fact_id
-    for step in scheme.steps:
-        candidates = step_candidates(db, here, step)
-        if not candidates:
-            return None
-        here = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 else candidates[0]
-        path.append(here)
-    return tuple(path)
 
 
 def exact_dest_distribution(db: Database, fact_id: int, scheme: WalkScheme) -> dict[int, float]:
@@ -225,73 +198,31 @@ def exact_value_distribution(
     return {v: p / total for v, p in out.items()}
 
 
-def dest_attr_sample(
-    db: Database,
-    fact_id: int,
-    tws: TargetedWalkScheme,
-    rng: np.random.Generator,
-    retry_cap: int = 20,
-) -> tuple[int, Value] | None:
-    """Sample (destination fact id, its target value), retrying over dead
-    ends and null destinations up to ``retry_cap`` attempts."""
-    attr = tws.target_attr
-    for _ in range(max(1, retry_cap)):
-        path = sample_walk(db, fact_id, tws.scheme, rng)
-        if path is None:
-            continue
-        value = db.attr_value(path[-1], attr)
-        if value is None:
-            continue
-        return path[-1], value
-    return None
-
-
 # -- vectorised walking ------------------------------------------------------
 #
-# Per (foreign key, direction) the step is encoded as arrays indexed by fact
-# id: forward as a dense map to the referenced id (-1 when non-referencing),
-# backward in CSR form (offsets into a flat candidate list).  Tables are
-# built once per database and cached on it; databases are immutable, so the
-# cache can never go stale.
+# Many walkers advance together, one step at a time, through the database's
+# foreign-key arrays (see relational.py): a forward step indexes the dense
+# forward map, a backward step picks uniformly within each walker's CSR
+# range.  Walkers at -1 are dead and stay dead.
 
 
-class _StepTable:
-    __slots__ = ("kind", "fwd", "offsets", "flat")
+def _advance(db: Database, cur: np.ndarray, step: WalkStep, rng: np.random.Generator) -> np.ndarray:
+    """Where the walkers at ``cur`` go on ``step``; -1 for a dead end.
 
-    def __init__(self, kind: str, fwd=None, offsets=None, flat=None) -> None:
-        self.kind = kind
-        self.fwd = fwd
-        self.offsets = offsets
-        self.flat = flat
-
-
-def _step_table(db: Database, step: WalkStep) -> _StepTable:
-    key = (step.fk, step.direction)
-    table = db._step_tables.get(key)
-    if table is not None:
-        return table
-    pos = _fk_pos(db, step.fk)
-    n = db.n_facts
+    A backward step draws one ``rng.random`` value per walker that has a
+    candidate, in one call, and none when no walker has one.
+    """
+    index = db.fk_index[db.schema.fk_position(step.fk)]
     if step.direction == FORWARD:
-        refs = db._forward[pos]
-        fwd = np.full(n, -1, dtype=np.int64)
-        fwd[np.fromiter(refs.keys(), np.int64, len(refs))] = np.fromiter(
-            refs.values(), np.int64, len(refs)
-        )
-        table = _StepTable(FORWARD, fwd=fwd)
-    else:
-        back = db._backward[pos]
-        dsts = sorted(back)
-        members = [back[d] for d in dsts]
-        counts = np.zeros(n + 1, dtype=np.int64)
-        counts[np.asarray(dsts, dtype=np.int64) + 1] = np.fromiter(
-            map(len, members), np.int64, len(members)
-        )
-        offsets = np.cumsum(counts)
-        flat = np.fromiter(chain.from_iterable(members), np.int64, int(offsets[-1]))
-        table = _StepTable(BACKWARD, offsets=offsets, flat=flat)
-    db._step_tables[key] = table
-    return table
+        return index.fwd[cur]
+    lo = index.offsets[cur]
+    width = index.offsets[cur + 1] - lo
+    nxt = np.full(len(cur), -1, dtype=np.int64)
+    has = width > 0
+    if has.any():
+        picks = lo[has] + (rng.random(int(has.sum())) * width[has]).astype(np.int64)
+        nxt[has] = index.flat[picks]
+    return nxt
 
 
 def sample_dest_batch(
@@ -299,28 +230,15 @@ def sample_dest_batch(
 ) -> np.ndarray:
     """Walk destinations for many starts at once; -1 marks a dead end.
 
-    Distributionally identical to calling sample_walk per start.
+    Each walk picks uniformly among the candidates at every step.
     """
     here = np.asarray(fact_ids, dtype=np.int64).copy()
     alive = here >= 0
     for step in scheme.steps:
         if not alive.any():
             break
-        table = _step_table(db, step)
         idx = np.flatnonzero(alive)
-        cur = here[idx]
-        if table.kind == FORWARD:
-            nxt = table.fwd[cur]
-        else:
-            lo = table.offsets[cur]
-            hi = table.offsets[cur + 1]
-            width = hi - lo
-            nxt = np.full(len(cur), -1, dtype=np.int64)
-            has = width > 0
-            if has.any():
-                picks = lo[has] + (rng.random(int(has.sum())) * width[has]).astype(np.int64)
-                nxt[has] = table.flat[picks]
-        here[idx] = nxt
+        here[idx] = _advance(db, here[idx], step, rng)
         alive = here >= 0
     here[~alive] = -1
     return here
@@ -333,10 +251,10 @@ def sample_target_values_batch(
     rng: np.random.Generator,
     retry_cap: int = 20,
 ) -> tuple[np.ndarray, list[Value]]:
-    """Batched dest_attr_sample: (dest ids with -1 for failures, values list).
+    """(destination ids with -1 for failures, their target values) per start.
 
     Each start retries dead ends and null destinations up to ``retry_cap``
-    attempts, matching the scalar sampler.
+    attempts.
     """
     start = np.asarray(fact_ids, dtype=np.int64)
     rel = db.schema.relation(tws.scheme.end_relation)
@@ -379,22 +297,8 @@ def sample_walks_batch(
     for col, step in enumerate(scheme.steps, start=1):
         if not alive.any():
             break
-        table = _step_table(db, step)
         idx = np.flatnonzero(alive)
-        cur = here[idx]
-        if table.kind == FORWARD:
-            nxt = table.fwd[cur]
-        else:
-            lo = table.offsets[cur]
-            hi = table.offsets[cur + 1]
-            width = hi - lo
-            nxt = np.full(len(cur), -1, dtype=np.int64)
-            has = width > 0
-            if has.any():
-                picks = lo[has] + (rng.random(int(has.sum())) * width[has]).astype(np.int64)
-                nxt[has] = table.flat[picks]
-        here[idx] = nxt
-        paths[idx, col] = nxt
+        here[idx] = paths[idx, col] = _advance(db, here[idx], step, rng)
         alive = here >= 0
     paths[~alive, :] = -1
     return paths

@@ -379,6 +379,30 @@ def test_extend_non_numeric_cell_exits_3(toy_db, tmp_path, capsys):
     assert "cannot parse 'abc' as numeric for S.D (S.csv line 2)" in capsys.readouterr().err
 
 
+def test_extend_empty_key_cell_exits_3(toy_db, tmp_path, capsys):
+    save_schema(toy_db.schema, tmp_path / "schema.json")
+    write_database_csv(toy_db, tmp_path / "data")
+    config = {
+        "schema": "schema.json",
+        "data_dir": "data",
+        "task": {"relation": "R", "attribute": "B"},
+        "max_length": 1,
+        "trainer": {"k": 2, "n_samples": 1, "epochs": 1},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), "train", "--config", str(tmp_path / "config.json")])
+    assert code == 0
+    new_dir = tmp_path / "new"
+    new_dir.mkdir()
+    (new_dir / "S.csv").write_text("C,D\nw,1.0\n,2.0\n")
+    code, _ = _run([
+        "--out-dir", str(tmp_path / "out"), "extend", "--config", str(tmp_path / "config.json"),
+        "--model", str(tmp_path / "out" / "model.json"), "--new-dir", str(new_dir),
+    ])
+    assert code == 3
+    assert "null in non-nullable attribute S.C (S.csv line 3)" in capsys.readouterr().err
+
+
 # -- strict clone verification ----------------------------------------------------------
 
 

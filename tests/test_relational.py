@@ -14,6 +14,7 @@ from walkembed.errors import IntegrityError, SchemaError
 from walkembed.relational import (
     Fact,
     build_database,
+    drop_attribute,
     insert_facts,
     load_database,
     load_schema,
@@ -328,8 +329,8 @@ def test_insert_does_not_mutate_original(chain_db):
 @pytest.mark.parametrize("seed", range(8))
 def test_insert_shares_untouched_back_refs(seed):
     """An insert leaves the source's backward index as it was, and the new
-    database shares the tuple of every destination the batch does not
-    reference."""
+    database has the same back references as the source at every
+    destination the batch does not reference."""
     schema = random_schema(seed)
     db = random_database(schema, seed)
     n_fk = len(schema.foreign_keys)
@@ -347,7 +348,76 @@ def test_insert_shares_untouched_back_refs(seed):
             if f in touched:
                 assert grown.back_refs(pos, f)[: len(before[pos][f])] == before[pos][f]
             elif before[pos][f]:
-                assert grown.back_refs(pos, f) is db.back_refs(pos, f)
+                assert grown.back_refs(pos, f) == db.back_refs(pos, f)
+
+
+def _linked_batch(db, tag):
+    """A fresh-keyed copy of every other fact, with references rewired in
+    turn: to a null where the column allows it, to a fact of the same
+    batch (possibly a later one, or itself), or left on the original's
+    old destination."""
+    schema = db.schema
+    picked = list(range(0, db.n_facts, 2))
+    new_key = {f: f"{tag}{f}" for f in picked}
+    batch_keys: dict[str, list[str]] = {}
+    for f in picked:
+        batch_keys.setdefault(db.fact(f).relation, []).append(new_key[f])
+    batch = []
+    for i, f in enumerate(picked):
+        fact = db.fact(f)
+        rel = schema.relation(fact.relation)
+        values = list(fact.values)
+        values[rel.attr_index("id")] = new_key[f]
+        for j, fk in enumerate(fk for fk in schema.foreign_keys if fk.src == rel.name):
+            col = rel.attr_index(fk.src_attrs[0])
+            turn = (i + j) % 3
+            if turn == 0 and rel.attribute(fk.src_attrs[0]).nullable:
+                values[col] = None
+            elif turn == 1 and fk.dst in batch_keys:
+                keys = batch_keys[fk.dst]
+                values[col] = keys[(i + j) % len(keys)]
+        batch.append(Fact(fact.relation, tuple(values)))
+    return batch
+
+
+def _index_arrays(db):
+    return [(ix.fwd, ix.offsets, ix.flat) for ix in db.fk_index]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chained_inserts_extend_arrays_like_a_rebuild(seed):
+    """Two or three batches in a row: after each, every foreign key's
+    arrays equal those of a database built in one go from the combined
+    rows, and the source's arrays are left as they were."""
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    rows = [(f.relation, f.values) for f in db.facts]
+    for round_no in range(2 + seed % 2):
+        before = [tuple(a.copy() for a in arrays) for arrays in _index_arrays(db)]
+        batch = _linked_batch(db, f"b{round_no}_")
+        grown = insert_facts(db, batch)
+        rows += [(f.relation, f.values) for f in batch]
+        rebuilt = build_database(schema, rows)
+        for got, want in zip(_index_arrays(grown), _index_arrays(rebuilt)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+        for now, then in zip(_index_arrays(db), before):
+            for a, b in zip(now, then):
+                assert np.array_equal(a, b)
+        db = grown
+
+
+def test_drop_attribute_shares_the_index_arrays():
+    checked = 0
+    for seed in range(12):
+        schema = random_schema(seed)
+        db = random_database(schema, seed)
+        for rel in schema.relations:
+            if "x0" in rel.attr_names:
+                assert drop_attribute(db, rel.name, "x0").fk_index is db.fk_index
+                checked += 1
+    assert checked > 0
 
 
 # -- file round-trips -------------------------------------------------------------
@@ -413,6 +483,43 @@ def test_non_finite_numeric_value_rejected(toy_schema, value):
     with pytest.raises(IntegrityError, match=r"S\.D \(inserted row 1\)"):
         insert_facts(db, [Fact("S", ("y", value))])
     assert db.n_facts == 1
+
+
+def test_load_empty_non_nullable_cell_names_file_and_line(tmp_path):
+    schema = schema_from_dict(
+        {
+            "relations": [
+                {
+                    "name": "S",
+                    "attributes": [
+                        {"name": "a", "kind": "categorical", "nullable": False},
+                        {"name": "b", "kind": "numeric", "nullable": False},
+                    ],
+                    "key": ["a"],
+                }
+            ]
+        }
+    )
+    (tmp_path / "S.csv").write_text("a,b\nx,1.0\ny,\n")
+    with pytest.raises(IntegrityError, match=r"null in non-nullable attribute S\.b \(S\.csv line 3\)"):
+        load_database(schema, tmp_path)
+    (tmp_path / "S.csv").write_text("a,b\n,1.0\n")
+    with pytest.raises(IntegrityError, match=r"null in non-nullable attribute S\.a \(S\.csv line 2\)"):
+        load_database(schema, tmp_path)
+
+
+def test_load_empty_key_cell_names_file_and_line(tmp_path):
+    # a key attribute declared nullable still refuses a null
+    schema = schema_from_dict(
+        {
+            "relations": [
+                {"name": "S", "attributes": [{"name": "a", "kind": "categorical"}], "key": ["a"]}
+            ]
+        }
+    )
+    (tmp_path / "S.csv").write_text("a\nx\n\"\"\n")
+    with pytest.raises(IntegrityError, match=r"null key value in S\.a \(S\.csv line 3\)"):
+        load_database(schema, tmp_path)
 
 
 def test_empty_cell_loads_as_null(tmp_path, toy_db):

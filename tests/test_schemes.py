@@ -19,8 +19,6 @@ from walkembed.schemes import (
     TargetedWalkScheme,
     WalkScheme,
     WalkStep,
-    _step_table,
-    dest_attr_sample,
     enumerate_targeted_schemes,
     enumerate_walk_schemes,
     exact_dest_distribution,
@@ -28,7 +26,6 @@ from walkembed.schemes import (
     has_complete_walk,
     sample_dest_batch,
     sample_target_values_batch,
-    sample_walk,
     sample_walks_batch,
     scheme_text,
     step_candidates,
@@ -57,6 +54,39 @@ def _brute_force_enumeration(schema, start, max_length):
     return sorted(
         out, key=lambda w: (w.length, tuple((s.fk.name, s.direction) for s in w.steps))
     )
+
+
+def sample_walk(db, fact_id, scheme, rng):
+    """Scalar oracle: one random walk as a fact-id sequence, or None on a
+    dead end, drawing one integer per step with more than one candidate."""
+    fact = db.fact(fact_id)
+    if fact.relation != scheme.start_relation:
+        raise UsageError(
+            f"fact {fact_id} is in {fact.relation!r}, scheme starts at {scheme.start_relation!r}"
+        )
+    path = [fact_id]
+    here = fact_id
+    for step in scheme.steps:
+        candidates = step_candidates(db, here, step)
+        if not candidates:
+            return None
+        here = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 else candidates[0]
+        path.append(here)
+    return tuple(path)
+
+
+def dest_attr_sample(db, fact_id, tws, rng, retry_cap=20):
+    """Scalar oracle: (destination fact id, its target value), retrying over
+    dead ends and null destinations up to ``retry_cap`` attempts."""
+    for _ in range(max(1, retry_cap)):
+        path = sample_walk(db, fact_id, tws.scheme, rng)
+        if path is None:
+            continue
+        value = db.attr_value(path[-1], tws.target_attr)
+        if value is None:
+            continue
+        return path[-1], value
+    return None
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -438,41 +468,48 @@ def test_sampler_row_loop_matches_reference_on_long_retries(chain_schema, retry_
     _assert_sampler_matches_reference(db, starts, tws, rng_seed, retry_cap)
 
 
-# -- step tables --------------------------------------------------------------------
+# -- the foreign-key arrays the samplers step through ------------------------------
 
 
 def _reference_step_table(db, step):
-    """Per-element build of a step table, as first written."""
-    pos = db.schema.foreign_keys.index(step.fk)
+    """Per-element build of one direction of a foreign key's arrays, read
+    from the fact values and key lookups alone."""
+    fk = step.fk
     n = db.n_facts
+    src_rel = db.schema.relation(fk.src)
+    refs = []  # (source, destination) in source id order
+    for src in db.relation_fact_ids(fk.src):
+        key = tuple(db.fact(src).value(src_rel, a) for a in fk.src_attrs)
+        if None not in key:
+            refs.append((src, db.fact_by_key(fk.dst, key)))
     if step.direction == FORWARD:
         fwd = np.full(n, -1, dtype=np.int64)
-        for src, dst in db._forward[pos].items():
+        for src, dst in refs:
             fwd[src] = dst
         return fwd, None, None
     counts = np.zeros(n + 1, dtype=np.int64)
-    for dst, srcs in db._backward[pos].items():
-        counts[dst + 1] = len(srcs)
+    for _src, dst in refs:
+        counts[dst + 1] += 1
     offsets = np.cumsum(counts)
     flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    for dst, srcs in db._backward[pos].items():
-        flat[offsets[dst] : offsets[dst] + len(srcs)] = srcs
+    filled = offsets[:-1].copy()
+    for src, dst in refs:
+        flat[filled[dst]] = src
+        filled[dst] += 1
     return None, offsets, flat
 
 
 def _assert_step_tables_match_reference(db):
     checked = 0
-    for fk in db.schema.foreign_keys:
+    for pos, fk in enumerate(db.schema.foreign_keys):
+        index = db.fk_index[pos]
         for direction in (FORWARD, BACKWARD):
-            step = WalkStep(fk, direction)
-            table = _step_table(db, step)
-            fwd, offsets, flat = _reference_step_table(db, step)
-            assert table.kind == direction
-            for got, want in ((table.fwd, fwd), (table.offsets, offsets), (table.flat, flat)):
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            fwd, offsets, flat = _reference_step_table(db, WalkStep(fk, direction))
+            pairs = [(index.fwd, fwd)] if direction == FORWARD else [
+                (index.offsets, offsets), (index.flat, flat)
+            ]
+            for got, want in pairs:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
             checked += 1
     return checked
 
