@@ -37,7 +37,7 @@ from .evaluation import (
 )
 from .extension import ExtensionConfig, extend_embedding
 from .kernels import default_kernels
-from .model_io import export_embeddings_csv, load_model, save_model
+from .model_io import export_embeddings_csv, json_array, json_field, load_model, read_json, save_model
 from .relational import Fact, insert_facts, load_database, load_schema, read_relation_csv
 from .schemes import enumerate_targeted_schemes, scheme_text, targeted_text
 from .selection import online_elimination_train, ranked, select
@@ -183,11 +183,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("--selection and --strategy are mutually exclusive")
     history = None
     if args.selection:
-        with open(args.selection, encoding="utf-8") as fh:
-            manifest_doc = json.load(fh)
+        texts = json_field(read_json(args.selection, "selection manifest"), "kept", list, args.selection)
+        if not all(isinstance(text, str) for text in texts):
+            raise IntegrityError(f"{args.selection}: field kept is not a list of scheme texts")
         by_text = {targeted_text(t): t for t in schemes}
         try:
-            kept = [by_text[text] for text in manifest_doc["kept"]]
+            kept = [by_text[text] for text in texts]
         except KeyError as exc:
             raise UsageError(f"selection manifest names an unknown scheme: {exc}") from None
         print(f"kept {len(kept)} of {len(schemes)} schemes from {args.selection}")
@@ -413,22 +414,29 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     if report_path.is_dir():
         report_path = report_path / "report.json"
-    if not report_path.exists():
-        raise UsageError(f"report not found: {report_path}")
-    with open(report_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != 1:
-        raise UsageError(f"unsupported report format version {doc.get('format_version')!r}")
+    doc = read_json(report_path, "report")
+    if not isinstance(doc, dict):
+        raise IntegrityError(f"{report_path}: the report is not a JSON object")
+    version = doc.get("format_version")
+    if version != 1:
+        raise UsageError(f"unsupported report format version {version!r}")
+    rows = []
+    for name in ("cells", "ensembles"):
+        for i, series in enumerate(json_field(doc, name, list, report_path)):
+            where = f"{name}[{i}]"
+            strategy = json_field(series, "strategy", str, report_path, f"{where}.strategy")
+            ratio = json_field(series, "ratio", (int, float), report_path, f"{where}.ratio")
+            label = "ensemble"
+            if name == "cells":
+                label = f"seed{json_field(series, 'seed', int, report_path, f'{where}.seed')}"
+            points = json_field(series, "points", list, report_path, f"{where}.points")
+            json_array(points, (len(points), 2), "iuf", report_path, f"{where}.points")
+            rows.extend([strategy, ratio, label, repr(t), repr(a)] for t, a in points)
     out = Path(args.out) if args.out else report_path.parent / "plotdata.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "ratio", "series", "seconds", "accuracy"])
-        for cell in doc["cells"]:
-            for t, a in cell["points"]:
-                writer.writerow([cell["strategy"], cell["ratio"], f"seed{cell['seed']}", repr(t), repr(a)])
-        for ens in doc["ensembles"]:
-            for t, a in ens["points"]:
-                writer.writerow([ens["strategy"], ens["ratio"], "ensemble", repr(t), repr(a)])
+        writer.writerows(rows)
     print(out)
     return 0
 

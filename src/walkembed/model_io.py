@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError, UsageError
+from .errors import IntegrityError, SchemaError, UsageError
 from .relational import Database, Value
 from .schemes import TargetedWalkScheme, WalkScheme, WalkStep, scheme_text
 from .trainer import EmbeddingModel
@@ -40,26 +41,77 @@ def _scheme_doc(tws: TargetedWalkScheme) -> dict:
     }
 
 
-def _scheme_from_doc(doc: dict, db: Database) -> TargetedWalkScheme:
+def read_json(path: str | Path, what: str):
+    """The JSON document in ``path``.  A missing or unreadable file is a
+    UsageError; content that is not JSON (or not UTF-8) is an
+    IntegrityError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise IntegrityError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", (int, float): "a number"}
+
+
+def json_field(doc, name: str, kind, path: str | Path, label: str | None = None):
+    """``doc[name]`` when ``doc`` is a JSON object whose field holds a
+    ``kind`` (a JSON boolean is not a number); otherwise an IntegrityError
+    naming the file and the field, shown as ``label`` if given."""
+    value = doc.get(name) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise IntegrityError(f"{path}: field {label or name} is missing or not {_KIND_NAMES[kind]}")
+    return value
+
+
+def json_array(value, shape: tuple[int, ...], kinds: str, path: str | Path, label: str) -> np.ndarray:
+    """``value`` as an array when it is a nest of JSON numbers of ``shape``
+    whose numpy dtype kind is one of ``kinds``; otherwise an IntegrityError
+    naming the file and the field."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is not None and arr.size == 0 == math.prod(shape):  # an empty list has no inner shape
+        arr = np.zeros(shape, dtype=np.int64)
+    if arr is None or arr.shape != shape or arr.dtype.kind not in kinds:
+        raise IntegrityError(f"{path}: field {label} is not numbers of shape {shape}")
+    return arr
+
+
+def _scheme_from_doc(doc, db: Database, path: str | Path, label: str) -> TargetedWalkScheme:
     steps = []
-    for st in doc["steps"]:
+    for j, st in enumerate(json_field(doc, "steps", list, path, f"{label}.steps")):
+        where = f"{label}.steps[{j}]"
+        src, dst, direction = (json_field(st, n, str, path, f"{where}.{n}") for n in ("src", "dst", "direction"))
+        src_attrs, dst_attrs = (json_field(st, n, list, path, f"{where}.{n}") for n in ("src_attrs", "dst_attrs"))
         match = None
         for fk in db.schema.foreign_keys:
             if (
-                fk.src == st["src"]
-                and fk.dst == st["dst"]
-                and list(fk.src_attrs) == st["src_attrs"]
-                and list(fk.dst_attrs) == st["dst_attrs"]
+                fk.src == src
+                and fk.dst == dst
+                and list(fk.src_attrs) == src_attrs
+                and list(fk.dst_attrs) == dst_attrs
             ):
                 match = fk
                 break
         if match is None:
             raise IntegrityError(
-                f"model references a foreign key absent from the schema: "
-                f"{st['src']}{st['src_attrs']} -> {st['dst']}{st['dst_attrs']}"
+                f"{path}: field {where} references a foreign key absent from the schema: "
+                f"{src}{src_attrs} -> {dst}{dst_attrs}"
             )
-        steps.append(WalkStep(match, st["direction"]))
-    return TargetedWalkScheme(WalkScheme(doc["start"], tuple(steps)), doc["target"])
+        steps.append((match, direction))
+    start = json_field(doc, "start", str, path, f"{label}.start")
+    target = json_field(doc, "target", str, path, f"{label}.target")
+    try:
+        return TargetedWalkScheme(WalkScheme(start, tuple(WalkStep(fk, d) for fk, d in steps)), target)
+    except SchemaError as exc:
+        raise IntegrityError(f"{path}: field {label}: {exc}") from None
 
 
 def save_model(model: EmbeddingModel, db: Database, path: str | Path) -> None:
@@ -84,25 +136,59 @@ def save_model(model: EmbeddingModel, db: Database, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, db: Database) -> EmbeddingModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "model file")
+    if not isinstance(doc, dict):
+        raise IntegrityError(f"{path}: the model file is not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise UsageError(
             f"model format version {version!r} not supported (expected {MODEL_FORMAT_VERSION})"
         )
-    start = doc["start_relation"]
-    schemes = [_scheme_from_doc(d, db) for d in doc["schemes"]]
-    psi = {t: np.asarray(m, dtype=np.float64) for t, m in zip(schemes, doc["psi"])}
-    active = [schemes[i] for i in doc["active"]]
-    phi: dict[int, np.ndarray] = {}
-    for row in doc["phi"]:
-        key = tuple(row["key"])
-        fid = db.fact_by_key(start, key)
-        if fid is None:
-            raise IntegrityError(f"model embedding for unknown {start!r} key {key!r}")
-        phi[fid] = np.asarray(row["vec"], dtype=np.float64)
-    return EmbeddingModel(int(doc["k"]), start, phi, psi, active)
+    k = json_field(doc, "k", int, path)
+    if k < 1:
+        raise IntegrityError(f"{path}: field k must be at least 1, got {k}")
+    start = json_field(doc, "start_relation", str, path)
+    if start not in db.schema.relation_names:
+        raise IntegrityError(f"{path}: field start_relation names unknown relation {start!r}")
+    scheme_docs = json_field(doc, "schemes", list, path)
+    schemes = [_scheme_from_doc(d, db, path, f"schemes[{i}]") for i, d in enumerate(scheme_docs)]
+    for i, t in enumerate(schemes):
+        if t.scheme.start_relation != start:
+            raise IntegrityError(f"{path}: field schemes[{i}] does not start at {start!r}")
+        if t.target_attr not in db.schema.relation(t.scheme.end_relation).attr_names:
+            raise IntegrityError(f"{path}: field schemes[{i}].target names no attribute of its end relation")
+    if len(set(schemes)) != len(schemes):
+        raise IntegrityError(f"{path}: field schemes repeats a scheme")
+    psi = json_array(json_field(doc, "psi", list, path), (len(schemes), k, k), "iuf", path, "psi")
+    active_doc = json_field(doc, "active", list, path)
+    active = json_array(active_doc, (len(active_doc),), "iu", path, "active")
+    if ((active < 0) | (active >= len(schemes))).any() or (np.diff(np.sort(active)) == 0).any():
+        raise IntegrityError(f"{path}: field active holds an index out of range or twice")
+
+    rows = json_field(doc, "phi", list, path)
+    try:
+        keys = [tuple(row["key"]) for row in rows]
+        vecs = [row["vec"] for row in rows]
+        fids = [db.fact_by_key(start, key) for key in keys]
+    except (TypeError, KeyError):
+        raise IntegrityError(f"{path}: field phi is not a list of key and vec pairs") from None
+    if None in fids:
+        key = keys[fids.index(None)]
+        raise IntegrityError(f"{path}: field phi holds an embedding for unknown {start!r} key {key!r}")
+    if len(set(fids)) != len(fids):
+        raise IntegrityError(f"{path}: field phi repeats a key")
+    phi_rows = json_array(vecs, (len(vecs), k), "iuf", path, "phi.vec").astype(np.float64)
+    psi = psi.astype(np.float64)
+    for label, arr in (("psi", psi), ("phi.vec", phi_rows)):
+        if not np.isfinite(arr).all():
+            raise IntegrityError(f"{path}: field {label} holds a non-finite number")
+    return EmbeddingModel(
+        k,
+        start,
+        dict(zip(fids, phi_rows)),
+        dict(zip(schemes, psi)),
+        [schemes[i] for i in active],
+    )
 
 
 def export_embeddings_csv(

@@ -572,6 +572,125 @@ def test_plot_data_rejects_unknown_format(tmp_path):
     assert code == 2
 
 
+# -- fault injection into the files the CLI reads ------------------------------------------
+
+
+def _set(path, value):
+    """A fault that sets the field at ``path`` (keys and indices) to ``value``."""
+    def fault(doc):
+        *head, last = path
+        node = doc
+        for step in head:
+            node = node[step]
+        node[last] = value(node[last]) if callable(value) else value
+        return doc
+    return fault
+
+
+def _drop(name):
+    def fault(doc):
+        del doc[name]
+        return doc
+    return fault
+
+
+# name: (fault applied to the parsed file, a fragment of the message)
+MODEL_FAULTS = {
+    "not an object": (lambda doc: [doc], "not a JSON object"),
+    "missing phi": (_drop("phi"), "field phi "),
+    "missing k": (_drop("k"), "field k "),
+    "k not an integer": (_set(["k"], "4"), "field k "),
+    "k disagrees with the vectors": (_set(["k"], 3), "field psi "),
+    "short phi row": (_set(["phi", 0, "vec"], lambda v: v[:3]), "field phi.vec"),
+    "phi row of strings": (_set(["phi", 0, "vec"], lambda v: [str(x) for x in v]), "field phi.vec"),
+    "phi row not an object": (_set(["phi", 0], [1, 2]), "field phi "),
+    "infinite phi row": (_set(["phi", 0, "vec"], lambda v: [math.inf] + v[1:]), "non-finite"),
+    "repeated phi key": (lambda doc: _set(["phi", 1, "key"], doc["phi"][0]["key"])(doc), "repeats a key"),
+    "unknown phi key": (_set(["phi", 0, "key"], ["no-such-item"]), "unknown 'item' key"),
+    "psi one matrix short": (_set(["psi"], lambda m: m[:-1]), "field psi "),
+    "nan psi matrix": (_set(["psi", 0], lambda m: [[math.nan] * len(row) for row in m]), "non-finite"),
+    "ragged psi matrix": (_set(["psi", 0, 0], lambda row: row[:-1]), "field psi "),
+    "active out of range": (_set(["active"], [99]), "field active"),
+    "active negative": (_set(["active"], [-1]), "field active"),
+    "active repeated": (_set(["active"], [0, 0]), "field active"),
+    "active not integers": (_set(["active"], [0.5]), "field active"),
+    "schemes not a list": (_set(["schemes"], {}), "field schemes "),
+    "scheme without steps": (_set(["schemes", 0], {"start": "item", "target": "x"}), "field schemes[0].steps"),
+    "bad step direction": (_set(["schemes", -1, "steps", 0, "direction"], "sideways"), "unknown step direction"),
+    "unknown start relation": (_set(["start_relation"], "nowhere"), "field start_relation"),
+}
+
+REPORT_FAULTS = {
+    "not an object": (lambda doc: [doc], "not a JSON object"),
+    "missing cells": (_drop("cells"), "field cells "),
+    "missing ensembles": (_drop("ensembles"), "field ensembles "),
+    "cells not a list": (_set(["cells"], {"a": 1}), "field cells "),
+    "cell without points": (_set(["cells", 0], {"strategy": "x", "ratio": 1.0, "seed": 0}), "field cells[0].points"),
+    "point not a pair": (_set(["cells", 0, "points", 0], [1.0]), "field cells[0].points"),
+    "ratio a string": (_set(["ensembles", 0, "ratio"], "half"), "field ensembles[0].ratio"),
+}
+
+SELECTION_FAULTS = {
+    "not an object": (lambda doc: [doc], "field kept"),
+    "missing kept": (_drop("kept"), "field kept"),
+    "kept not a list": (_set(["kept"], "item"), "field kept"),
+    "kept holds a number": (_set(["kept"], [3]), "field kept"),
+}
+
+TRUNCATIONS = [0, 1, 0.25, 0.5, -1]  # byte offsets; fractions of the file length
+
+FAULT_CASES = (
+    [(cmd, "missing file") for cmd in ("evaluate", "extend", "plot-data", "train")]
+    + [(cmd, f"truncated at {at}") for cmd in ("evaluate", "extend", "plot-data", "train") for at in TRUNCATIONS]
+    + [(cmd, name) for cmd in ("evaluate", "extend") for name in MODEL_FAULTS]
+    + [("plot-data", name) for name in REPORT_FAULTS]
+    + [("train", name) for name in SELECTION_FAULTS]
+)
+
+
+@pytest.fixture(scope="module")
+def readable_files(ws, trained, experiment_out):
+    score_out = ws["root"] / "score_out"
+    selection = score_out / "selection_length_0.5.json"
+    if not selection.exists():
+        assert _run(["--out-dir", str(score_out), "score", "--config", str(ws["config"]), "--strategy", "length"])[0] == 0
+    return {"model": trained / "model.json", "report": experiment_out[0] / "report.json", "selection": selection}
+
+
+@pytest.mark.parametrize("command, fault", FAULT_CASES)
+def test_bad_input_files_exit_with_a_code_and_a_message(ws, readable_files, tmp_path, capsys, command, fault):
+    """A missing file exits 2; a truncated file or bad content exits 3.
+    Either way the message names the file (and the field), and nothing
+    raises out of main."""
+    kind = {"evaluate": "model", "extend": "model", "plot-data": "report", "train": "selection"}[command]
+    source = readable_files[kind]
+    bad = tmp_path / f"faulty_{kind}.json"
+    if fault == "missing file":
+        message = "not found"
+    elif fault.startswith("truncated at "):
+        data = source.read_bytes()
+        at = float(fault.split()[-1])
+        cut = int(at * len(data)) if 0 < at < 1 else int(at) % len(data)
+        bad.write_bytes(data[:cut])
+        message = "not valid JSON"
+    else:
+        faults = {"model": MODEL_FAULTS, "report": REPORT_FAULTS, "selection": SELECTION_FAULTS}[kind]
+        apply, message = faults[fault]
+        bad.write_text(json.dumps(apply(json.loads(source.read_text()))))
+    argv = {
+        "evaluate": ["evaluate", "--config", str(ws["config"]), "--model", str(bad)],
+        "extend": ["--out-dir", str(tmp_path / "out"), "extend", "--config", str(ws["config"]),
+                   "--model", str(bad), "--new-dir", str(tmp_path)],
+        "plot-data": ["plot-data", "--report", str(bad), "--out", str(tmp_path / "plot.csv")],
+        "train": ["--out-dir", str(tmp_path / "out"), "train", "--config", str(ws["config"]),
+                  "--selection", str(bad)],
+    }[command]
+    code, _ = _run(argv)
+    err = capsys.readouterr().err
+    assert code == (2 if fault == "missing file" else 3)
+    assert bad.name in err and message in err
+
+
 # -- error handling --------------------------------------------------------------------
 
 
@@ -590,6 +709,15 @@ def test_malformed_config_exits_2(tmp_path):
         "--out-dir", str(tmp_path), "train", "--config", str(bad),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["[]", "3"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "config.json"
+    bad.write_text(text)
+    code, _ = _run(["--out-dir", str(tmp_path), "train", "--config", str(bad)])
+    assert code == 2
+    assert "expected a JSON object" in capsys.readouterr().err
 
 
 def test_out_of_range_config_exits_2_before_training(ws, tmp_path, capsys):

@@ -3,6 +3,7 @@ experiment grid, with hand-checked threshold arithmetic."""
 
 import json
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import walkembed.evaluation as evaluation
-from walkembed.errors import UsageError
+from walkembed.errors import NumericError, UsageError
 from walkembed.evaluation import (
     ExperimentConfig,
     TimingCurve,
@@ -39,7 +40,7 @@ from walkembed.relational import (
     write_database_csv,
 )
 from walkembed.schemes import enumerate_targeted_schemes
-from walkembed.selection import SchemeScore
+from walkembed.selection import SchemeScore, online_elimination_train
 from walkembed.synth import planted_database, random_database, random_schema
 from walkembed.trainer import TrainConfig
 
@@ -526,6 +527,149 @@ def test_parallel_grid_matches_serial_and_records_failures(tmp_path, monkeypatch
         assert [a for _, a in p.curve.points] == [a for _, a in s.curve.points]
         assert p.cv_seconds > 0.0
     assert set(parallel.ensembles) == {("baseline", 1.0), ("online", 0.5)}
+
+
+def _reference_run_cell(db, args):
+    """The grid cell as first written: cross-validated in the callback of
+    every epoch, one 2-D ``cross_validate`` call per epoch."""
+    cfg = replace(args["trainer"], seed=args["seed"])
+    curve = TimingCurve(args["strategy"], args["ratio"], args["seed"])
+    clock = {"train": 0.0, "cv": 0.0}
+
+    def cb(epoch, model, stats):
+        clock["train"] += stats.wall_time
+        t0 = time.perf_counter()
+        X = np.stack([model.phi[f] for f in args["labeled_ids"]])
+        acc = cross_validate(X, args["labels_list"], fold_assign=args["fold_assign"])
+        clock["cv"] += time.perf_counter() - t0
+        curve.points.append((clock["train"], acc))
+
+    if args["online"]:
+        online_elimination_train(
+            db, args["start"], args["schemes"], cfg, args["ratio"],
+            per_epoch_removals=args["per_epoch_removals"], kernels=args["kernels"], callbacks=[cb],
+        )
+        kept = max(1, math.ceil(args["ratio"] * len(args["schemes"])))
+    else:
+        evaluation.train(db, args["start"], args["schemes"], cfg, args["kernels"], callbacks=[cb])
+        kept = len(args["schemes"])
+    return evaluation.CellResult(args["strategy"], args["ratio"], args["seed"], curve, kept, clock["cv"])
+
+
+def _with_label_scheme(strategy_name):
+    """compute_scores, with a scheme targeting the stripped label put first
+    in ``strategy_name``'s scores; training a cell that keeps it fails."""
+    real_scores = evaluation.compute_scores
+
+    def scores(strategy, *args, **kwargs):
+        out = real_scores(strategy, *args, **kwargs)
+        if strategy == strategy_name:
+            label_tws = replace(out[0].tws, target_attr="cls")
+            out = [SchemeScore(label_tws, math.inf, strategy)] + out
+        return out
+
+    return scores
+
+
+def _assert_same_grid(got, want):
+    """Equal cells (accuracy sequences, kept, point counts) and failures;
+    times are not compared."""
+    assert [(c.strategy, c.ratio, c.seed) for c in got.cells] == [(c.strategy, c.ratio, c.seed) for c in want.cells]
+    for g, w in zip(got.cells, want.cells):
+        assert [a for _, a in g.curve.points] == [a for _, a in w.curve.points]
+        assert len(g.curve.points) == len(w.curve.points)
+        assert g.kept == w.kept
+    assert got.failures == want.failures
+    assert got.kept_counts == want.kept_counts
+    assert got.baseline_accuracy == want.baseline_accuracy
+
+
+def _grid_config(schema_path, data_dir, **over):
+    kwargs = dict(
+        schema_path=str(schema_path),
+        data_dir=str(data_dir),
+        task_relation="item",
+        task_attribute="cls",
+        max_length=1,
+        trainer=TrainConfig(k=4, n_samples=2, epochs=3, learning_rate=0.1, seed=0),
+        strategies=("length", "random", "online"),
+        ratios=(0.5, 1.0),
+        seeds=(0, 1),
+        folds=3,
+    )
+    kwargs.update(over)
+    return ExperimentConfig(**kwargs)
+
+
+def test_grid_matches_per_epoch_cross_validation(tmp_path, monkeypatch):
+    """Cross-validating each cell once after training gives the accuracies,
+    kept counts and failures of cross-validating after every epoch, on a
+    grid with baseline, scored, online and failing cells."""
+    _, schema_path, data_dir = _materialise(tmp_path, n_items=10)
+    monkeypatch.setattr(evaluation, "compute_scores", _with_label_scheme("random"))
+    cfg = _grid_config(schema_path, data_dir)
+    got = run_experiment(cfg)
+    monkeypatch.setattr(evaluation, "_run_cell", _reference_run_cell)
+    want = run_experiment(cfg)
+    _assert_same_grid(got, want)
+    assert {c.strategy for c in got.cells} == {"baseline", "length", "online"}
+    assert all(len(c.curve.points) == 3 for c in got.cells)
+    assert set(got.failures) == {f"train:random:{r}:{s}" for r in (0.5, 1.0) for s in (0, 1)}
+
+
+def test_single_class_training_fold_fails_cells_as_per_epoch_cv(tmp_path, monkeypatch):
+    """A fold holding every member of one of two classes leaves a training
+    set of one class: every cell fails with the message of per-epoch
+    cross-validation, also where training would fail in a later epoch.
+    With every baseline cell failed the grid raises, so the cell failures
+    are recorded as they leave the cell."""
+    _, schema_path, data_dir = _materialise(tmp_path, n_items=10)
+    real_make_folds = evaluation.make_folds
+
+    def one_class_fold(labels, folds, split_seed):
+        assign = real_make_folds(labels, folds, split_seed)
+        assign[[i for i, l in enumerate(labels) if l == labels[0]]] = 0
+        return assign
+
+    real_train = evaluation.train
+
+    def train_failing_at_epoch_2(*args, callbacks, **kwargs):
+        calls = []
+
+        def boom(epoch, model, stats):
+            calls.append(epoch)
+            if len(calls) == 2:
+                raise NumericError("diverged in epoch 2")
+
+        return real_train(*args, callbacks=[*callbacks, boom], **kwargs)
+
+    monkeypatch.setattr(evaluation, "make_folds", one_class_fold)
+    monkeypatch.setattr(evaluation, "train", train_failing_at_epoch_2)
+    cfg = _grid_config(schema_path, data_dir, strategies=("length", "online"), ratios=(0.5,))
+
+    got_cells, want_cells = [], []
+    for run_cell, out in ((evaluation._run_cell, got_cells), (_reference_run_cell, want_cells)):
+        def recording(db, args, run_cell=run_cell, out=out):
+            try:
+                return run_cell(db, args)
+            except Exception as exc:
+                out.append((args["strategy"], args["ratio"], args["seed"], str(exc)))
+                raise
+        monkeypatch.setattr(evaluation, "_run_cell", recording)
+        with pytest.raises(UsageError, match="no epochs"):
+            run_experiment(cfg)  # every baseline cell failed
+    assert got_cells == want_cells
+    assert len(got_cells) == 6
+    assert {msg for *_, msg in got_cells} == {"classifier needs at least two classes"}
+
+
+def test_zero_epochs_leaves_the_baseline_without_points(tmp_path):
+    _, schema_path, data_dir = _materialise(tmp_path, n_items=10)
+    cfg = _grid_config(
+        schema_path, data_dir, trainer=TrainConfig(k=4, n_samples=2, epochs=0, learning_rate=0.1, seed=0)
+    )
+    with pytest.raises(UsageError, match="baseline training produced no epochs"):
+        run_experiment(cfg)
 
 
 # -- dynamic protocol -----------------------------------------------------------------

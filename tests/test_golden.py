@@ -8,7 +8,8 @@ RNG draw order or to the floating-point expression order moves them.  Run
 this file as a script to print the current values.
 
 The batched classifier is also checked against that per-fold classifier,
-kept here as an oracle, on generated inputs.
+kept here as an oracle, on generated inputs, both for one feature matrix
+and for a stack of snapshots fitted together.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walkembed.evaluation as evaluation
 from walkembed.errors import UsageError
 from walkembed.evaluation import (
     LogisticModel,
@@ -252,6 +254,86 @@ def test_classifier_matches_per_fold_oracle(n, d, n_classes, folds, seed, iterat
     if any(len({l for l, a in zip(labels, assign) if a != f}) < 2 for f in range(folds)):
         return  # a training fold with one class cannot be fitted by either path
     assert cross_validate(X, labels, fold_assign=assign) == _oracle_cross_validate(X, labels, assign)
+
+
+def _split_labels(kind: str, folds: int, n_classes: int, rng) -> list[str]:
+    """Shuffled labels whose class sizes give a stratified split with equal
+    folds, a stratified split with uneven folds, or (one class smaller than
+    the fold count) the unstratified fallback."""
+    sizes = [folds * int(rng.integers(1, 4)) for _ in range(n_classes)]
+    if kind == "uneven":
+        sizes = [s + int(rng.integers(1, folds)) for s in sizes]
+    elif kind == "fallback":
+        sizes[0] = int(rng.integers(1, folds))
+    labels = [f"c{c}" for c, size in enumerate(sizes) for _ in range(size)]
+    return [labels[i] for i in rng.permutation(len(labels))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    snaps=st.integers(1, 4),
+    d=st.integers(1, 4),
+    n_classes=st.integers(2, 3),
+    folds=st.integers(2, 5),
+    kind=st.sampled_from(["stratified", "uneven", "fallback"]),
+    seed=st.integers(0, 10_000),
+)
+def test_stacked_cross_validate_matches_per_snapshot_calls(snaps, d, n_classes, folds, kind, seed):
+    """A (snapshots, n, d) stack gives, float for float, the accuracies of
+    separate 2-D calls, and every (snapshot, fold) classifier has the
+    weights of the per-fold oracle."""
+    rng = np.random.default_rng(seed)
+    labels = _split_labels(kind, folds, n_classes, rng)
+    X = rng.normal(size=(snaps, len(labels), d)) * rng.uniform(0.1, 10.0)
+    if seed % 5 == 0:
+        X[:, :, 0] = 1.5  # a constant column: unit scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assign = make_folds(labels, folds, seed)
+    if any(len({l for l, a in zip(labels, assign) if a != f}) < 2 for f in range(folds)):
+        with pytest.raises(UsageError, match="at least two classes"):
+            cross_validate(X, labels, fold_assign=assign)
+        with pytest.raises(UsageError, match="at least two classes"):
+            cross_validate(X[0], labels, fold_assign=assign)
+        return
+    got = cross_validate(X, labels, fold_assign=assign)
+    assert got == [cross_validate(x, labels, fold_assign=assign) for x in X]
+    assert got == [_oracle_cross_validate(x, labels, assign) for x in X]
+
+    split = evaluation._split(labels, assign)
+    for x, fits in zip(X, evaluation._fit_folds(X, split)):
+        for fold, clf in enumerate(fits):
+            train = assign != fold
+            want = _oracle_classifier(x[train], [l for l, m in zip(labels, train) if m])
+            assert clf.classes == want.classes
+            assert np.array_equal(clf.mean, want.mean) and np.array_equal(clf.scale, want.scale)
+            assert np.array_equal(clf.weights, want.weights)
+
+
+def test_chunked_stack_gives_the_same_accuracies(monkeypatch):
+    """A byte cap below one snapshot's features fits one snapshot per
+    descent, and the accuracies do not move."""
+    rng = np.random.default_rng(7)
+    labels = _split_labels("uneven", 4, 3, rng)
+    X = rng.normal(size=(5, len(labels), 3))
+    assign = make_folds(labels, 4, 7)
+    whole = cross_validate(X, labels, fold_assign=assign)
+    calls = []
+    real_fit_stack = evaluation._fit_stack
+
+    def counting_fit_stack(Xs, y, *args, **kwargs):
+        calls.append(len(Xs))
+        return real_fit_stack(Xs, y, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_fit_stack", counting_fit_stack)
+    monkeypatch.setattr(evaluation, "CV_STACK_BYTES", 1)
+    assert cross_validate(X, labels, fold_assign=assign) == whole
+    groups = len({int((assign != f).sum()) for f in range(4)})
+    assert len(calls) == 5 * groups  # one descent per snapshot and shape group
+    monkeypatch.setattr(evaluation, "CV_STACK_BYTES", 2 * len(labels) * 4 * 8 * 3)
+    calls.clear()
+    assert cross_validate(X, labels, fold_assign=assign) == whole
+    assert len(calls) == 3 * groups  # chunks of two snapshots: 2 + 2 + 1
 
 
 if __name__ == "__main__":
