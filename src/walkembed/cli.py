@@ -264,7 +264,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         batch.extend(Fact(rel.name, values) for values in read_relation_csv(rel, path))
     db_new = insert_facts(db, batch)
     new_ids = list(range(db.n_facts, db_new.n_facts))
-    new_start = [f for f in new_ids if db_new.fact(f).relation == model.start_relation]
+    new_start = [f for f in new_ids if db_new.relation_of(f) == model.start_relation]
     if new_start:
         ext_cfg = ExtensionConfig(
             exhaustive_partners=args.exhaustive,
@@ -316,14 +316,13 @@ def _verify_clones(db, db_new, model, extended, new_start, strict: bool) -> int:
         rel = schema.relation(fact.relation)
         key_pos = {rel.attr_index(a) for a in rel.key}
         twin = None
-        for cand in db.relation_fact_ids(fact.relation):
-            cand_fact = db.fact(cand)
+        for cand_fact in db.relation_facts(fact.relation):
             if all(
                 cand_fact.values[i] == fact.values[i]
                 for i in range(len(fact.values))
                 if i not in key_pos
             ):
-                twin = cand
+                twin = cand_fact.fact_id
                 break
         if twin is None:
             print(f"verify: no structural twin for new fact {fid}; skipped")

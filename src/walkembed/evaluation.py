@@ -45,7 +45,6 @@ from .errors import IntegrityError, UsageError
 from .kernels import KernelMap, KernelSpec, default_kernels
 from .relational import (
     Database,
-    Fact,
     Value,
     build_database,
     drop_attribute,
@@ -94,8 +93,8 @@ def strip_attribute(db: Database, relation: str, attribute: str) -> tuple[Databa
     keys are in fact-id order.
 
     The stripped database is derived by ``drop_attribute``, not rebuilt: it
-    shares the source's key maps and foreign-key index, and only the task
-    relation's facts are new, so a load costs one validated build.
+    shares every other column, the key maps and the foreign-key index with
+    the source, so a load costs one validated build.
     """
     rel = db.schema.relation(relation)
     if attribute not in rel.attr_names:
@@ -107,12 +106,11 @@ def strip_attribute(db: Database, relation: str, attribute: str) -> tuple[Databa
             raise UsageError(
                 f"prediction attribute {attribute!r} participates in foreign key {fk.name}"
             )
-    drop = rel.attr_index(attribute)
-    labels: dict[int, Value] = {}
-    for fact_id in db.relation_fact_ids(relation):
-        label = db.fact(fact_id).values[drop]
-        if label is not None:
-            labels[fact_id] = label
+    labels = {
+        fact_id: label
+        for fact_id, label in zip(db.relation_fact_ids(relation), db.attr_values(relation, attribute))
+        if label is not None
+    }
     stripped = drop_attribute(db, relation, attribute)
     return stripped, DownstreamTask(relation, attribute, labels)
 
@@ -805,6 +803,24 @@ class DynamicPoint:
     accuracy: float
 
 
+def _cascade(db: Database, chosen: np.ndarray) -> np.ndarray:
+    """Mask of ``chosen`` and every fact that references a masked fact,
+    transitively: the mask is pushed through each foreign key's forward
+    array until it stops growing."""
+    removed = np.zeros(db.n_facts, dtype=bool)
+    removed[chosen] = True
+    refs = [(np.flatnonzero(ix.fwd >= 0), ix.fwd) for ix in db.fk_index]
+    grew = True
+    while grew:
+        grew = False
+        for src, fwd in refs:
+            hit = src[removed[fwd[src]] & ~removed[src]]
+            if len(hit):
+                removed[hit] = True
+                grew = True
+    return removed
+
+
 def dynamic_protocol(
     raw_db: Database,
     task_relation: str,
@@ -827,6 +843,7 @@ def dynamic_protocol(
     re-inserted together with the prediction facts.
     """
     db, task = strip_attribute(raw_db, task_relation, task_attribute)
+    facts = db.facts
     all_ids = list(db.relation_fact_ids(task_relation))
     labeled = [f for f in all_ids if f in task.labels]
     if len(labeled) < 4:
@@ -840,35 +857,12 @@ def dynamic_protocol(
         n_remove = max(1, int(round(q * len(labeled))))
         if n_remove >= len(labeled) - 1:
             n_remove = len(labeled) - 2  # keep at least two facts to train on
-        chosen = set(
-            int(x)
-            for x in rng.choice(np.asarray(labeled, dtype=np.int64), size=n_remove, replace=False)
+        chosen = rng.choice(np.asarray(labeled, dtype=np.int64), size=n_remove, replace=False)
+        removed = _cascade(db, chosen)
+        reduced = build_database(
+            db.schema, [(f.relation, f.values) for f, gone in zip(facts, removed) if not gone]
         )
-        removed = set(chosen)
-        grew = True  # cascade: drop facts referencing removed facts
-        while grew:
-            grew = False
-            for pos, fk in enumerate(db.schema.foreign_keys):
-                for dst in list(removed):
-                    if db.fact(dst).relation != fk.dst:
-                        continue
-                    for src in db.back_refs(pos, dst):
-                        if src not in removed:
-                            removed.add(src)
-                            grew = True
-
-        kept_rows = [
-            (db.fact(f).relation, db.fact(f).values)
-            for f in range(db.n_facts)
-            if f not in removed
-        ]
-        reduced = build_database(db.schema, kept_rows)
-        old_to_new = {}
-        new_id = 0
-        for f in range(db.n_facts):
-            if f not in removed:
-                old_to_new[f] = new_id
-                new_id += 1
+        old_to_new = np.cumsum(~removed) - 1
 
         schemes = enumerate_targeted_schemes(db.schema, task_relation, max_length)
         kernels = default_kernels(reduced)
@@ -879,24 +873,23 @@ def dynamic_protocol(
             schemes = list(select(scores, ratio).kept)
         model, _ = train(reduced, task_relation, schemes, cfg, kernels)
 
-        train_ids = [old_to_new[f] for f in labeled if f not in removed]
-        train_labels = [task.labels[f] for f in labeled if f not in removed]
+        train_ids = [int(old_to_new[f]) for f in labeled if not removed[f]]
+        train_labels = [task.labels[f] for f in labeled if not removed[f]]
         if len(set(map(str, train_labels))) < 2:
             raise UsageError(
                 f"deletion fraction {q} left a single label class; cannot fit a classifier"
             )
         clf = train_classifier(_labeled_matrix(model, train_ids), train_labels)
 
-        insert_order = sorted(removed)
-        batch = [Fact(db.fact(f).relation, db.fact(f).values) for f in insert_order]
-        extended_db = insert_facts(reduced, batch)
+        insert_order = np.flatnonzero(removed).tolist()
+        extended_db = insert_facts(reduced, [facts[f] for f in insert_order])
         inserted_new_ids = {
             old: reduced.n_facts + i for i, old in enumerate(insert_order)
         }
         new_pred = [
             inserted_new_ids[f]
             for f in insert_order
-            if db.fact(f).relation == task_relation and f in task.labels
+            if facts[f].relation == task_relation and f in task.labels
         ]
         ext_kernels = default_kernels(extended_db)
         extended = extend_embedding(
@@ -906,7 +899,7 @@ def dynamic_protocol(
         y_new = [
             task.labels[f]
             for f in insert_order
-            if db.fact(f).relation == task_relation and f in task.labels
+            if facts[f].relation == task_relation and f in task.labels
         ]
         points.append(DynamicPoint(q, len(new_pred), accuracy_score(clf, X_new, y_new)))
     return points

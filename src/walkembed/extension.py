@@ -16,9 +16,9 @@ stream first draws the partners, then the walks of one batch: S walks from
 the new fact per partner, followed by S walks from each partner (S =
 samples_per_partner), with the usual retries over dead ends and nulls.
 Row i of the first half is paired with row i of the second, the kernel is
-evaluated once over the pairs in which both walks succeeded, and each
-partner's target is the mean over its surviving pairs; a partner with none
-is dropped.
+evaluated once, on the sampled codes or floats, over the pairs in which
+both walks succeeded, and each partner's target is the mean over its
+surviving pairs; a partner with none is dropped.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 from .errors import NumericError, UsageError
 from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches it here)
     KernelMap,
+    column_kernel,
     kd_exact,
     kernel_eval,
-    kernel_eval_batch,
     kernel_for,
 )
 from .relational import Database
@@ -106,10 +106,10 @@ def extend_embedding(
     phi = dict(model.phi)
     n_draws = cfg.samples_per_partner
     for new_fact in new_fact_ids:
-        fact = db.fact(new_fact)
-        if fact.relation != model.start_relation:
+        relation = db.relation_of(new_fact)
+        if relation != model.start_relation:
             raise UsageError(
-                f"fact {new_fact} is in {fact.relation!r}, model embeds {model.start_relation!r}"
+                f"fact {new_fact} is in {relation!r}, model embeds {model.start_relation!r}"
             )
         rng = derive_rng(seed, "extend", str(db.key_of(new_fact)))
         blocks: list[np.ndarray] = []
@@ -137,15 +137,10 @@ def extend_embedding(
                 starts = np.concatenate(
                     [np.full(half, new_fact, dtype=np.int64), np.repeat(partners, n_draws)]
                 )
-                _, values = sample_target_values_batch(db, starts, tws, rng, retry_cap)
-                ok = [
-                    i for i in range(half)
-                    if values[i] is not None and values[half + i] is not None
-                ]
-                sims = kernel_eval_batch(
-                    spec, [values[i] for i in ok], [values[half + i] for i in ok]
-                )
-                owner = np.asarray(ok, dtype=np.int64) // n_draws
+                dests, values = sample_target_values_batch(db, starts, tws, rng, retry_cap)
+                ok = np.flatnonzero((dests[:half] >= 0) & (dests[half:] >= 0))
+                sims = column_kernel(spec, values[ok], values[half + ok])
+                owner = ok // n_draws
                 counts = np.bincount(owner, minlength=len(partners))
                 sums = np.bincount(owner, weights=sims, minlength=len(partners))
                 has = counts > 0  # a partner without a surviving pair is dropped

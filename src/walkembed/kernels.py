@@ -71,12 +71,34 @@ def _checked_values(spec: KernelSpec, values: Sequence[Value] | np.ndarray) -> n
             arr.dtype.kind == "U" and all(map(isinstance, values, repeat(str)))
         )
     if ok:
-        return arr.astype(np.float64, copy=False) if spec.kind == "numeric" else arr
+        return arr.astype(np.float64 if spec.kind == "numeric" else str, copy=False)
     if arr.dtype.kind == "O" and any(v is None for v in arr.ravel().tolist()):
         raise ValueError(f"kernel {spec.relation}.{spec.attribute} got a null argument")
     if spec.kind == "numeric":
         raise TypeError(f"numeric kernel {spec.relation}.{spec.attribute} got a non-number")
     raise TypeError(f"equality kernel {spec.relation}.{spec.attribute} got a non-string")
+
+
+def column_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
+    """The kernel over two aligned arrays of one column's values, as float64.
+
+    Equality kernels compare codes (or strings); the Gaussian takes floats.
+    The Gaussian runs ``np.exp``, which may differ from ``kernel_eval`` in
+    the last bit; with ``exact`` it applies ``math.exp`` per element to the
+    same argument, which is ``kernel_eval`` to the bit.
+    """
+    if (spec.kind == "numeric") != (a.dtype.kind == "f"):
+        raise TypeError(
+            f"{'numeric' if spec.kind == 'numeric' else 'equality'} kernel "
+            f"{spec.relation}.{spec.attribute} got a column of the other kind"
+        )
+    if spec.kind != "numeric":
+        return (a == b).astype(np.float64)
+    d = a - b
+    arg = -(d * d) / (2.0 * spec.sigma * spec.sigma)
+    if exact:
+        return np.fromiter(map(math.exp, arg.tolist()), dtype=np.float64, count=len(arg))
+    return np.exp(arg)
 
 
 def kernel_eval_batch(
@@ -85,19 +107,16 @@ def kernel_eval_batch(
     """``kernel_eval`` over two aligned value sequences, as a float64 array.
 
     Raises what ``kernel_eval`` raises for any element: ValueError on a
-    null, TypeError on a value of the wrong kind.  The Gaussian may differ
-    from ``kernel_eval`` in the last bit, where numpy's exp rounds
-    differently from the math module's."""
+    null, TypeError on a value of the wrong kind.  The checked values then
+    go through ``column_kernel``, so the Gaussian may differ from
+    ``kernel_eval`` in the last bit."""
     xa = _checked_values(spec, a)
     xb = _checked_values(spec, b)
     if xa.shape != xb.shape:
         raise ValueError(
             f"kernel {spec.relation}.{spec.attribute} got {xa.shape} and {xb.shape} values"
         )
-    if spec.kind == "numeric":
-        d = xa - xb
-        return np.exp(-(d * d) / (2.0 * spec.sigma * spec.sigma))
-    return (xa == xb).astype(np.float64)
+    return column_kernel(spec, xa, xb)
 
 
 def default_kernels(db: Database) -> KernelMap:
@@ -175,17 +194,13 @@ def kd_mc(
         raise UsageError("n_pairs must be positive")
     starts_a = np.full(n_pairs, fact_a, dtype=np.int64)
     starts_b = np.full(n_pairs, fact_b, dtype=np.int64)
-    _, vals_a = sample_target_values_batch(db, starts_a, tws, rng, retry_cap)
-    _, vals_b = sample_target_values_batch(db, starts_b, tws, rng, retry_cap)
-    kept = [
-        kernel_eval(spec, va, vb)
-        for va, vb in zip(vals_a, vals_b)
-        if va is not None and vb is not None
-    ]
-    if not kept:
+    dests_a, vals_a = sample_target_values_batch(db, starts_a, tws, rng, retry_cap)
+    dests_b, vals_b = sample_target_values_batch(db, starts_b, tws, rng, retry_cap)
+    ok = (dests_a >= 0) & (dests_b >= 0)
+    if not ok.any():
         raise NumericError(
             f"all {n_pairs} sampled pairs dead-ended for facts {fact_a},{fact_b}"
         )
-    arr = np.asarray(kept, dtype=np.float64)
+    arr = column_kernel(spec, vals_a[ok], vals_b[ok])
     stderr = float(np.std(arr, ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return KDEstimate(value=float(arr.mean()), n_pairs=len(arr), stderr=stderr)

@@ -1,14 +1,32 @@
 """Relational schemas, databases, and the foreign-key index.
 
 A database is a set of facts over a fixed schema.  Attribute values are
-plain Python objects: ``None`` for null, ``str`` for categorical and text
-attributes, ``float`` for numeric ones.  Every relation declares a key, and
-every foreign key must target the full key of its destination relation, so
-a non-null reference always resolves to exactly one fact.
+``None`` for null, ``str`` for categorical and text attributes and
+``float`` for numeric ones.  Every relation declares a key, and every
+foreign key must target the full key of its destination relation, so a
+non-null reference always resolves to exactly one fact.
 
 Facts get integer ids in load order across the whole database; ids are
 stable and serve as the identity of a fact everywhere else in the package.
 Databases are immutable once built.
+
+Values are stored as columns, and only as columns.  Each relation holds
+one ``Column`` per attribute over its facts in id order: categorical and
+text values as int32 codes into a value table of the distinct strings,
+numbered in the order they first occur (never in set or hash order, so
+codes do not depend on ``PYTHONHASHSEED``), numeric values as float64.
+Every column has a null mask.  Per fact id the database keeps the
+position of its relation in the schema and its row in that relation's
+columns (``row_of``), so a sampler reads the values its walks reach with
+array indexing instead of one Python lookup per row.  ``Fact`` tuples are
+built on demand: ``fact``, ``facts``, ``relation_facts``, ``attr_value``,
+``key_of`` and ``active_domain`` decode them from the columns, and
+``active_domain`` collects in id order, so a set of floats iterates as a
+row-by-row build made it.
+
+``build_database`` validates and encodes one column at a time.  When a
+column check fails, the per-row checks run over the input and raise the
+error of its first faulty row, with the message a row-by-row build gives.
 
 The foreign-key index holds one ``FkIndex`` of int64 arrays per foreign
 key, in schema order, and is the only form of the index: the walk
@@ -17,12 +35,18 @@ fact ``f`` references, or -1 when ``f`` is not in the source relation or
 has a null in a referencing attribute.  The backward direction is CSR:
 the facts referencing ``d`` are ``flat[offsets[d]:offsets[d + 1]]``, in
 ascending id (load) order.  ``build_database`` builds the arrays once.
-``insert_facts`` extends copies of its source's arrays with the batch's
-references, so the result equals a full rebuild on the combined rows and
-the source is left as it was.  ``drop_attribute`` (a column in no key and
-no foreign key) shares the fact ids, the key maps and the index arrays
-with its source; this is safe because nothing mutates them after
-construction and the index reads only key and foreign-key attributes.
+
+Derived databases share what they do not change, which is safe because
+nothing mutates a column, key map or index array after construction.
+``insert_facts`` validates its batch column by column as the build does,
+appends it to new copies of the touched relations' columns and key maps
+and extends copies of the index arrays, so the result equals a full
+rebuild on the combined rows; untouched relations keep the source's
+columns, key maps and id tuples.  A value table that gains strings is
+copied, not extended in place: many databases may be derived from one
+base, and each must keep its own numbering without seeing the others'
+strings.  ``drop_attribute`` (a column in no key and no foreign
+key) removes that one column and shares everything else with its source.
 There is no per-database cache.
 """
 
@@ -31,6 +55,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -184,20 +210,55 @@ class FkIndex(NamedTuple):
     flat: np.ndarray
 
 
+class Column(NamedTuple):
+    """One attribute over the facts of its relation, in id order.
+
+    ``data`` holds int32 codes into ``table`` for categorical and text
+    attributes and float64 values for numeric ones; ``null`` marks the null
+    rows, which hold code -1 or NaN.  ``codes`` maps each string of
+    ``table`` to its code.  ``table`` and ``codes`` are None for numeric
+    columns.  Nothing changes a column once it is built.
+    """
+
+    data: np.ndarray
+    null: np.ndarray
+    table: tuple[str, ...] | None
+    codes: dict[str, int] | None
+
+    def value(self, row: int) -> Value:
+        if self.null.item(row):
+            return None
+        v = self.data.item(row)
+        return v if self.table is None else self.table[v]
+
+    def values(self) -> list[Value]:
+        """The value of every row, None for nulls."""
+        if self.table is None:
+            return [None if n else v for v, n in zip(self.data.tolist(), self.null.tolist())]
+        table = self.table
+        return [table[c] if c >= 0 else None for c in self.data.tolist()]
+
+
 class Database:
-    """Immutable fact store plus the foreign-key index, one ``FkIndex`` per
-    foreign key in schema order."""
+    """Immutable column store plus the foreign-key index, one ``FkIndex``
+    per foreign key in schema order."""
 
     def __init__(
         self,
         schema: DatabaseSchema,
-        facts: tuple[Fact, ...],
+        columns: dict[str, tuple[Column, ...]],
+        rel_of: np.ndarray,
+        row_of: np.ndarray,
         by_relation: dict[str, tuple[int, ...]],
         key_to_fact: dict[str, dict[tuple[Value, ...], int]],
         fk_index: tuple[FkIndex, ...],
     ) -> None:
         self.schema = schema
-        self._facts = facts
+        self._columns = columns
+        # per fact id: its relation's position in schema.relations and its
+        # row in that relation's columns
+        self._rel_of = rel_of
+        self.row_of = row_of
         self._by_relation = by_relation
         self._key_to_fact = key_to_fact
         self.fk_index = fk_index
@@ -206,30 +267,59 @@ class Database:
 
     @property
     def n_facts(self) -> int:
-        return len(self._facts)
+        return len(self.row_of)
 
     @property
     def facts(self) -> tuple[Fact, ...]:
-        return self._facts
+        out: list[Fact] = [None] * self.n_facts  # type: ignore[list-item]
+        for rel in self.schema.relations:
+            for fact in self.relation_facts(rel.name):
+                out[fact.fact_id] = fact
+        return tuple(out)
+
+    def relation_of(self, fact_id: int) -> str:
+        return self.schema.relations[self._rel_of.item(fact_id)].name
 
     def fact(self, fact_id: int) -> Fact:
-        return self._facts[fact_id]
+        fact_id = int(fact_id)
+        row = self.row_of.item(fact_id)
+        relation = self.relation_of(fact_id)
+        # decoded inline: a Column.value call per attribute costs more than the decode
+        values = tuple([
+            None if null.item(row) else data.item(row) if table is None else table[data.item(row)]
+            for data, null, table, _ in self._columns[relation]
+        ])
+        return Fact(relation, values, fact_id)
 
     def relation_fact_ids(self, relation: str) -> tuple[int, ...]:
         self.schema.relation(relation)
         return self._by_relation.get(relation, ())
 
     def relation_facts(self, relation: str) -> list[Fact]:
-        return [self._facts[i] for i in self.relation_fact_ids(relation)]
+        ids = self.relation_fact_ids(relation)
+        rows = zip(*[c.values() for c in self._columns[relation]])
+        return [Fact(relation, values, fact_id) for fact_id, values in zip(ids, rows)]
+
+    def column(self, relation: str, attr: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...] | None]:
+        """(data, null mask, value table) of one attribute; rows follow
+        ``relation_fact_ids`` and a fact's row is ``row_of[fact_id]``."""
+        col = self._column(relation, attr)
+        return col.data, col.null, col.table
+
+    def attr_values(self, relation: str, attr: str) -> list[Value]:
+        """One attribute's values over the relation's facts, in id order."""
+        return self._column(relation, attr).values()
+
+    def _column(self, relation: str, attr: str) -> Column:
+        return self._columns[relation][self.schema.relation(relation).attr_index(attr)]
 
     def attr_value(self, fact_id: int, attr: str) -> Value:
-        fact = self._facts[fact_id]
-        return fact.values[self.schema.relation(fact.relation).attr_index(attr)]
+        return self._column(self.relation_of(fact_id), attr).value(self.row_of.item(fact_id))
 
     def key_of(self, fact_id: int) -> tuple[Value, ...]:
-        fact = self._facts[fact_id]
-        rel = self.schema.relation(fact.relation)
-        return tuple(fact.values[rel.attr_index(a)] for a in rel.key)
+        relation = self.relation_of(fact_id)
+        row = self.row_of.item(fact_id)
+        return tuple(self._column(relation, a).value(row) for a in self.schema.relation(relation).key)
 
     def fact_by_key(self, relation: str, key: tuple[Value, ...]) -> int | None:
         return self._key_to_fact.get(relation, {}).get(key)
@@ -247,13 +337,19 @@ class Database:
         return tuple(index.flat[index.offsets[fact_id] : index.offsets[fact_id + 1]].tolist())
 
     def active_domain(self, relation: str, attr: str) -> set[Value]:
-        rel = self.schema.relation(relation)
-        pos = rel.attr_index(attr)
-        return {self._facts[i].values[pos] for i in self.relation_fact_ids(relation)
-                if self._facts[i].values[pos] is not None}
+        # filled in id order: default_kernels sums the set in its iteration order
+        return {v for v in self.attr_values(relation, attr) if v is not None}
 
 
 # -- construction ----------------------------------------------------------
+#
+# Builds and inserts run column by column.  A column check only says that
+# something is wrong; the per-row checks then run over the input and raise
+# the error of its first faulty row.
+
+
+class _Fault(Exception):
+    """A column check failed; ``_check_rows`` finds the faulty row."""
 
 
 def _check_value(rel: RelationSchema, attr: AttributeDecl, value: Value, where: str, n: int) -> Value:
@@ -273,103 +369,192 @@ def _check_value(rel: RelationSchema, attr: AttributeDecl, value: Value, where: 
     return value
 
 
-def build_database(schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]]) -> Database:
-    """Build a database from (relation name, values) rows, ids in row order."""
-    facts: list[Fact] = []
-    by_relation: dict[str, list[int]] = {r: [] for r in schema.relation_names}
-    key_to_fact: dict[str, dict[tuple[Value, ...], int]] = {r: {} for r in schema.relation_names}
-    # Per relation, looked up once: schema, width, key positions and the
-    # key and id buckets the rows go into.
-    plans: dict[str, tuple] = {}
+def _check_rows(
+    schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]], db: Database | None
+) -> None:
+    """Check ``rows`` one at a time and raise the first error: a build's
+    when ``db`` is None, else an insert's into ``db`` (ids follow its own)."""
+    inserted = db is not None
+    where = "inserted row" if inserted else "row"
+    first_id = db.n_facts if inserted else 0
+    keys: dict[str, dict[tuple[Value, ...], int]] = {r: {} for r in schema.relation_names}
 
-    for rel_name, values in rows:
-        plan = plans.get(rel_name)
-        if plan is None:
-            rel = schema.relation(rel_name)
-            key_pos = tuple(rel.attr_index(a) for a in rel.key)
-            plan = plans[rel_name] = (
-                rel, len(rel.attributes), key_pos, key_to_fact[rel_name], by_relation[rel_name]
-            )
-        rel, width, key_pos, keys, ids = plan
-        if len(values) != width:
+    def known(rel_name: str, key: tuple[Value, ...]) -> bool:
+        return key in keys[rel_name] or (inserted and db.fact_by_key(rel_name, key) is not None)
+
+    checked_rows = []
+    for fact_id, (rel_name, values) in enumerate(rows, start=first_id):
+        rel = schema.relation(rel_name)
+        if len(values) != len(rel.attributes):
             raise IntegrityError(
-                f"relation {rel_name!r} expects {width} values, got {len(values)}"
+                f"relation {rel_name!r} expects {len(rel.attributes)} values, got {len(values)}"
             )
-        fact_id = len(facts)
         checked = tuple([
-            _check_value(rel, attr, v, "row", fact_id) for attr, v in zip(rel.attributes, values)
+            _check_value(rel, attr, v, where, fact_id) for attr, v in zip(rel.attributes, values)
         ])
-        key = tuple([checked[p] for p in key_pos])
+        key = tuple([checked[rel.attr_index(a)] for a in rel.key])
         if None in key:
-            raise IntegrityError(f"null key value in {rel_name!r} row {fact_id}")
-        if key in keys:
+            raise IntegrityError(
+                f"null key value in inserted {rel_name!r} row" if inserted
+                else f"null key value in {rel_name!r} row {fact_id}"
+            )
+        if known(rel_name, key):
             raise IntegrityError(f"duplicate key {key!r} in relation {rel_name!r}")
-        keys[key] = fact_id
-        facts.append(Fact(rel_name, checked, fact_id))
-        ids.append(fact_id)
-
-    by_relation_ids = {r: tuple(ids) for r, ids in by_relation.items()}
-    fk_index = _build_fk_index(schema, facts, by_relation_ids, key_to_fact)
-    return Database(schema, tuple(facts), by_relation_ids, key_to_fact, fk_index)
-
-
-def _build_fk_index(
-    schema: DatabaseSchema,
-    facts: Sequence[Fact],
-    by_relation: dict[str, tuple[int, ...]],
-    key_to_fact: dict[str, dict[tuple[Value, ...], int]],
-) -> tuple[FkIndex, ...]:
-    n = len(facts)
-    index: list[FkIndex] = []
+        keys[rel_name][key] = fact_id
+        checked_rows.append((rel_name, checked, fact_id))
     for fk in schema.foreign_keys:
-        src_rel = schema.relation(fk.src)
-        src_pos = [src_rel.attr_index(a) for a in fk.src_attrs]
-        dst_keys = key_to_fact[fk.dst]
-        srcs: list[int] = []
-        dsts: list[int] = []
-        for fact_id in by_relation[fk.src]:
-            values = facts[fact_id].values
-            ref = tuple([values[p] for p in src_pos])
-            if None in ref:
+        src_pos = [schema.relation(fk.src).attr_index(a) for a in fk.src_attrs]
+        for rel_name, checked, fact_id in checked_rows:
+            if rel_name != fk.src:
+                continue
+            ref = tuple([checked[p] for p in src_pos])
+            if None in ref or known(fk.dst, ref):
                 continue  # a null anywhere in the reference makes it non-referencing
-            dst_id = dst_keys.get(ref)
-            if dst_id is None:
-                raise IntegrityError(
-                    f"dangling reference {ref!r} from {fk.src}(id {fact_id}) via {fk.name}"
-                )
-            srcs.append(fact_id)
-            dsts.append(dst_id)
-        src = np.asarray(srcs, dtype=np.int64)
-        dst = np.asarray(dsts, dtype=np.int64)
-        fwd = np.full(n, -1, dtype=np.int64)
-        fwd[src] = dst
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=offsets[1:])
-        # sources come in ascending id order, so a stable sort by
-        # destination keeps each group in load order
-        index.append(FkIndex(fwd, offsets, src[np.argsort(dst, kind="stable")]))
-    return tuple(index)
+            raise IntegrityError(
+                f"dangling reference {ref!r} from inserted {fk.src} row via {fk.name}" if inserted
+                else f"dangling reference {ref!r} from {fk.src}(id {fact_id}) via {fk.name}"
+            )
 
 
-def _extend_fk_index(old: FkIndex, n: int, srcs: list[int], dsts: list[int]) -> FkIndex:
-    """``old`` grown to ``n`` facts plus the references ``srcs[i] -> dsts[i]``.
+_PLAIN_NUMERIC = {float, int, type(None)}
 
-    ``srcs`` must ascend and exceed every id ``old`` covers; then each new
+
+def _is_number(value: Value) -> bool:
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
+
+
+def _encode(attr: AttributeDecl, cells: Sequence[Value], old: Column) -> Column:
+    """The column of ``cells``, coded after ``old``'s value table.
+
+    A table that gains strings is a new table; ``old``'s is never changed.
+    """
+    n = len(cells)
+    null = np.fromiter(map(is_, cells, repeat(None)), dtype=bool, count=n)
+    if not attr.nullable and null.any():
+        raise _Fault
+    if attr.kind == "numeric":
+        if not set(map(type, cells)) <= _PLAIN_NUMERIC and not all(map(_is_number, cells)):
+            raise _Fault
+        data = np.array(cells, dtype=np.float64)  # None becomes NaN
+        if not np.isfinite(data[~null]).all():
+            raise _Fault
+        return Column(data, null, None, None)
+    seen = dict.fromkeys(cells)
+    seen.pop(None, None)
+    if not all(map(isinstance, seen, repeat(str))):
+        raise _Fault
+    table, codes = old.table, old.codes
+    fresh = [v for v in seen if v not in codes]
+    if fresh:
+        codes = {**codes, **dict(zip(fresh, range(len(table), len(table) + len(fresh))))}
+        table = table + tuple(fresh)
+    data = np.fromiter(map(codes.get, cells, repeat(-1)), dtype=np.int32, count=n)
+    return Column(data, null, table, codes)
+
+
+def _encode_relation(
+    rel: RelationSchema, rows: list[Sequence[Value]], old: tuple[Column, ...]
+) -> tuple[Column, ...]:
+    """The columns of ``rows`` of ``rel``, coded after ``old``'s."""
+    width = len(rel.attributes)
+    if not set(map(len, rows)) <= {width}:
+        raise _Fault
+    return tuple(map(_encode, rel.attributes, zip(*rows), old))
+
+
+def _key_map(rel: RelationSchema, cols: tuple[Column, ...], ids: list[int]) -> dict[tuple[Value, ...], int]:
+    key_cols = [cols[rel.attr_index(a)] for a in rel.key]
+    if any(c.null.any() for c in key_cols):
+        raise _Fault
+    keys = dict(zip(zip(*[c.values() for c in key_cols]), ids))
+    if len(keys) != len(ids):
+        raise _Fault
+    return keys
+
+
+def _references(
+    fk: ForeignKey,
+    rel: RelationSchema,
+    cols: tuple[Column, ...],
+    ids: np.ndarray,
+    dst_keys: dict[tuple[Value, ...], int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, destinations) of the facts ``ids`` of ``fk.src``, whose
+    columns are ``cols``; a fact with a null in the reference has none."""
+    ref_cols = [cols[rel.attr_index(a)] for a in fk.src_attrs]
+    has = ~ref_cols[0].null
+    for c in ref_cols[1:]:
+        has &= ~c.null
+    col = ref_cols[0]
+    if len(ref_cols) == 1 and col.table is not None and len(col.table) <= len(col.data):
+        # one lookup per distinct value
+        lut = np.fromiter((dst_keys.get((v,), -1) for v in col.table), np.int64, len(col.table))
+        dst = lut[col.data[has]]
+    else:
+        refs = zip(*[c.values() for c in ref_cols])
+        dst = np.fromiter((dst_keys.get(r, -1) for r, h in zip(refs, has.tolist()) if h), np.int64)
+    if (dst < 0).any():
+        raise _Fault
+    return ids[has], dst
+
+
+def _extend_fk_index(old: FkIndex, n: int, src: np.ndarray, dst: np.ndarray) -> FkIndex:
+    """``old`` grown to ``n`` facts plus the references ``src[i] -> dst[i]``.
+
+    ``src`` must ascend and exceed every id ``old`` covers; then each new
     source belongs at the end of its destination's group, and the groups
     stay in load order.  ``old`` is not changed.
     """
     n_old = len(old.fwd)
-    src = np.asarray(srcs, dtype=np.int64)
-    dst = np.asarray(dsts, dtype=np.int64)
     fwd = np.concatenate([old.fwd, np.full(n - n_old, -1, dtype=np.int64)])
     fwd[src] = dst
     order = np.argsort(dst, kind="stable")
     src, dst = src[order], dst[order]
     # offsets[i] grows by the number of new references to ids below i
     offsets = np.concatenate([old.offsets, np.full(n - n_old, old.offsets[-1])])
-    offsets += np.repeat(np.arange(len(dst) + 1), np.diff(dst + 1, prepend=0, append=n + 1))
+    offsets[1:] += np.cumsum(np.bincount(dst, minlength=n))
     ends = old.offsets[np.minimum(dst + 1, n_old)]
     return FkIndex(fwd, offsets, np.insert(old.flat, ends, src))
+
+
+def _split_rows(
+    schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]]
+) -> tuple[np.ndarray, list[Sequence[Value]]]:
+    """Each row's relation position in the schema, and the rows' values."""
+    pos = {r.name: i for i, r in enumerate(schema.relations)}
+    rel_of = np.fromiter(map(pos.__getitem__, map(itemgetter(0), rows)), np.int32, len(rows))
+    return rel_of, list(map(itemgetter(1), rows))
+
+
+def _empty_database(schema: DatabaseSchema) -> Database:
+    none = np.empty(0, dtype=np.int64)
+    columns = {
+        rel.name: tuple(
+            Column(np.empty(0), np.empty(0, dtype=bool), None, None) if a.kind == "numeric"
+            else Column(np.empty(0, dtype=np.int32), np.empty(0, dtype=bool), (), {})
+            for a in rel.attributes
+        )
+        for rel in schema.relations
+    }
+    return Database(
+        schema,
+        columns,
+        np.empty(0, dtype=np.int32),
+        none,
+        {r: () for r in schema.relation_names},
+        {r: {} for r in schema.relation_names},
+        tuple(FkIndex(none, np.zeros(1, dtype=np.int64), none) for _ in schema.foreign_keys),
+    )
+
+
+def build_database(schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]]) -> Database:
+    """Build a database from (relation name, values) rows, ids in row order."""
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    try:
+        return _append(_empty_database(schema), rows)
+    except Exception:
+        _check_rows(schema, rows, None)
+        raise
 
 
 def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
@@ -377,78 +562,75 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
 
     The whole batch is validated before anything is added; on error the
     original database is untouched.  Batch facts may reference each other.
-    The resulting index is identical to a full rebuild on the combined rows.
+    The result equals a full rebuild on the combined rows, index included.
+    Relations the batch does not touch keep the source's columns, key map
+    and id tuple; the touched ones get new copies with the batch appended.
     """
+    batch = [(f.relation, f.values) for f in new_facts]
+    try:
+        return _append(db, batch)
+    except Exception:
+        _check_rows(db.schema, batch, db)
+        raise
+
+
+def _append(db: Database, rows: Sequence[tuple[str, Sequence[Value]]]) -> Database:
+    """``db`` with ``rows`` appended, checked column by column; a failed
+    check raises, and ``db`` is never changed."""
     schema = db.schema
-    staged: list[Fact] = []
-    key_extra: dict[str, dict[tuple[Value, ...], int]] = {r: {} for r in schema.relation_names}
-    next_id = db.n_facts
-    for fact in new_facts:
-        rel = schema.relation(fact.relation)
-        if len(fact.values) != len(rel.attributes):
-            raise IntegrityError(
-                f"relation {fact.relation!r} expects {len(rel.attributes)} values, got {len(fact.values)}"
-            )
-        checked = tuple(
-            _check_value(rel, attr, v, "inserted row", next_id)
-            for attr, v in zip(rel.attributes, fact.values)
+    n_old = db.n_facts
+    rel_new, values = _split_rows(schema, rows)
+    row_new = np.empty(len(rows), dtype=np.int64)
+    columns = dict(db._columns)
+    by_relation = dict(db._by_relation)
+    key_to_fact = dict(db._key_to_fact)
+    added: dict[str, tuple[np.ndarray, tuple[Column, ...]]] = {}
+    for pos in np.flatnonzero(np.bincount(rel_new, minlength=len(schema.relations))).tolist():
+        rel = schema.relations[pos]
+        local = np.flatnonzero(rel_new == pos)
+        old = columns[rel.name]
+        row_new[local] = len(old[0].data) + np.arange(len(local))
+        ids = local + n_old
+        id_list = ids.tolist()
+        new = _encode_relation(rel, [values[i] for i in local.tolist()], old)
+        extra = _key_map(rel, new, id_list)
+        keys = key_to_fact[rel.name]
+        if not keys.keys().isdisjoint(extra.keys()):
+            raise _Fault
+        key_to_fact[rel.name] = {**keys, **extra} if keys else extra
+        columns[rel.name] = tuple(
+            Column(np.concatenate([o.data, c.data]), np.concatenate([o.null, c.null]), c.table, c.codes)
+            for o, c in zip(old, new)
         )
-        key = tuple(checked[rel.attr_index(a)] for a in rel.key)
-        if None in key:
-            raise IntegrityError(f"null key value in inserted {fact.relation!r} row")
-        if db.fact_by_key(fact.relation, key) is not None or key in key_extra[fact.relation]:
-            raise IntegrityError(f"duplicate key {key!r} in relation {fact.relation!r}")
-        key_extra[fact.relation][key] = next_id
-        staged.append(Fact(fact.relation, checked, next_id))
-        next_id += 1
+        by_relation[rel.name] = by_relation[rel.name] + tuple(id_list)
+        added[rel.name] = (ids, new)
 
-    def resolve(rel_name: str, key: tuple[Value, ...]) -> int | None:
-        hit = db.fact_by_key(rel_name, key)
-        if hit is not None:
-            return hit
-        return key_extra[rel_name].get(key)
-
-    # Validate all references (old facts cannot dangle; only new ones
-    # checked), then extend copies of the source's arrays.
-    fk_index: list[FkIndex] = []
+    n = n_old + len(rows)
+    none = np.empty(0, dtype=np.int64)
+    fk_index = []
     for pos, fk in enumerate(schema.foreign_keys):
-        src_rel = schema.relation(fk.src)
-        src_pos = [src_rel.attr_index(a) for a in fk.src_attrs]
-        srcs: list[int] = []
-        dsts: list[int] = []
-        for fact in staged:
-            if fact.relation != fk.src:
-                continue
-            ref = tuple(fact.values[p] for p in src_pos)
-            if None in ref:
-                continue
-            dst_id = resolve(fk.dst, ref)
-            if dst_id is None:
-                raise IntegrityError(
-                    f"dangling reference {ref!r} from inserted {fk.src} row via {fk.name}"
-                )
-            srcs.append(fact.fact_id)
-            dsts.append(dst_id)
-        fk_index.append(_extend_fk_index(db.fk_index[pos], next_id, srcs, dsts))
-
-    facts = db.facts + tuple(staged)
-    by_relation = {
-        r: db._by_relation.get(r, ()) + tuple(f.fact_id for f in staged if f.relation == r)
-        for r in schema.relation_names
-    }
-    key_to_fact = {
-        r: {**db._key_to_fact.get(r, {}), **key_extra[r]} for r in schema.relation_names
-    }
-    return Database(schema, facts, by_relation, key_to_fact, tuple(fk_index))
+        refs = (none, none)
+        if fk.src in added:
+            ids, new = added[fk.src]
+            refs = _references(fk, schema.relation(fk.src), new, ids, key_to_fact[fk.dst])
+        fk_index.append(_extend_fk_index(db.fk_index[pos], n, *refs))
+    return Database(
+        schema,
+        columns,
+        np.concatenate([db._rel_of, rel_new]),
+        np.concatenate([db.row_of, row_new]),
+        by_relation,
+        key_to_fact,
+        tuple(fk_index),
+    )
 
 
 def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
     """``db`` without one attribute of ``relation``, under the same fact ids.
 
     The attribute must be in neither the relation's key nor any foreign
-    key.  Then the key maps and the foreign-key index, which read only
-    key and foreign-key attributes, are the source's own and are shared
-    with it; only the facts of ``relation`` are rebuilt.
+    key.  The result drops that one column and shares every other column,
+    the key maps and the foreign-key index with the source.
     """
     rel = db.schema.relation(relation)
     drop = rel.attr_index(attribute)
@@ -464,11 +646,11 @@ def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
         tuple(new_rel if r.name == relation else r for r in db.schema.relations),
         db.schema.foreign_keys,
     )
-    facts = list(db.facts)
-    for fact_id in db.relation_fact_ids(relation):
-        values = facts[fact_id].values
-        facts[fact_id] = Fact(relation, values[:drop] + values[drop + 1 :], fact_id)
-    return Database(schema, tuple(facts), db._by_relation, db._key_to_fact, db.fk_index)
+    cols = db._columns[relation]
+    columns = {**db._columns, relation: cols[:drop] + cols[drop + 1 :]}
+    return Database(
+        schema, columns, db._rel_of, db.row_of, db._by_relation, db._key_to_fact, db.fk_index
+    )
 
 
 # -- schema and CSV loading -------------------------------------------------

@@ -203,7 +203,12 @@ def exact_value_distribution(
 # Many walkers advance together, one step at a time, through the database's
 # foreign-key arrays (see relational.py): a forward step indexes the dense
 # forward map, a backward step picks uniformly within each walker's CSR
-# range.  Walkers at -1 are dead and stay dead.
+# range.  Walkers at -1 are dead and stay dead.  Target values are read
+# from the end relation's column: each retry round gathers the rows of the
+# walks that arrived (``Database.row_of``), keeps those whose row is not
+# null and takes their codes or floats with one more index, so no value is
+# decoded to a Python object.  Callers compare codes for equality kernels;
+# codes of one column are equal exactly when the strings are.
 
 
 def _advance(db: Database, cur: np.ndarray, step: WalkStep, rng: np.random.Generator) -> np.ndarray:
@@ -250,36 +255,31 @@ def sample_target_values_batch(
     tws: TargetedWalkScheme,
     rng: np.random.Generator,
     retry_cap: int = 20,
-) -> tuple[np.ndarray, list[Value]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(destination ids with -1 for failures, their target values) per start.
 
     Each start retries dead ends and null destinations up to ``retry_cap``
-    attempts.
+    attempts.  The values are the target column (``Database.column``)
+    gathered at the destinations: codes or floats, meaningful where the
+    destination is not -1.
     """
     start = np.asarray(fact_ids, dtype=np.int64)
-    rel = db.schema.relation(tws.scheme.end_relation)
-    attr_pos = rel.attr_index(tws.target_attr)
-    facts = db.facts
+    data, null, _ = db.column(tws.scheme.end_relation, tws.target_attr)
     dests = np.full(len(start), -1, dtype=np.int64)
-    values: list[Value] = [None] * len(start)
+    values = np.zeros(len(start), dtype=data.dtype)
     pending = np.arange(len(start))
     for _ in range(max(1, retry_cap)):
         if len(pending) == 0:
             break
         got = sample_dest_batch(db, start[pending], tws.scheme, rng)
-        still = []
-        # plain ints: a numpy scalar per row costs more than the row's work
-        for row, dest in zip(pending.tolist(), got.tolist()):
-            if dest < 0:
-                still.append(row)
-                continue
-            v = facts[dest].values[attr_pos]
-            if v is None:
-                still.append(row)
-                continue
-            dests[row] = dest
-            values[row] = v
-        pending = np.asarray(still, dtype=np.int64)
+        ok = got >= 0
+        rows = db.row_of[got[ok]]
+        keep = ~null[rows]
+        ok[ok] = keep
+        done = pending[ok]
+        dests[done] = got[ok]
+        values[done] = data[rows[keep]]
+        pending = pending[~ok]
     return dests, values
 
 

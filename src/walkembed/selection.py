@@ -14,8 +14,8 @@ trained.  Higher score always means "keep".  Strategies:
 - kernel variance: the variance of the expected kernel distance across
   start-fact pairs, estimated from sampled walk pairs; a scheme whose
   similarity never varies cannot distinguish tuples.  After sampling, a
-  scheme costs one vectorised kernel pass and one grouping of the draws
-  by start pair.
+  scheme costs one vectorised kernel pass over the sampled codes or
+  floats and one grouping of the draws by start pair.
 - one epoch: train a throwaway model for a single epoch on all schemes
   and score each scheme by its mean loss in that epoch (negated is NOT
   applied: low loss means the scheme is easy to fit and carries little
@@ -43,10 +43,10 @@ import numpy as np
 from .errors import UsageError
 from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches it here)
     KernelMap,
+    column_kernel,
     default_kernels,
     kd_exact,
     kernel_eval,
-    kernel_eval_batch,
     kernel_for,
 )
 from .relational import Database, build_database
@@ -224,7 +224,7 @@ def score_kvar(
         dests_a, vals_a = sample_target_values_batch(db, facts_a, tws, rng, retry_cap)
         dests_b, vals_b = sample_target_values_batch(db, facts_b, tws, rng, retry_cap)
         ok = np.flatnonzero((dests_a >= 0) & (dests_b >= 0))
-        k = kernel_eval_batch(spec, [vals_a[i] for i in ok], [vals_b[i] for i in ok])
+        k = column_kernel(spec, vals_a[ok], vals_b[ok])
         lo = np.minimum(facts_a[ok], facts_b[ok])
         hi = np.maximum(facts_a[ok], facts_b[ok])
         _, pair = np.unique(lo * db.n_facts + hi, return_inverse=True)
@@ -323,20 +323,19 @@ def build_sample_database(
         if fid in closed:
             continue
         closed.add(fid)
-        fact = db.fact(fid)
+        relation = db.relation_of(fid)
         for pos, fk in enumerate(db.schema.foreign_keys):
-            if fk.src == fact.relation:
+            if fk.src == relation:
                 dst = db.forward_ref(pos, fid)
                 if dst is not None and dst not in closed:
                     frontier.append(dst)
-            if fk.dst == fact.relation:
+            if fk.dst == relation:
                 for src in db.back_refs(pos, fid):
                     if src not in closed:
                         frontier.append(src)
 
     ordered = sorted(closed)
-    rows = [(db.fact(fid).relation, db.fact(fid).values) for fid in ordered]
-    sub = build_database(db.schema, rows)
+    sub = build_database(db.schema, [(f.relation, f.values) for f in map(db.fact, ordered)])
     return sub, {old: new for new, old in enumerate(ordered)}
 
 

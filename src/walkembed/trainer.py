@@ -31,9 +31,14 @@ at k=16 on a 2-vCPU Xeon VM about 30 µs for up to four updates and about
 2 µs per further update.  With 16 schemes on 80 start facts a level holds
 about 6 updates, so an update costs about 6 µs, against 14-20 µs for one
 ``sgd_step`` call; with two start facts every level holds one update.  A fixed seed fixes phi, psi and
-the losses (tests/test_golden.py holds their hashes).  Kernel targets stay
-on the scalar ``kernel_eval``, because ``np.exp`` can round the Gaussian
-differently from ``math.exp``.
+the losses (tests/test_golden.py holds their hashes).
+
+Kernel targets come from arrays: the sampler returns each scheme's target
+column gathered at the walk destinations, a sample is skipped where either
+side has no destination, equality kernels compare codes, and the
+Gaussian's argument is computed with numpy and ``math.exp`` applied per
+element.  That is the scalar ``kernel_eval`` to the bit; ``np.exp`` can
+round the Gaussian differently.
 """
 
 from __future__ import annotations
@@ -46,7 +51,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .kernels import KernelMap, default_kernels, kernel_eval, kernel_for
+from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches it here)
+    KernelMap,
+    column_kernel,
+    default_kernels,
+    kernel_eval,
+    kernel_for,
+)
 from .relational import Database
 from .schemes import TargetedWalkScheme, sample_target_values_batch, targeted_text
 from .seeding import derive_rng
@@ -266,32 +277,28 @@ def train_epoch(
         raise UsageError("start relation needs at least two facts for partner sampling")
     rng = derive_rng(cfg.seed, "epoch", epoch_index)
 
-    # Surviving samples as parallel lists: fact and partner by position in
-    # start_ids, each scheme by its index in active.
+    # Surviving samples, one array per scheme: fact and partner by position
+    # in start_ids, each scheme by its index in active.  The empty first
+    # part lets an epoch without active schemes concatenate too.
     active = list(model.active_schemes)
-    facts: list[int] = []
-    partners: list[int] = []
-    scheme_of: list[int] = []
-    kappas: list[float] = []
+    none = np.empty(0, dtype=np.int64)
+    parts: list[tuple[np.ndarray, ...]] = [(none, none, none, np.empty(0))]
     skipped = 0
     sample_s = kernel_s = 0.0
     for s, tws in enumerate(active):
         t1 = time.perf_counter()
         spec = kernel_for(kernels, tws)
         fpos, ppos = _draw_partners(len(start_ids), cfg.n_samples, rng)
-        _, vals_f = sample_target_values_batch(db, start_ids[fpos], tws, rng, cfg.retry_cap)
-        _, vals_p = sample_target_values_batch(db, start_ids[ppos], tws, rng, cfg.retry_cap)
+        dests_f, vals_f = sample_target_values_batch(db, start_ids[fpos], tws, rng, cfg.retry_cap)
+        dests_p, vals_p = sample_target_values_batch(db, start_ids[ppos], tws, rng, cfg.retry_cap)
         t2 = time.perf_counter()
         sample_s += t2 - t1
-        for f, p, a, b in zip(fpos.tolist(), ppos.tolist(), vals_f, vals_p):
-            if a is None or b is None:
-                skipped += 1
-                continue
-            facts.append(f)
-            partners.append(p)
-            scheme_of.append(s)
-            kappas.append(kernel_eval(spec, a, b))
+        ok = (dests_f >= 0) & (dests_p >= 0)
+        kappa = column_kernel(spec, vals_f[ok], vals_p[ok], exact=True)
+        skipped += len(ok) - len(kappa)
+        parts.append((fpos[ok], ppos[ok], np.full(len(kappa), s, dtype=np.int64), kappa))
         kernel_s += time.perf_counter() - t2
+    facts, partners, scheme_of, kappas = map(np.concatenate, zip(*parts))
 
     # The rows and active matrices are copied in, updated level by level and
     # written back into the model's arrays once; frozen psi stay untouched.
@@ -300,15 +307,9 @@ def train_epoch(
     phi_rows = [model.phi[f] for f in start_ids.tolist()]
     psi_mats = [model.psi[t] for t in active]
     phi, psi = np.stack(phi_rows), np.array(psi_mats).reshape(len(active), model.k, model.k)
-    shuffled = np.asarray(scheme_of, dtype=np.int64)[order]
+    shuffled = scheme_of[order]
     losses, n_levels = _apply_levels(
-        phi,
-        psi,
-        np.asarray(facts, dtype=np.int64)[order],
-        np.asarray(partners, dtype=np.int64)[order],
-        shuffled,
-        np.asarray(kappas, dtype=np.float64)[order],
-        cfg.learning_rate,
+        phi, psi, facts[order], partners[order], shuffled, kappas[order], cfg.learning_rate
     )
     bad = np.flatnonzero(~np.isfinite(losses))
     if len(bad):

@@ -1,8 +1,17 @@
-"""Shared fixtures: small databases with hand-checkable structure."""
+"""Shared fixtures: small databases with hand-checkable structure, and
+the decoding of sampled target values."""
 
 import pytest
 
 from walkembed.relational import Value, build_database, schema_from_dict
+
+
+def decoded(db, tws, dests, values) -> list[Value]:
+    """``sample_target_values_batch``'s codes or floats as Python values,
+    through ``Database.column``; None where no destination was reached."""
+    _, _, table = db.column(tws.scheme.end_relation, tws.target_attr)
+    decode = (lambda v: v) if table is None else table.__getitem__
+    return [None if d < 0 else decode(v) for d, v in zip(dests.tolist(), values.tolist())]
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import walkembed.evaluation as evaluation
+from walkembed.seeding import derive_rng
 from walkembed.errors import NumericError, UsageError
 from walkembed.evaluation import (
     ExperimentConfig,
@@ -707,3 +708,93 @@ def test_dynamic_protocol_single_class_remainder_is_an_error():
         dynamic_protocol(
             setup.db, "item", "cls", 1, cfg, fractions=(0.6,), seed=1
         )
+
+
+def _reference_cascade(db, chosen):
+    """The deletion cascade as first written: follow every removed fact's
+    back references, one fact and one foreign key at a time, until the
+    set stops growing."""
+    removed = set(int(x) for x in chosen)
+    grew = True
+    while grew:
+        grew = False
+        for pos, fk in enumerate(db.schema.foreign_keys):
+            for dst in list(removed):
+                if db.fact(dst).relation != fk.dst:
+                    continue
+                for src in db.back_refs(pos, dst):
+                    if src not in removed:
+                        removed.add(src)
+                        grew = True
+    return removed
+
+
+def _reference_dynamic_protocol(raw_db, task_relation, task_attribute, max_length, trainer, fractions, seed):
+    """``dynamic_protocol`` as first written, with the per-fact cascade,
+    id map and rebuild; returns the points and each fraction's removed set."""
+    db, task = evaluation.strip_attribute(raw_db, task_relation, task_attribute)
+    labeled = [f for f in db.relation_fact_ids(task_relation) if f in task.labels]
+    points, removed_sets = [], []
+    for q in fractions:
+        rng = derive_rng(seed, "dynamic", repr(q))
+        n_remove = max(1, int(round(q * len(labeled))))
+        if n_remove >= len(labeled) - 1:
+            n_remove = len(labeled) - 2
+        chosen = rng.choice(np.asarray(labeled, dtype=np.int64), size=n_remove, replace=False)
+        removed = _reference_cascade(db, chosen)
+        removed_sets.append(removed)
+        reduced = build_database(
+            db.schema, [(db.fact(f).relation, db.fact(f).values) for f in range(db.n_facts) if f not in removed]
+        )
+        old_to_new, new_id = {}, 0
+        for f in range(db.n_facts):
+            if f not in removed:
+                old_to_new[f] = new_id
+                new_id += 1
+        schemes = enumerate_targeted_schemes(db.schema, task_relation, max_length)
+        cfg = replace(trainer, seed=seed)
+        model, _ = evaluation.train(reduced, task_relation, schemes, cfg, evaluation.default_kernels(reduced))
+        train_ids = [old_to_new[f] for f in labeled if f not in removed]
+        clf = train_classifier(
+            evaluation._labeled_matrix(model, train_ids), [task.labels[f] for f in labeled if f not in removed]
+        )
+        insert_order = sorted(removed)
+        extended_db = insert_facts(reduced, [Fact(db.fact(f).relation, db.fact(f).values) for f in insert_order])
+        new_ids = {old: reduced.n_facts + i for i, old in enumerate(insert_order)}
+        pred = [f for f in insert_order if db.fact(f).relation == task_relation and f in task.labels]
+        extended = evaluation.extend_embedding(
+            extended_db, model, [new_ids[f] for f in pred], evaluation.ExtensionConfig(),
+            evaluation.default_kernels(extended_db), seed=seed,
+        )
+        X_new = np.stack([extended.phi[new_ids[f]] for f in pred])
+        points.append(
+            evaluation.DynamicPoint(q, len(pred), accuracy_score(clf, X_new, [task.labels[f] for f in pred]))
+        )
+    return points, removed_sets
+
+
+def test_dynamic_protocol_matches_the_per_fact_reference():
+    setup = planted_database(n_items=16, n_obs=2, seed=3)
+    cfg = TrainConfig(k=4, n_samples=2, epochs=2, learning_rate=0.1, seed=0)
+    fractions = (0.2, 0.4, 0.6)
+    want, removed_sets = _reference_dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions, 5)
+    assert evaluation.dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=fractions, seed=5) == want
+    db, task = strip_attribute(setup.db, "item", "cls")
+    labeled = [f for f in db.relation_fact_ids("item") if f in task.labels]
+    for q, removed in zip(fractions, removed_sets):
+        chosen = derive_rng(5, "dynamic", repr(q)).choice(
+            np.asarray(labeled, dtype=np.int64), size=max(1, int(round(q * len(labeled)))), replace=False
+        )
+        assert len(removed) > len(chosen)  # the cascade reached the observations
+        assert set(np.flatnonzero(evaluation._cascade(db, chosen)).tolist()) == removed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cascade_matches_the_per_fact_reference_on_random_databases(seed):
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    rng = np.random.default_rng(seed)
+    for size in (1, 3):
+        chosen = rng.choice(db.n_facts, size=min(size, db.n_facts), replace=False)
+        got = set(np.flatnonzero(evaluation._cascade(db, chosen)).tolist())
+        assert got == _reference_cascade(db, chosen)

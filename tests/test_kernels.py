@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import (
     KernelSpec,
+    column_kernel,
     default_kernels,
     kd_exact,
     kd_mc,
@@ -120,6 +121,27 @@ def test_kernel_eval_batch_matches_scalar_elementwise():
     assert kernel_eval_batch(equality, [], []).shape == (0,)
     with pytest.raises(ValueError):
         kernel_eval_batch(numeric, [1.0, 2.0], [1.0])
+
+
+def test_column_kernel_is_kernel_eval_on_codes_and_floats():
+    """Codes compare as their strings do; with ``exact`` the Gaussian is
+    ``kernel_eval`` to the bit, and a column of the other kind is refused."""
+    numeric = KernelSpec("S", "D", "numeric", sigma=1.3)
+    rng = np.random.default_rng(1)
+    a, b = rng.normal(size=100), rng.normal(size=100)
+    exact = column_kernel(numeric, a, b, exact=True)
+    assert exact.tolist() == [kernel_eval(numeric, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert column_kernel(numeric, a, b).tolist() == pytest.approx(exact.tolist(), rel=1e-15)
+    equality = KernelSpec("S", "sval", "categorical")
+    table = ("x", "y", "z")
+    ca, cb = rng.integers(0, 3, size=100).astype(np.int32), rng.integers(0, 3, size=100).astype(np.int32)
+    assert column_kernel(equality, ca, cb).tolist() == [
+        kernel_eval(equality, table[x], table[y]) for x, y in zip(ca.tolist(), cb.tolist())
+    ]
+    with pytest.raises(TypeError):
+        column_kernel(numeric, ca, cb)
+    with pytest.raises(TypeError):
+        column_kernel(equality, a, b)
 
 
 def test_kernel_spec_validation():

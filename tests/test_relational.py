@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from walkembed.errors import IntegrityError, SchemaError
 from walkembed.relational import (
@@ -558,3 +560,323 @@ def test_random_database_numeric_domains_finite():
                 continue
             for v in db.active_domain(rel.name, attr.name):
                 assert np.isfinite(v)
+
+
+# -- the column store against the per-row build -------------------------------------
+
+
+def _reference_check_value(rel, attr, value, where, n):
+    if value is None:
+        if not attr.nullable:
+            raise IntegrityError(f"null in non-nullable attribute {rel.name}.{attr.name} ({where} {n})")
+        return None
+    if attr.kind == "numeric":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise IntegrityError(f"non-numeric value {value!r} in {rel.name}.{attr.name} ({where} {n})")
+        if not math.isfinite(value):
+            raise IntegrityError(f"non-finite value {value!r} in {rel.name}.{attr.name} ({where} {n})")
+        return float(value)
+    if not isinstance(value, str):
+        raise IntegrityError(f"expected string for {rel.name}.{attr.name}, got {value!r} ({where} {n})")
+    return value
+
+
+def _reference_build_database(schema, rows):
+    """The build as first written: one fact at a time, checked, keyed and
+    stored as a ``Fact``, then each foreign key's references in id order.
+    Returns (facts, key maps, per foreign key (fwd, offsets, flat))."""
+    facts = []
+    by_relation = {r: [] for r in schema.relation_names}
+    key_to_fact = {r: {} for r in schema.relation_names}
+    for rel_name, values in rows:
+        rel = schema.relation(rel_name)
+        width = len(rel.attributes)
+        if len(values) != width:
+            raise IntegrityError(f"relation {rel_name!r} expects {width} values, got {len(values)}")
+        fact_id = len(facts)
+        checked = tuple(
+            _reference_check_value(rel, attr, v, "row", fact_id) for attr, v in zip(rel.attributes, values)
+        )
+        key = tuple(checked[rel.attr_index(a)] for a in rel.key)
+        if None in key:
+            raise IntegrityError(f"null key value in {rel_name!r} row {fact_id}")
+        if key in key_to_fact[rel_name]:
+            raise IntegrityError(f"duplicate key {key!r} in relation {rel_name!r}")
+        key_to_fact[rel_name][key] = fact_id
+        facts.append(Fact(rel_name, checked, fact_id))
+        by_relation[rel_name].append(fact_id)
+    n = len(facts)
+    index = []
+    for fk in schema.foreign_keys:
+        src_pos = [schema.relation(fk.src).attr_index(a) for a in fk.src_attrs]
+        srcs, dsts = [], []
+        for fact_id in by_relation[fk.src]:
+            ref = tuple(facts[fact_id].values[p] for p in src_pos)
+            if None in ref:
+                continue
+            dst_id = key_to_fact[fk.dst].get(ref)
+            if dst_id is None:
+                raise IntegrityError(f"dangling reference {ref!r} from {fk.src}(id {fact_id}) via {fk.name}")
+            srcs.append(fact_id)
+            dsts.append(dst_id)
+        fwd = np.full(n, -1, dtype=np.int64)
+        fwd[srcs] = dsts
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.asarray(dsts, dtype=np.int64), minlength=n), out=offsets[1:])
+        flat = np.asarray([s for _, s in sorted(zip(dsts, srcs))], dtype=np.int64)
+        index.append((fwd, offsets, flat))
+    return facts, key_to_fact, index
+
+
+def _assert_matches_reference(db, rows):
+    facts, key_to_fact, index = _reference_build_database(db.schema, rows)
+    assert db.n_facts == len(facts)
+    for i, want in enumerate(facts):
+        got = db.fact(i)
+        assert got == want
+        assert [type(v) for v in got.values] == [type(v) for v in want.values]
+    assert list(db.facts) == facts
+    for rel in db.schema.relations:
+        assert db.relation_facts(rel.name) == [f for f in facts if f.relation == rel.name]
+        assert len(db.relation_fact_ids(rel.name)) == len(key_to_fact[rel.name])
+        for key, fact_id in key_to_fact[rel.name].items():
+            assert db.fact_by_key(rel.name, key) == fact_id
+            assert db.key_of(fact_id) == key
+        for pos, attr in enumerate(rel.attributes):
+            want_domain = {f.values[pos] for f in facts if f.relation == rel.name and f.values[pos] is not None}
+            got_domain = db.active_domain(rel.name, attr.name)
+            assert got_domain == want_domain
+            assert list(got_domain) == list(want_domain)  # same iteration order, so the same sigma
+    for got, want in zip(db.fk_index, index):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+
+def _shuffled_rows(db, order_seed):
+    """The rows of ``db`` in an order that interleaves the relations."""
+    rows = [(f.relation, f.values) for f in db.facts]
+    order = np.random.default_rng(order_seed).permutation(len(rows))
+    return [rows[i] for i in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=400), order_seed=st.integers(min_value=0, max_value=1000))
+def test_column_build_matches_per_row_build(seed, order_seed):
+    schema = random_schema(seed)
+    rows = _shuffled_rows(random_database(schema, seed), order_seed)
+    _assert_matches_reference(build_database(schema, rows), rows)
+
+
+def test_columns_code_strings_in_first_seen_order(toy_schema):
+    db = build_database(toy_schema, [("R", ("y", "b2")), ("S", ("y", None)), ("R", ("x", "b1")), ("S", ("x", 2.5))])
+    data, null, table = db.column("R", "A")
+    assert table == ("y", "x") and data.dtype == np.int32 and data.tolist() == [0, 1]
+    data, null, table = db.column("S", "D")
+    assert table is None and data.dtype == np.float64
+    assert null.tolist() == [True, False] and data[1] == 2.5
+    assert db.row_of.tolist() == [0, 0, 1, 1]
+
+
+_FAULTS = [
+    "wide", "narrow", "string_number", "bool_number", "non_finite",
+    "null_non_nullable", "null_key", "duplicate_key", "dangling", "unknown_relation",
+]
+
+
+def _inject(schema, rows, fault, row_pick, taken):
+    """``rows`` with ``fault`` put into one of the rows it fits outside
+    ``taken``, picked by ``row_pick``, and that row's index; None when no
+    row fits."""
+
+    def numeric_pos(rel_name):
+        rel = schema.relation(rel_name)
+        return [i for i, a in enumerate(rel.attributes) if a.kind == "numeric"]
+
+    def fk_pos(rel_name):
+        rel = schema.relation(rel_name)
+        return [rel.attr_index(fk.src_attrs[0]) for fk in schema.foreign_keys if fk.src == rel_name]
+
+    fits = {
+        "string_number": lambda r: bool(numeric_pos(r[0])),
+        "bool_number": lambda r: bool(numeric_pos(r[0])),
+        "non_finite": lambda r: bool(numeric_pos(r[0])),
+        "duplicate_key": lambda r: sum(1 for s in rows if s[0] == r[0]) > 1,
+        "dangling": lambda r: bool(fk_pos(r[0])),
+    }.get(fault, lambda r: True)
+    candidates = [i for i, r in enumerate(rows) if i not in taken and fits(r)]
+    if not candidates:
+        return None
+    i = candidates[row_pick % len(candidates)]
+    rel_name, values = rows[i]
+    values = list(values)
+    rel = schema.relation(rel_name)
+    id_pos = rel.attr_index("id")
+    if fault == "wide":
+        values.append("extra")
+    elif fault == "narrow":
+        values.pop()
+    elif fault in ("string_number", "bool_number", "non_finite"):
+        values[numeric_pos(rel_name)[0]] = {"string_number": "1.5", "bool_number": True, "non_finite": math.inf}[fault]
+    elif fault in ("null_non_nullable", "null_key"):
+        values[id_pos] = None
+    elif fault == "duplicate_key":
+        other = next(r for j, r in enumerate(rows) if r[0] == rel_name and j != i)
+        values[id_pos] = other[1][id_pos]
+    elif fault == "dangling":
+        values[fk_pos(rel_name)[0]] = "nowhere"
+    else:
+        rel_name = "NOPE"
+    return rows[:i] + [(rel_name, tuple(values))] + rows[i + 1 :], i
+
+
+def _error_of(build, *args):
+    try:
+        build(*args)
+    except (IntegrityError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=400),
+    order_seed=st.integers(min_value=0, max_value=1000),
+    faults=st.lists(
+        st.tuples(st.sampled_from(_FAULTS), st.integers(min_value=0, max_value=10_000)), min_size=1, max_size=2
+    ),
+)
+def test_build_errors_match_per_row_build(seed, order_seed, faults):
+    """One or two faults at random rows: the column build raises the
+    error of the first faulty row, as the per-row build does."""
+    schema = random_schema(seed)
+    if any(fault == "null_key" for fault, _ in faults):
+        # a key attribute declared nullable: the null reaches the key check
+        doc = schema_to_dict(schema)
+        for rel in doc["relations"]:
+            rel["attributes"][0]["nullable"] = True
+        schema = schema_from_dict(doc)
+    rows = _shuffled_rows(random_database(schema, seed), order_seed)
+    taken: set[int] = set()
+    for fault, row_pick in faults:
+        injected = _inject(schema, rows, fault, row_pick, taken)
+        assume(injected is not None)
+        rows, i = injected
+        taken.add(i)
+    want = _error_of(_reference_build_database, schema, rows)
+    assert want is not None
+    assert _error_of(build_database, schema, rows) == want
+
+
+def _snapshot(db):
+    return [
+        (c.data.copy(), c.null.copy(), c.table, dict(c.codes) if c.codes is not None else None)
+        for rel in db.schema.relations
+        for c in db._columns[rel.name]
+    ]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_inserts_from_one_base_leave_the_base_and_each_other_alone(seed):
+    """Two databases derived from one base, each with new strings in its
+    columns: both equal a rebuild from their rows, and the base's columns
+    and value tables are as they were."""
+    schema = random_schema(seed)
+    base = random_database(schema, seed)
+    rows = [(f.relation, f.values) for f in base.facts]
+    before = _snapshot(base)
+    grown = []
+    for tag in ("a_", "b_"):
+        batch = _linked_batch(base, tag)
+        # fresh strings in every categorical non-reference column
+        batch = [
+            Fact(f.relation, tuple(
+                f"{tag}{v}" if isinstance(v, str) and a.name.startswith("x") else v
+                for a, v in zip(schema.relation(f.relation).attributes, f.values)
+            ))
+            for f in batch
+        ]
+        grown.append((insert_facts(base, batch), rows + [(f.relation, f.values) for f in batch]))
+    for db, all_rows in grown:
+        _assert_matches_reference(db, all_rows)
+    after = _snapshot(base)
+    for (d0, n0, t0, c0), (d1, n1, t1, c1) in zip(before, after):
+        assert np.array_equal(d0, d1, equal_nan=d0.dtype.kind == "f") and np.array_equal(n0, n1)
+        assert t0 == t1 and c0 == c1
+    _assert_matches_reference(base, rows)
+
+
+def test_insert_shares_the_columns_of_untouched_relations(chain_db):
+    grown = insert_facts(chain_db, [Fact("R", ("r9",))])
+    assert grown._columns["S"] is chain_db._columns["S"]
+    assert grown._key_to_fact["S"] is chain_db._key_to_fact["S"]
+    assert grown.relation_fact_ids("S") is chain_db.relation_fact_ids("S")
+    assert grown._columns["R"] is not chain_db._columns["R"]
+
+
+def _reference_insert(db, rows):
+    """The insert checks as first written, one batch row at a time, then
+    each foreign key's references in batch order; raises what they raise."""
+    schema = db.schema
+    staged = []
+    key_extra = {r: {} for r in schema.relation_names}
+    next_id = db.n_facts
+    for rel_name, values in rows:
+        rel = schema.relation(rel_name)
+        if len(values) != len(rel.attributes):
+            raise IntegrityError(f"relation {rel_name!r} expects {len(rel.attributes)} values, got {len(values)}")
+        checked = tuple(
+            _reference_check_value(rel, attr, v, "inserted row", next_id) for attr, v in zip(rel.attributes, values)
+        )
+        key = tuple(checked[rel.attr_index(a)] for a in rel.key)
+        if None in key:
+            raise IntegrityError(f"null key value in inserted {rel_name!r} row")
+        if db.fact_by_key(rel_name, key) is not None or key in key_extra[rel_name]:
+            raise IntegrityError(f"duplicate key {key!r} in relation {rel_name!r}")
+        key_extra[rel_name][key] = next_id
+        staged.append((rel_name, checked))
+        next_id += 1
+    for fk in schema.foreign_keys:
+        src_pos = [schema.relation(fk.src).attr_index(a) for a in fk.src_attrs]
+        for rel_name, checked in staged:
+            if rel_name != fk.src:
+                continue
+            ref = tuple(checked[p] for p in src_pos)
+            if None in ref:
+                continue
+            if db.fact_by_key(fk.dst, ref) is None and ref not in key_extra[fk.dst]:
+                raise IntegrityError(f"dangling reference {ref!r} from inserted {fk.src} row via {fk.name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=400),
+    fault=st.sampled_from(_FAULTS + ["existing_key"]),
+    row_pick=st.integers(min_value=0, max_value=10_000),
+)
+def test_insert_errors_match_per_row_insert(seed, fault, row_pick):
+    """A batch with one fault at a random row: insert_facts raises what
+    the per-row insert raised, and the source is left as it was."""
+    schema = random_schema(seed)
+    if fault == "null_key":
+        doc = schema_to_dict(schema)
+        for rel in doc["relations"]:
+            rel["attributes"][0]["nullable"] = True
+        schema = schema_from_dict(doc)
+    db = random_database(schema, seed)
+    rows = [(f.relation, f.values) for f in _linked_batch(db, "n_")]
+    if fault == "existing_key":
+        i = row_pick % len(rows)
+        rel_name, values = rows[i]
+        rows[i] = (rel_name, (db.key_of(db.relation_fact_ids(rel_name)[0])[0],) + tuple(values[1:]))
+    else:
+        injected = _inject(schema, rows, fault, row_pick, set())
+        assume(injected is not None)
+        rows = injected[0]
+    want = _error_of(_reference_insert, db, rows)
+    assert want is not None
+    before = _snapshot(db)
+    assert _error_of(insert_facts, db, [Fact(r, v) for r, v in rows]) == want
+    for (d0, n0, t0, c0), (d1, n1, t1, c1) in zip(before, _snapshot(db)):
+        assert np.array_equal(d0, d1, equal_nan=d0.dtype.kind == "f") and np.array_equal(n0, n1)
+        assert t0 == t1 and c0 == c1

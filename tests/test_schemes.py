@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import decoded
+
 from walkembed.errors import SchemaError, UsageError
 from walkembed.relational import Fact, insert_facts
 from walkembed.schemes import (
@@ -306,6 +308,7 @@ def test_sample_target_values_batch_marks_dead_rows(chain_db):
     rng = derive_rng(4, "tv")
     starts = np.array([0, 1, 0], dtype=np.int64)
     dests, values = sample_target_values_batch(chain_db, starts, tws, rng)
+    values = decoded(chain_db, tws, dests, values)
     assert dests[1] == -1 and values[1] is None
     assert values[0] in ("va", "vb") and values[2] in ("va", "vb")
 
@@ -323,7 +326,7 @@ def test_sample_target_values_batch_retries_null_values(chain_schema):
     rng = derive_rng(5, "retry")
     starts = np.full(200, 0, dtype=np.int64)
     dests, values = sample_target_values_batch(db, starts, tws, rng)
-    assert all(v == "va" for v in values)
+    assert all(v == "va" for v in decoded(db, tws, dests, values))
     assert np.all(dests == 1)
 
 
@@ -444,6 +447,7 @@ def _assert_sampler_matches_reference(db, starts, tws, rng_seed, retry_cap):
     want_dests, want_values = _reference_target_values_batch(db, starts, tws, rng_ref, retry_cap)
     assert dests.dtype == want_dests.dtype
     assert np.array_equal(dests, want_dests)
+    values = decoded(db, tws, dests, values)
     assert values == want_values
     assert [type(v) for v in values] == [type(v) for v in want_values]
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import decoded
+
 from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
 from walkembed.relational import build_database, schema_from_dict
@@ -249,8 +251,9 @@ def _reference_kvar(db, schemes, kernels, pair_budget, seed, retry_cap=20):
         pos_b = (pos_a + 1 + rng.integers(0, m - 1, size=pair_budget)) % m
         facts_a = start_ids[pos_a]
         facts_b = start_ids[pos_b]
-        _, vals_a = sample_target_values_batch(db, facts_a, tws, rng, retry_cap)
-        _, vals_b = sample_target_values_batch(db, facts_b, tws, rng, retry_cap)
+        dests_a, vals_a = sample_target_values_batch(db, facts_a, tws, rng, retry_cap)
+        dests_b, vals_b = sample_target_values_batch(db, facts_b, tws, rng, retry_cap)
+        vals_a, vals_b = decoded(db, tws, dests_a, vals_a), decoded(db, tws, dests_b, vals_b)
         per_pair = {}
         for fa, fb, va, vb in zip(facts_a, facts_b, vals_a, vals_b):
             if va is None or vb is None:

@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import decoded
+
 from walkembed import trainer
 from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import default_kernels, kernel_eval, kernel_for
@@ -391,8 +393,9 @@ def _reference_train_epoch(db, model, cfg, kernels, epoch_index, ledger):
         fact_pos = np.repeat(np.arange(m), cfg.n_samples)
         partner_pos = (fact_pos + 1 + rng.integers(0, m - 1, size=len(fact_pos))) % m
         fs, ps = start_ids[fact_pos], start_ids[partner_pos]
-        _, vals_f = sample_target_values_batch(db, fs, tws, rng, cfg.retry_cap)
-        _, vals_p = sample_target_values_batch(db, ps, tws, rng, cfg.retry_cap)
+        dests_f, vals_f = sample_target_values_batch(db, fs, tws, rng, cfg.retry_cap)
+        dests_p, vals_p = sample_target_values_batch(db, ps, tws, rng, cfg.retry_cap)
+        vals_f, vals_p = decoded(db, tws, dests_f, vals_f), decoded(db, tws, dests_p, vals_p)
         for f, p, a, b in zip(fs.tolist(), ps.tolist(), vals_f, vals_p):
             if a is None or b is None:
                 skipped += 1
