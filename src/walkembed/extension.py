@@ -18,7 +18,9 @@ samples_per_partner), with the usual retries over dead ends and nulls.
 Row i of the first half is paired with row i of the second, the kernel is
 evaluated once, on the sampled codes or floats, over the pairs in which
 both walks succeeded, and each partner's target is the mean over its
-surviving pairs; a partner with none is dropped.
+surviving pairs; a partner with none is dropped.  With exact targets, each
+(new fact, scheme) costs one exact value law over the new fact and its
+partners (``exact_value_law``).
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .errors import NumericError, UsageError
 from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches it here)
     KernelMap,
     column_kernel,
-    kd_exact,
+    kd_from_value_law,
     kernel_eval,
     kernel_for,
 )
 from .relational import Database
-from .schemes import sample_target_values_batch
+from .schemes import exact_value_law, sample_target_values_batch
 from .seeding import derive_rng
 from .trainer import EmbeddingModel
 
@@ -122,13 +124,12 @@ def extend_embedding(
                 partners = pool[rng.choice(len(pool), size=take, replace=False)]
             spec = kernel_for(kernels, tws)
             if cfg.exact_targets:
-                exact: dict[int, float] = {}
-                for partner in partners.tolist():
-                    try:
-                        exact[partner] = kd_exact(db, new_fact, partner, tws, spec)
-                    except NumericError:
-                        continue
-                kept, means = list(exact), list(exact.values())
+                # one value law over the new fact and its partners; a
+                # partner whose distance is undefined is dropped
+                law = exact_value_law(db, tws, np.concatenate([[new_fact], partners]))
+                kd = kd_from_value_law(spec, *law, 1 + len(partners))
+                has = ~np.isnan(kd)
+                kept, means = partners[has].tolist(), kd[has]
             else:
                 # one sampler call: n_draws walks from the new fact per
                 # partner, then n_draws from each partner; row i of the two

@@ -11,19 +11,13 @@ destinations agree, 0 means they never do).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import NumericError, UsageError
 from .relational import Database, Value
-from .schemes import (
-    TargetedWalkScheme,
-    exact_value_distribution,
-    sample_target_values_batch,
-)
+from .schemes import TargetedWalkScheme, exact_value_law, sample_target_values_batch
 
 
 @dataclass(frozen=True)
@@ -59,26 +53,6 @@ def kernel_eval(spec: KernelSpec, a: Value, b: Value) -> float:
     return 1.0 if a == b else 0.0
 
 
-def _checked_values(spec: KernelSpec, values: Sequence[Value] | np.ndarray) -> np.ndarray:
-    """``values`` as an array, with kernel_eval's null and type checks."""
-    arr = np.asarray(values)
-    if spec.kind == "numeric":
-        ok = arr.dtype.kind in "iuf"
-    else:
-        # numpy turns a list mixing strings and numbers into strings, so the
-        # elements themselves are checked
-        ok = arr.size == 0 or (
-            arr.dtype.kind == "U" and all(map(isinstance, values, repeat(str)))
-        )
-    if ok:
-        return arr.astype(np.float64 if spec.kind == "numeric" else str, copy=False)
-    if arr.dtype.kind == "O" and any(v is None for v in arr.ravel().tolist()):
-        raise ValueError(f"kernel {spec.relation}.{spec.attribute} got a null argument")
-    if spec.kind == "numeric":
-        raise TypeError(f"numeric kernel {spec.relation}.{spec.attribute} got a non-number")
-    raise TypeError(f"equality kernel {spec.relation}.{spec.attribute} got a non-string")
-
-
 def column_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
     """The kernel over two aligned arrays of one column's values, as float64.
 
@@ -99,24 +73,6 @@ def column_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray, exact: bool = 
     if exact:
         return np.fromiter(map(math.exp, arg.tolist()), dtype=np.float64, count=len(arg))
     return np.exp(arg)
-
-
-def kernel_eval_batch(
-    spec: KernelSpec, a: Sequence[Value] | np.ndarray, b: Sequence[Value] | np.ndarray
-) -> np.ndarray:
-    """``kernel_eval`` over two aligned value sequences, as a float64 array.
-
-    Raises what ``kernel_eval`` raises for any element: ValueError on a
-    null, TypeError on a value of the wrong kind.  The checked values then
-    go through ``column_kernel``, so the Gaussian may differ from
-    ``kernel_eval`` in the last bit."""
-    xa = _checked_values(spec, a)
-    xb = _checked_values(spec, b)
-    if xa.shape != xb.shape:
-        raise ValueError(
-            f"kernel {spec.relation}.{spec.attribute} got {xa.shape} and {xb.shape} values"
-        )
-    return column_kernel(spec, xa, xb)
 
 
 def default_kernels(db: Database) -> KernelMap:
@@ -152,6 +108,29 @@ class KDEstimate:
     stderr: float
 
 
+def kd_from_value_law(
+    spec: KernelSpec, row: np.ndarray, value: np.ndarray, weight: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Exact expected kernel distance between row 0 of a value law (the
+    arrays of ``exact_value_law``) and each of rows 1 to ``n_rows - 1``;
+    NaN where either row's law is empty.
+
+    Each distance is the sum of p_a p_b K(a, b) over the pairs of the two
+    supports, with ``column_kernel(..., exact=True)``, added in ascending
+    order of the terms, so swapping the two facts gives the same float."""
+    mine = np.flatnonzero(row == 0)
+    other = np.flatnonzero(row > 0)
+    a = np.tile(mine, len(other))
+    b = np.repeat(other, len(mine))
+    terms = weight[a] * weight[b] * column_kernel(spec, value[a], value[b], exact=True)
+    owner = row[b]
+    order = np.lexsort((terms, owner))
+    sums = np.bincount(owner[order], weights=terms[order], minlength=n_rows)
+    present = np.zeros(n_rows, dtype=bool)
+    present[row] = True
+    return np.where(present[0] & present[1:], sums[1:], np.nan)
+
+
 def kd_exact(
     db: Database,
     fact_a: int,
@@ -160,18 +139,13 @@ def kd_exact(
     spec: KernelSpec,
 ) -> float:
     """Expected kernel distance from the exact destination-value laws."""
-    da = exact_value_distribution(db, fact_a, tws)
-    dbb = exact_value_distribution(db, fact_b, tws)
-    if not da or not dbb:
+    row, value, weight = exact_value_law(db, tws, [fact_a, fact_b])
+    if 0 not in row or 1 not in row:
         raise NumericError(
             f"expected kernel distance undefined: no non-null destinations for "
-            f"fact {fact_a if not da else fact_b}"
+            f"fact {fact_a if 0 not in row else fact_b}"
         )
-    total = 0.0
-    for va, pa in da.items():
-        for vb, pb in dbb.items():
-            total += pa * pb * kernel_eval(spec, va, vb)
-    return total
+    return float(kd_from_value_law(spec, row, value, weight, 2)[0])
 
 
 def kd_mc(

@@ -324,18 +324,6 @@ class Database:
     def fact_by_key(self, relation: str, key: tuple[Value, ...]) -> int | None:
         return self._key_to_fact.get(relation, {}).get(key)
 
-    # -- foreign-key index -------------------------------------------------
-
-    def forward_ref(self, fk_pos: int, fact_id: int) -> int | None:
-        """Fact referenced by ``fact_id`` through the fk at ``fk_pos``, if any."""
-        dst = int(self.fk_index[fk_pos].fwd[fact_id])
-        return None if dst < 0 else dst
-
-    def back_refs(self, fk_pos: int, fact_id: int) -> tuple[int, ...]:
-        """Facts referencing ``fact_id`` through the fk at ``fk_pos``, in load order."""
-        index = self.fk_index[fk_pos]
-        return tuple(index.flat[index.offsets[fact_id] : index.offsets[fact_id + 1]].tolist())
-
     def active_domain(self, relation: str, attr: str) -> set[Value]:
         # filled in id order: default_kernels sums the set in its iteration order
         return {v for v in self.attr_values(relation, attr) if v is not None}

@@ -9,6 +9,18 @@ allowed: the walk is just the start fact.
 
 A targeted scheme pairs a scheme with an attribute of its end relation;
 sampling one yields the attribute value at the walk's destination.
+
+The exact law of the destination is computed in one place,
+``exact_dest_law``, for many start facts at once.  It walks the same
+foreign-key arrays as the samplers and holds the law as COO arrays (start
+row, destination, weight): a forward step indexes ``fwd``, a backward step
+repeats each entry over its CSR range with its weight split evenly, and
+equal (row, destination) pairs are merged after every step, so the entries
+never exceed starts times the facts the step reaches.  Dead-end mass is
+dropped and each row renormalised at the end.  ``exact_value_law`` gathers
+that law through the target column, drops nulls and merges equal values.
+Completeness, the expected kernel distance and the exact kernel variance
+are all read from these two laws.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError, UsageError
-from .relational import Database, DatabaseSchema, ForeignKey, Value
+from .relational import Database, DatabaseSchema, ForeignKey
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -139,63 +151,83 @@ def enumerate_targeted_schemes(
     return out
 
 
-# -- scalar stepping and exact laws ---------------------------------------------
+# -- exact laws -------------------------------------------------------------------
 
 
-def step_candidates(db: Database, fact_id: int, step: WalkStep) -> tuple[int, ...]:
-    """The facts one step of a walk can move to from ``fact_id``."""
-    pos = db.schema.fk_position(step.fk)
-    if step.direction == FORWARD:
-        dst = db.forward_ref(pos, fact_id)
-        return () if dst is None else (dst,)
-    return db.back_refs(pos, fact_id)
+def exact_dest_law(
+    db: Database, scheme: WalkScheme, starts: np.ndarray | list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact law of the walk destination from every start, conditioned on
+    completing, as COO arrays ``(row, dest, weight)``.
+
+    ``row`` indexes ``starts``; entries are sorted by row, then by
+    destination id.  Mass flowing into a dead end is discarded and each
+    row's weights are renormalised to sum to one; a start from which no
+    walk completes has no entries.  Entries never exceed starts times the
+    facts a step can reach.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    wrong = [f for f in starts.tolist() if db.relation_of(f) != scheme.start_relation]
+    if wrong:
+        raise UsageError(
+            f"fact {wrong[0]} is in {db.relation_of(wrong[0])!r}, "
+            f"scheme starts at {scheme.start_relation!r}"
+        )
+    row = np.arange(len(starts), dtype=np.int64)
+    dest = starts.copy()
+    weight = np.ones(len(starts))
+    for step in scheme.steps:
+        index = db.fk_index[db.schema.fk_position(step.fk)]
+        if step.direction == FORWARD:
+            dest = index.fwd[dest]
+            live = dest >= 0
+            row, dest, weight = row[live], dest[live], weight[live]
+        else:
+            # entry i moves to each of flat[lo[i]:lo[i] + width[i]] with
+            # weight/width; a dead end (width 0) is repeated zero times
+            lo = index.offsets[dest]
+            width = index.offsets[dest + 1] - lo
+            owner = np.repeat(np.arange(len(lo)), width)
+            within = np.arange(len(owner)) - (np.cumsum(width) - width)[owner]
+            dest = index.flat[lo[owner] + within]
+            row, weight = row[owner], weight[owner] / width[owner]
+        pair, merged = np.unique(row * db.n_facts + dest, return_inverse=True)
+        weight = np.bincount(merged, weights=weight)
+        row, dest = pair // db.n_facts, pair % db.n_facts
+    return row, dest, weight / np.bincount(row, weights=weight)[row]
+
+
+def exact_value_law(
+    db: Database, tws: TargetedWalkScheme, starts: np.ndarray | list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Law of the destination's target value from every start, as COO
+    arrays ``(row, value, weight)``.
+
+    The destination law gathered through ``Database.row_of`` and the target
+    column: values are codes or floats as ``Database.column`` holds them,
+    nulls are dropped, equal values of one row are merged and each row is
+    renormalised.  Entries are sorted by row, then by value; a start whose
+    complete walks all end on nulls has no entries.
+    """
+    row, dest, weight = exact_dest_law(db, tws.scheme, starts)
+    data, null, _ = db.column(tws.scheme.end_relation, tws.target_attr)
+    at = db.row_of[dest]
+    keep = ~null[at]
+    row, value, weight = row[keep], data[at[keep]], weight[keep]
+    order = np.lexsort((value, row))
+    row, value, weight = row[order], value[order], weight[order]
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (value[1:] != value[:-1])
+    weight = np.bincount(np.cumsum(first) - 1, weights=weight)
+    row, value = row[first], value[first]
+    return row, value, weight / np.bincount(row, weights=weight)[row]
 
 
 def exact_dest_distribution(db: Database, fact_id: int, scheme: WalkScheme) -> dict[int, float]:
-    """Exact law of the walk destination, conditioned on completing.
-
-    Mass flowing into a dead end is discarded and the rest renormalised;
-    the result is empty when no walk completes.
-    """
-    fact = db.fact(fact_id)
-    if fact.relation != scheme.start_relation:
-        raise UsageError(
-            f"fact {fact_id} is in {fact.relation!r}, scheme starts at {scheme.start_relation!r}"
-        )
-    dist = {fact_id: 1.0}
-    for step in scheme.steps:
-        nxt: dict[int, float] = {}
-        for fid, p in dist.items():
-            candidates = step_candidates(db, fid, step)
-            if not candidates:
-                continue
-            share = p / len(candidates)
-            for c in candidates:
-                nxt[c] = nxt.get(c, 0.0) + share
-        dist = nxt
-        if not dist:
-            return {}
-    total = sum(dist.values())
-    if total <= 0.0:
-        return {}
-    return {fid: p / total for fid, p in dist.items()}
-
-
-def exact_value_distribution(
-    db: Database, fact_id: int, tws: TargetedWalkScheme
-) -> dict[Value, float]:
-    """Destination-attribute law with nulls dropped and the rest renormalised."""
-    dest = exact_dest_distribution(db, fact_id, tws.scheme)
-    out: dict[Value, float] = {}
-    for fid, p in dest.items():
-        v = db.attr_value(fid, tws.target_attr)
-        if v is None:
-            continue
-        out[v] = out.get(v, 0.0) + p
-    total = sum(out.values())
-    if total <= 0.0:
-        return {}
-    return {v: p / total for v, p in out.items()}
+    """``exact_dest_law`` of one start as a dict from destination id to
+    probability; empty when no walk completes."""
+    _, dest, weight = exact_dest_law(db, scheme, [fact_id])
+    return dict(zip(dest.tolist(), weight.tolist()))
 
 
 # -- vectorised walking ------------------------------------------------------
@@ -302,16 +334,3 @@ def sample_walks_batch(
         alive = here >= 0
     paths[~alive, :] = -1
     return paths
-
-
-def has_complete_walk(db: Database, fact_id: int, scheme: WalkScheme) -> bool:
-    """Whether at least one walk of the scheme completes from ``fact_id``."""
-    frontier = {fact_id}
-    for step in scheme.steps:
-        nxt: set[int] = set()
-        for fid in frontier:
-            nxt.update(step_candidates(db, fid, step))
-        frontier = nxt
-        if not frontier:
-            return False
-    return True

@@ -45,14 +45,14 @@ from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches 
     KernelMap,
     column_kernel,
     default_kernels,
-    kd_exact,
     kernel_eval,
     kernel_for,
 )
 from .relational import Database, build_database
 from .schemes import (
     TargetedWalkScheme,
-    has_complete_walk,
+    exact_dest_law,
+    exact_value_law,
     sample_target_values_batch,
     sample_walks_batch,
 )
@@ -242,23 +242,34 @@ def score_kvar_exact(
     db: Database, schemes: list[TargetedWalkScheme], kernels: KernelMap
 ) -> list[SchemeScore]:
     """Exhaustive kernel-variance: exact expected kernel distance for every
-    unordered start pair.  Only viable on small databases."""
+    unordered pair of start facts whose value law is not empty (a start
+    with no complete walk, or whose walks all end on nulls, is left out).
+
+    Per scheme the value laws form a dense matrix P (assessable starts x
+    distinct target values) and the kernel a dense matrix K over those
+    values; the distances are the upper triangle of P K P^T.  Memory is
+    8 bytes times (starts x values + values^2 + starts^2), so this is
+    for small databases or small domains."""
     raw: dict[TargetedWalkScheme, float] = {}
     notes: dict[TargetedWalkScheme, str] = {}
     for tws in schemes:
         start_ids = db.relation_fact_ids(tws.scheme.start_relation)
         spec = kernel_for(kernels, tws)
-        values = []
-        complete = [f for f in start_ids if has_complete_walk(db, f, tws.scheme)]
-        for i, fa in enumerate(complete):
-            for fb in complete[i + 1 :]:
-                values.append(kd_exact(db, fa, fb, tws, spec))
-        var = _unbiased_variance(values)
+        row, value, weight = exact_value_law(db, tws, start_ids)
+        starts, at_start = np.unique(row, return_inverse=True)
+        domain, at_value = np.unique(value, return_inverse=True)
+        law = np.zeros((len(starts), len(domain)))
+        law[at_start, at_value] = weight
+        n = len(domain)
+        gram = column_kernel(spec, np.repeat(domain, n), np.tile(domain, n), exact=True)
+        kd = law @ gram.reshape(n, n) @ law.T
+        pairs = kd[np.triu_indices(len(starts), 1)]
+        var = _unbiased_variance(pairs)
         if var is None:
-            notes[tws] = f"only {len(values)} assessable pair(s)"
+            notes[tws] = f"only {len(pairs)} assessable pair(s)"
             continue
         raw[tws] = var
-        notes[tws] = f"pairs={len(values)}"
+        notes[tws] = f"pairs={len(pairs)}"
     return _fill_unassessable(schemes, raw, notes, "kvar")
 
 
@@ -303,38 +314,28 @@ def build_sample_database(
     if facts_per_scheme <= 0:
         raise UsageError("facts_per_scheme must be positive")
     rng = derive_rng(seed, "sample-db")
-    seeds: set[int] = set()
+    closed = np.zeros(db.n_facts, dtype=bool)
     for tws in schemes:
-        eligible = [
-            f
-            for f in db.relation_fact_ids(tws.scheme.start_relation)
-            if has_complete_walk(db, f, tws.scheme)
-        ]
-        if not eligible:
+        start_ids = np.asarray(db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64)
+        row, _, _ = exact_dest_law(db, tws.scheme, start_ids)
+        eligible = start_ids[np.unique(row)]
+        if not len(eligible):
             continue
         take = min(facts_per_scheme, len(eligible))
-        picked = rng.choice(np.asarray(eligible, dtype=np.int64), size=take, replace=False)
-        seeds.update(int(x) for x in picked)
+        closed[rng.choice(eligible, size=take, replace=False)] = True
 
-    closed: set[int] = set()
-    frontier = list(seeds)
-    while frontier:
-        fid = frontier.pop()
-        if fid in closed:
-            continue
-        closed.add(fid)
-        relation = db.relation_of(fid)
-        for pos, fk in enumerate(db.schema.foreign_keys):
-            if fk.src == relation:
-                dst = db.forward_ref(pos, fid)
-                if dst is not None and dst not in closed:
-                    frontier.append(dst)
-            if fk.dst == relation:
-                for src in db.back_refs(pos, fid):
-                    if src not in closed:
-                        frontier.append(src)
+    # a fact joins when it references a member or a member references it
+    refs = [(np.flatnonzero(ix.fwd >= 0), ix.fwd) for ix in db.fk_index]
+    grew = True
+    while grew:
+        grew = False
+        for src, fwd in refs:
+            hit = closed[src] != closed[fwd[src]]
+            if hit.any():
+                closed[src[hit]] = closed[fwd[src[hit]]] = True
+                grew = True
 
-    ordered = sorted(closed)
+    ordered = np.flatnonzero(closed).tolist()
     sub = build_database(db.schema, [(f.relation, f.values) for f in map(db.fact, ordered)])
     return sub, {old: new for new, old in enumerate(ordered)}
 

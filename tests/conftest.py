@@ -1,9 +1,13 @@
-"""Shared fixtures: small databases with hand-checkable structure, and
-the decoding of sampled target values."""
+"""Shared fixtures: small databases with hand-checkable structure, the
+decoding of sampled target values and exact value laws, scalar readers of
+the foreign-key arrays, and the dict walkers that the exact laws replaced,
+kept as oracles."""
 
 import pytest
 
+from walkembed.kernels import kernel_eval
 from walkembed.relational import Value, build_database, schema_from_dict
+from walkembed.schemes import FORWARD
 
 
 def decoded(db, tws, dests, values) -> list[Value]:
@@ -12,6 +16,110 @@ def decoded(db, tws, dests, values) -> list[Value]:
     _, _, table = db.column(tws.scheme.end_relation, tws.target_attr)
     decode = (lambda v: v) if table is None else table.__getitem__
     return [None if d < 0 else decode(v) for d, v in zip(dests.tolist(), values.tolist())]
+
+
+def law_dicts(db, tws, law, n_rows) -> list[dict]:
+    """An ``exact_value_law`` (or, with ``tws`` None, an ``exact_dest_law``)
+    as one dict per start row, values decoded through ``Database.column``."""
+    row, keys, weight = law
+    keys = keys.tolist()
+    if tws is not None:
+        _, _, table = db.column(tws.scheme.end_relation, tws.target_attr)
+        if table is not None:
+            keys = [table[c] for c in keys]
+    out: list[dict] = [{} for _ in range(n_rows)]
+    for r, k, w in zip(row.tolist(), keys, weight.tolist()):
+        out[r][k] = w
+    return out
+
+
+# -- scalar readers of the foreign-key arrays -----------------------------------------
+
+
+def forward_ref(db, fk_pos, fact_id):
+    """Fact referenced by ``fact_id`` through the foreign key at ``fk_pos``, if any."""
+    dst = int(db.fk_index[fk_pos].fwd[fact_id])
+    return None if dst < 0 else dst
+
+
+def back_refs(db, fk_pos, fact_id):
+    """Facts referencing ``fact_id`` through the foreign key at ``fk_pos``, in load order."""
+    index = db.fk_index[fk_pos]
+    return tuple(index.flat[index.offsets[fact_id] : index.offsets[fact_id + 1]].tolist())
+
+
+def step_candidates(db, fact_id, step):
+    """The facts one step of a walk can move to from ``fact_id``."""
+    pos = db.schema.fk_position(step.fk)
+    if step.direction == FORWARD:
+        dst = forward_ref(db, pos, fact_id)
+        return () if dst is None else (dst,)
+    return back_refs(db, pos, fact_id)
+
+
+# -- dict walkers: the exact laws one fact at a time ----------------------------------
+
+
+def reference_dest_distribution(db, fact_id, scheme) -> dict[int, float]:
+    """Exact destination law of one start, propagated as a dict; mass
+    flowing into a dead end is discarded and the rest renormalised."""
+    assert db.relation_of(fact_id) == scheme.start_relation
+    dist = {fact_id: 1.0}
+    for step in scheme.steps:
+        nxt: dict[int, float] = {}
+        for fid, p in dist.items():
+            candidates = step_candidates(db, fid, step)
+            if not candidates:
+                continue
+            share = p / len(candidates)
+            for c in candidates:
+                nxt[c] = nxt.get(c, 0.0) + share
+        dist = nxt
+        if not dist:
+            return {}
+    total = sum(dist.values())
+    if total <= 0.0:
+        return {}
+    return {fid: p / total for fid, p in dist.items()}
+
+
+def reference_value_distribution(db, fact_id, tws) -> dict[Value, float]:
+    """Destination-attribute law with nulls dropped and the rest renormalised."""
+    dest = reference_dest_distribution(db, fact_id, tws.scheme)
+    out: dict[Value, float] = {}
+    for fid, p in dest.items():
+        v = db.attr_value(fid, tws.target_attr)
+        if v is None:
+            continue
+        out[v] = out.get(v, 0.0) + p
+    total = sum(out.values())
+    if total <= 0.0:
+        return {}
+    return {v: p / total for v, p in out.items()}
+
+
+def reference_has_complete_walk(db, fact_id, scheme) -> bool:
+    """Whether at least one walk of the scheme completes from ``fact_id``,
+    propagating the set of reachable facts."""
+    frontier = {fact_id}
+    for step in scheme.steps:
+        nxt: set[int] = set()
+        for fid in frontier:
+            nxt.update(step_candidates(db, fid, step))
+        frontier = nxt
+        if not frontier:
+            return False
+    return True
+
+
+def reference_kd(db, fact_a, fact_b, tws, spec) -> float | None:
+    """Expected kernel distance from the dict value laws and the scalar
+    ``kernel_eval``; None where either law is empty."""
+    da = reference_value_distribution(db, fact_a, tws)
+    dbb = reference_value_distribution(db, fact_b, tws)
+    if not da or not dbb:
+        return None
+    return sum(pa * pb * kernel_eval(spec, va, vb) for va, pa in da.items() for vb, pb in dbb.items())
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import back_refs, forward_ref
+
 import walkembed.evaluation as evaluation
 from walkembed.seeding import derive_rng
 from walkembed.errors import NumericError, UsageError
@@ -108,7 +110,7 @@ def _index_snapshot(db):
         {r: db.relation_fact_ids(r) for r in db.schema.relation_names},
         [db.fact_by_key(db.fact(f).relation, db.key_of(f)) for f in range(db.n_facts)],
         [
-            (db.forward_ref(pos, f), db.back_refs(pos, f))
+            (forward_ref(db, pos, f), back_refs(db, pos, f))
             for pos in range(len(db.schema.foreign_keys))
             for f in range(db.n_facts)
         ],
@@ -155,7 +157,7 @@ def test_insert_into_stripped_database_leaves_source_index_alone():
         stripped,
         [Fact("item", ("fresh",) + item.values[1:]), Fact("obs0", ("fresh-obs", item.values[0]) + obs.values[2:])],
     )
-    assert grown.back_refs(0, item.fact_id)[-1] == grown.n_facts - 1
+    assert back_refs(grown, 0, item.fact_id)[-1] == grown.n_facts - 1
     assert _index_snapshot(setup.db) == before
     assert _index_snapshot(stripped)[1:] == before[1:]
 
@@ -722,7 +724,7 @@ def _reference_cascade(db, chosen):
             for dst in list(removed):
                 if db.fact(dst).relation != fk.dst:
                     continue
-                for src in db.back_refs(pos, dst):
+                for src in back_refs(db, pos, dst):
                     if src not in removed:
                         removed.add(src)
                         grew = True

@@ -11,12 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_kd, reference_value_distribution
+
 from walkembed import extension
 from walkembed.errors import NumericError, UsageError
 from walkembed.extension import ExtensionConfig, extend_embedding, solve_ridge
 from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
 from walkembed.relational import Fact, build_database, insert_facts, schema_from_dict
-from walkembed.schemes import enumerate_targeted_schemes, exact_value_distribution, targeted_text
+from walkembed.schemes import enumerate_targeted_schemes, targeted_text
 from walkembed.model_io import save_model
 from walkembed.synth import two_cluster_database
 from walkembed.trainer import EmbeddingModel, TrainConfig, bilinear, train
@@ -353,17 +355,48 @@ def test_sampled_targets_match_exact_distances(monkeypatch):
         rows, targets = _system_of(monkeypatch, db2, model, new_id, cfg, kernels)
         assert rows.shape == (len(partners), len(partners))
         spec = kernel_for(kernels, tws)
-        law_new = exact_value_distribution(db2, new_id, tws)
+        law_new = reference_value_distribution(db2, new_id, tws)
         for row, target in zip(rows, targets):
             partner = partners[int(np.argmax(row))]
             mean = kd_exact(db2, new_id, partner, tws, spec)
             second = sum(
                 pa * pb * kernel_eval(spec, va, vb) ** 2
                 for va, pa in law_new.items()
-                for vb, pb in exact_value_distribution(db2, partner, tws).items()
+                for vb, pb in reference_value_distribution(db2, partner, tws).items()
             )
             stderr = math.sqrt(max(second - mean * mean, 0.0) / n_draws)
             assert abs(target - mean) <= 4 * stderr + 1e-12, (attr, partner, target, mean)
+
+
+def test_exact_targets_match_per_partner_oracle(monkeypatch):
+    # i3's only tag has a null val and i4 has no tag: i3 drops out of the
+    # val system only, i4 out of both
+    tags = {
+        "i0": [("a", 0.0), ("b", 1.0)],
+        "i1": [("a", 0.5), ("a", None), (None, 2.0)],
+        "i2": [("b", -1.0), ("c", 0.0), ("a", 1.5)],
+        "i3": [(None, 3.0)],
+        "i4": [],
+    }
+    db = _tagged_database(tags)
+    db2, new_id = _new_fact(db, "new", [("a", 0.1), ("c", None), (None, 1.2), ("b", -0.5)])
+    kernels = default_kernels(db)
+    partners = [db.fact_by_key("item", (k,)) for k in tags]
+    phi = {f: np.eye(len(partners))[i] for i, f in enumerate(partners)}
+    cfg = ExtensionConfig(exhaustive_partners=True, exact_targets=True)
+    for attr, tws in _tag_schemes(db).items():
+        model = EmbeddingModel(len(partners), "item", phi, {tws: np.eye(len(partners))}, [tws])
+        rows, targets = _system_of(monkeypatch, db2, model, new_id, cfg, kernels)
+        spec = kernel_for(kernels, tws)
+        want = {
+            p: kd
+            for p in partners
+            if (kd := reference_kd(db2, new_id, p, tws, spec)) is not None
+        }
+        got = dict(zip((partners[int(np.argmax(r))] for r in rows), targets.tolist()))
+        assert set(got) == set(want), attr
+        assert all(abs(got[p] - want[p]) <= 1e-12 for p in want), attr
+        assert len(want) == (3 if attr == "val" else 4)
 
 
 def test_sampled_clone_gets_twin_like_responses():

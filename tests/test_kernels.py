@@ -20,7 +20,6 @@ from walkembed.kernels import (
     kd_exact,
     kd_mc,
     kernel_eval,
-    kernel_eval_batch,
     kernel_for,
 )
 from walkembed.relational import build_database
@@ -38,89 +37,47 @@ from walkembed.synth import convergence_database
 # -- kernel evaluation ---------------------------------------------------------
 
 
-def _batch_of_one(spec, a, b):
-    return float(kernel_eval_batch(spec, [a], [b])[0])
-
-
-# every value and error case runs through the scalar and the vectorised kernel
-EVALUATORS = (kernel_eval, _batch_of_one)
-
-
 def test_categorical_kernel_is_equality():
     spec = KernelSpec("S", "sval", "categorical")
-    for evaluate in EVALUATORS:
-        assert evaluate(spec, "a", "a") == 1.0
-        assert evaluate(spec, "a", "b") == 0.0
+    assert kernel_eval(spec, "a", "a") == 1.0
+    assert kernel_eval(spec, "a", "b") == 0.0
 
 
 def test_text_kernel_is_equality():
     spec = KernelSpec("S", "sval", "text")
-    for evaluate in EVALUATORS:
-        assert evaluate(spec, "same words", "same words") == 1.0
-        assert evaluate(spec, "same words", "other words") == 0.0
+    assert kernel_eval(spec, "same words", "same words") == 1.0
+    assert kernel_eval(spec, "same words", "other words") == 0.0
 
 
 def test_gaussian_kernel_check_points():
     spec = KernelSpec("S", "D", "numeric", sigma=1.0)
     gap = 1.0 * math.sqrt(2.0 * math.log(2.0))
-    for evaluate in EVALUATORS:
-        assert evaluate(spec, 0.0, 0.0) == pytest.approx(1.0, abs=0.0)
-        assert evaluate(spec, 0.0, gap) == pytest.approx(0.5, abs=1e-12)
+    assert kernel_eval(spec, 0.0, 0.0) == pytest.approx(1.0, abs=0.0)
+    assert kernel_eval(spec, 0.0, gap) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_gaussian_kernel_scales_with_sigma():
     spec = KernelSpec("S", "D", "numeric", sigma=3.0)
     gap = 3.0 * math.sqrt(2.0 * math.log(2.0))
-    for evaluate in EVALUATORS:
-        assert evaluate(spec, 10.0, 10.0 + gap) == pytest.approx(0.5, abs=1e-12)
+    assert kernel_eval(spec, 10.0, 10.0 + gap) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kernel_eval_rejects_nulls():
     spec = KernelSpec("S", "sval", "categorical")
     numeric = KernelSpec("S", "D", "numeric", sigma=1.0)
-    for evaluate in EVALUATORS:
-        with pytest.raises(ValueError):
-            evaluate(spec, None, "a")
-        with pytest.raises(ValueError):
-            evaluate(numeric, 1.0, None)
-    # a null anywhere in a batch, next to valid values
     with pytest.raises(ValueError):
-        kernel_eval_batch(spec, ["a", "b"], ["a", None])
+        kernel_eval(spec, None, "a")
     with pytest.raises(ValueError):
-        kernel_eval_batch(numeric, [1.0, None, 2.0], [1.0, 1.0, 1.0])
+        kernel_eval(numeric, 1.0, None)
 
 
 def test_kernel_eval_rejects_kind_mismatch():
     spec = KernelSpec("S", "D", "numeric", sigma=1.0)
     equality = KernelSpec("S", "sval", "categorical")
-    for evaluate in EVALUATORS:
-        with pytest.raises(TypeError):
-            evaluate(spec, "text", 1.0)
-        with pytest.raises(TypeError):
-            evaluate(equality, "a", 1.0)
-    # numpy would turn these mixed lists into strings
     with pytest.raises(TypeError):
-        kernel_eval_batch(spec, [1.0, "2.0"], [1.0, 2.0])
+        kernel_eval(spec, "text", 1.0)
     with pytest.raises(TypeError):
-        kernel_eval_batch(equality, ["a", 1.0], ["a", "1.0"])
-
-
-def test_kernel_eval_batch_matches_scalar_elementwise():
-    rng = np.random.default_rng(0)
-    numeric = KernelSpec("S", "D", "numeric", sigma=1.7)
-    a, b = rng.normal(size=200).tolist(), rng.normal(size=200).tolist()
-    got = kernel_eval_batch(numeric, a, b)
-    assert got.dtype == np.float64
-    assert got.tolist() == pytest.approx([kernel_eval(numeric, x, y) for x, y in zip(a, b)], rel=1e-15)
-    equality = KernelSpec("S", "sval", "categorical")
-    sa = [str(v) for v in rng.integers(0, 3, size=200)]
-    sb = [str(v) for v in rng.integers(0, 3, size=200)]
-    assert kernel_eval_batch(equality, sa, sb).tolist() == [
-        kernel_eval(equality, x, y) for x, y in zip(sa, sb)
-    ]
-    assert kernel_eval_batch(equality, [], []).shape == (0,)
-    with pytest.raises(ValueError):
-        kernel_eval_batch(numeric, [1.0, 2.0], [1.0])
+        kernel_eval(equality, "a", 1.0)
 
 
 def test_column_kernel_is_kernel_eval_on_codes_and_floats():
@@ -161,11 +118,10 @@ def test_kernel_spec_validation():
 )
 def test_gaussian_kernel_symmetric_and_bounded(a, b, sigma):
     spec = KernelSpec("S", "D", "numeric", sigma=sigma)
-    for evaluate in EVALUATORS:
-        k_ab = evaluate(spec, a, b)
-        assert evaluate(spec, b, a) == k_ab
-        assert 0.0 <= k_ab <= 1.0
-        assert evaluate(spec, a, a) == 1.0
+    k_ab = kernel_eval(spec, a, b)
+    assert kernel_eval(spec, b, a) == k_ab
+    assert 0.0 <= k_ab <= 1.0
+    assert kernel_eval(spec, a, a) == 1.0
 
 
 # -- default kernel map ---------------------------------------------------------

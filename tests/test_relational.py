@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import back_refs, forward_ref
+
 from walkembed.errors import IntegrityError, SchemaError
 from walkembed.relational import (
     Fact,
@@ -198,9 +200,9 @@ def test_null_in_reference_means_non_referencing():
         schema,
         [("R", ("r1",)), ("S", ("x", "r1")), ("S", ("y", None))],
     )
-    assert db.forward_ref(0, 1) == 0
-    assert db.forward_ref(0, 2) is None
-    assert db.back_refs(0, 0) == (1,)
+    assert forward_ref(db, 0, 1) == 0
+    assert forward_ref(db, 0, 2) is None
+    assert back_refs(db, 0, 0) == (1,)
 
 
 def test_unknown_relation_in_rows_rejected(toy_schema):
@@ -235,13 +237,13 @@ def test_fk_index_matches_brute_force(seed):
     forward, backward = _brute_force_refs(db)
     for pos, fk in enumerate(db.schema.foreign_keys):
         for f in db.relation_fact_ids(fk.src):
-            assert db.forward_ref(pos, f) == forward.get((pos, f))
+            assert forward_ref(db, pos, f) == forward.get((pos, f))
         for g in db.relation_fact_ids(fk.dst):
-            assert list(db.back_refs(pos, g)) == backward.get((pos, g), [])
+            assert list(back_refs(db, pos, g)) == backward.get((pos, g), [])
 
 
 def test_back_refs_in_load_order(chain_db):
-    assert chain_db.back_refs(0, 0) == (2, 3)
+    assert back_refs(chain_db, 0, 0) == (2, 3)
 
 
 # -- insertion ------------------------------------------------------------------
@@ -271,7 +273,7 @@ def test_insert_matches_rebuild(seed):
         referencing = {
             src
             for pos in range(len(schema.foreign_keys))
-            for src in db.back_refs(pos, f)
+            for src in back_refs(db, pos, f)
         }
         if referencing <= tail_ids:
             tail_ids.add(f)
@@ -289,9 +291,9 @@ def test_insert_matches_rebuild(seed):
     assert _db_equal(grown, db)
     for pos, fk in enumerate(db.schema.foreign_keys):
         for f in db.relation_fact_ids(fk.src):
-            assert grown.forward_ref(pos, f) == db.forward_ref(pos, f)
+            assert forward_ref(grown, pos, f) == forward_ref(db, pos, f)
         for g in db.relation_fact_ids(fk.dst):
-            assert grown.back_refs(pos, g) == db.back_refs(pos, g)
+            assert back_refs(grown, pos, g) == back_refs(db, pos, g)
 
 
 def test_insert_batch_may_reference_itself(chain_schema):
@@ -299,7 +301,7 @@ def test_insert_batch_may_reference_itself(chain_schema):
     batch = [Fact("R", ("r9",)), Fact("S", ("n1", "r9", "w"))]
     grown = insert_facts(db, batch)
     assert grown.n_facts == 4
-    assert grown.forward_ref(0, 3) == 2
+    assert forward_ref(grown, 0, 3) == 2
 
 
 def test_insert_rejects_duplicate_key_against_existing(chain_db):
@@ -317,15 +319,15 @@ def test_failed_insert_leaves_database_untouched(chain_db):
     with pytest.raises(IntegrityError):
         insert_facts(chain_db, [Fact("S", ("n1", "r1", "v")), Fact("S", ("n1", "r1", "v"))])
     assert chain_db.n_facts == before
-    assert chain_db.back_refs(0, 0) == (2, 3)
+    assert back_refs(chain_db, 0, 0) == (2, 3)
 
 
 def test_insert_does_not_mutate_original(chain_db):
     grown = insert_facts(chain_db, [Fact("S", ("n1", "r1", "v"))])
     assert chain_db.n_facts == 4
     assert grown.n_facts == 5
-    assert chain_db.back_refs(0, 0) == (2, 3)
-    assert grown.back_refs(0, 0) == (2, 3, 4)
+    assert back_refs(chain_db, 0, 0) == (2, 3)
+    assert back_refs(grown, 0, 0) == (2, 3, 4)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -336,7 +338,7 @@ def test_insert_shares_untouched_back_refs(seed):
     schema = random_schema(seed)
     db = random_database(schema, seed)
     n_fk = len(schema.foreign_keys)
-    before = [[db.back_refs(pos, f) for f in range(db.n_facts)] for pos in range(n_fk)]
+    before = [[back_refs(db, pos, f) for f in range(db.n_facts)] for pos in range(n_fk)]
     # copies of existing facts under fresh keys reference what the originals do
     batch = [
         Fact(db.fact(f).relation, (f"new{f}",) + db.fact(f).values[1:])
@@ -344,13 +346,13 @@ def test_insert_shares_untouched_back_refs(seed):
     ]
     grown = insert_facts(db, batch)
     for pos in range(n_fk):
-        assert [db.back_refs(pos, f) for f in range(db.n_facts)] == before[pos]
-        touched = {grown.forward_ref(pos, f) for f in range(db.n_facts, grown.n_facts)}
+        assert [back_refs(db, pos, f) for f in range(db.n_facts)] == before[pos]
+        touched = {forward_ref(grown, pos, f) for f in range(db.n_facts, grown.n_facts)}
         for f in range(db.n_facts):
             if f in touched:
-                assert grown.back_refs(pos, f)[: len(before[pos][f])] == before[pos][f]
+                assert back_refs(grown, pos, f)[: len(before[pos][f])] == before[pos][f]
             elif before[pos][f]:
-                assert grown.back_refs(pos, f) == db.back_refs(pos, f)
+                assert back_refs(grown, pos, f) == back_refs(db, pos, f)
 
 
 def _linked_batch(db, tag):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decoded
+from conftest import (
+    decoded,
+    law_dicts,
+    reference_dest_distribution,
+    reference_has_complete_walk,
+    reference_value_distribution,
+    step_candidates,
+)
 
 from walkembed.errors import SchemaError, UsageError
 from walkembed.relational import Fact, insert_facts
@@ -24,13 +31,12 @@ from walkembed.schemes import (
     enumerate_targeted_schemes,
     enumerate_walk_schemes,
     exact_dest_distribution,
-    exact_value_distribution,
-    has_complete_walk,
+    exact_dest_law,
+    exact_value_law,
     sample_dest_batch,
     sample_target_values_batch,
     sample_walks_batch,
     scheme_text,
-    step_candidates,
     targeted_text,
 )
 from walkembed.seeding import derive_rng
@@ -232,7 +238,8 @@ def test_exact_value_distribution_drops_nulls(chain_schema):
     fk = db.schema.foreign_keys[0]
     tws = TargetedWalkScheme(WalkScheme("R", (WalkStep(fk, BACKWARD),)), "sval")
     # destinations are {x: 0.5, y: 0.5} but y's sval is null: renormalised away
-    assert exact_value_distribution(db, 0, tws) == {"va": 1.0}
+    assert reference_value_distribution(db, 0, tws) == {"va": 1.0}
+    assert law_dicts(db, tws, exact_value_law(db, tws, [0]), 1) == [{"va": 1.0}]
     dist = exact_dest_distribution(db, 0, WalkScheme("R", (WalkStep(fk, BACKWARD),)))
     assert dist == {1: 0.5, 2: 0.5}
 
@@ -246,7 +253,10 @@ def test_exact_value_distribution_all_null_is_empty(chain_schema):
     )
     fk = db.schema.foreign_keys[0]
     tws = TargetedWalkScheme(WalkScheme("R", (WalkStep(fk, BACKWARD),)), "sval")
-    assert exact_value_distribution(db, 0, tws) == {}
+    assert reference_value_distribution(db, 0, tws) == {}
+    assert law_dicts(db, tws, exact_value_law(db, tws, [0]), 1) == [{}]
+    # the walk completes; only its value is missing
+    assert exact_dest_law(db, tws.scheme, [0])[0].tolist() == [0]
 
 
 def test_exact_dest_distribution_sums_to_one():
@@ -363,9 +373,51 @@ def test_batch_and_exact_agree_on_random_databases():
 def test_has_complete_walk(chain_db):
     fk = chain_db.schema.foreign_keys[0]
     ws = WalkScheme("R", (WalkStep(fk, BACKWARD),))
-    assert has_complete_walk(chain_db, 0, ws)
-    assert not has_complete_walk(chain_db, 1, ws)
-    assert has_complete_walk(chain_db, 0, WalkScheme("R", ()))
+    assert reference_has_complete_walk(chain_db, 0, ws)
+    assert not reference_has_complete_walk(chain_db, 1, ws)
+    assert reference_has_complete_walk(chain_db, 0, WalkScheme("R", ()))
+    # the law's rows are the starts with a complete walk
+    assert exact_dest_law(chain_db, ws, [0, 1])[0].tolist() == [0, 0]
+    assert exact_dest_law(chain_db, WalkScheme("R", ()), [0, 1])[0].tolist() == [0, 1]
+
+
+def test_exact_dest_law_rejects_wrong_start_relation(chain_db):
+    with pytest.raises(UsageError, match="scheme starts at"):
+        exact_dest_law(chain_db, WalkScheme("R", ()), [0, 2])  # fact 2 lives in S
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=400), pick=st.integers(min_value=0, max_value=1000))
+def test_exact_laws_match_dict_oracles(seed, pick):
+    """The array laws against the dict walkers on random databases, which
+    bring null targets and nullable and self-referencing foreign keys:
+    the same supports, weights within 1e-12, the same complete rows, and
+    an empty row wherever the oracle is empty."""
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    start = schema.relations[pick % len(schema.relations)].name
+    starts = db.relation_fact_ids(start)
+    for ws in enumerate_walk_schemes(schema, start, 2):
+        law = exact_dest_law(db, ws, starts)
+        complete = {i for i, f in enumerate(starts) if reference_has_complete_walk(db, f, ws)}
+        assert set(law[0].tolist()) == complete
+        _assert_same_laws(
+            law_dicts(db, None, law, len(starts)),
+            [reference_dest_distribution(db, f, ws) for f in starts],
+        )
+        for attr in schema.relation(ws.end_relation).attr_names:
+            tws = TargetedWalkScheme(ws, attr)
+            _assert_same_laws(
+                law_dicts(db, tws, exact_value_law(db, tws, starts), len(starts)),
+                [reference_value_distribution(db, f, tws) for f in starts],
+            )
+
+
+def _assert_same_laws(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert set(g) == set(w)
+        assert all(abs(g[k] - p) <= 1e-12 for k, p in w.items())
 
 
 # -- text rendering ------------------------------------------------------------------

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decoded
+from conftest import (
+    back_refs,
+    decoded,
+    forward_ref,
+    reference_has_complete_walk,
+    reference_kd,
+    reference_value_distribution,
+)
 
 from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
@@ -46,7 +53,13 @@ from walkembed.selection import (
     score_sampling,
     select,
 )
-from walkembed.synth import mi_chain_database, planted_database, two_cluster_database
+from walkembed.synth import (
+    mi_chain_database,
+    planted_database,
+    random_database,
+    random_schema,
+    two_cluster_database,
+)
 from walkembed.trainer import TrainConfig, train
 
 
@@ -213,6 +226,41 @@ def test_kvar_unique_key_target_zero_variance():
     assert sc.score == 0.0
 
 
+def test_kvar_exact_leaves_out_starts_whose_values_are_all_null():
+    """A start whose complete walks all end on null targets has no expected
+    kernel distance; exact kvar leaves it out, as sampled kvar does, and
+    equals the variance over the pairs where the dict-oracle distance is
+    defined."""
+    checked = 0
+    for seed in range(40):
+        schema = random_schema(seed)
+        db = random_database(schema, seed)
+        kernels = default_kernels(db)
+        start = schema.relations[0].name
+        starts = db.relation_fact_ids(start)
+        for tws in enumerate_targeted_schemes(schema, start, 2):
+            if not any(
+                reference_has_complete_walk(db, f, tws.scheme)
+                and not reference_value_distribution(db, f, tws)
+                for f in starts
+            ):
+                continue
+            spec = kernel_for(kernels, tws)
+            kds = [
+                kd
+                for a, b in itertools.combinations(starts, 2)
+                if (kd := reference_kd(db, a, b, tws, spec)) is not None
+            ]
+            (sc,) = score_kvar_exact(db, [tws], kernels)
+            if len(kds) < 2:
+                assert sc.diagnostic == f"only {len(kds)} assessable pair(s)"
+            else:
+                assert sc.diagnostic == f"pairs={len(kds)}"
+                assert abs(sc.score - float(np.var(kds, ddof=1))) <= 1e-9
+            checked += 1
+    assert checked > 200
+
+
 def test_kvar_sampled_close_to_exact():
     db = two_cluster_database(6)
     kernels = default_kernels(db)
@@ -373,7 +421,60 @@ def test_build_sample_database_closure_and_order():
             ref = tuple(sub.fact(f).value(src_rel, a) for a in fk.src_attrs)
             if any(v is None for v in ref):
                 continue
-            assert sub.forward_ref(pos, f) is not None
+            assert forward_ref(sub, pos, f) is not None
+
+
+def _reference_build_sample_database(db, schemes, facts_per_scheme, seed):
+    """``build_sample_database`` as first written: completeness one fact at
+    a time by set propagation, and a closure loop over the scalar
+    foreign-key readers."""
+    rng = derive_rng(seed, "sample-db")
+    seeds: set[int] = set()
+    for tws in schemes:
+        eligible = [
+            f
+            for f in db.relation_fact_ids(tws.scheme.start_relation)
+            if reference_has_complete_walk(db, f, tws.scheme)
+        ]
+        if not eligible:
+            continue
+        take = min(facts_per_scheme, len(eligible))
+        picked = rng.choice(np.asarray(eligible, dtype=np.int64), size=take, replace=False)
+        seeds.update(int(x) for x in picked)
+    closed: set[int] = set()
+    frontier = list(seeds)
+    while frontier:
+        fid = frontier.pop()
+        if fid in closed:
+            continue
+        closed.add(fid)
+        relation = db.relation_of(fid)
+        for pos, fk in enumerate(db.schema.foreign_keys):
+            if fk.src == relation:
+                dst = forward_ref(db, pos, fid)
+                if dst is not None and dst not in closed:
+                    frontier.append(dst)
+            if fk.dst == relation:
+                frontier.extend(src for src in back_refs(db, pos, fid) if src not in closed)
+    ordered = sorted(closed)
+    sub = build_database(db.schema, [(f.relation, f.values) for f in map(db.fact, ordered)])
+    return sub, {old: new for new, old in enumerate(ordered)}
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("facts_per_scheme", [1, 3])
+def test_build_sample_database_matches_reference(seed, facts_per_scheme):
+    """The same sub-database and id map as the per-fact build, on random
+    databases (nullable and self-referencing foreign keys) and on a
+    planted one."""
+    planted = planted_database(n_items=12, n_obs=2, with_noise=True, seed=seed).db
+    for db in (random_database(random_schema(seed), seed), planted):
+        start = db.schema.relations[0].name
+        schemes = enumerate_targeted_schemes(db.schema, start, 2)
+        sub, old_to_new = build_sample_database(db, schemes, facts_per_scheme, seed)
+        ref, ref_map = _reference_build_sample_database(db, schemes, facts_per_scheme, seed)
+        assert sub.facts == ref.facts
+        assert list(old_to_new.items()) == list(ref_map.items())
 
 
 def test_score_sampling_runs_and_is_deterministic():
