@@ -360,17 +360,33 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _deletion_fractions(text: str) -> tuple[float, ...]:
+    """The ``--dynamic`` comma list, each entry a number strictly between
+    0 and 1; the empty list means every tenth from 0.1 to 0.9."""
+    if not text:
+        return (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    fractions = []
+    for entry in text.split(","):
+        try:
+            q = float(entry)
+        except ValueError:
+            raise UsageError(f"--dynamic: deletion fraction {entry!r} is not a number") from None
+        if not 0.0 < q < 1.0:
+            raise UsageError(f"--dynamic: deletion fraction {entry!r} must lie strictly between 0 and 1")
+        fractions.append(q)
+    return tuple(fractions)
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    # checked before the grid trains, so a bad list costs nothing
+    fractions = None if args.dynamic is None else _deletion_fractions(args.dynamic)
     out_dir = Path(args.out_dir)
     manifest = Manifest(out_dir, "experiment", Path(args.config), config.trainer.seed)
     report = run_experiment(config)
     outputs = write_report(report, out_dir)
 
-    if args.dynamic is not None:
-        fractions = tuple(float(x) for x in args.dynamic.split(",")) if args.dynamic else (
-            0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
-        )
+    if fractions is not None:
         schema = load_schema(config.schema_path)
         raw_db = load_database(schema, config.data_dir)
         rows = []

@@ -43,14 +43,15 @@ import numpy as np
 
 from .errors import IntegrityError, UsageError
 from .kernels import KernelMap, KernelSpec, default_kernels
-from .relational import (
+from .relational import (  # noqa: F401  (build_database: bench/layertrace.py patches it here)
     Database,
     Value,
     build_database,
+    closure,
     drop_attribute,
-    insert_facts,
     load_database,
     load_schema,
+    take,
 )
 from .schemes import TargetedWalkScheme, enumerate_targeted_schemes
 from .seeding import derive_rng
@@ -803,24 +804,6 @@ class DynamicPoint:
     accuracy: float
 
 
-def _cascade(db: Database, chosen: np.ndarray) -> np.ndarray:
-    """Mask of ``chosen`` and every fact that references a masked fact,
-    transitively: the mask is pushed through each foreign key's forward
-    array until it stops growing."""
-    removed = np.zeros(db.n_facts, dtype=bool)
-    removed[chosen] = True
-    refs = [(np.flatnonzero(ix.fwd >= 0), ix.fwd) for ix in db.fk_index]
-    grew = True
-    while grew:
-        grew = False
-        for src, fwd in refs:
-            hit = src[removed[fwd[src]] & ~removed[src]]
-            if len(hit):
-                removed[hit] = True
-                grew = True
-    return removed
-
-
 def dynamic_protocol(
     raw_db: Database,
     task_relation: str,
@@ -839,11 +822,12 @@ def dynamic_protocol(
     extension, and score the classifier on the inserted tuples only.
 
     Deleting a prediction fact cascades to every fact that (transitively)
-    references it, so the reduced database stays valid; the cascade is
-    re-inserted together with the prediction facts.
+    references it (``closure``), so the reduced database stays valid; the
+    cascade is re-inserted together with the prediction facts.  Both are
+    ``take``s, so no fact is decoded: the survivors in id order, then the
+    removed facts in id order, the ids ``insert_facts`` would give them.
     """
     db, task = strip_attribute(raw_db, task_relation, task_attribute)
-    facts = db.facts
     all_ids = list(db.relation_fact_ids(task_relation))
     labeled = [f for f in all_ids if f in task.labels]
     if len(labeled) < 4:
@@ -858,10 +842,11 @@ def dynamic_protocol(
         if n_remove >= len(labeled) - 1:
             n_remove = len(labeled) - 2  # keep at least two facts to train on
         chosen = rng.choice(np.asarray(labeled, dtype=np.int64), size=n_remove, replace=False)
-        removed = _cascade(db, chosen)
-        reduced = build_database(
-            db.schema, [(f.relation, f.values) for f, gone in zip(facts, removed) if not gone]
-        )
+        chosen_mask = np.zeros(db.n_facts, dtype=bool)
+        chosen_mask[chosen] = True
+        removed = closure(db, chosen_mask, referencing=True, referenced=False)
+        kept, gone = np.flatnonzero(~removed), np.flatnonzero(removed)
+        reduced = take(db, kept)
         old_to_new = np.cumsum(~removed) - 1
 
         schemes = enumerate_targeted_schemes(db.schema, task_relation, max_length)
@@ -881,26 +866,20 @@ def dynamic_protocol(
             )
         clf = train_classifier(_labeled_matrix(model, train_ids), train_labels)
 
-        insert_order = np.flatnonzero(removed).tolist()
-        extended_db = insert_facts(reduced, [facts[f] for f in insert_order])
-        inserted_new_ids = {
-            old: reduced.n_facts + i for i, old in enumerate(insert_order)
-        }
-        new_pred = [
-            inserted_new_ids[f]
-            for f in insert_order
-            if facts[f].relation == task_relation and f in task.labels
+        extended_db = take(db, np.concatenate([kept, gone]))
+        # (new id, old id) of the re-inserted prediction facts: gone[i] is new fact len(kept) + i
+        pred = [
+            (len(kept) + i, f)
+            for i, f in enumerate(gone.tolist())
+            if db.relation_of(f) == task_relation and f in task.labels
         ]
+        new_pred = [new for new, _ in pred]
         ext_kernels = default_kernels(extended_db)
         extended = extend_embedding(
             extended_db, model, new_pred, extension, ext_kernels, seed=seed
         )
         X_new = np.stack([extended.phi[f] for f in new_pred])
-        y_new = [
-            task.labels[f]
-            for f in insert_order
-            if facts[f].relation == task_relation and f in task.labels
-        ]
+        y_new = [task.labels[f] for _, f in pred]
         points.append(DynamicPoint(q, len(new_pred), accuracy_score(clf, X_new, y_new)))
     return points
 

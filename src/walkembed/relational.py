@@ -47,6 +47,11 @@ copied, not extended in place: many databases may be derived from one
 base, and each must keep its own numbering without seeing the others'
 strings.  ``drop_attribute`` (a column in no key and no foreign
 key) removes that one column and shares everything else with its source.
+``take`` derives a database from chosen facts in a chosen order: it
+gathers their column rows, renumbers the index and shares the value
+tables, which may then hold strings no taken fact uses, numbered as in
+the source and not as a rebuild would number them.  The taken ids must be
+closed under forward references; ``closure`` grows a mask to such a set.
 There is no per-database cache.
 """
 
@@ -639,6 +644,69 @@ def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
     return Database(
         schema, columns, db._rel_of, db.row_of, db._by_relation, db._key_to_fact, db.fk_index
     )
+
+
+def closure(db: Database, mask: np.ndarray, referencing: bool, referenced: bool) -> np.ndarray:
+    """``mask`` (one bool per fact) grown until it stops growing: with
+    ``referencing`` every fact that references a member joins, with
+    ``referenced`` every fact a member references joins.  The mask is
+    pushed through each foreign key's ``fwd`` array; ``mask`` itself is
+    not changed."""
+    closed = np.array(mask, dtype=bool)
+    refs = [(src, ix.fwd[src]) for ix in db.fk_index for src in [np.flatnonzero(ix.fwd >= 0)]]
+    grew = True
+    while grew:
+        grew = False
+        for src, dst in refs:
+            inside = closed[src]
+            # a reference with one end in: the other end joins if its direction is followed
+            hit = (inside != closed[dst]) & ((inside & referenced) | (~inside & referencing))
+            if hit.any():
+                closed[src[hit]] = closed[dst[hit]] = True
+                grew = True
+    return closed
+
+
+def take(db: Database, ids: Sequence[int] | np.ndarray) -> Database:
+    """The database whose fact ``i`` is ``db``'s fact ``ids[i]``.
+
+    ``ids`` must be distinct, and every fact a taken fact references must
+    be taken too, else ``IntegrityError``.  Only the keys are decoded: the
+    value tables and code maps are shared with ``db``, and each ``fwd`` is
+    renumbered and its CSR rebuilt in ascending new id.  ``db`` is not
+    changed.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    n = len(ids)
+    # the slot past the last fact holds -1, so an absent reference (-1) stays -1
+    new_of = np.full(db.n_facts + 1, -1, dtype=np.int64)
+    new_of[ids] = np.arange(n)
+    rel_of, old_rows = db._rel_of[ids], db.row_of[ids]
+    row_of = np.empty(n, dtype=np.int64)
+    columns, by_relation, key_to_fact = {}, {}, {}
+    for pos, rel in enumerate(db.schema.relations):
+        local = np.flatnonzero(rel_of == pos)
+        row_of[local] = np.arange(len(local))
+        rows = old_rows[local]
+        cols = tuple(Column(c.data[rows], c.null[rows], c.table, c.codes) for c in db._columns[rel.name])
+        id_list = local.tolist()
+        columns[rel.name] = cols
+        by_relation[rel.name] = tuple(id_list)
+        key_to_fact[rel.name] = _key_map(rel, cols, id_list)
+
+    fk_index = []
+    for fk, ix in zip(db.schema.foreign_keys, db.fk_index):
+        ref = ix.fwd[ids]
+        fwd = new_of[ref]
+        lost = np.flatnonzero((fwd < 0) & (ref >= 0))
+        if len(lost):
+            raise IntegrityError(
+                f"take: fact {ids[lost[0]]} references fact {ref[lost[0]]} via {fk.name}, which is not taken"
+            )
+        src = np.flatnonzero(fwd >= 0)
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(fwd[src], minlength=n))])
+        fk_index.append(FkIndex(fwd, offsets, src[np.argsort(fwd[src], kind="stable")]))
+    return Database(db.schema, columns, rel_of, row_of, by_relation, key_to_fact, tuple(fk_index))
 
 
 # -- schema and CSV loading -------------------------------------------------

@@ -48,7 +48,7 @@ from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches 
     kernel_eval,
     kernel_for,
 )
-from .relational import Database, build_database
+from .relational import Database, closure, take
 from .schemes import (
     TargetedWalkScheme,
     exact_dest_law,
@@ -308,8 +308,10 @@ def build_sample_database(
 
     Per scheme, up to ``facts_per_scheme`` start facts that admit at least
     one complete walk are drawn uniformly; the union is closed under
-    foreign-key reachability in both directions, so every reference
-    resolves.  Returns the new database and a map from old fact id to new.
+    foreign-key reachability in both directions (``closure``), so every
+    reference resolves, and ``take`` keeps the members in id order without
+    decoding them; the sub-database shares ``db``'s value tables.  Returns
+    the new database and a map from old fact id to new.
     """
     if facts_per_scheme <= 0:
         raise UsageError("facts_per_scheme must be positive")
@@ -321,23 +323,12 @@ def build_sample_database(
         eligible = start_ids[np.unique(row)]
         if not len(eligible):
             continue
-        take = min(facts_per_scheme, len(eligible))
-        closed[rng.choice(eligible, size=take, replace=False)] = True
+        size = min(facts_per_scheme, len(eligible))
+        closed[rng.choice(eligible, size=size, replace=False)] = True
 
     # a fact joins when it references a member or a member references it
-    refs = [(np.flatnonzero(ix.fwd >= 0), ix.fwd) for ix in db.fk_index]
-    grew = True
-    while grew:
-        grew = False
-        for src, fwd in refs:
-            hit = closed[src] != closed[fwd[src]]
-            if hit.any():
-                closed[src[hit]] = closed[fwd[src[hit]]] = True
-                grew = True
-
-    ordered = np.flatnonzero(closed).tolist()
-    sub = build_database(db.schema, [(f.relation, f.values) for f in map(db.fact, ordered)])
-    return sub, {old: new for new, old in enumerate(ordered)}
+    ordered = np.flatnonzero(closure(db, closed, referencing=True, referenced=True))
+    return take(db, ordered), {old: new for new, old in enumerate(ordered.tolist())}
 
 
 @dataclass(frozen=True)

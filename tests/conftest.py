@@ -1,7 +1,7 @@
 """Shared fixtures: small databases with hand-checkable structure, the
 decoding of sampled target values and exact value laws, scalar readers of
-the foreign-key arrays, and the dict walkers that the exact laws replaced,
-kept as oracles."""
+the foreign-key arrays, and the dict walkers and per-fact closures that
+the array primitives replaced, kept as oracles."""
 
 import pytest
 
@@ -55,6 +55,49 @@ def step_candidates(db, fact_id, step):
         dst = forward_ref(db, pos, fact_id)
         return () if dst is None else (dst,)
     return back_refs(db, pos, fact_id)
+
+
+# -- closures one fact at a time ------------------------------------------------------
+
+
+def reference_cascade(db, chosen) -> set[int]:
+    """The deletion cascade as first written: follow every removed fact's
+    back references, one fact and one foreign key at a time, until the
+    set stops growing."""
+    removed = set(int(x) for x in chosen)
+    grew = True
+    while grew:
+        grew = False
+        for pos, fk in enumerate(db.schema.foreign_keys):
+            for dst in list(removed):
+                if db.fact(dst).relation != fk.dst:
+                    continue
+                for src in back_refs(db, pos, dst):
+                    if src not in removed:
+                        removed.add(src)
+                        grew = True
+    return removed
+
+
+def reference_sample_closure(db, seeds) -> set[int]:
+    """The sample database's closure as first written: from ``seeds``,
+    follow every forward and back reference one fact at a time."""
+    closed: set[int] = set()
+    frontier = [int(x) for x in seeds]
+    while frontier:
+        fid = frontier.pop()
+        if fid in closed:
+            continue
+        closed.add(fid)
+        relation = db.relation_of(fid)
+        for pos, fk in enumerate(db.schema.foreign_keys):
+            if fk.src == relation:
+                dst = forward_ref(db, pos, fid)
+                if dst is not None and dst not in closed:
+                    frontier.append(dst)
+            if fk.dst == relation:
+                frontier.extend(src for src in back_refs(db, pos, fid) if src not in closed)
+    return closed
 
 
 # -- dict walkers: the exact laws one fact at a time ----------------------------------

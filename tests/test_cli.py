@@ -554,6 +554,24 @@ def test_experiment_dynamic_csv(ws, experiment_out):
         assert 0.0 <= float(r[3]) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "fractions, entry",
+    [("abc", "'abc'"), ("1.5", "'1.5'"), ("0.1,,0.3", "''")],
+)
+def test_experiment_rejects_a_bad_deletion_fraction_before_training(ws, fractions, entry, capsys):
+    """Each bad ``--dynamic`` entry exits 2 with a message naming it, and
+    the grid never runs: no report is written."""
+    out = ws["root"] / f"exp_bad_{fractions}"
+    code, _ = _run([
+        "--out-dir", str(out), "experiment", "--config", str(ws["config"]),
+        "--dynamic", fractions,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"deletion fraction {entry}" in err
+    assert not (out / "report.json").exists()
+
+
 def test_plot_data_flattens_the_report(ws, experiment_out):
     out, _ = experiment_out
     code, printed = _run(["plot-data", "--report", str(out)])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import back_refs, forward_ref
+from conftest import back_refs, forward_ref, reference_cascade
 
 import walkembed.evaluation as evaluation
 from walkembed.seeding import derive_rng
@@ -38,6 +38,7 @@ from walkembed.relational import (
     Fact,
     RelationSchema,
     build_database,
+    closure,
     insert_facts,
     save_schema,
     write_database_csv,
@@ -712,23 +713,12 @@ def test_dynamic_protocol_single_class_remainder_is_an_error():
         )
 
 
-def _reference_cascade(db, chosen):
-    """The deletion cascade as first written: follow every removed fact's
-    back references, one fact and one foreign key at a time, until the
-    set stops growing."""
-    removed = set(int(x) for x in chosen)
-    grew = True
-    while grew:
-        grew = False
-        for pos, fk in enumerate(db.schema.foreign_keys):
-            for dst in list(removed):
-                if db.fact(dst).relation != fk.dst:
-                    continue
-                for src in back_refs(db, pos, dst):
-                    if src not in removed:
-                        removed.add(src)
-                        grew = True
-    return removed
+def _cascade(db, chosen):
+    """The removal cascade of ``dynamic_protocol``: ``chosen`` and every fact
+    that transitively references it, as a mask."""
+    mask = np.zeros(db.n_facts, dtype=bool)
+    mask[chosen] = True
+    return closure(db, mask, referencing=True, referenced=False)
 
 
 def _reference_dynamic_protocol(raw_db, task_relation, task_attribute, max_length, trainer, fractions, seed):
@@ -743,7 +733,7 @@ def _reference_dynamic_protocol(raw_db, task_relation, task_attribute, max_lengt
         if n_remove >= len(labeled) - 1:
             n_remove = len(labeled) - 2
         chosen = rng.choice(np.asarray(labeled, dtype=np.int64), size=n_remove, replace=False)
-        removed = _reference_cascade(db, chosen)
+        removed = reference_cascade(db, chosen)
         removed_sets.append(removed)
         reduced = build_database(
             db.schema, [(db.fact(f).relation, db.fact(f).values) for f in range(db.n_facts) if f not in removed]
@@ -788,7 +778,7 @@ def test_dynamic_protocol_matches_the_per_fact_reference():
             np.asarray(labeled, dtype=np.int64), size=max(1, int(round(q * len(labeled)))), replace=False
         )
         assert len(removed) > len(chosen)  # the cascade reached the observations
-        assert set(np.flatnonzero(evaluation._cascade(db, chosen)).tolist()) == removed
+        assert set(np.flatnonzero(_cascade(db, chosen)).tolist()) == removed
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -798,5 +788,5 @@ def test_cascade_matches_the_per_fact_reference_on_random_databases(seed):
     rng = np.random.default_rng(seed)
     for size in (1, 3):
         chosen = rng.choice(db.n_facts, size=min(size, db.n_facts), replace=False)
-        got = set(np.flatnonzero(evaluation._cascade(db, chosen)).tolist())
-        assert got == _reference_cascade(db, chosen)
+        got = set(np.flatnonzero(_cascade(db, chosen)).tolist())
+        assert got == reference_cascade(db, chosen)

@@ -1,8 +1,9 @@
 """Schema validation, database construction, the foreign-key index, batch
-insertion, and CSV round-trips.
+insertion, derived databases, and CSV round-trips.
 
 The foreign-key index is checked against a brute-force oracle that scans
-every fact pair; insertion is checked against rebuilding from scratch.
+every fact pair; insertion and ``take`` are checked against rebuilding
+from scratch, and ``closure`` against the per-fact closures.
 """
 
 import math
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import back_refs, forward_ref
+from conftest import back_refs, forward_ref, reference_cascade, reference_sample_closure
 
 from walkembed.errors import IntegrityError, SchemaError
+from walkembed.kernels import default_kernels
 from walkembed.relational import (
     Fact,
     build_database,
+    closure,
     drop_attribute,
     insert_facts,
     load_database,
@@ -25,6 +28,7 @@ from walkembed.relational import (
     save_schema,
     schema_from_dict,
     schema_to_dict,
+    take,
     write_database_csv,
 )
 from walkembed.synth import random_database, random_schema
@@ -882,3 +886,121 @@ def test_insert_errors_match_per_row_insert(seed, fault, row_pick):
     for (d0, n0, t0, c0), (d1, n1, t1, c1) in zip(before, _snapshot(db)):
         assert np.array_equal(d0, d1, equal_nan=d0.dtype.kind == "f") and np.array_equal(n0, n1)
         assert t0 == t1 and c0 == c1
+
+
+# -- derived databases: take and closure -------------------------------------------
+
+
+def _assert_same_store(got, want):
+    """Equal facts, ids per relation, key maps, ``row_of``, relation
+    positions, foreign-key arrays and default kernels."""
+    assert got.facts == want.facts
+    for a, b in ((got.row_of, want.row_of), (got._rel_of, want._rel_of)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for rel in got.schema.relation_names:
+        assert got.relation_fact_ids(rel) == want.relation_fact_ids(rel)
+        assert list(got._key_to_fact[rel].items()) == list(want._key_to_fact[rel].items())
+    for got_ix, want_ix in zip(got.fk_index, want.fk_index, strict=True):
+        for a, b in zip(got_ix, want_ix):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+    assert default_kernels(got) == default_kernels(want)  # Gaussian sigmas to the bit
+
+
+def _store_arrays(db):
+    """Copies of every array and map of ``db``'s store."""
+    arrays = [a.copy() for ix in db.fk_index for a in ix] + [db.row_of.copy(), db._rel_of.copy()]
+    return _snapshot(db), arrays, dict(db._by_relation), {r: dict(k) for r, k in db._key_to_fact.items()}
+
+
+def _assert_store_unchanged(before, db):
+    columns, arrays, by_relation, keys = _store_arrays(db)
+    for (d0, n0, t0, c0), (d1, n1, t1, c1) in zip(before[0], columns, strict=True):
+        assert np.array_equal(d0, d1, equal_nan=d0.dtype.kind == "f") and np.array_equal(n0, n1)
+        assert t0 == t1 and c0 == c1
+    assert all(np.array_equal(a, b) for a, b in zip(before[1], arrays, strict=True))
+    assert (by_relation, keys) == before[2:]
+
+
+def _mask(db, chosen):
+    mask = np.zeros(db.n_facts, dtype=bool)
+    mask[chosen] = True
+    return mask
+
+
+_DERIVE_CASES = dict(
+    seed=st.integers(min_value=0, max_value=400),
+    pick_seed=st.integers(min_value=0, max_value=1000),
+    size=st.sampled_from([1, 3, 7]),
+)
+
+
+def _chosen(db, pick_seed, size):
+    return np.random.default_rng(pick_seed).choice(db.n_facts, size=min(size, db.n_facts), replace=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_DERIVE_CASES)
+def test_take_equals_a_rebuild_and_an_insert(seed, pick_seed, size):
+    """Drop a cascade: ``take`` of the survivors equals a rebuild from their
+    decoded rows, and ``take`` of survivors then cascade equals inserting
+    the cascade into that rebuild.  The source is left as it was, and the
+    derived databases share its value tables."""
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    removed = closure(db, _mask(db, _chosen(db, pick_seed, size)), referencing=True, referenced=False)
+    kept, gone = np.flatnonzero(~removed), np.flatnonzero(removed)
+    before = _store_arrays(db)
+    reduced = take(db, kept)
+    extended = take(db, np.concatenate([kept, gone]))
+    rebuild = build_database(schema, [(db.fact(f).relation, db.fact(f).values) for f in kept.tolist()])
+    _assert_same_store(reduced, rebuild)
+    _assert_same_store(extended, insert_facts(rebuild, [db.fact(f) for f in gone.tolist()]))
+    _assert_store_unchanged(before, db)
+    for derived in (reduced, extended):
+        for rel in schema.relation_names:
+            for got, source in zip(derived._columns[rel], db._columns[rel], strict=True):
+                assert got.table is source.table and got.codes is source.codes
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_DERIVE_CASES)
+def test_closure_matches_the_per_fact_closures(seed, pick_seed, size):
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    chosen = _chosen(db, pick_seed, size)
+    mask = _mask(db, chosen)
+    cascade = closure(db, mask, referencing=True, referenced=False)
+    assert set(np.flatnonzero(cascade).tolist()) == reference_cascade(db, chosen)
+    both = closure(db, mask, referencing=True, referenced=True)
+    assert set(np.flatnonzero(both).tolist()) == reference_sample_closure(db, chosen)
+    assert np.array_equal(closure(db, mask, referencing=False, referenced=False), mask)
+    assert set(np.flatnonzero(mask).tolist()) == set(chosen.tolist())  # the input is not changed
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=400), pick=st.integers(min_value=0, max_value=10_000))
+def test_take_refuses_a_fact_whose_reference_is_not_taken(seed, pick):
+    """Leave out one fact that another fact references: ``take`` raises,
+    and the source is left as it was."""
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    referenced = [int(ix.fwd[f]) for ix in db.fk_index for f in np.flatnonzero(ix.fwd >= 0) if ix.fwd[f] != f]
+    assume(referenced)
+    dropped = referenced[pick % len(referenced)]
+    before = _store_arrays(db)
+    with pytest.raises(IntegrityError, match="which is not taken"):
+        take(db, [f for f in range(db.n_facts) if f != dropped])
+    _assert_store_unchanged(before, db)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=400), order_seed=st.integers(min_value=0, max_value=1000))
+def test_take_in_any_order_equals_a_rebuild_in_that_order(seed, order_seed):
+    """Every fact, in a shuffled order: the renumbered index still groups
+    each destination's referencing facts in ascending new id."""
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    order = np.random.default_rng(order_seed).permutation(db.n_facts)
+    rows = [(db.fact(f).relation, db.fact(f).values) for f in order.tolist()]
+    _assert_same_store(take(db, order), build_database(schema, rows))

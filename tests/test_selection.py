@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    back_refs,
     decoded,
     forward_ref,
     reference_has_complete_walk,
     reference_kd,
+    reference_sample_closure,
     reference_value_distribution,
 )
 
@@ -441,22 +441,7 @@ def _reference_build_sample_database(db, schemes, facts_per_scheme, seed):
         take = min(facts_per_scheme, len(eligible))
         picked = rng.choice(np.asarray(eligible, dtype=np.int64), size=take, replace=False)
         seeds.update(int(x) for x in picked)
-    closed: set[int] = set()
-    frontier = list(seeds)
-    while frontier:
-        fid = frontier.pop()
-        if fid in closed:
-            continue
-        closed.add(fid)
-        relation = db.relation_of(fid)
-        for pos, fk in enumerate(db.schema.foreign_keys):
-            if fk.src == relation:
-                dst = forward_ref(db, pos, fid)
-                if dst is not None and dst not in closed:
-                    frontier.append(dst)
-            if fk.dst == relation:
-                frontier.extend(src for src in back_refs(db, pos, fid) if src not in closed)
-    ordered = sorted(closed)
+    ordered = sorted(reference_sample_closure(db, seeds))
     sub = build_database(db.schema, [(f.relation, f.values) for f in map(db.fact, ordered)])
     return sub, {old: new for new, old in enumerate(ordered)}
 
