@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -81,6 +82,8 @@ class Manifest:
         self.doc["status"] = "complete"
         self.doc["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
         self.doc["outputs"] = [str(p) for p in outputs]
+        # Linux reports the high-water mark of the resident set in KiB
+        self.doc["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         _write_json_atomic(self.doc, self.path)
 
 

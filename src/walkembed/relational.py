@@ -8,15 +8,16 @@ non-null reference always resolves to exactly one fact.
 
 Facts get integer ids in load order across the whole database; ids are
 stable and serve as the identity of a fact everywhere else in the package.
-Databases are immutable once built.
+A database never changes once built: what it reads stays as it was,
+whatever is derived from it later.
 
 Values are stored as columns, and only as columns.  Each relation holds
 one ``Column`` per attribute over its facts in id order: categorical and
-text values as int32 codes into a value table of the distinct strings,
-numbered in the order they first occur (never in set or hash order, so
-codes do not depend on ``PYTHONHASHSEED``), numeric values as float64.
-Every column has a null mask.  Per fact id the database keeps the
-position of its relation in the schema and its row in that relation's
+text values as int32 codes into a value table of the distinct strings (an
+object array), numbered in the order they first occur (never in set or
+hash order, so codes do not depend on ``PYTHONHASHSEED``), numeric values
+as float64.  Every column has a null mask.  Per fact id the database keeps
+the position of its relation in the schema and its row in that relation's
 columns (``row_of``), so a sampler reads the values its walks reach with
 array indexing instead of one Python lookup per row.  ``Fact`` tuples are
 built on demand: ``fact``, ``facts``, ``relation_facts``, ``attr_value``,
@@ -34,25 +35,39 @@ samplers step through these arrays directly.  ``fwd[f]`` is the fact that
 fact ``f`` references, or -1 when ``f`` is not in the source relation or
 has a null in a referencing attribute.  The backward direction is CSR:
 the facts referencing ``d`` are ``flat[offsets[d]:offsets[d + 1]]``, in
-ascending id (load) order.  ``build_database`` builds the arrays once.
+ascending id (load) order.
 
-Derived databases share what they do not change, which is safe because
-nothing mutates a column, key map or index array after construction.
-``insert_facts`` validates its batch column by column as the build does,
-appends it to new copies of the touched relations' columns and key maps
-and extends copies of the index arrays, so the result equals a full
-rebuild on the combined rows; untouched relations keep the source's
-columns, key maps and id tuples.  A value table that gains strings is
-copied, not extended in place: many databases may be derived from one
-base, and each must keep its own numbering without seeing the others'
-strings.  ``drop_attribute`` (a column in no key and no foreign
-key) removes that one column and shares everything else with its source.
-``take`` derives a database from chosen facts in a chosen order: it
-gathers their column rows, renumbers the index and shares the value
-tables, which may then hold strings no taken fact uses, numbered as in
-the source and not as a rebuild would number them.  The taken ids must be
-closed under forward references; ``closure`` grows a mask to such a set.
-There is no per-database cache.
+Writes append, and they append in place at the newest version.  A lineage
+is the chain of versions built from one another by ``insert_facts``.  Its
+token, shared by the versions, records the fact count of the newest
+version (the tip) and which stores the lineage made and so may grow:
+``row_of``, the relation positions, each column's codes or values and
+null mask, each value table and code map, each key map, and each foreign
+key's ``fwd``, ``offsets`` and ``flat``.  An insert into the tip
+validates its batch column by column as a build does, into batch-sized
+arrays, and only then writes the batch after the tip's entries in those
+stores, so a failed insert leaves nothing behind; the new version views
+the longer prefixes and becomes the tip.  Older versions read only their
+own prefix of each array and, in a shared dict, only ids below their fact
+count and codes below their table length, so every version reads as it
+did and every one equals a rebuild from its rows.  A reference from the
+batch to an older fact lengthens that fact's backward group: the foreign
+key's ``offsets`` and ``flat`` are then written whole into new buffers,
+one pass over the index.  An insert into any other version copies the
+stores it touches into a new lineage.  A buffer that runs out of room is
+copied into one an eighth larger than its contents; a build and ``take``
+allocate exactly.  Relations a batch does not touch keep the source's
+columns and key maps; their id tuples are shared, and a touched
+relation's tuple is rebuilt from its key map when first asked for.
+``build_database`` is an insert into an empty database.
+``drop_attribute`` (a column in no key and no foreign key) removes that
+one column and shares everything else, its lineage included, with its
+source.  ``take`` derives a database from chosen facts in a chosen order
+and starts a new lineage: it gathers their column rows, renumbers the key
+maps and the index and shares the value tables, which may then hold
+strings no taken fact uses, numbered as in the source and not as a
+rebuild would number them.  The taken ids must be closed under forward
+references; ``closure`` grows a mask to such a set.
 """
 
 from __future__ import annotations
@@ -60,10 +75,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, islice, repeat
 from operator import is_, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,14 +235,16 @@ class Column(NamedTuple):
 
     ``data`` holds int32 codes into ``table`` for categorical and text
     attributes and float64 values for numeric ones; ``null`` marks the null
-    rows, which hold code -1 or NaN.  ``codes`` maps each string of
-    ``table`` to its code.  ``table`` and ``codes`` are None for numeric
-    columns.  Nothing changes a column once it is built.
+    rows, which hold code -1 or NaN.  ``table`` is an object array of the
+    strings, and ``codes`` maps each string of ``table`` to its code.  A
+    code map may be shared with newer versions of the database, so a code
+    at or past ``len(table)`` is not this column's.  ``table`` and
+    ``codes`` are None for numeric columns.
     """
 
     data: np.ndarray
     null: np.ndarray
-    table: tuple[str, ...] | None
+    table: np.ndarray | None
     codes: dict[str, int] | None
 
     def value(self, row: int) -> Value:
@@ -240,13 +257,36 @@ class Column(NamedTuple):
         """The value of every row, None for nulls."""
         if self.table is None:
             return [None if n else v for v, n in zip(self.data.tolist(), self.null.tolist())]
-        table = self.table
-        return [table[c] if c >= 0 else None for c in self.data.tolist()]
+        out = np.full(len(self.data), None, dtype=object)
+        keep = ~self.null
+        out[keep] = self.table[self.data[keep]]
+        return out.tolist()
+
+
+class _Lineage:
+    """The versions of a database built from one another by appends.
+
+    ``n_tip`` is the fact count of the newest version, the only one that
+    appends in place.  ``owned`` names the stores the lineage made, which
+    it may grow in place: the versions view prefixes of one buffer per
+    array (the array's ``base``) and share one dict per map.  The token
+    holds no store, so a store lives only as long as a version reads it.
+    """
+
+    __slots__ = ("n_tip", "owned")
+
+    def __init__(self, n_tip: int) -> None:
+        self.n_tip = n_tip
+        self.owned: set[tuple] = set()
+
+    def __reduce__(self):
+        # a copy in another process gets copies of the arrays: its first append copies again
+        return _Lineage, (self.n_tip,)
 
 
 class Database:
-    """Immutable column store plus the foreign-key index, one ``FkIndex``
-    per foreign key in schema order."""
+    """Column store plus the foreign-key index, one ``FkIndex`` per
+    foreign key in schema order; observably immutable."""
 
     def __init__(
         self,
@@ -257,6 +297,7 @@ class Database:
         by_relation: dict[str, tuple[int, ...]],
         key_to_fact: dict[str, dict[tuple[Value, ...], int]],
         fk_index: tuple[FkIndex, ...],
+        lineage: _Lineage | None = None,
     ) -> None:
         self.schema = schema
         self._columns = columns
@@ -264,9 +305,12 @@ class Database:
         # row in that relation's columns
         self._rel_of = rel_of
         self.row_of = row_of
+        # id tuples, built from the key maps on first use where missing
         self._by_relation = by_relation
+        # may be shared with newer versions: ids at or past n_facts are theirs
         self._key_to_fact = key_to_fact
         self.fk_index = fk_index
+        self._lineage = _Lineage(len(row_of)) if lineage is None else lineage
 
     # -- basic access ------------------------------------------------------
 
@@ -298,7 +342,12 @@ class Database:
 
     def relation_fact_ids(self, relation: str) -> tuple[int, ...]:
         self.schema.relation(relation)
-        return self._by_relation.get(relation, ())
+        ids = self._by_relation.get(relation)
+        if ids is None:
+            # a key map lists this version's facts first, in id order
+            rows = len(self._columns[relation][0].data)
+            ids = self._by_relation[relation] = tuple(islice(self._key_to_fact[relation].values(), rows))
+        return ids
 
     def relation_facts(self, relation: str) -> list[Fact]:
         ids = self.relation_fact_ids(relation)
@@ -327,7 +376,8 @@ class Database:
         return tuple(self._column(relation, a).value(row) for a in self.schema.relation(relation).key)
 
     def fact_by_key(self, relation: str, key: tuple[Value, ...]) -> int | None:
-        return self._key_to_fact.get(relation, {}).get(key)
+        fact_id = self._key_to_fact.get(relation, {}).get(key)
+        return fact_id if fact_id is not None and fact_id < self.n_facts else None
 
     def active_domain(self, relation: str, attr: str) -> set[Value]:
         # filled in id order: default_kernels sums the set in its iteration order
@@ -416,10 +466,13 @@ def _is_number(value: Value) -> bool:
     return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
 
 
-def _encode(attr: AttributeDecl, cells: Sequence[Value], old: Column) -> Column:
-    """The column of ``cells``, coded after ``old``'s value table.
+def _encode(attr: AttributeDecl, cells: Sequence[Value], old: Column) -> tuple[Column, np.ndarray | None]:
+    """The column of ``cells`` with its own value table, and the code of
+    each of its strings in ``old``'s numbering followed by -1, so that
+    indexing it with the column's codes gives the codes in that numbering.
 
-    A table that gains strings is a new table; ``old``'s is never changed.
+    Strings ``old`` lacks get the codes after its table, in the order they
+    first occur.  ``old`` is not changed.
     """
     n = len(cells)
     null = np.fromiter(map(is_, cells, repeat(None)), dtype=bool, count=n)
@@ -431,24 +484,27 @@ def _encode(attr: AttributeDecl, cells: Sequence[Value], old: Column) -> Column:
         data = np.array(cells, dtype=np.float64)  # None becomes NaN
         if not np.isfinite(data[~null]).all():
             raise _Fault
-        return Column(data, null, None, None)
+        return Column(data, null, None, None), None
     seen = dict.fromkeys(cells)
     seen.pop(None, None)
     if not all(map(isinstance, seen, repeat(str))):
         raise _Fault
-    table, codes = old.table, old.codes
-    fresh = [v for v in seen if v not in codes]
-    if fresh:
-        codes = {**codes, **dict(zip(fresh, range(len(table), len(table) + len(fresh))))}
-        table = table + tuple(fresh)
+    codes = dict(zip(seen, range(len(seen))))
     data = np.fromiter(map(codes.get, cells, repeat(-1)), dtype=np.int32, count=n)
-    return Column(data, null, table, codes)
+    width = len(old.table)
+    glob = np.empty(len(seen) + 1, dtype=np.int32)
+    glob[:-1] = np.fromiter(map(old.codes.get, seen, repeat(width)), dtype=np.int64, count=len(seen))
+    # codes past old's table belong to newer versions that share its code map
+    fresh = glob[:-1] >= width
+    glob[:-1][fresh] = width + np.arange(np.count_nonzero(fresh))
+    glob[-1] = -1
+    return Column(data, null, np.fromiter(seen, dtype=object, count=len(seen)), codes), glob
 
 
 def _encode_relation(
     rel: RelationSchema, rows: list[Sequence[Value]], old: tuple[Column, ...]
-) -> tuple[Column, ...]:
-    """The columns of ``rows`` of ``rel``, coded after ``old``'s."""
+) -> tuple[tuple[Column, np.ndarray | None], ...]:
+    """``_encode`` of each column of ``rows`` of ``rel`` after ``old``'s."""
     width = len(rel.attributes)
     if not set(map(len, rows)) <= {width}:
         raise _Fault
@@ -470,44 +526,121 @@ def _references(
     rel: RelationSchema,
     cols: tuple[Column, ...],
     ids: np.ndarray,
-    dst_keys: dict[tuple[Value, ...], int],
+    resolve: Callable[[tuple[Value, ...]], int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sources, destinations) of the facts ``ids`` of ``fk.src``, whose
-    columns are ``cols``; a fact with a null in the reference has none."""
+    columns are ``cols``; a fact with a null in the reference has none.
+    ``resolve`` gives the destination of a key, -1 for none."""
     ref_cols = [cols[rel.attr_index(a)] for a in fk.src_attrs]
     has = ~ref_cols[0].null
     for c in ref_cols[1:]:
         has &= ~c.null
     col = ref_cols[0]
-    if len(ref_cols) == 1 and col.table is not None and len(col.table) <= len(col.data):
+    if len(ref_cols) == 1 and col.table is not None:
         # one lookup per distinct value
-        lut = np.fromiter((dst_keys.get((v,), -1) for v in col.table), np.int64, len(col.table))
+        lut = np.fromiter((resolve((v,)) for v in col.table), np.int64, len(col.table))
         dst = lut[col.data[has]]
     else:
         refs = zip(*[c.values() for c in ref_cols])
-        dst = np.fromiter((dst_keys.get(r, -1) for r, h in zip(refs, has.tolist()) if h), np.int64)
+        dst = np.fromiter((resolve(r) for r, h in zip(refs, has.tolist()) if h), np.int64)
     if (dst < 0).any():
         raise _Fault
     return ids[has], dst
 
 
-def _extend_fk_index(old: FkIndex, n: int, src: np.ndarray, dst: np.ndarray) -> FkIndex:
+# -- growing in place ---------------------------------------------------------
+#
+# A store the lineage owns is grown in place: the new entries go after the
+# parent's in the same buffer, and the child views the longer prefix.  Any
+# other store is copied once into a new buffer, which the lineage then owns.
+
+
+def _room(lineage: _Lineage, key: tuple, view: np.ndarray, extra: int, keep: int | None = None) -> np.ndarray:
+    """A buffer that starts with the first ``keep`` entries of ``view`` (all
+    by default) and has room for ``extra`` entries past ``view``:
+    ``view``'s own when ``lineage`` owns it, it has the room and all of
+    ``view`` is kept, else a new one with an eighth more room."""
+    n = len(view)
+    keep = n if keep is None else keep
+    buf = view.base
+    fits = key in lineage.owned and buf is not None and len(buf) >= n + extra
+    if fits and keep == n:
+        return buf
+    # a store rewritten on every append keeps one size while it fits, so the
+    # allocator can hand back the memory of the last copy, not fresh pages
+    buf = np.empty(len(buf) if fits else n + extra + n // 8, dtype=view.dtype)
+    buf[:keep] = view[:keep]
+    lineage.owned.add(key)
+    return buf
+
+
+def _extend(lineage: _Lineage, key: tuple, view: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``view`` followed by ``new``; ``view`` is not changed."""
+    n = len(view)
+    buf = _room(lineage, key, view, len(new))
+    buf[n : n + len(new)] = new
+    return buf[: n + len(new)]
+
+
+def _extend_map(lineage: _Lineage, key: tuple, old: dict, extra: dict, limit: int) -> dict:
+    """``old``'s entries below ``limit`` plus ``extra``: ``old`` itself when
+    ``lineage`` owns it (it then has no others), else a copy, or ``extra``
+    itself when there are none, so the caller must not use ``extra`` again."""
+    if key not in lineage.owned:
+        old = {k: v for k, v in old.items() if v < limit} or extra
+        lineage.owned.add(key)
+    if old is not extra:
+        old.update(extra)
+    return old
+
+
+def _extend_column(lineage: _Lineage, key: tuple, old: Column, new: Column, glob: np.ndarray | None) -> Column:
+    """``old`` followed by ``new``, which ``_encode`` coded after it as ``glob``."""
+    n, k = len(old.data), len(new.data)
+    data = _room(lineage, (*key, "data"), old.data, k)
+    null = _extend(lineage, (*key, "null"), old.null, new.null)
+    if glob is None:
+        data[n : n + k] = new.data
+        return Column(data[: n + k], null, None, None)
+    np.take(glob, new.data, out=data[n : n + k])
+    table, codes = old.table, old.codes
+    width = len(table)
+    fresh = new.table[glob[:-1] >= width]
+    if len(fresh):
+        # with an empty table every string is fresh and the batch's own codes are the codes
+        extra = new.codes if width == 0 else dict(zip(fresh.tolist(), range(width, width + len(fresh))))
+        codes = _extend_map(lineage, (*key, "codes"), codes, extra, width)
+        table = _extend(lineage, (*key, "table"), table, fresh)
+    return Column(data[: n + k], null, table, codes)
+
+
+def _extend_fk_index(
+    lineage: _Lineage, pos: int, old: FkIndex, n: int, src: np.ndarray, dst: np.ndarray
+) -> FkIndex:
     """``old`` grown to ``n`` facts plus the references ``src[i] -> dst[i]``.
 
     ``src`` must ascend and exceed every id ``old`` covers; then each new
     source belongs at the end of its destination's group, and the groups
-    stay in load order.  ``old`` is not changed.
+    stay in load order.  References to new facts only append to
+    ``offsets`` and ``flat``; one to an older fact grows that fact's group,
+    which shifts all later groups into new buffers.  ``old`` is not changed.
     """
     n_old = len(old.fwd)
-    fwd = np.concatenate([old.fwd, np.full(n - n_old, -1, dtype=np.int64)])
+    fwd = _room(lineage, ("fwd", pos), old.fwd, n - n_old)
+    fwd[n_old:n] = -1
     fwd[src] = dst
     order = np.argsort(dst, kind="stable")
     src, dst = src[order], dst[order]
-    # offsets[i] grows by the number of new references to ids below i
-    offsets = np.concatenate([old.offsets, np.full(n - n_old, old.offsets[-1])])
-    offsets[1:] += np.cumsum(np.bincount(dst, minlength=n))
-    ends = old.offsets[np.minimum(dst + 1, n_old)]
-    return FkIndex(fwd, offsets, np.insert(old.flat, ends, src))
+    split = np.searchsorted(dst, n_old)  # the references to older facts come first
+    groups, counts = np.unique(dst[:split], return_counts=True)
+    # offsets[i] counts the references to ids below i: it grows past each group
+    bounds = [*(groups + 1).tolist(), n_old + 1]
+    offsets = _room(lineage, ("offsets", pos), old.offsets, n - n_old, keep=bounds[0])
+    for lo, hi, add in zip(bounds, bounds[1:], np.cumsum(counts).tolist()):
+        np.add(old.offsets[lo:hi], add, out=offsets[lo:hi])
+    flat = np.insert(old.flat, old.offsets[dst[:split] + 1], src[:split]) if split else old.flat
+    offsets[n_old + 1 : n + 1] = offsets[n_old] + np.cumsum(np.bincount(dst[split:] - n_old, minlength=n - n_old))
+    return FkIndex(fwd[:n], offsets[: n + 1], _extend(lineage, ("flat", pos), flat, src[split:]))
 
 
 def _split_rows(
@@ -524,7 +657,7 @@ def _empty_database(schema: DatabaseSchema) -> Database:
     columns = {
         rel.name: tuple(
             Column(np.empty(0), np.empty(0, dtype=bool), None, None) if a.kind == "numeric"
-            else Column(np.empty(0, dtype=np.int32), np.empty(0, dtype=bool), (), {})
+            else Column(np.empty(0, dtype=np.int32), np.empty(0, dtype=bool), np.empty(0, dtype=object), {})
             for a in rel.attributes
         )
         for rel in schema.relations
@@ -553,11 +686,15 @@ def build_database(schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Va
 def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
     """Return a new database with ``new_facts`` appended under fresh ids.
 
-    The whole batch is validated before anything is added; on error the
-    original database is untouched.  Batch facts may reference each other.
+    The whole batch is validated before anything is written; on error
+    every database is as it was.  Batch facts may reference each other.
     The result equals a full rebuild on the combined rows, index included.
-    Relations the batch does not touch keep the source's columns, key map
-    and id tuple; the touched ones get new copies with the batch appended.
+    When ``db`` is the newest version of its lineage the batch is appended
+    in place, at a cost in proportion to the batch (plus one pass over the
+    index of each foreign key the batch adds a reference to an older fact
+    through); ``db`` still reads only its own facts.  Otherwise the touched
+    stores are copied first.  Relations the batch does not touch keep the
+    source's columns, key map and id tuple.
     """
     batch = [(f.relation, f.values) for f in new_facts]
     try:
@@ -569,53 +706,75 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
 
 def _append(db: Database, rows: Sequence[tuple[str, Sequence[Value]]]) -> Database:
     """``db`` with ``rows`` appended, checked column by column; a failed
-    check raises, and ``db`` is never changed."""
+    check raises before any store is written."""
     schema = db.schema
-    n_old = db.n_facts
+    n_old, n = db.n_facts, db.n_facts + len(rows)
     rel_new, values = _split_rows(schema, rows)
+    staged: dict[str, tuple] = {}  # per touched relation: batch rows, their ids, their columns
+    batch_keys: dict[str, dict[tuple[Value, ...], int]] = {}
+    for pos in np.flatnonzero(np.bincount(rel_new, minlength=len(schema.relations))).tolist():
+        rel = schema.relations[pos]
+        local = np.flatnonzero(rel_new == pos)
+        id_list = (local + n_old).tolist()  # shared by the key map and the id tuple
+        encoded = _encode_relation(rel, [values[i] for i in local.tolist()], db._columns[rel.name])
+        keys = _key_map(rel, tuple(c for c, _ in encoded), id_list)
+        # a shared key map also holds the keys of newer versions
+        if not db._key_to_fact[rel.name].keys().isdisjoint(keys) and any(
+            db.fact_by_key(rel.name, k) is not None for k in keys
+        ):
+            raise _Fault
+        staged[rel.name] = (local, id_list, encoded)
+        batch_keys[rel.name] = keys
+
+    def resolver(relation: str) -> Callable[[tuple[Value, ...]], int]:
+        extra = batch_keys.get(relation, {})
+
+        def resolve(key: tuple[Value, ...]) -> int:
+            fact_id = extra.get(key)
+            if fact_id is None:
+                fact_id = db.fact_by_key(relation, key)
+            return -1 if fact_id is None else fact_id
+
+        return resolve
+
+    none = np.empty(0, dtype=np.int64)
+    refs = []
+    for fk in schema.foreign_keys:
+        if fk.src in staged:
+            local, _, encoded = staged[fk.src]
+            cols = tuple(c for c, _ in encoded)
+            refs.append(_references(fk, schema.relation(fk.src), cols, local + n_old, resolver(fk.dst)))
+        else:
+            refs.append((none, none))
+
+    # every check has passed: write
+    lineage = db._lineage if db._lineage.n_tip == n_old else _Lineage(n_old)
     row_new = np.empty(len(rows), dtype=np.int64)
     columns = dict(db._columns)
     by_relation = dict(db._by_relation)
     key_to_fact = dict(db._key_to_fact)
-    added: dict[str, tuple[np.ndarray, tuple[Column, ...]]] = {}
-    for pos in np.flatnonzero(np.bincount(rel_new, minlength=len(schema.relations))).tolist():
-        rel = schema.relations[pos]
-        local = np.flatnonzero(rel_new == pos)
-        old = columns[rel.name]
+    for name in list(staged):  # each batch column is freed once it is written
+        local, id_list, encoded = staged.pop(name)
+        old = columns[name]
         row_new[local] = len(old[0].data) + np.arange(len(local))
-        ids = local + n_old
-        id_list = ids.tolist()
-        new = _encode_relation(rel, [values[i] for i in local.tolist()], old)
-        extra = _key_map(rel, new, id_list)
-        keys = key_to_fact[rel.name]
-        if not keys.keys().isdisjoint(extra.keys()):
-            raise _Fault
-        key_to_fact[rel.name] = {**keys, **extra} if keys else extra
-        columns[rel.name] = tuple(
-            Column(np.concatenate([o.data, c.data]), np.concatenate([o.null, c.null]), c.table, c.codes)
-            for o, c in zip(old, new)
+        columns[name] = tuple(
+            _extend_column(lineage, (name, attr.name), o, c, glob)
+            for attr, o, (c, glob) in zip(schema.relation(name).attributes, old, encoded)
         )
-        by_relation[rel.name] = by_relation[rel.name] + tuple(id_list)
-        added[rel.name] = (ids, new)
-
-    n = n_old + len(rows)
-    none = np.empty(0, dtype=np.int64)
+        key_to_fact[name] = _extend_map(lineage, ("keys", name), key_to_fact[name], batch_keys[name], n_old)
+        # a concatenated tuple would cost the relation's size: rebuilt on first use instead
+        if by_relation.get(name) == ():
+            by_relation[name] = tuple(id_list)
+        else:
+            by_relation.pop(name, None)
     fk_index = []
-    for pos, fk in enumerate(schema.foreign_keys):
-        refs = (none, none)
-        if fk.src in added:
-            ids, new = added[fk.src]
-            refs = _references(fk, schema.relation(fk.src), new, ids, key_to_fact[fk.dst])
-        fk_index.append(_extend_fk_index(db.fk_index[pos], n, *refs))
-    return Database(
-        schema,
-        columns,
-        np.concatenate([db._rel_of, rel_new]),
-        np.concatenate([db.row_of, row_new]),
-        by_relation,
-        key_to_fact,
-        tuple(fk_index),
-    )
+    for pos, ix in enumerate(db.fk_index):
+        fk_index.append(_extend_fk_index(lineage, pos, ix, n, *refs[pos]))
+        refs[pos] = None  # freed once it is in the index
+    rel_of = _extend(lineage, ("rel_of",), db._rel_of, rel_new)
+    row_of = _extend(lineage, ("row_of",), db.row_of, row_new)
+    lineage.n_tip = n
+    return Database(schema, columns, rel_of, row_of, by_relation, key_to_fact, tuple(fk_index), lineage)
 
 
 def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
@@ -623,7 +782,8 @@ def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
 
     The attribute must be in neither the relation's key nor any foreign
     key.  The result drops that one column and shares every other column,
-    the key maps and the foreign-key index with the source.
+    the key maps, the foreign-key index and the lineage with the source:
+    whichever of the two appends first grows the shared stores in place.
     """
     rel = db.schema.relation(relation)
     drop = rel.attr_index(attribute)
@@ -642,7 +802,7 @@ def drop_attribute(db: Database, relation: str, attribute: str) -> Database:
     cols = db._columns[relation]
     columns = {**db._columns, relation: cols[:drop] + cols[drop + 1 :]}
     return Database(
-        schema, columns, db._rel_of, db.row_of, db._by_relation, db._key_to_fact, db.fk_index
+        schema, columns, db._rel_of, db.row_of, db._by_relation, db._key_to_fact, db.fk_index, db._lineage
     )
 
 
@@ -667,13 +827,29 @@ def closure(db: Database, mask: np.ndarray, referencing: bool, referenced: bool)
     return closed
 
 
+def _taken_keys(keys: dict[tuple[Value, ...], int], new_of: np.ndarray) -> dict[tuple[Value, ...], int]:
+    """``keys`` renumbered through ``new_of``, in new id order, without the
+    untaken facts and the facts of newer versions (ids past ``new_of``'s
+    last slot, which holds -1)."""
+    old = np.fromiter(keys.values(), dtype=np.int64, count=len(keys))
+    new = new_of[np.minimum(old, len(new_of) - 1)]
+    taken = new >= 0
+    if (np.diff(new[taken]) > 0).all():  # taken in id order: no reordering
+        return dict(zip(compress(keys, taken.tolist()), new[taken].tolist()))
+    got = np.flatnonzero(taken)
+    order = got[np.argsort(new[got])]
+    names = list(keys)
+    return dict(zip([names[i] for i in order.tolist()], new[order].tolist()))
+
+
 def take(db: Database, ids: Sequence[int] | np.ndarray) -> Database:
     """The database whose fact ``i`` is ``db``'s fact ``ids[i]``.
 
     ``ids`` must be distinct, and every fact a taken fact references must
-    be taken too, else ``IntegrityError``.  Only the keys are decoded: the
-    value tables and code maps are shared with ``db``, and each ``fwd`` is
-    renumbered and its CSR rebuilt in ascending new id.  ``db`` is not
+    be taken too, else ``IntegrityError``.  Nothing is decoded: the value
+    tables and code maps are shared with ``db``, the key maps are
+    renumbered, and each ``fwd`` is renumbered and its CSR rebuilt in
+    ascending new id.  The result starts a new lineage; ``db`` is not
     changed.
     """
     ids = np.asarray(ids, dtype=np.int64)
@@ -683,16 +859,13 @@ def take(db: Database, ids: Sequence[int] | np.ndarray) -> Database:
     new_of[ids] = np.arange(n)
     rel_of, old_rows = db._rel_of[ids], db.row_of[ids]
     row_of = np.empty(n, dtype=np.int64)
-    columns, by_relation, key_to_fact = {}, {}, {}
+    columns, key_to_fact = {}, {}
     for pos, rel in enumerate(db.schema.relations):
         local = np.flatnonzero(rel_of == pos)
         row_of[local] = np.arange(len(local))
         rows = old_rows[local]
-        cols = tuple(Column(c.data[rows], c.null[rows], c.table, c.codes) for c in db._columns[rel.name])
-        id_list = local.tolist()
-        columns[rel.name] = cols
-        by_relation[rel.name] = tuple(id_list)
-        key_to_fact[rel.name] = _key_map(rel, cols, id_list)
+        columns[rel.name] = tuple(Column(c.data[rows], c.null[rows], c.table, c.codes) for c in db._columns[rel.name])
+        key_to_fact[rel.name] = _taken_keys(db._key_to_fact[rel.name], new_of)
 
     fk_index = []
     for fk, ix in zip(db.schema.foreign_keys, db.fk_index):
@@ -706,7 +879,7 @@ def take(db: Database, ids: Sequence[int] | np.ndarray) -> Database:
         src = np.flatnonzero(fwd >= 0)
         offsets = np.concatenate([[0], np.cumsum(np.bincount(fwd[src], minlength=n))])
         fk_index.append(FkIndex(fwd, offsets, src[np.argsort(fwd[src], kind="stable")]))
-    return Database(db.schema, columns, rel_of, row_of, by_relation, key_to_fact, tuple(fk_index))
+    return Database(db.schema, columns, rel_of, row_of, {}, key_to_fact, tuple(fk_index))
 
 
 # -- schema and CSV loading -------------------------------------------------

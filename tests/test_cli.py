@@ -80,6 +80,12 @@ def trained(ws):
     return out
 
 
+def test_train_manifest_records_peak_rss(trained):
+    doc = json.loads((trained / "manifest.json").read_text())
+    assert doc["status"] == "complete"
+    assert math.isfinite(doc["peak_rss_mb"]) and doc["peak_rss_mb"] > 0
+
+
 # -- schemes ----------------------------------------------------------------------
 
 

@@ -677,7 +677,7 @@ def test_column_build_matches_per_row_build(seed, order_seed):
 def test_columns_code_strings_in_first_seen_order(toy_schema):
     db = build_database(toy_schema, [("R", ("y", "b2")), ("S", ("y", None)), ("R", ("x", "b1")), ("S", ("x", 2.5))])
     data, null, table = db.column("R", "A")
-    assert table == ("y", "x") and data.dtype == np.int32 and data.tolist() == [0, 1]
+    assert tuple(table) == ("y", "x") and data.dtype == np.int32 and data.tolist() == [0, 1]
     data, null, table = db.column("S", "D")
     assert table is None and data.dtype == np.float64
     assert null.tolist() == [True, False] and data[1] == 2.5
@@ -775,8 +775,15 @@ def test_build_errors_match_per_row_build(seed, order_seed, faults):
 
 
 def _snapshot(db):
+    """Copies of every column; a value table and code map only up to the
+    column's own table length, since newer versions may share them."""
     return [
-        (c.data.copy(), c.null.copy(), c.table, dict(c.codes) if c.codes is not None else None)
+        (
+            c.data.copy(),
+            c.null.copy(),
+            None if c.table is None else tuple(c.table),
+            None if c.codes is None else {s: k for s, k in c.codes.items() if k < len(c.table)},
+        )
         for rel in db.schema.relations
         for c in db._columns[rel.name]
     ]
@@ -888,6 +895,174 @@ def test_insert_errors_match_per_row_insert(seed, fault, row_pick):
         assert t0 == t1 and c0 == c1
 
 
+# -- the tip rule: appends in place at the newest version ---------------------------
+
+
+def _with_fresh_strings(schema, batch, tag):
+    """``batch`` with ``tag`` put before every string of a non-key,
+    non-reference column, so the batch adds strings to the value tables."""
+    return [
+        Fact(f.relation, tuple(
+            f"{tag}{v}" if isinstance(v, str) and a.name.startswith("x") else v
+            for a, v in zip(schema.relation(f.relation).attributes, f.values)
+        ))
+        for f in batch
+    ]
+
+
+def _rows(batch):
+    return [(f.relation, f.values) for f in batch]
+
+
+def _as_read(db):
+    """Every store of ``db`` as ``db`` reads it: the columns (``_snapshot``),
+    the key maps up to its own ids, the id tuples and the index arrays."""
+    keys = {r: [(k, v) for k, v in m.items() if v < db.n_facts] for r, m in db._key_to_fact.items()}
+    ids = {r: db.relation_fact_ids(r) for r in db.schema.relation_names}
+    arrays = [db.row_of, db._rel_of] + [a for ix in db.fk_index for a in ix]
+    return _snapshot(db), keys, ids, arrays
+
+
+def _assert_same_as_read(got, want):
+    """Two ``_as_read`` results equal array for array, dtypes included."""
+    (got_cols, got_keys, got_ids, got_arrays), (want_cols, want_keys, want_ids, want_arrays) = got, want
+    for g, w in zip(got_cols, want_cols, strict=True):
+        assert g[0].dtype == w[0].dtype and np.array_equal(g[0], w[0], equal_nan=w[0].dtype.kind == "f")
+        assert np.array_equal(g[1], w[1]) and g[2:] == w[2:]
+    assert got_keys == want_keys and got_ids == want_ids
+    for g, w in zip(got_arrays, want_arrays, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _assert_equals_rebuild(db, rows):
+    """``db`` equals a build from ``rows`` array for array, and in its
+    decoded facts, active domains and default kernels."""
+    rebuilt = build_database(db.schema, rows)
+    _assert_same_as_read(_as_read(db), _as_read(rebuilt))
+    _assert_matches_reference(db, rows)
+    assert default_kernels(db) == default_kernels(rebuilt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=400), length=st.integers(min_value=2, max_value=4))
+def test_two_insert_chains_from_one_base_each_equal_a_rebuild(seed, length):
+    """A chain of inserts from a base, then a second chain from the same
+    base, as a benchmark cycle runs them: after all appends every version,
+    the earlier ones included, equals a rebuild from its rows."""
+    schema = random_schema(seed)
+    base = random_database(schema, seed)
+    versions = [(base, _rows(base.facts))]
+    for chain in "ab":
+        db, rows = versions[0]
+        for step in range(length):
+            tag = f"{chain}{step}_"
+            batch = _with_fresh_strings(schema, _linked_batch(db, tag), tag)
+            db, rows = insert_facts(db, batch), rows + _rows(batch)
+            versions.append((db, rows))
+    # the first chain grew the base's stores in place; the second copied them
+    assert versions[1][0]._lineage is base._lineage
+    assert versions[length + 1][0]._lineage is not base._lineage
+    for db, rows in versions:
+        _assert_equals_rebuild(db, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=400),
+    fault=st.sampled_from(["dangling", "duplicate_key", "existing_key"]),
+    row_pick=st.integers(min_value=0, max_value=10_000),
+)
+def test_a_failed_insert_at_the_tip_leaves_nothing_behind(seed, fault, row_pick):
+    """A batch with new strings and numbers that fails a late check, then a
+    good batch with the same keys: the good batch appends in place, and
+    nothing of the failed one shows in a store, a decoded value, an active
+    domain or the default kernels."""
+    schema = random_schema(seed)
+    base = random_database(schema, seed)
+    good = _with_fresh_strings(schema, _linked_batch(base, "n_"), "good_")
+    bad = _rows(_with_fresh_strings(schema, _linked_batch(base, "n_"), "bad_"))
+    bad = [
+        (r, tuple(1e6 + i if isinstance(v, float) else v for v in values)) for i, (r, values) in enumerate(bad)
+    ]
+    if fault == "existing_key":
+        i = row_pick % len(bad)
+        rel_name, values = bad[i]
+        bad[i] = (rel_name, (base.key_of(base.relation_fact_ids(rel_name)[0])[0],) + tuple(values[1:]))
+    else:
+        injected = _inject(schema, bad, fault, row_pick, set())
+        assume(injected is not None)
+        bad = injected[0]
+    with pytest.raises(IntegrityError):
+        insert_facts(base, [Fact(r, v) for r, v in bad])
+    grown = insert_facts(base, good)
+    assert grown._lineage is base._lineage
+    rows = _rows(base.facts)
+    _assert_equals_rebuild(base, rows)
+    _assert_equals_rebuild(grown, rows + _rows(good))
+    for rel in schema.relations:
+        for attr in rel.attr_names:
+            assert not any(isinstance(v, str) and v.startswith("bad_") for v in grown.active_domain(rel.name, attr))
+            assert not any(isinstance(v, float) and v >= 1e6 for v in grown.active_domain(rel.name, attr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=400), tip_first=st.booleans())
+def test_a_tip_and_its_drop_attribute_sibling_both_insert(seed, tip_first):
+    """A database and ``drop_attribute`` of it share their lineage: the
+    first of the two to insert appends in place, the other copies, and
+    every version equals a rebuild from its rows."""
+    schema = random_schema(seed)
+    base = random_database(schema, seed)
+    rel = next((r for r in schema.relations if "x0" in r.attr_names), None)
+    assume(rel is not None)
+    sibling = drop_attribute(base, rel.name, "x0")
+    drop = rel.attr_index("x0")
+    rows = _rows(base.facts)
+    sibling_rows = [(r, v[:drop] + v[drop + 1 :] if r == rel.name else v) for r, v in rows]
+    starts = [(base, rows), (sibling, sibling_rows)]
+    versions = list(starts)
+    for db, db_rows in (starts if tip_first else starts[::-1]):
+        name = "s" if db is sibling else "t"
+        for step in range(2):
+            tag = f"{name}{step}_"
+            batch = _with_fresh_strings(db.schema, _linked_batch(db, tag), tag)
+            db, db_rows = insert_facts(db, batch), db_rows + _rows(batch)
+            versions.append((db, db_rows))
+    first = versions[2][0]
+    assert first._lineage is (base if tip_first else sibling)._lineage
+    assert versions[4][0]._lineage is not base._lineage
+    for db, db_rows in versions:
+        _assert_equals_rebuild(db, db_rows)
+
+
+def test_loading_the_same_files_twice_gives_equal_stores(tmp_path):
+    """Two loads of one set of CSV files in one process, with inserts into
+    both and into the first load after its own child: the two loads read
+    alike, and every version equals a rebuild from its rows."""
+    for seed in range(12):
+        schema = random_schema(seed)
+        out = tmp_path / str(seed)
+        write_database_csv(random_database(schema, seed), out)
+        first = load_database(schema, out)
+        rows = _rows(first.facts)
+        batch = _with_fresh_strings(schema, _linked_batch(first, "l_"), "l_")
+        grown = insert_facts(first, batch)
+        for rel in schema.relations:
+            if "x0" in rel.attr_names:
+                insert_facts(drop_attribute(grown, rel.name, "x0"), [])
+        second = load_database(schema, out)
+        other = _with_fresh_strings(schema, _linked_batch(second, "m_"), "m_")
+        again = insert_facts(first, other)  # no longer the newest version of its lineage: copies
+        grown_second = insert_facts(second, other)
+        _assert_same_as_read(_as_read(first), _as_read(second))
+        _assert_same_as_read(_as_read(again), _as_read(grown_second))
+        _assert_equals_rebuild(first, rows)
+        _assert_equals_rebuild(grown, rows + _rows(batch))
+        _assert_equals_rebuild(second, rows)
+        _assert_equals_rebuild(grown_second, rows + _rows(other))
+        _assert_equals_rebuild(again, rows + _rows(other))
+
+
 # -- derived databases: take and closure -------------------------------------------
 
 
@@ -961,6 +1136,26 @@ def test_take_equals_a_rebuild_and_an_insert(seed, pick_seed, size):
         for rel in schema.relation_names:
             for got, source in zip(derived._columns[rel], db._columns[rel], strict=True):
                 assert got.table is source.table and got.codes is source.codes
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_DERIVE_CASES)
+def test_take_from_a_version_whose_sibling_appended_since(seed, pick_seed, size):
+    """An insert grows the source's stores in place after the source was
+    made; ``take`` of the source's survivors, in id order and shuffled,
+    still equals a rebuild from their rows, without the newer facts' keys
+    and strings in its key maps."""
+    schema = random_schema(seed)
+    db = random_database(schema, seed)
+    newer = insert_facts(db, _with_fresh_strings(schema, _linked_batch(db, "s_"), "s_"))
+    assert newer._lineage is db._lineage
+    removed = closure(db, _mask(db, _chosen(db, pick_seed, size)), referencing=True, referenced=False)
+    kept = np.flatnonzero(~removed)
+    shuffled = np.random.default_rng(pick_seed).permutation(db.n_facts)
+    for ids in (kept, shuffled):
+        derived = take(db, ids)
+        rebuild = build_database(schema, [(db.fact(f).relation, db.fact(f).values) for f in ids.tolist()])
+        _assert_same_store(derived, rebuild)
 
 
 @settings(max_examples=80, deadline=None)
