@@ -47,18 +47,23 @@ key's ``fwd``, ``offsets`` and ``flat``.  An insert into the tip
 validates its batch column by column as a build does, into batch-sized
 arrays, and only then writes the batch after the tip's entries in those
 stores, so a failed insert leaves nothing behind; the new version views
-the longer prefixes and becomes the tip.  Older versions read only their
-own prefix of each array and, in a shared dict, only ids below their fact
-count and codes below their table length, so every version reads as it
-did and every one equals a rebuild from its rows.  A reference from the
-batch to an older fact lengthens that fact's backward group: the foreign
-key's ``offsets`` and ``flat`` are then written whole into new buffers,
-one pass over the index.  An insert into any other version copies the
-stores it touches into a new lineage.  A buffer that runs out of room is
-copied into one an eighth larger than its contents; a build and ``take``
-allocate exactly.  Relations a batch does not touch keep the source's
-columns and key maps; their id tuples are shared, and a touched
-relation's tuple is rebuilt from its key map when first asked for.
+the longer prefixes and becomes the tip.  Every version reads only its own
+prefix of each array, and of each shared dict only its own entries, which
+come first.  In a code map these are the codes below the column's table
+length.  In a key map they are the ids below the version's fact count
+that are facts of that relation: an insert into any version but the tip
+copies the stores it touches into a new lineage and shares the key maps
+of the relations it does not touch, and the old lineage may go on
+appending to those under ids that the new one gives to facts of other
+relations.  So every version reads as it did, and every one equals a
+rebuild from its rows.  A reference from the batch to an older fact
+lengthens that fact's backward group: the foreign key's ``offsets`` and
+``flat`` are then written whole into new buffers, one pass over the
+index.  A new buffer has room for an eighth more than the entries it
+takes over; a build and ``take`` allocate exactly.  Relations a batch
+does not touch keep the source's columns and key maps; their id tuples
+are shared, and a touched relation's tuple is rebuilt from its key map
+when first asked for.
 ``build_database`` is an insert into an empty database.
 ``drop_attribute`` (a column in no key and no foreign key) removes that
 one column and shares everything else, its lineage included, with its
@@ -75,7 +80,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from operator import is_, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -307,7 +312,7 @@ class Database:
         self.row_of = row_of
         # id tuples, built from the key maps on first use where missing
         self._by_relation = by_relation
-        # may be shared with newer versions: ids at or past n_facts are theirs
+        # may be shared with other versions; this version's facts come first
         self._key_to_fact = key_to_fact
         self.fk_index = fk_index
         self._lineage = _Lineage(len(row_of)) if lineage is None else lineage
@@ -354,9 +359,12 @@ class Database:
         rows = zip(*[c.values() for c in self._columns[relation]])
         return [Fact(relation, values, fact_id) for fact_id, values in zip(ids, rows)]
 
-    def column(self, relation: str, attr: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...] | None]:
+    def column(self, relation: str, attr: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(data, null mask, value table) of one attribute; rows follow
-        ``relation_fact_ids`` and a fact's row is ``row_of[fact_id]``."""
+        ``relation_fact_ids`` and a fact's row is ``row_of[fact_id]``.  The
+        value table is an object array, None for a numeric attribute.  All
+        three are views that newer versions may share: read them, never
+        write them."""
         col = self._column(relation, attr)
         return col.data, col.null, col.table
 
@@ -377,7 +385,11 @@ class Database:
 
     def fact_by_key(self, relation: str, key: tuple[Value, ...]) -> int | None:
         fact_id = self._key_to_fact.get(relation, {}).get(key)
-        return fact_id if fact_id is not None and fact_id < self.n_facts else None
+        # a key map may be shared with other lineages: an id past n_facts,
+        # or one that here is a fact of another relation, is not this version's
+        if fact_id is None or fact_id >= self.n_facts or self.relation_of(fact_id) != relation:
+            return None
+        return fact_id
 
     def active_domain(self, relation: str, attr: str) -> set[Value]:
         # filled in id order: default_kernels sums the set in its iteration order
@@ -555,22 +567,23 @@ def _references(
 # other store is copied once into a new buffer, which the lineage then owns.
 
 
-def _room(lineage: _Lineage, key: tuple, view: np.ndarray, extra: int, keep: int | None = None) -> np.ndarray:
-    """A buffer that starts with the first ``keep`` entries of ``view`` (all
-    by default) and has room for ``extra`` entries past ``view``:
-    ``view``'s own when ``lineage`` owns it, it has the room and all of
-    ``view`` is kept, else a new one with an eighth more room."""
-    n = len(view)
-    keep = n if keep is None else keep
-    buf = view.base
-    fits = key in lineage.owned and buf is not None and len(buf) >= n + extra
-    if fits and keep == n:
-        return buf
-    # a store rewritten on every append keeps one size while it fits, so the
-    # allocator can hand back the memory of the last copy, not fresh pages
-    buf = np.empty(len(buf) if fits else n + extra + n // 8, dtype=view.dtype)
-    buf[:keep] = view[:keep]
+def _buffer(lineage: _Lineage, key: tuple, n: int, extra: int, dtype) -> np.ndarray:
+    """A new buffer, which ``lineage`` then owns, for ``n`` entries, room
+    for ``extra`` more past them and an eighth of ``n`` beyond that."""
     lineage.owned.add(key)
+    return np.empty(n + extra + n // 8, dtype=dtype)
+
+
+def _room(lineage: _Lineage, key: tuple, view: np.ndarray, extra: int) -> np.ndarray:
+    """A buffer that starts with ``view`` and has room for ``extra``
+    entries past it: ``view``'s own when ``lineage`` owns it and it has the
+    room, else a new one."""
+    n = len(view)
+    buf = view.base
+    if key in lineage.owned and buf is not None and len(buf) >= n + extra:
+        return buf
+    buf = _buffer(lineage, key, n, extra, view.dtype)
+    buf[:n] = view
     return buf
 
 
@@ -582,16 +595,20 @@ def _extend(lineage: _Lineage, key: tuple, view: np.ndarray, new: np.ndarray) ->
     return buf[: n + len(new)]
 
 
-def _extend_map(lineage: _Lineage, key: tuple, old: dict, extra: dict, limit: int) -> dict:
-    """``old``'s entries below ``limit`` plus ``extra``: ``old`` itself when
-    ``lineage`` owns it (it then has no others), else a copy, or ``extra``
-    itself when there are none, so the caller must not use ``extra`` again."""
-    if key not in lineage.owned:
-        old = {k: v for k, v in old.items() if v < limit} or extra
-        lineage.owned.add(key)
-    if old is not extra:
+def _extend_map(lineage: _Lineage, key: tuple, old: dict, own: int, extra: dict) -> dict:
+    """The first ``own`` entries of ``old`` (the parent version's) and then
+    ``extra``, which the result takes over: ``old`` grown in place when
+    ``lineage`` owns it (it then has no others), else a new dict, which is
+    ``extra`` itself when the parent has no entries, as in a build."""
+    if key in lineage.owned:
         old.update(extra)
-    return old
+        return old
+    lineage.owned.add(key)
+    if not own:
+        return extra
+    new = dict(islice(old.items(), own))
+    new.update(extra)
+    return new
 
 
 def _extend_column(lineage: _Lineage, key: tuple, old: Column, new: Column, glob: np.ndarray | None) -> Column:
@@ -607,9 +624,9 @@ def _extend_column(lineage: _Lineage, key: tuple, old: Column, new: Column, glob
     width = len(table)
     fresh = new.table[glob[:-1] >= width]
     if len(fresh):
-        # with an empty table every string is fresh and the batch's own codes are the codes
+        # into an empty table every string is fresh: the batch's own codes are the codes
         extra = new.codes if width == 0 else dict(zip(fresh.tolist(), range(width, width + len(fresh))))
-        codes = _extend_map(lineage, (*key, "codes"), codes, extra, width)
+        codes = _extend_map(lineage, (*key, "codes"), codes, width, extra)
         table = _extend(lineage, (*key, "table"), table, fresh)
     return Column(data[: n + k], null, table, codes)
 
@@ -632,13 +649,19 @@ def _extend_fk_index(
     order = np.argsort(dst, kind="stable")
     src, dst = src[order], dst[order]
     split = np.searchsorted(dst, n_old)  # the references to older facts come first
-    groups, counts = np.unique(dst[:split], return_counts=True)
-    # offsets[i] counts the references to ids below i: it grows past each group
-    bounds = [*(groups + 1).tolist(), n_old + 1]
-    offsets = _room(lineage, ("offsets", pos), old.offsets, n - n_old, keep=bounds[0])
-    for lo, hi, add in zip(bounds, bounds[1:], np.cumsum(counts).tolist()):
-        np.add(old.offsets[lo:hi], add, out=offsets[lo:hi])
-    flat = np.insert(old.flat, old.offsets[dst[:split] + 1], src[:split]) if split else old.flat
+    if split:
+        # an older fact's group grows and every later group shifts: older
+        # versions still read the old offsets, so these go to a new buffer
+        groups, counts = np.unique(dst[:split], return_counts=True)
+        # offsets[i] counts the references to ids below i: it grows past each group
+        bounds = [*(groups + 1).tolist(), n_old + 1]
+        offsets = _buffer(lineage, ("offsets", pos), n_old + 1, n - n_old, np.int64)
+        offsets[: bounds[0]] = old.offsets[: bounds[0]]
+        for lo, hi, add in zip(bounds, bounds[1:], np.cumsum(counts).tolist()):
+            np.add(old.offsets[lo:hi], add, out=offsets[lo:hi])
+        flat = np.insert(old.flat, old.offsets[dst[:split] + 1], src[:split])
+    else:
+        offsets, flat = _room(lineage, ("offsets", pos), old.offsets, n - n_old), old.flat
     offsets[n_old + 1 : n + 1] = offsets[n_old] + np.cumsum(np.bincount(dst[split:] - n_old, minlength=n - n_old))
     return FkIndex(fwd[:n], offsets[: n + 1], _extend(lineage, ("flat", pos), flat, src[split:]))
 
@@ -761,7 +784,7 @@ def _append(db: Database, rows: Sequence[tuple[str, Sequence[Value]]]) -> Databa
             _extend_column(lineage, (name, attr.name), o, c, glob)
             for attr, o, (c, glob) in zip(schema.relation(name).attributes, old, encoded)
         )
-        key_to_fact[name] = _extend_map(lineage, ("keys", name), key_to_fact[name], batch_keys[name], n_old)
+        key_to_fact[name] = _extend_map(lineage, ("keys", name), key_to_fact[name], len(old[0].data), batch_keys[name])
         # a concatenated tuple would cost the relation's size: rebuilt on first use instead
         if by_relation.get(name) == ():
             by_relation[name] = tuple(id_list)
@@ -827,18 +850,14 @@ def closure(db: Database, mask: np.ndarray, referencing: bool, referenced: bool)
     return closed
 
 
-def _taken_keys(keys: dict[tuple[Value, ...], int], new_of: np.ndarray) -> dict[tuple[Value, ...], int]:
-    """``keys`` renumbered through ``new_of``, in new id order, without the
-    untaken facts and the facts of newer versions (ids past ``new_of``'s
-    last slot, which holds -1)."""
-    old = np.fromiter(keys.values(), dtype=np.int64, count=len(keys))
-    new = new_of[np.minimum(old, len(new_of) - 1)]
-    taken = new >= 0
-    if (np.diff(new[taken]) > 0).all():  # taken in id order: no reordering
-        return dict(zip(compress(keys, taken.tolist()), new[taken].tolist()))
-    got = np.flatnonzero(taken)
+def _taken_keys(keys: dict[tuple[Value, ...], int], rows: int, new_of: np.ndarray) -> dict[tuple[Value, ...], int]:
+    """The first ``rows`` entries of ``keys`` (one version's own facts)
+    renumbered through ``new_of``, in new id order, without the untaken
+    facts."""
+    names = list(islice(keys, rows))
+    new = new_of[np.fromiter(islice(keys.values(), rows), dtype=np.int64, count=rows)]
+    got = np.flatnonzero(new >= 0)
     order = got[np.argsort(new[got])]
-    names = list(keys)
     return dict(zip([names[i] for i in order.tolist()], new[order].tolist()))
 
 
@@ -865,7 +884,7 @@ def take(db: Database, ids: Sequence[int] | np.ndarray) -> Database:
         row_of[local] = np.arange(len(local))
         rows = old_rows[local]
         columns[rel.name] = tuple(Column(c.data[rows], c.null[rows], c.table, c.codes) for c in db._columns[rel.name])
-        key_to_fact[rel.name] = _taken_keys(db._key_to_fact[rel.name], new_of)
+        key_to_fact[rel.name] = _taken_keys(db._key_to_fact[rel.name], len(db._columns[rel.name][0].data), new_of)
 
     fk_index = []
     for fk, ix in zip(db.schema.foreign_keys, db.fk_index):

@@ -916,8 +916,9 @@ def _rows(batch):
 
 def _as_read(db):
     """Every store of ``db`` as ``db`` reads it: the columns (``_snapshot``),
-    the key maps up to its own ids, the id tuples and the index arrays."""
-    keys = {r: [(k, v) for k, v in m.items() if v < db.n_facts] for r, m in db._key_to_fact.items()}
+    the entries of the key maps that ``fact_by_key`` finds, the id tuples
+    and the index arrays."""
+    keys = {r: [(k, v) for k, v in m.items() if db.fact_by_key(r, k) == v] for r, m in db._key_to_fact.items()}
     ids = {r: db.relation_fact_ids(r) for r in db.schema.relation_names}
     arrays = [db.row_of, db._rel_of] + [a for ix in db.fk_index for a in ix]
     return _snapshot(db), keys, ids, arrays
@@ -1061,6 +1062,69 @@ def test_loading_the_same_files_twice_gives_equal_stores(tmp_path):
         _assert_equals_rebuild(second, rows)
         _assert_equals_rebuild(grown_second, rows + _rows(other))
         _assert_equals_rebuild(again, rows + _rows(other))
+
+
+def _fit(schema, source, fact, **changes):
+    """``fact`` of a database over ``source``, with the attribute values
+    ``changes`` (by name), as a fact over ``schema``, which may lack
+    attributes of ``source``."""
+    values = dict(zip(source.relation(fact.relation).attr_names, fact.values), **changes)
+    return Fact(fact.relation, tuple(values[a] for a in schema.relation(fact.relation).attr_names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=400),
+    order=st.sampled_from(["before_fork", "after_fork"]),
+    fork=st.sampled_from(["base", "sibling"]),
+)
+def test_a_key_another_lineage_adds_is_not_this_versions(seed, order, fork):
+    """Foreign key S -> R.  One lineage inserts only R fact "new_r" into a
+    base; the other starts from the base (or its ``drop_attribute``
+    sibling) with S facts only, under the same ids, before or after that
+    insert.  The second lineage does not know "new_r": a reference to it
+    is dangling, inserting it works, and every version and ``take`` of it
+    equal a rebuild from their rows."""
+    schema = random_schema(seed)
+    fk = next((fk for fk in schema.foreign_keys if fk.src != fk.dst), None)
+    assume(fk is not None)
+    base = random_database(schema, seed)
+    start = base
+    if fork == "sibling":
+        rel = next((r for r in schema.relations if "x0" in r.attr_names), None)
+        assume(rel is not None)
+        start = drop_attribute(base, rel.name, "x0")
+    r_fact = _fit(schema, schema, base.fact(base.relation_fact_ids(fk.dst)[0]), id="new_r")
+    s_template = base.fact(base.relation_fact_ids(fk.src)[0])
+    s_batch = [_fit(start.schema, schema, s_template, id=f"new_s{i}") for i in range(3)]
+    versions = [(base, _rows(base.facts)), (start, _rows(start.facts))]
+    if order == "before_fork":
+        first = insert_facts(base, [r_fact])
+        versions.append((first, versions[0][1] + _rows([r_fact])))
+        other = insert_facts(start, s_batch)
+    else:
+        one_s = _fit(schema, schema, s_template, id="new_s_first")
+        tip = insert_facts(base, [one_s])
+        other = insert_facts(start, s_batch)
+        first = insert_facts(tip, [r_fact])  # appends in place after the fork
+        versions.append((first, versions[0][1] + _rows([one_s, r_fact])))
+    assert first._lineage is base._lineage and other._lineage is not base._lineage
+    other_rows = versions[1][1] + _rows(s_batch)
+    versions.append((other, other_rows))
+    assert first.fact_by_key(fk.dst, ("new_r",)) is not None
+    assert other.fact_by_key(fk.dst, ("new_r",)) is None
+    dangling = _fit(start.schema, schema, s_template, id="new_s_dangling", **{fk.src_attrs[0]: "new_r"})
+    with pytest.raises(IntegrityError, match="dangling reference"):
+        insert_facts(other, [dangling])
+    r_again = _fit(start.schema, schema, r_fact)
+    again = insert_facts(other, [r_again])
+    versions.append((again, other_rows + _rows([r_again])))
+    for db, db_rows in versions:
+        _assert_equals_rebuild(db, db_rows)
+        shuffled = np.random.default_rng(seed).permutation(db.n_facts)
+        for ids in (np.arange(db.n_facts), shuffled):
+            rows = [(db.fact(f).relation, db.fact(f).values) for f in ids.tolist()]
+            _assert_same_store(take(db, ids), build_database(db.schema, rows))
 
 
 # -- derived databases: take and closure -------------------------------------------
