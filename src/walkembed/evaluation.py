@@ -16,14 +16,15 @@ cell (``cv_seconds``).
 Cost: a grid cell is cross-validated once, after training.  Its epoch
 callback only copies the labelled rows; then one ``cross_validate`` call
 fits every (epoch, fold) problem whose training set has the same shape in
-one batched gradient descent, so each of the 400 steps is a dozen numpy
-calls for the whole stack instead of a dozen per fold and epoch.  On a
-2-vCPU Xeon VM this cut a cell of 8 epochs, 5 folds and 80 labelled
-tuples with 16 features from about 110 ms of cross-validation to about
-55 ms.  The stack is cut into chunks of snapshots holding at most
-``CV_STACK_BYTES`` of features, so memory stays bounded when many epochs,
-folds or labelled tuples meet.  Every fold's weights are bit-identical to
-``train_classifier`` on that fold alone.
+one batched gradient descent of 400 steps.  On a 2-vCPU Xeon VM a cell of
+8 epochs, 5 folds and 80 labelled tuples with 16 features spends about
+50 ms in cross-validation, a third of one call per epoch; a step over its
+40 problems is about fifteen numpy calls and costs 70-100 us, 25-40 us of
+it in the two matmuls (120-165 us with a row-wise softmax, see
+``_fit_stack``).  The stack is cut into chunks of snapshots holding at
+most ``CV_STACK_BYTES`` of features, so memory stays bounded when many
+epochs, folds or labelled tuples meet.  Every fold's weights are
+bit-identical to ``train_classifier`` on that fold alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,22 @@ def _prepare(
     return classes, mean, scale, Xs, y
 
 
+def _class_sum(cols: list[np.ndarray]) -> np.ndarray:
+    """The elementwise sum of the columns in the order of numpy's pairwise
+    sum of a row: one by one below 8 terms, eight lanes combined pairwise up
+    to 128, two halves (the first a multiple of 8 long) above."""
+    n = len(cols)
+    if n < 8:
+        return reduce(np.add, cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(cols[:half]) + _class_sum(cols[half:])
+    tail = n - n % 8
+    r = [reduce(np.add, cols[j:tail:8]) for j in range(8)]
+    lanes = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(np.add, cols[tail:], lanes)
+
+
 def _fit_stack(
     Xs: np.ndarray,
     y: np.ndarray,
@@ -178,8 +195,12 @@ def _fit_stack(
     ``Xs`` is (problems, n, d) with the bias as the last column and ``y``
     is (problems, n, classes); returns the weights, (problems, d, classes).
     Every problem gets the bits it would get on its own: a batched matmul
-    runs the same product on each slice, and the row max is taken column
-    by column with ``np.maximum``, which is exact.
+    runs the same product on each slice, the row max is taken column by
+    column with ``np.maximum``, which is exact, and ``_class_sum`` adds the
+    softmax denominator in the order of ``p.sum(axis=-1)``.  The softmax
+    works on class columns ``logits[..., j]`` because numpy runs a
+    reduction or broadcast over a short last axis one row at a time, which
+    at two classes cost more than both matmuls.
     """
     n, d = Xs.shape[1:]
     n_classes = y.shape[2]
@@ -187,12 +208,15 @@ def _fit_stack(
     W = np.zeros((len(Xs), d, n_classes))
     for _ in range(iterations):
         logits = Xs @ W
-        top = logits[..., 0]
-        for j in range(1, n_classes):
-            top = np.maximum(top, logits[..., j])
-        logits -= top[..., None]
+        cols = [logits[..., j] for j in range(n_classes)]
+        top = reduce(np.maximum, cols)
+        for col in cols:
+            col -= top
         p = np.exp(logits)
-        p /= p.sum(axis=-1, keepdims=True)
+        cols = [p[..., j] for j in range(n_classes)]
+        denom = _class_sum(cols)
+        for col in cols:
+            col /= denom
         grad = Xt @ (p - y) / n
         grad[:, :-1] += l2 * W[:, :-1]  # no penalty on the bias row
         W -= learning_rate * grad
@@ -443,6 +467,7 @@ class ExperimentConfig:
             ("folds", 2),
             ("walk_budget", 1),
             ("facts_per_scheme", 1),
+            ("sampling_epochs", 1),
             ("per_epoch_removals", 1),
             ("workers", 1),
         ):

@@ -336,6 +336,10 @@ class SamplingParams:
     facts_per_scheme: int = 10
     epochs: int = 10
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise UsageError("sampling_epochs must be at least 1")
+
 
 def score_sampling(
     db: Database,

@@ -77,6 +77,8 @@ class TrainConfig:
             raise UsageError("k and n_samples must be positive, epochs non-negative")
         if self.learning_rate <= 0:
             raise UsageError("learning_rate must be positive")
+        if self.retry_cap < 1:
+            raise UsageError("retry_cap must be at least 1")
 
 
 @dataclass
@@ -205,7 +207,9 @@ def _levels(f: list[int], p: list[int], s: list[int], n_rows: int, n_mats: int) 
     mat_level = [0] * n_mats
     levels = []
     for a, b, c in zip(f, p, s):
-        level = max(row_level[a], row_level[b], mat_level[c]) + 1
+        la, lb, lc = row_level[a], row_level[b], mat_level[c]
+        level = la if la > lb else lb  # a comparison costs less than a call to max
+        level = (level if level > lc else lc) + 1
         row_level[a] = row_level[b] = mat_level[c] = level
         levels.append(level)
     return levels
@@ -323,11 +327,9 @@ def train_epoch(
     for mat, new in zip(psi_mats, psi):
         mat[...] = new
 
-    # Per-scheme loss sums added in shuffle order; means keyed in the order
-    # the shuffle first reached each scheme, the row order of training_log.csv.
-    loss_sum = [0.0] * len(active)
-    for s, loss in zip(shuffled.tolist(), losses.tolist()):
-        loss_sum[s] += loss
+    # Per-scheme loss sums, added by bincount in shuffle order; means keyed in
+    # the order the shuffle first reached each scheme (training_log.csv's rows).
+    loss_sum = np.bincount(shuffled, weights=losses, minlength=len(active)).tolist()
     loss_n = np.bincount(shuffled, minlength=len(active)).tolist()
     _, first = np.unique(shuffled, return_index=True)
     epoch_mean_loss = {}

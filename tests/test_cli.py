@@ -796,6 +796,27 @@ def test_workers_flag_is_validated(ws, tmp_path, capsys):
     assert "workers must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"sampling_epochs": 0}, "sampling_epochs must be at least 1"),
+        ({"sampling_epochs": -2}, "sampling_epochs must be at least 1"),
+        ({"trainer": {"retry_cap": 0}}, "retry_cap must be at least 1"),
+        ({"trainer": {"retry_cap": -1}}, "retry_cap must be at least 1"),
+    ],
+)
+def test_count_below_one_exits_2_before_training(ws, tmp_path, capsys, over, message):
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"),
+                  strategies=["sampling"], **over)
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(config))
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), "experiment", "--config", str(bad)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_installed_entry_point_runs(ws):
     # the child imports the package the tests import, installed or not
     package_root = str(Path(walkembed.__file__).resolve().parents[1])

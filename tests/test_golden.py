@@ -336,6 +336,35 @@ def test_chunked_stack_gives_the_same_accuracies(monkeypatch):
     assert len(calls) == 3 * groups  # chunks of two snapshots: 2 + 2 + 1
 
 
+@pytest.mark.parametrize("n_classes", [8, 9, 16, 17, 130])
+def test_classifier_matches_per_fold_oracle_at_pairwise_class_counts(n_classes):
+    """From 8 classes on numpy adds a row of probabilities in eight lanes,
+    and above 128 in halves; the softmax denominator of the stacked descent
+    keeps that order, so ``train_classifier`` and every (snapshot, fold)
+    model of a stacked ``cross_validate`` have the oracle's weights."""
+    rng = np.random.default_rng(n_classes)
+    folds = 3
+    sizes = folds + rng.integers(0, 3, size=n_classes)  # uneven folds: several shape groups
+    labels = [f"c{c}" for c, size in enumerate(sizes) for _ in range(size)]
+    labels = [labels[i] for i in rng.permutation(len(labels))]
+    X = rng.normal(size=(2, len(labels), 3)) * 4.0
+
+    got = train_classifier(X[0], labels)
+    want = _oracle_classifier(X[0], labels)
+    assert got.classes == want.classes
+    assert np.array_equal(got.weights, want.weights)
+
+    assign = make_folds(labels, folds, n_classes)
+    split = evaluation._split(labels, assign)
+    for x, fits in zip(X, evaluation._fit_folds(X, split)):
+        for fold, clf in enumerate(fits):
+            train = assign != fold
+            want = _oracle_classifier(x[train], [l for l, m in zip(labels, train) if m])
+            assert clf.classes == want.classes
+            assert np.array_equal(clf.mean, want.mean) and np.array_equal(clf.scale, want.scale)
+            assert np.array_equal(clf.weights, want.weights)
+
+
 if __name__ == "__main__":
     print("PLANTED =", planted_fingerprint())
     print("NULLABLE =", nullable_fingerprint())

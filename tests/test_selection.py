@@ -482,6 +482,13 @@ def test_score_sampling_too_small_sample_is_an_error():
         score_sampling(db, schemes, cfg, SamplingParams(facts_per_scheme=1, epochs=2))
 
 
+@pytest.mark.parametrize("epochs", [0, -2])
+def test_sampling_params_reject_fewer_than_one_epoch(epochs):
+    """With no epoch there is no loss to score by."""
+    with pytest.raises(UsageError, match="sampling_epochs must be at least 1"):
+        SamplingParams(epochs=epochs)
+
+
 # -- selection arithmetic ----------------------------------------------------------------
 
 

@@ -612,3 +612,30 @@ def test_sgd_levels_equal_samples_with_two_start_facts():
     for stats in _stats(db, schemes, TrainConfig(k=3, n_samples=4, epochs=2, seed=1)):
         assert stats.samples_used > 0
         assert stats.sgd_levels == stats.samples_used
+
+
+def _reference_levels(f, p, s, n_rows, n_mats):
+    """The level scheduler as first written, with the builtin ``max``."""
+    row_level = [0] * n_rows
+    mat_level = [0] * n_mats
+    levels = []
+    for a, b, c in zip(f, p, s):
+        level = max(row_level[a], row_level[b], mat_level[c]) + 1
+        row_level[a] = row_level[b] = mat_level[c] = level
+        levels.append(level)
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(2, 12),
+    n_mats=st.integers(1, 5),
+    data=st.data(),
+)
+def test_levels_match_the_max_oracle(n_rows, n_mats, data):
+    n = data.draw(st.integers(0, 60))
+    f = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+    offsets = data.draw(st.lists(st.integers(1, n_rows - 1), min_size=n, max_size=n))
+    p = [(a + o) % n_rows for a, o in zip(f, offsets)]  # a partner is never its own fact
+    s = data.draw(st.lists(st.integers(0, n_mats - 1), min_size=n, max_size=n))
+    assert trainer._levels(f, p, s, n_rows, n_mats) == _reference_levels(f, p, s, n_rows, n_mats)
