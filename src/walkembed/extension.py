@@ -11,16 +11,20 @@ Partners are drawn only from facts embedded before the batch arrived and
 each new fact uses its own derived random stream, so the result does not
 depend on the order of the batch.
 
-With sampled targets, each (new fact, scheme) costs one sampler call.  Its
-stream first draws the partners, then the walks of one batch: S walks from
-the new fact per partner, followed by S walks from each partner (S =
-samples_per_partner), with the usual retries over dead ends and nulls.
-Row i of the first half is paired with row i of the second, the kernel is
-evaluated once, on the sampled codes or floats, over the pairs in which
-both walks succeeded, and each partner's target is the mean over its
-surviving pairs; a partner with none is dropped.  With exact targets, each
-(new fact, scheme) costs one exact value law over the new fact and its
-partners (``exact_value_law``).
+With sampled targets, each new fact's stream first draws its partners for
+a scheme, then the walks of one block: S walks from the new fact per
+partner, followed by S walks from each partner (S = samples_per_partner),
+with the usual retries over dead ends and nulls.  Row i of a block's first
+half is paired with row i of its second half.  The blocks of all new facts
+go to one sampler call per scheme, each block on its own fact's stream
+(``sample_target_values_batch`` with one generator per block), so a batch
+costs one call per active scheme rather than one per (new fact, scheme),
+and every vector is what a call per fact would give, to the bit.  The
+kernel is evaluated once per scheme, on the sampled codes or floats, over
+the pairs in which both walks succeeded, and each partner's target is the
+mean over its surviving pairs; a partner with none is dropped.  With exact
+targets, each (new fact, scheme) costs one exact value law over the new
+fact and its partners (``exact_value_law``).
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ from .relational import Database
 from .schemes import exact_value_law, sample_target_values_batch
 from .seeding import derive_rng
 from .trainer import EmbeddingModel
+
+# Walkers in one sampler call.  A batch of new facts is extended in chunks
+# of facts whose walks fit (at least one fact per chunk), so exhaustive
+# partners or a large batch do not allocate facts x partners x samples
+# walkers at once.
+EXTEND_WALKERS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,16 @@ def extend_embedding(
     batch, and each new fact derives its own random stream from ``seed``
     and its key, so any batch order yields the same vectors.
     """
+    if retry_cap < 1:
+        raise UsageError(f"retry_cap must be at least 1, got {retry_cap}")
+    for new_fact in new_fact_ids:
+        if not 0 <= new_fact < db.n_facts:
+            raise UsageError(f"fact {new_fact} is not in the database ({db.n_facts} facts)")
+        relation = db.relation_of(new_fact)
+        if relation != model.start_relation:
+            raise UsageError(
+                f"fact {new_fact} is in {relation!r}, model embeds {model.start_relation!r}"
+            )
     existing = sorted(model.phi.keys())
     if not existing:
         raise UsageError("model has no existing embeddings to extend from")
@@ -105,54 +125,84 @@ def extend_embedding(
     if not len(pool):
         raise UsageError("no pre-existing partner facts available")
 
+    pool_phi = np.stack([model.phi[f] for f in pool.tolist()])
+    rngs = [derive_rng(seed, "extend", str(db.key_of(f))) for f in new_fact_ids]
+    n_partners = len(pool) if cfg.exhaustive_partners else min(cfg.partners_per_scheme, len(pool))
+    per_chunk = max(1, EXTEND_WALKERS // (2 * n_partners * cfg.samples_per_partner))
     phi = dict(model.phi)
-    n_draws = cfg.samples_per_partner
-    for new_fact in new_fact_ids:
-        relation = db.relation_of(new_fact)
-        if relation != model.start_relation:
-            raise UsageError(
-                f"fact {new_fact} is in {relation!r}, model embeds {model.start_relation!r}"
-            )
-        rng = derive_rng(seed, "extend", str(db.key_of(new_fact)))
-        blocks: list[np.ndarray] = []
-        targets: list = []
-        for tws in model.active_schemes:
-            if cfg.exhaustive_partners:
-                partners = pool
-            else:
-                take = min(cfg.partners_per_scheme, len(pool))
-                partners = pool[rng.choice(len(pool), size=take, replace=False)]
-            spec = kernel_for(kernels, tws)
-            if cfg.exact_targets:
-                # one value law over the new fact and its partners; a
-                # partner whose distance is undefined is dropped
-                law = exact_value_law(db, tws, np.concatenate([[new_fact], partners]))
-                kd = kd_from_value_law(spec, *law, 1 + len(partners))
-                has = ~np.isnan(kd)
-                kept, means = partners[has].tolist(), kd[has]
-            else:
-                # one sampler call: n_draws walks from the new fact per
-                # partner, then n_draws from each partner; row i of the two
-                # halves is one pair
-                half = len(partners) * n_draws
-                starts = np.concatenate(
-                    [np.full(half, new_fact, dtype=np.int64), np.repeat(partners, n_draws)]
+    for lo in range(0, len(new_fact_ids), per_chunk):
+        chunk = new_fact_ids[lo : lo + per_chunk]
+        systems = _chunk_systems(
+            db, model, chunk, rngs[lo : lo + per_chunk], pool, pool_phi, n_partners, cfg, kernels, retry_cap
+        )
+        for new_fact, (blocks, targets) in zip(chunk, systems):
+            if not blocks:
+                raise NumericError(
+                    f"no complete walks for any scheme from new fact {new_fact}; "
+                    f"cannot build an extension system"
                 )
-                dests, values = sample_target_values_batch(db, starts, tws, rng, retry_cap)
-                ok = np.flatnonzero((dests[:half] >= 0) & (dests[half:] >= 0))
-                sims = column_kernel(spec, values[ok], values[half + ok])
-                owner = ok // n_draws
-                counts = np.bincount(owner, minlength=len(partners))
-                sums = np.bincount(owner, weights=sims, minlength=len(partners))
-                has = counts > 0  # a partner without a surviving pair is dropped
-                kept, means = partners[has].tolist(), sums[has] / counts[has]
-            if kept:
-                blocks.append(np.stack([phi[p] for p in kept]) @ model.psi[tws].T)
-                targets.append(means)
-        if not blocks:
-            raise NumericError(
-                f"no complete walks for any scheme from new fact {new_fact}; "
-                f"cannot build an extension system"
-            )
-        phi[new_fact] = solve_ridge(np.concatenate(blocks), np.concatenate(targets), cfg.ridge)
+            phi[new_fact] = solve_ridge(np.concatenate(blocks), np.concatenate(targets), cfg.ridge)
     return EmbeddingModel(model.k, model.start_relation, phi, model.psi, model.active_schemes)
+
+
+def _chunk_systems(
+    db: Database,
+    model: EmbeddingModel,
+    chunk: list[int],
+    rngs: list[np.random.Generator],
+    pool: np.ndarray,
+    pool_phi: np.ndarray,
+    n_partners: int,
+    cfg: ExtensionConfig,
+    kernels: KernelMap,
+    retry_cap: int,
+) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Each new fact's system rows and targets, scheme by scheme.
+
+    ``pos[t]`` holds fact t's partners as positions in ``pool``; each fact
+    draws them on its own stream before its walks.  A partner whose target
+    is undefined is dropped.
+    """
+    n_draws, n = cfg.samples_per_partner, len(chunk)
+    half = n_partners * n_draws
+    systems: list[tuple[list, list]] = [([], []) for _ in chunk]
+    for tws in model.active_schemes:
+        if cfg.exhaustive_partners:
+            pos = np.broadcast_to(np.arange(len(pool)), (n, len(pool)))
+        else:
+            pos = np.stack([rng.choice(len(pool), size=n_partners, replace=False) for rng in rngs])
+        spec = kernel_for(kernels, tws)
+        if cfg.exact_targets:
+            # one value law per new fact over it and its partners
+            kd = np.stack([
+                kd_from_value_law(spec, *exact_value_law(db, tws, np.concatenate([[f], pool[p]])), 1 + n_partners)
+                for f, p in zip(chunk, pos)
+            ])
+            has = ~np.isnan(kd)
+            means = kd[has]
+        else:
+            # one sampler call: fact t's block holds n_draws walks from it
+            # per partner, then n_draws from each partner, on t's stream;
+            # row i of the block's two halves is one pair
+            starts = np.empty((n, 2, half), dtype=np.int64)
+            starts[:, 0] = np.asarray(chunk, dtype=np.int64)[:, None]
+            starts[:, 1] = np.repeat(pool[pos], n_draws, axis=1)
+            dests, values = sample_target_values_batch(db, starts.ravel(), tws, rngs, retry_cap)
+            dests, values = dests.reshape(n, 2, half), values.reshape(n, 2, half)
+            both = (dests[:, 0] >= 0) & (dests[:, 1] >= 0)
+            sims = column_kernel(spec, values[:, 0][both], values[:, 1][both])
+            owner = np.flatnonzero(both) // n_draws  # bin t * n_partners + partner
+            counts = np.bincount(owner, minlength=n * n_partners)
+            sums = np.bincount(owner, weights=sims, minlength=n * n_partners)
+            has = counts > 0  # a partner without a surviving pair is dropped
+            means = sums[has] / counts[has]
+            has = has.reshape(n, n_partners)
+        ends = np.cumsum(has.sum(axis=1)).tolist()
+        psi_t = model.psi[tws].T
+        for (blocks, targets), p, keep, lo, hi in zip(systems, pos, has, [0] + ends, ends):
+            if hi > lo:
+                # each fact's rows at their own shape, as a taller matmul
+                # need not round the same way
+                blocks.append(pool_phi[p[keep]] @ psi_t)
+                targets.append(means[lo:hi])
+    return systems

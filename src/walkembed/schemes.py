@@ -25,6 +25,7 @@ are all read from these two laws.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,11 +244,20 @@ def exact_dest_distribution(db: Database, fact_id: int, scheme: WalkScheme) -> d
 # codes of one column are equal exactly when the strings are.
 
 
-def _advance(db: Database, cur: np.ndarray, step: WalkStep, rng: np.random.Generator) -> np.ndarray:
+def _advance(
+    db: Database,
+    cur: np.ndarray,
+    step: WalkStep,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    block: np.ndarray | None = None,
+) -> np.ndarray:
     """Where the walkers at ``cur`` go on ``step``; -1 for a dead end.
 
     A backward step draws one ``rng.random`` value per walker that has a
-    candidate, in one call, and none when no walker has one.
+    candidate, in one call, and none when no walker has one.  With
+    ``block`` (each walker's block number, non-decreasing) ``rng`` is one
+    generator per block, and each block with such walkers makes that call
+    on its own generator.
     """
     index = db.fk_index[db.schema.fk_position(step.fk)]
     if step.direction == FORWARD:
@@ -257,17 +267,27 @@ def _advance(db: Database, cur: np.ndarray, step: WalkStep, rng: np.random.Gener
     nxt = np.full(len(cur), -1, dtype=np.int64)
     has = width > 0
     if has.any():
-        picks = lo[has] + (rng.random(int(has.sum())) * width[has]).astype(np.int64)
+        if block is None:
+            u = rng.random(int(has.sum()))
+        else:
+            counts = np.bincount(block[has], minlength=len(rng)).tolist()
+            u = np.concatenate([g.random(c) for g, c in zip(rng, counts) if c])
+        picks = lo[has] + (u * width[has]).astype(np.int64)
         nxt[has] = index.flat[picks]
     return nxt
 
 
 def sample_dest_batch(
-    db: Database, fact_ids: np.ndarray, scheme: WalkScheme, rng: np.random.Generator
+    db: Database,
+    fact_ids: np.ndarray,
+    scheme: WalkScheme,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    block: np.ndarray | None = None,
 ) -> np.ndarray:
     """Walk destinations for many starts at once; -1 marks a dead end.
 
-    Each walk picks uniformly among the candidates at every step.
+    Each walk picks uniformly among the candidates at every step.  With
+    ``block``, ``rng`` holds one generator per block (see ``_advance``).
     """
     here = np.asarray(fact_ids, dtype=np.int64).copy()
     alive = here >= 0
@@ -275,7 +295,7 @@ def sample_dest_batch(
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        here[idx] = _advance(db, here[idx], step, rng)
+        here[idx] = _advance(db, here[idx], step, rng, None if block is None else block[idx])
         alive = here >= 0
     here[~alive] = -1
     return here
@@ -285,25 +305,41 @@ def sample_target_values_batch(
     db: Database,
     fact_ids: np.ndarray,
     tws: TargetedWalkScheme,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     retry_cap: int = 20,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(destination ids with -1 for failures, their target values) per start.
 
     Each start retries dead ends and null destinations up to ``retry_cap``
-    attempts.  The values are the target column (``Database.column``)
-    gathered at the destinations: codes or floats, meaningful where the
-    destination is not -1.
+    attempts (at least 1).  The values are the target column
+    (``Database.column``) gathered at the destinations: codes or floats,
+    meaningful where the destination is not -1.
+
+    ``rng`` is one generator or a sequence of G generators.  With G, the
+    starts are G equal contiguous blocks, and block g draws from ``rng[g]``
+    exactly the numbers, in the same order, that a call on that block alone
+    would draw: one ``random`` call per retry round and backward step when
+    some of its walkers draw, none otherwise.  So one call samples many
+    callers' walks, each on its own stream.
     """
+    if retry_cap < 1:
+        raise UsageError(f"retry_cap must be at least 1, got {retry_cap}")
     start = np.asarray(fact_ids, dtype=np.int64)
+    block = None
+    if not isinstance(rng, np.random.Generator):
+        if not rng or len(start) % len(rng):
+            raise UsageError(f"{len(start)} starts do not split into {len(rng)} equal blocks")
+        block = np.arange(len(start)) // (len(start) // len(rng) or 1)
     data, null, _ = db.column(tws.scheme.end_relation, tws.target_attr)
     dests = np.full(len(start), -1, dtype=np.int64)
     values = np.zeros(len(start), dtype=data.dtype)
     pending = np.arange(len(start))
-    for _ in range(max(1, retry_cap)):
+    for _ in range(retry_cap):
         if len(pending) == 0:
             break
-        got = sample_dest_batch(db, start[pending], tws.scheme, rng)
+        got = sample_dest_batch(
+            db, start[pending], tws.scheme, rng, None if block is None else block[pending]
+        )
         ok = got >= 0
         rows = db.row_of[got[ok]]
         keep = ~null[rows]

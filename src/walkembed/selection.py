@@ -136,9 +136,11 @@ def score_mi(
 ) -> list[SchemeScore]:
     """Score = -min over consecutive positions of empirical mutual
     information, from ``walk_budget`` complete walks per scheme (uniform
-    start fact; dead walks redrawn up to the retry cap)."""
+    start fact; dead walks redrawn up to the retry cap, at least 1)."""
     if walk_budget <= 0:
         raise UsageError("walk_budget must be positive")
+    if retry_cap < 1:
+        raise UsageError(f"retry_cap must be at least 1, got {retry_cap}")
     raw: dict[TargetedWalkScheme, float] = {}
     notes: dict[TargetedWalkScheme, str] = {}
     for idx, tws in enumerate(schemes):
@@ -154,7 +156,7 @@ def score_mi(
         rng = derive_rng(seed, "score", "mi", idx)
         rows: list[np.ndarray] = []
         need = walk_budget
-        for _ in range(max(1, retry_cap)):
+        for _ in range(retry_cap):
             if need <= 0:
                 break
             starts = start_ids[rng.integers(0, len(start_ids), size=need)]

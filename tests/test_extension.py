@@ -13,14 +13,27 @@ import pytest
 
 from conftest import reference_kd, reference_value_distribution
 
-from walkembed import extension
+from walkembed import evaluation, extension
 from walkembed.errors import NumericError, UsageError
 from walkembed.extension import ExtensionConfig, extend_embedding, solve_ridge
-from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
+from walkembed.kernels import (
+    column_kernel,
+    default_kernels,
+    kd_exact,
+    kd_from_value_law,
+    kernel_eval,
+    kernel_for,
+)
 from walkembed.relational import Fact, build_database, insert_facts, schema_from_dict
-from walkembed.schemes import enumerate_targeted_schemes, targeted_text
+from walkembed.schemes import (
+    enumerate_targeted_schemes,
+    exact_value_law,
+    sample_target_values_batch,
+    targeted_text,
+)
 from walkembed.model_io import save_model
-from walkembed.synth import two_cluster_database
+from walkembed.seeding import derive_rng
+from walkembed.synth import planted_database, two_cluster_database
 from walkembed.trainer import EmbeddingModel, TrainConfig, bilinear, train
 
 
@@ -309,7 +322,7 @@ def _system_of(monkeypatch, db, model, new_id, cfg, kernels):
     return system
 
 
-def test_one_sampler_call_per_new_fact_and_scheme(monkeypatch):
+def test_one_sampler_call_per_active_scheme_per_batch(monkeypatch):
     db, model = _trained_cluster_model()
     rel = db.schema.relation("item")
     g0 = db.fact(next(iter(db.relation_fact_ids("item")))).value(rel, "g")
@@ -319,15 +332,16 @@ def test_one_sampler_call_per_new_fact_and_scheme(monkeypatch):
     real = extension.sample_target_values_batch
 
     def counting(db_, starts, tws, rng, retry_cap=20):
-        calls.append((int(starts[0]), tws, len(starts)))
+        calls.append((starts[:: 3 * 4].tolist(), tws, len(rng)))
         return real(db_, starts, tws, rng, retry_cap)
 
     monkeypatch.setattr(extension, "sample_target_values_batch", counting)
     cfg = ExtensionConfig(partners_per_scheme=3, samples_per_partner=4)
     extend_embedding(db2, model, new_ids, cfg, default_kernels(db))
-    assert len(calls) == len(new_ids) * len(model.active_schemes)
-    expected = [(f, tws, 2 * 3 * 4) for f in new_ids for tws in model.active_schemes]
-    assert calls == expected
+    # each fact's block: 3 * 4 walks from it, then 3 * 4 from its partners
+    assert [(s[0], s[2], tws, g) for s, tws, g in calls] == [
+        (new_ids[0], new_ids[1], tws, 2) for tws in model.active_schemes
+    ]
     calls.clear()
     extend_embedding(db2, model, new_ids, ExtensionConfig(exact_targets=True), default_kernels(db))
     assert calls == []
@@ -425,3 +439,207 @@ def test_sampled_clone_gets_twin_like_responses():
     )
     assert worst < tolerance
     assert worst > 0  # sampled, so not exact
+
+
+# -- the batched extension against the per-fact loop it replaced ------------------------
+
+
+def _reference_extend_embedding(db, model, new_fact_ids, cfg, kernels, seed=0, retry_cap=20):
+    """The extension as first written: one sampler call per (new fact,
+    scheme), each on the fact's own stream; the batched extension must
+    reproduce it to the bit."""
+    existing = sorted(model.phi.keys())
+    new_set = set(new_fact_ids)
+    pool = np.asarray([f for f in existing if f not in new_set], dtype=np.int64)
+    phi = dict(model.phi)
+    n_draws = cfg.samples_per_partner
+    for new_fact in new_fact_ids:
+        rng = derive_rng(seed, "extend", str(db.key_of(new_fact)))
+        blocks, targets = [], []
+        for tws in model.active_schemes:
+            if cfg.exhaustive_partners:
+                partners = pool
+            else:
+                take = min(cfg.partners_per_scheme, len(pool))
+                partners = pool[rng.choice(len(pool), size=take, replace=False)]
+            spec = kernel_for(kernels, tws)
+            if cfg.exact_targets:
+                law = exact_value_law(db, tws, np.concatenate([[new_fact], partners]))
+                kd = kd_from_value_law(spec, *law, 1 + len(partners))
+                has = ~np.isnan(kd)
+                kept, means = partners[has].tolist(), kd[has]
+            else:
+                half = len(partners) * n_draws
+                starts = np.concatenate(
+                    [np.full(half, new_fact, dtype=np.int64), np.repeat(partners, n_draws)]
+                )
+                dests, values = sample_target_values_batch(db, starts, tws, rng, retry_cap)
+                ok = np.flatnonzero((dests[:half] >= 0) & (dests[half:] >= 0))
+                sims = column_kernel(spec, values[ok], values[half + ok])
+                owner = ok // n_draws
+                counts = np.bincount(owner, minlength=len(partners))
+                sums = np.bincount(owner, weights=sims, minlength=len(partners))
+                has = counts > 0
+                kept, means = partners[has].tolist(), sums[has] / counts[has]
+            if kept:
+                blocks.append(np.stack([phi[p] for p in kept]) @ model.psi[tws].T)
+                targets.append(means)
+        phi[new_fact] = solve_ridge(np.concatenate(blocks), np.concatenate(targets), cfg.ridge)
+    return EmbeddingModel(model.k, model.start_relation, phi, model.psi, model.active_schemes)
+
+
+def _assert_extends_like_reference(db, model, new_ids, cfg, kernels, seed=0):
+    got = extend_embedding(db, model, new_ids, cfg, kernels, seed=seed)
+    want = _reference_extend_embedding(db, model, new_ids, cfg, kernels, seed=seed)
+    assert list(got.phi) == list(want.phi)
+    for f, vec in want.phi.items():
+        assert got.phi[f].dtype == vec.dtype and got.phi[f].tobytes() == vec.tobytes(), f
+
+
+_TAGS = {
+    "i0": [("a", 0.0), ("b", 1.0)],
+    "i1": [("a", 0.5), ("a", None), (None, 2.0)],
+    "i2": [("b", -1.0), ("c", 0.0), ("a", 1.5)],
+    "i3": [(None, 3.0)],
+    "i4": [],
+    "i5": [("c", None), (None, None), ("b", 0.4)],
+    "i6": [("a", 2.5)],
+    "i7": [(None, None), ("c", -0.3)],
+}
+_NEW_TAGS = {
+    "n0": [("a", 0.1), ("c", None), (None, 1.2), ("b", -0.5)],
+    "n1": [(None, None), (None, None), ("a", None)],
+    "n2": [],
+    "n3": [("b", 0.9)],
+    "n4": [(None, 0.3), ("c", 1.1)],
+}
+
+
+def _tagged_batch(n_new, seed=0):
+    """A model trained on ``_TAGS`` over every scheme up to length 2, whose
+    targets are nullable codes, nullable floats (Gaussian kernel) and the
+    length-2 item -> tag -> item walk, and the database with ``n_new``
+    new items and their tags."""
+    db = _tagged_database(_TAGS)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 2)
+    assert max(t.scheme.length for t in schemes) == 2
+    model, _ = train(db, "item", schemes, TrainConfig(k=3, n_samples=2, epochs=2, seed=seed))
+    keys = list(_NEW_TAGS)[:n_new]
+    grown = insert_facts(
+        db,
+        [Fact("item", (key,)) for key in keys]
+        + [
+            Fact("tag", (f"{key}-{i}", key, val, num))
+            for key in keys
+            for i, (val, num) in enumerate(_NEW_TAGS[key])
+        ],
+    )
+    return grown, model, [grown.fact_by_key("item", (k,)) for k in keys], default_kernels(db)
+
+
+def _planted_batch(n_new, seed=0):
+    """A model trained on a small planted database, and the database with
+    ``n_new`` new items and their observations."""
+    setup = planted_database(n_items=24, n_obs=2, seed=seed)
+    db = setup.db
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    model, _ = train(db, "item", schemes, TrainConfig(k=4, n_samples=2, epochs=2, seed=seed))
+    rows = []
+    for i in range(n_new):
+        rows.append(Fact("item", (f"n{i}", f"c{i % 2}", f"u{i}", f"w{i}", "k0")))
+        rows += [
+            Fact(f"obs{j}", (f"no{j}_{i}_{t}", f"n{i}", f"v{j}_{i % 2}_{'ab'[(i + t) % 2]}"))
+            for j in range(2)
+            for t in range(3)
+        ]
+    grown = insert_facts(db, rows)
+    return grown, model, [grown.fact_by_key("item", (f"n{i}",)) for i in range(n_new)], default_kernels(db)
+
+
+@pytest.mark.parametrize("batch", [_tagged_batch, _planted_batch])
+@pytest.mark.parametrize("n_new", [1, 2, 5])
+def test_batched_extension_matches_per_fact_reference(batch, n_new):
+    db, model, new_ids, kernels = batch(n_new)
+    for ids in (new_ids, new_ids[::-1]):
+        for seed in (0, 3):
+            _assert_extends_like_reference(db, model, ids, ExtensionConfig(), kernels, seed)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExtensionConfig(partners_per_scheme=8),  # the whole pool of 8
+        ExtensionConfig(partners_per_scheme=50, samples_per_partner=3),
+        ExtensionConfig(exhaustive_partners=True, samples_per_partner=7),
+        ExtensionConfig(partners_per_scheme=1, samples_per_partner=1),
+        ExtensionConfig(exact_targets=True, partners_per_scheme=4),
+        ExtensionConfig(exact_targets=True, exhaustive_partners=True),
+    ],
+)
+def test_batched_extension_matches_reference_across_configs(cfg):
+    db, model, new_ids, kernels = _tagged_batch(5)
+    _assert_extends_like_reference(db, model, new_ids, cfg, kernels, seed=2)
+
+
+@pytest.mark.parametrize("cap", ["one fact", "two facts", "whole batch"])
+def test_batch_split_into_chunks_gives_the_same_vectors(monkeypatch, cap):
+    db, model, new_ids, kernels = _tagged_batch(5)
+    cfg = ExtensionConfig(partners_per_scheme=3, samples_per_partner=4)
+    per_fact = 2 * 3 * 4
+    walkers = {"one fact": 1, "two facts": 2 * per_fact + 1, "whole batch": 5 * per_fact}[cap]
+    monkeypatch.setattr(extension, "EXTEND_WALKERS", walkers)
+    sizes = []
+    real = extension.sample_target_values_batch
+
+    def recording(db_, starts, tws, rng, retry_cap=20):
+        sizes.append(len(rng))
+        return real(db_, starts, tws, rng, retry_cap)
+
+    monkeypatch.setattr(extension, "sample_target_values_batch", recording)
+    _assert_extends_like_reference(db, model, new_ids, cfg, kernels, seed=4)
+    n_schemes = len(model.active_schemes)
+    expected = {"one fact": [1] * 5, "two facts": [2, 2, 1], "whole batch": [5]}[cap]
+    assert sizes == [g for g in expected for _ in range(n_schemes)]
+
+
+def test_dynamic_protocol_extends_like_the_per_fact_reference(monkeypatch):
+    setup = planted_database(n_items=16, n_obs=2, seed=3)
+    cfg = TrainConfig(k=4, n_samples=2, epochs=2, learning_rate=0.1, seed=0)
+    batches = []
+
+    def checked(db, model, new_ids, ext_cfg, kernels, seed=0, retry_cap=20):
+        batches.append(len(new_ids))
+        _assert_extends_like_reference(db, model, new_ids, ext_cfg, kernels, seed)
+        return extend_embedding(db, model, new_ids, ext_cfg, kernels, seed, retry_cap)
+
+    monkeypatch.setattr(evaluation, "extend_embedding", checked)
+    evaluation.dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(0.3, 0.6), seed=5)
+    assert len(batches) == 2 and min(batches) > 1
+
+
+# -- argument checks ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-1, "past the end"])
+def test_out_of_range_fact_id_rejected_before_any_walk(monkeypatch, bad):
+    db, model, tws, items = _cluster_indicator_model()
+    bad = db.n_facts if bad == "past the end" else bad
+    calls = []
+    monkeypatch.setattr(extension, "sample_target_values_batch", lambda *a: calls.append(a))
+    for ids in ([bad], [items[0], bad]):
+        with pytest.raises(UsageError, match=f"fact {bad} is not in the database"):
+            extend_embedding(db, model, ids, ExtensionConfig(), default_kernels(db))
+    assert calls == []
+
+
+@pytest.mark.parametrize("retry_cap", [0, -1])
+@pytest.mark.parametrize("exact", [False, True])
+def test_retry_cap_below_one_rejected(retry_cap, exact):
+    db, model, tws, items = _cluster_indicator_model()
+    rel = db.schema.relation("item")
+    db2 = insert_facts(db, [Fact("item", ("clone", db.fact(items[0]).value(rel, "g")))])
+    with pytest.raises(UsageError, match="retry_cap"):
+        extend_embedding(
+            db2, model, [db2.n_facts - 1], ExtensionConfig(exact_targets=exact),
+            default_kernels(db), retry_cap=retry_cap,
+        )

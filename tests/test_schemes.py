@@ -86,7 +86,7 @@ def sample_walk(db, fact_id, scheme, rng):
 def dest_attr_sample(db, fact_id, tws, rng, retry_cap=20):
     """Scalar oracle: (destination fact id, its target value), retrying over
     dead ends and null destinations up to ``retry_cap`` attempts."""
-    for _ in range(max(1, retry_cap)):
+    for _ in range(retry_cap):
         path = sample_walk(db, fact_id, tws.scheme, rng)
         if path is None:
             continue
@@ -452,7 +452,7 @@ def _reference_target_values_batch(db, fact_ids, tws, rng, retry_cap=20):
     dests = np.full(len(start), -1, dtype=np.int64)
     values = [None] * len(start)
     pending = np.arange(len(start))
-    for _ in range(max(1, retry_cap)):
+    for _ in range(retry_cap):
         if len(pending) == 0:
             break
         got = sample_dest_batch(db, start[pending], tws.scheme, rng)
@@ -522,6 +522,94 @@ def test_sampler_row_loop_matches_reference_on_long_retries(chain_schema, retry_
     tws = TargetedWalkScheme(WalkScheme("R", (WalkStep(fk, BACKWARD),)), "sval")
     starts = np.asarray([0] * 40 + [1, 2, 0, 1], dtype=np.int64)
     _assert_sampler_matches_reference(db, starts, tws, rng_seed, retry_cap)
+
+
+# -- one call over G blocks against G calls ---------------------------------------------
+
+
+def _assert_blocks_match_single_calls(db, blocks, tws, rng_seed, retry_cap):
+    """One call over the concatenated ``blocks``, block g on generator g,
+    against one call per block: dests, values and every final generator
+    state agree."""
+    rngs = [np.random.default_rng([rng_seed, g]) for g in range(len(blocks))]
+    refs = [np.random.default_rng([rng_seed, g]) for g in range(len(blocks))]
+    dests, values = sample_target_values_batch(db, np.concatenate(blocks), tws, rngs, retry_cap)
+    singles = [sample_target_values_batch(db, b, tws, r, retry_cap) for b, r in zip(blocks, refs)]
+    want_dests = np.concatenate([d for d, _ in singles])
+    want_values = np.concatenate([v for _, v in singles])
+    assert dests.dtype == want_dests.dtype and np.array_equal(dests, want_dests)
+    assert values.dtype == want_values.dtype and values.tobytes() == want_values.tobytes()
+    for got, want in zip(rngs, refs):
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db_seed=st.integers(min_value=0, max_value=400),
+    pick=st.integers(min_value=0, max_value=10_000),
+    n_blocks=st.integers(min_value=1, max_value=5),
+    block_len=st.integers(min_value=0, max_value=12),
+    rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    retry_cap=st.sampled_from([1, 3, 20]),
+)
+def test_block_call_matches_one_call_per_block(db_seed, pick, n_blocks, block_len, rng_seed, retry_cap):
+    schema = random_schema(db_seed)
+    db = random_database(schema, db_seed)
+    start_rel = schema.relations[0].name
+    schemes = enumerate_targeted_schemes(schema, start_rel, 3)
+    tws = schemes[pick % len(schemes)]
+    ids = db.relation_fact_ids(start_rel)
+    blocks = [
+        np.asarray([ids[(pick + 7 * g + 3 * i) % len(ids)] for i in range(block_len)], dtype=np.int64)
+        for g in range(n_blocks)
+    ]
+    _assert_blocks_match_single_calls(db, blocks, tws, rng_seed, retry_cap)
+
+
+@pytest.mark.parametrize("retry_cap", [1, 20])
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_block_call_matches_when_a_block_dies_early(chain_schema, retry_cap, rng_seed):
+    # R <- S -> R <- S: walks from r3 die on the first step, so its block
+    # draws nothing while the others draw on the first and last steps
+    from walkembed.relational import build_database
+
+    db = build_database(
+        chain_schema,
+        [("R", ("r1",)), ("R", ("r2",)), ("R", ("r3",))]
+        + [("S", (f"x{i}", "r1", "vd" if i == 0 else None)) for i in range(4)]
+        + [("S", (f"y{i}", "r2", None if i else "ve")) for i in range(2)],
+    )
+    fk = db.schema.foreign_keys[0]
+    back, fwd = WalkStep(fk, BACKWARD), WalkStep(fk, FORWARD)
+    tws = TargetedWalkScheme(WalkScheme("R", (back, fwd, back)), "sval")
+    blocks = [np.full(6, 0), np.full(6, 2), np.asarray([1, 0, 2, 1, 1, 0])]
+    _assert_blocks_match_single_calls(db, [b.astype(np.int64) for b in blocks], tws, rng_seed, retry_cap)
+    # the dead block's generator is untouched
+    dead = np.random.default_rng(rng_seed)
+    before = dead.bit_generator.state
+    sample_target_values_batch(db, np.full(6, 2, dtype=np.int64), tws, [dead], retry_cap)
+    assert dead.bit_generator.state == before
+
+
+def test_block_call_rejects_unequal_blocks(chain_db):
+    fk = chain_db.schema.foreign_keys[0]
+    tws = TargetedWalkScheme(WalkScheme("R", (WalkStep(fk, BACKWARD),)), "sval")
+    rngs = [np.random.default_rng(g) for g in range(2)]
+    with pytest.raises(UsageError, match="equal blocks"):
+        sample_target_values_batch(chain_db, np.zeros(3, dtype=np.int64), tws, rngs)
+    with pytest.raises(UsageError, match="equal blocks"):
+        sample_target_values_batch(chain_db, np.zeros(2, dtype=np.int64), tws, [])
+
+
+@pytest.mark.parametrize("retry_cap", [0, -3])
+def test_sampler_rejects_retry_cap_below_one(chain_db, retry_cap):
+    fk = chain_db.schema.foreign_keys[0]
+    tws = TargetedWalkScheme(WalkScheme("R", (WalkStep(fk, BACKWARD),)), "sval")
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(UsageError, match="retry_cap"):
+        sample_target_values_batch(chain_db, np.zeros(4, dtype=np.int64), tws, rng, retry_cap)
+    assert rng.bit_generator.state == before
 
 
 # -- the foreign-key arrays the samplers step through ------------------------------

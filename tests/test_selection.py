@@ -110,6 +110,14 @@ def test_mi_constant_step_is_zero():
     assert abs(got) <= 0.05
 
 
+@pytest.mark.parametrize("retry_cap", [0, -1])
+def test_mi_rejects_retry_cap_below_one(retry_cap):
+    db = mi_chain_database(4)
+    schemes = enumerate_targeted_schemes(db.schema, "X", 1)
+    with pytest.raises(UsageError, match="retry_cap"):
+        score_mi(db, schemes, 100, seed=0, retry_cap=retry_cap)
+
+
 def test_mi_length_zero_unassessable_below_finite():
     db = mi_chain_database(4)
     schemes = enumerate_targeted_schemes(db.schema, "X", 1)
