@@ -12,9 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import resource
 import sys
 import time
@@ -31,14 +29,15 @@ from .evaluation import (
     compute_scores,
     cross_validate,
     dynamic_protocol,
+    load_task,
     make_folds,
     run_experiment,
-    strip_attribute,
     write_report,
 )
 from .extension import ExtensionConfig, extend_embedding
+from .files import read_json, write_csv, write_json
 from .kernels import default_kernels
-from .model_io import export_embeddings_csv, json_array, json_field, load_model, read_json, save_model
+from .model_io import export_embeddings_csv, json_array, json_field, load_model, save_model
 from .relational import Fact, insert_facts, load_database, load_schema, read_relation_csv
 from .schemes import enumerate_targeted_schemes, scheme_text, targeted_text
 from .selection import online_elimination_train, ranked, select
@@ -49,13 +48,6 @@ MANIFEST_FORMAT_VERSION = 1
 
 def _config_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_json_atomic(doc: dict, path: Path) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    tmp.replace(path)
 
 
 class Manifest:
@@ -76,7 +68,7 @@ class Manifest:
             "status": "running",
             "outputs": [],
         }
-        _write_json_atomic(self.doc, self.path)
+        write_json(self.doc, self.path)
 
     def finish(self, outputs: list[Path]) -> None:
         self.doc["status"] = "complete"
@@ -84,21 +76,14 @@ class Manifest:
         self.doc["outputs"] = [str(p) for p in outputs]
         # Linux reports the high-water mark of the resident set in KiB
         self.doc["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        _write_json_atomic(self.doc, self.path)
+        write_json(self.doc, self.path)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if not args.config:
         raise UsageError("this command requires --config")
     path = Path(args.config)
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config is not valid JSON: {exc}") from exc
-    config = ExperimentConfig.from_dict(doc, base_dir=path.parent)
+    config = ExperimentConfig.from_dict(read_json(path, "config file", error=UsageError), base_dir=path.parent)
     if args.seed is not None:
         config = replace(
             config,
@@ -108,15 +93,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.workers is not None:
         config = replace(config, workers=args.workers)  # validated like the file's value
     return config
-
-
-def _prepare_task(config: ExperimentConfig):
-    schema = load_schema(config.schema_path)
-    raw_db = load_database(schema, config.data_dir)
-    db, task = strip_attribute(raw_db, config.task_relation, config.task_attribute)
-    schemes = enumerate_targeted_schemes(db.schema, config.task_relation, config.max_length)
-    kernels = apply_kernel_overrides(default_kernels(db), config.kernel_overrides)
-    return db, task, schemes, kernels
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -140,24 +116,21 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_dir = Path(args.out_dir)
     manifest = Manifest(out_dir, "score", Path(args.config), config.trainer.seed)
-    db, _, schemes, kernels = _prepare_task(config)
+    db, _, schemes, kernels = load_task(config)
     if args.strategy == "online":
         raise UsageError("the online strategy scores nothing up front; use it with `train`")
     scores = compute_scores(args.strategy, db, schemes, config.trainer, kernels, config)
     outputs: list[Path] = []
     score_path = out_dir / f"scores_{args.strategy}.csv"
-    with open(score_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme_text", "target_attr", "strategy", "score", "rank", "diagnostics"])
-        for rank, sc in ranked(scores):
-            writer.writerow(
-                [scheme_text(sc.tws.scheme), sc.tws.target_attr, sc.strategy, repr(sc.score), rank, sc.diagnostic]
-            )
+    write_csv(score_path, ["scheme_text", "target_attr", "strategy", "score", "rank", "diagnostics"], (
+        [scheme_text(sc.tws.scheme), sc.tws.target_attr, sc.strategy, repr(sc.score), rank, sc.diagnostic]
+        for rank, sc in ranked(scores)
+    ))
     outputs.append(score_path)
     for ratio in config.ratios:
         selection = select(scores, ratio)
         sel_path = out_dir / f"selection_{args.strategy}_{ratio:g}.json"
-        _write_json_atomic(
+        write_json(
             {
                 "format_version": 1,
                 "strategy": args.strategy,
@@ -179,7 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_dir = Path(args.out_dir)
     manifest = Manifest(out_dir, "train", Path(args.config), config.trainer.seed)
-    db, _, schemes, kernels = _prepare_task(config)
+    db, _, schemes, kernels = load_task(config)
 
     strategy = args.strategy
     if args.selection and strategy:
@@ -223,25 +196,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     export_embeddings_csv(model, db, emb_path)
     outputs.append(emb_path)
     log_path = out_dir / "training_log.csv"
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "scheme_text", "target_attr", "epoch_loss", "cumulative_loss", "wall_time", "samples_used", "samples_skipped"]
-        )
-        for stats in history:
-            for tws, loss in stats.epoch_mean_loss.items():
-                writer.writerow(
-                    [
-                        stats.epoch_index,
-                        scheme_text(tws.scheme),
-                        tws.target_attr,
-                        repr(loss),
-                        repr(stats.cumulative_mean_loss.get(tws)),
-                        repr(stats.wall_time),
-                        stats.samples_used,
-                        stats.samples_skipped,
-                    ]
-                )
+    header = ["epoch", "scheme_text", "target_attr", "epoch_loss", "cumulative_loss", "wall_time", "samples_used",
+              "samples_skipped"]
+    write_csv(log_path, header, (
+        [stats.epoch_index, scheme_text(tws.scheme), tws.target_attr, repr(loss),
+         repr(stats.cumulative_mean_loss.get(tws)), repr(stats.wall_time), stats.samples_used, stats.samples_skipped]
+        for stats in history
+        for tws, loss in stats.epoch_mean_loss.items()
+    ))
     outputs.append(log_path)
     manifest.finish(outputs)
     for p in outputs:
@@ -253,12 +215,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_dir = Path(args.out_dir)
     manifest = Manifest(out_dir, "extend", Path(args.config), config.trainer.seed)
-    db, _, _, _ = _prepare_task(config)
+    db, _, _, _ = load_task(config)
     model = load_model(args.model, db)
 
     new_dir = Path(args.new_dir)
-    if not new_dir.exists():
-        raise UsageError(f"--new-dir not found: {new_dir}")
+    if not new_dir.is_dir():
+        raise UsageError(f"--new-dir is not a directory: {new_dir}")
     batch: list[Fact] = []
     for rel in db.schema.relations:
         path = new_dir / f"{rel.name}.csv"
@@ -349,7 +311,7 @@ def _verify_clones(db, db_new, model, extended, new_start, strict: bool) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    db, task, _, _ = _prepare_task(config)
+    db, task, _, _ = load_task(config)
     model = load_model(args.model, db)
     labeled = sorted(task.labels)
     labels = [task.labels[f] for f in labeled]
@@ -411,10 +373,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             label = strategy or "baseline"
             rows.extend((label, p.fraction_deleted, p.n_inserted, p.accuracy) for p in points)
         dyn_path = out_dir / "dynamic.csv"
-        with open(dyn_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "fraction_deleted", "n_inserted", "accuracy"])
-            writer.writerows(rows)
+        write_csv(dyn_path, ["strategy", "fraction_deleted", "n_inserted", "accuracy"], rows)
         outputs.append(dyn_path)
 
     manifest.finish(outputs)
@@ -451,10 +410,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             json_array(points, (len(points), 2), "iuf", report_path, f"{where}.points")
             rows.extend([strategy, ratio, label, repr(t), repr(a)] for t, a in points)
     out = Path(args.out) if args.out else report_path.parent / "plotdata.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "ratio", "series", "seconds", "accuracy"])
-        writer.writerows(rows)
+    write_csv(out, ["strategy", "ratio", "series", "seconds", "accuracy"], rows)
     print(out)
     return 0
 

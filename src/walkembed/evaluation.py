@@ -29,7 +29,6 @@ bit-identical to ``train_classifier`` on that fold alone.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import time
@@ -43,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrityError, UsageError
+from .files import write_csv, write_json
 from .kernels import KernelMap, KernelSpec, default_kernels
 from .relational import (  # noqa: F401  (build_database: bench/layertrace.py patches it here)
     Database,
@@ -695,10 +695,20 @@ def compute_scores(
     raise UsageError(f"unknown strategy {strategy!r}, expected one of: {', '.join(STRATEGIES)}")
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def load_task(config: ExperimentConfig) -> tuple[Database, DownstreamTask, list[TargetedWalkScheme], KernelMap]:
+    """The database of ``config`` without its prediction attribute, the
+    labels taken from it, the targeted schemes of the prediction relation
+    and the kernels (defaults with the config's overrides)."""
     schema = load_schema(config.schema_path)
     raw_db = load_database(schema, config.data_dir)
     db, task = strip_attribute(raw_db, config.task_relation, config.task_attribute)
+    schemes = enumerate_targeted_schemes(db.schema, config.task_relation, config.max_length)
+    kernels = apply_kernel_overrides(default_kernels(db), config.kernel_overrides)
+    return db, task, schemes, kernels
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    db, task, schemes, kernels = load_task(config)
     if not task.labels:
         raise IntegrityError("prediction attribute has no non-null labels")
     labeled_ids = sorted(task.labels)
@@ -706,11 +716,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if len(set(map(str, labels_list))) < 2:
         raise IntegrityError("prediction attribute has a single class; nothing to learn")
     fold_assign = make_folds(labels_list, config.folds, config.split_seed)
-
-    schemes = enumerate_targeted_schemes(db.schema, config.task_relation, config.max_length)
     if not schemes:
         raise UsageError("no targeted walk schemes to train on")
-    kernels = apply_kernel_overrides(default_kernels(db), config.kernel_overrides)
 
     def cell_args(strategy: str, ratio: float, seed: int, kept: list[TargetedWalkScheme], online: bool) -> dict:
         return {
@@ -878,7 +885,8 @@ def dynamic_protocol(
         kernels = default_kernels(reduced)
         cfg = replace(trainer, seed=seed)
         if strategy is not None and strategy != "online" and ratio < 1.0:
-            assert config is not None, "a full config is required to score strategies"
+            if config is None:
+                raise UsageError(f"strategy {strategy!r} needs a config to score schemes")
             scores = compute_scores(strategy, reduced, schemes, cfg, kernels, config)
             schemes = list(select(scores, ratio).kept)
         model, _ = train(reduced, task_relation, schemes, cfg, kernels)
@@ -915,16 +923,10 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     report_path = out_dir / "report.json"
-    tmp = report_path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    tmp.replace(report_path)
+    write_json(report.to_dict(), report_path)
     paths.append(report_path)
     for (strategy, ratio), pts in sorted(report.ensembles.items()):
         path = out_dir / f"curve_{strategy}_{ratio:g}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("seconds,accuracy\n")
-            for t, a in pts:
-                fh.write(f"{t!r},{a!r}\n")
+        write_csv(path, ["seconds", "accuracy"], ([repr(t), repr(a)] for t, a in pts))
         paths.append(path)
     return paths

@@ -8,15 +8,14 @@ schema on load.  Loaders fail loudly on a format-version mismatch.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IntegrityError, SchemaError, UsageError
-from .relational import Database, Value
+from .files import read_json, write_csv, write_json
+from .relational import Database
 from .schemes import TargetedWalkScheme, WalkScheme, WalkStep, scheme_text
 from .trainer import EmbeddingModel
 
@@ -39,21 +38,6 @@ def _scheme_doc(tws: TargetedWalkScheme) -> dict:
             for st in tws.scheme.steps
         ],
     }
-
-
-def read_json(path: str | Path, what: str):
-    """The JSON document in ``path``.  A missing or unreadable file is a
-    UsageError; content that is not JSON (or not UTF-8) is an
-    IntegrityError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"{what} not found: {path}") from None
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise IntegrityError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", (int, float): "a number"}
@@ -128,11 +112,7 @@ def save_model(model: EmbeddingModel, db: Database, path: str | Path) -> None:
             for fid, vec in sorted(model.phi.items())
         ],
     }
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    tmp.replace(path)
+    write_json(doc, path, indent=None)
 
 
 def load_model(path: str | Path, db: Database) -> EmbeddingModel:
@@ -198,11 +178,8 @@ def export_embeddings_csv(
     e0..e{k-1}.  ``fact_ids`` restricts the export (e.g. to new facts)."""
     rel = db.schema.relation(model.start_relation)
     ids = sorted(model.phi.keys()) if fact_ids is None else list(fact_ids)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(rel.key) + [f"e{i}" for i in range(model.k)])
-        for fid in ids:
-            if fid not in model.phi:
-                raise UsageError(f"no embedding for fact {fid}")
-            key: tuple[Value, ...] = db.key_of(fid)
-            writer.writerow(["" if v is None else v for v in key] + list(model.phi[fid]))
+    missing = [fid for fid in ids if fid not in model.phi]
+    if missing:
+        raise UsageError(f"no embedding for fact {missing[0]}")
+    rows = (["" if v is None else v for v in db.key_of(fid)] + list(model.phi[fid]) for fid in ids)
+    write_csv(path, list(rel.key) + [f"e{i}" for i in range(model.k)], rows)

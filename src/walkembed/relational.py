@@ -88,6 +88,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IntegrityError, SchemaError
+from .files import read_json, write_csv, write_json
 
 Value = None | str | float
 
@@ -958,24 +959,11 @@ def schema_to_dict(schema: DatabaseSchema) -> dict:
 
 
 def save_schema(schema: DatabaseSchema, path: str | Path) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_dict(schema), fh, indent=2)
+    write_json(schema_to_dict(schema), path)
 
 
 def load_schema(path: str | Path) -> DatabaseSchema:
-    import json
-
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"schema file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
-    return schema_from_dict(doc)
+    return schema_from_dict(read_json(path, "schema file", error=SchemaError))
 
 
 def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, file: str, line_no: int) -> Value:
@@ -1008,27 +996,39 @@ def read_relation_csv(rel: RelationSchema, path: Path) -> Iterator[tuple[Value, 
     The header must equal the attribute names in schema order and every
     row must have one cell per attribute.  Empty cells are nulls, which
     key and non-nullable attributes reject; numeric cells must parse as
-    finite floats.  Errors name the file and line.
+    finite floats.  Errors name the file and line.  A file that cannot be
+    read or is not UTF-8 is an IntegrityError too.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IntegrityError(f"{path} is empty; expected a header row") from None
-        if tuple(header) != rel.attr_names:
-            raise IntegrityError(
-                f"{path} header {header!r} does not match attributes {rel.attr_names!r}"
-            )
-        attributes, width, file = rel.attributes, len(rel.attributes), path.name
-        for line_no, cells in enumerate(reader, start=2):
-            if len(cells) != width:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IntegrityError(f"{path} is empty; expected a header row") from None
+            if tuple(header) != rel.attr_names:
                 raise IntegrityError(
-                    f"{path} line {line_no}: expected {width} cells, got {len(cells)}"
+                    f"{path} header {header!r} does not match attributes {rel.attr_names!r}"
                 )
-            yield tuple([
-                _parse_cell(rel, attr, cell, file, line_no) for attr, cell in zip(attributes, cells)
-            ])
+            attributes, width, file = rel.attributes, len(rel.attributes), path.name
+            for line_no, cells in enumerate(reader, start=2):
+                if len(cells) != width:
+                    raise IntegrityError(
+                        f"{path} line {line_no}: expected {width} cells, got {len(cells)}"
+                    )
+                yield tuple([
+                    _parse_cell(rel, attr, cell, file, line_no) for attr, cell in zip(attributes, cells)
+                ])
+    except UnicodeDecodeError:
+        data = path.read_bytes()  # the text layer decodes in chunks: find the line in the bytes
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise IntegrityError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
+        raise
+    except OSError as exc:
+        raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
@@ -1053,8 +1053,5 @@ def write_database_csv(db: Database, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for rel in db.schema.relations:
-        with open(out_dir / f"{rel.name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rel.attr_names)
-            for fact in db.relation_facts(rel.name):
-                writer.writerow(["" if v is None else v for v in fact.values])
+        rows = (["" if v is None else v for v in fact.values] for fact in db.relation_facts(rel.name))
+        write_csv(out_dir / f"{rel.name}.csv", rel.attr_names, rows)

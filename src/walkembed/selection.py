@@ -425,7 +425,6 @@ def online_elimination_train(
     per_epoch_removals: int = 1,
     kernels: KernelMap | None = None,
     callbacks: list | None = None,
-    remove_highest: bool = False,
 ) -> tuple[EmbeddingModel, list[EpochStats], OnlineSchedule]:
     """Train once while eliminating schemes after each epoch.
 
@@ -433,8 +432,6 @@ def online_elimination_train(
     epoch's mean loss are dropped (never below ceil(ratio * N)); dropped
     schemes keep their frozen psi.  With ratio 1 nothing is ever removed
     and the run is identical to plain training under the same seed.
-    ``remove_highest`` inverts the criterion; it exists as an experiment
-    baseline, not as a recommended mode.
     """
     n = len(schemes)
     if n == 0:
@@ -459,8 +456,7 @@ def online_elimination_train(
         # Schemes that produced no samples this epoch carry no signal;
         # they sort below every real loss and go first.
         def key(tws: TargetedWalkScheme):
-            loss = stats.epoch_mean_loss.get(tws, -1.0)
-            return (-loss if remove_highest else loss, index_of[tws])
+            return (stats.epoch_mean_loss.get(tws, -1.0), index_of[tws])
 
         victims = sorted(active, key=key)[:n_remove]
         model.active_schemes = [t for t in active if t not in set(victims)]

@@ -385,6 +385,58 @@ def test_extend_non_numeric_cell_exits_3(toy_db, tmp_path, capsys):
     assert "cannot parse 'abc' as numeric for S.D (S.csv line 2)" in capsys.readouterr().err
 
 
+def _write_faulty_csv(path, fault):
+    if fault == "not UTF-8":
+        path.write_bytes(b"C,D\nw,1.0\n\xff,2.0\n")
+    else:
+        path.mkdir()
+
+
+@pytest.mark.parametrize("fault, message", [("not UTF-8", "S.csv line 3: not UTF-8"), ("directory", "Is a directory")])
+def test_unreadable_data_csv_exits_3(toy_db, tmp_path, capsys, fault, message):
+    """A data CSV that is not UTF-8 or cannot be read exits 3 with a message
+    naming it, both in --new-dir and in the data directory."""
+    save_schema(toy_db.schema, tmp_path / "schema.json")
+    write_database_csv(toy_db, tmp_path / "data")
+    config = {
+        "schema": "schema.json",
+        "data_dir": "data",
+        "task": {"relation": "R", "attribute": "B"},
+        "max_length": 1,
+        "trainer": {"k": 2, "n_samples": 1, "epochs": 1},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    train = ["--out-dir", str(tmp_path / "out"), "train", "--config", str(tmp_path / "config.json")]
+    assert _run(train)[0] == 0
+    (tmp_path / "new").mkdir()
+    _write_faulty_csv(tmp_path / "new" / "S.csv", fault)
+    code, _ = _run([
+        "--out-dir", str(tmp_path / "out"), "extend", "--config", str(tmp_path / "config.json"),
+        "--model", str(tmp_path / "out" / "model.json"), "--new-dir", str(tmp_path / "new"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "new" / "S.csv") in err and message in err
+    (tmp_path / "data" / "S.csv").unlink()
+    _write_faulty_csv(tmp_path / "data" / "S.csv", fault)
+    assert _run(train)[0] == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "data" / "S.csv") in err and message in err
+
+
+def test_extend_new_dir_that_is_a_file_exits_2(ws, trained, tmp_path, capsys):
+    not_a_dir = tmp_path / "item.csv"
+    not_a_dir.write_text("iid,cls\n")
+    out = tmp_path / "out"
+    code, _ = _run([
+        "--out-dir", str(out), "extend", "--config", str(ws["config"]),
+        "--model", str(trained / "model.json"), "--new-dir", str(not_a_dir),
+    ])
+    assert code == 2
+    assert f"--new-dir is not a directory: {not_a_dir}" in capsys.readouterr().err
+    assert not (out / "model_extended.json").exists()
+
+
 def test_extend_empty_key_cell_exits_3(toy_db, tmp_path, capsys):
     save_schema(toy_db.schema, tmp_path / "schema.json")
     write_database_csv(toy_db, tmp_path / "data")
@@ -733,6 +785,26 @@ def test_malformed_config_exits_2(tmp_path):
         "--out-dir", str(tmp_path), "train", "--config", str(bad),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not UTF-8", "truncated JSON"])
+@pytest.mark.parametrize("option, code", [("--config", 2), ("--schema", 3)])
+def test_unreadable_config_or_schema_exits_with_its_code(tmp_path, capsys, option, code, fault):
+    """A config that cannot be read exits 2 and a schema exits 3, with a
+    message naming the file; nothing raises out of main."""
+    bad = tmp_path / "input.json"
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "not UTF-8":
+        bad.write_bytes(b'{"schema": "\xff"}')
+    elif fault == "truncated JSON":
+        bad.write_text('{"relations": [')
+    argv = {
+        "--config": ["--out-dir", str(tmp_path / "out"), "train", "--config", str(bad)],
+        "--schema": ["schemes", "--schema", str(bad), "--start", "item", "--max-length", "1"],
+    }[option]
+    assert _run(argv)[0] == code
+    assert str(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["[]", "3"])

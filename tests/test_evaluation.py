@@ -704,6 +704,16 @@ def test_dynamic_protocol_rejects_degenerate_fractions():
         dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(1.0,))
 
 
+@pytest.mark.parametrize("strategy", ["kvar", "mi", "sampling"])
+def test_dynamic_protocol_strategy_without_config_is_a_usage_error(strategy):
+    """Scoring reads budgets from the config; without one the protocol
+    stops with a UsageError, also under ``python -O``."""
+    setup = planted_database(n_items=12, n_obs=1, with_noise=False, seed=0)
+    cfg = TrainConfig(k=4, n_samples=3, epochs=1, learning_rate=0.1, seed=0)
+    with pytest.raises(UsageError, match=f"strategy '{strategy}' needs a config"):
+        dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(0.3,), strategy=strategy, ratio=0.5)
+
+
 def test_dynamic_protocol_single_class_remainder_is_an_error():
     setup = planted_database(n_items=6, n_obs=1, with_noise=False, seed=1)
     cfg = TrainConfig(k=4, n_samples=3, epochs=2, learning_rate=0.1, seed=0)

@@ -123,8 +123,11 @@ def test_export_restricted_to_fact_ids(tmp_path):
 
 
 def test_export_missing_embedding_errors(tmp_path):
+    """The check runs before anything is written: an embedded id ahead of
+    the missing one leaves no partial file and no temporary file."""
     db, model = _small_model()
     new_db = insert_facts(db, [Fact("item", ("fresh", "c0"))])
     with pytest.raises(UsageError, match="no embedding"):
         export_embeddings_csv(model, new_db, tmp_path / "emb.csv",
-                              fact_ids=[new_db.n_facts - 1])
+                              fact_ids=[min(model.phi), new_db.n_facts - 1])
+    assert list(tmp_path.iterdir()) == []

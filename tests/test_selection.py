@@ -623,18 +623,6 @@ def test_online_all_removals_in_first_epoch_match_one_epoch_selection():
     assert set(model.active_schemes) == expected
 
 
-def test_online_remove_highest_inverts_victims():
-    setup = planted_database(n_items=14, n_obs=2, with_noise=True, seed=0)
-    db = setup.db
-    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
-    cfg = TrainConfig(k=6, n_samples=4, epochs=2, learning_rate=0.1, seed=2)
-    _, _, low = online_elimination_train(db, "item", schemes, cfg, ratio=0.5)
-    _, _, high = online_elimination_train(
-        db, "item", schemes, cfg, ratio=0.5, remove_highest=True
-    )
-    assert low.removed[0] != high.removed[0]
-
-
 def test_online_rejects_zero_keep():
     db = two_cluster_database(3)
     schemes = enumerate_targeted_schemes(db.schema, "item", 1)
