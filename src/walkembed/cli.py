@@ -6,7 +6,8 @@ derive every random stream from one root seed, so a run is reproducible
 from its config file and seed alone.
 
 Exit codes: 0 success, 2 usage error, 3 data integrity error, 4 numeric
-failure.
+failure.  ``main`` loads the config and opens and finalises the run manifest
+of each command that writes files; the command returns its output paths.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import resource
 import sys
 import time
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from .evaluation import (
     write_report,
 )
 from .extension import ExtensionConfig, extend_embedding
-from .files import read_json, write_csv, write_json
+from .files import ensure_dir, read_json, write_csv, write_json
 from .kernels import default_kernels
 from .model_io import export_embeddings_csv, json_array, json_field, load_model, save_model
 from .relational import Fact, insert_facts, load_database, load_schema, read_relation_csv
@@ -45,21 +47,24 @@ from .trainer import train
 
 MANIFEST_FORMAT_VERSION = 1
 
-
-def _config_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+# exit code and message prefix of each documented error
+EXIT_CODES = {
+    UsageError: (2, "error"),
+    SchemaError: (3, "data error"),
+    IntegrityError: (3, "data error"),
+    NumericError: (4, "numeric error"),
+}
 
 
 class Manifest:
     """Run manifest: written when a command starts, finalised when it ends."""
 
-    def __init__(self, out_dir: Path, command: str, config_path: Path | None, seed: int) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        self.path = out_dir / "manifest.json"
+    def __init__(self, out_dir: Path, command: str, config_path: Path, seed: int) -> None:
+        self.path = ensure_dir(out_dir) / "manifest.json"
         self.doc = {
             "format_version": MANIFEST_FORMAT_VERSION,
             "command": command,
-            "config_hash": _config_hash(config_path) if config_path else None,
+            "config_hash": hashlib.sha256(config_path.read_bytes()).hexdigest(),
             "root_seed": seed,
             "package_version": __version__,
             "numpy_version": np.__version__,
@@ -70,18 +75,20 @@ class Manifest:
         }
         write_json(self.doc, self.path)
 
-    def finish(self, outputs: list[Path]) -> None:
-        self.doc["status"] = "complete"
-        self.doc["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        self.doc["outputs"] = [str(p) for p in outputs]
-        # Linux reports the high-water mark of the resident set in KiB
-        self.doc["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    def finish(self, status: str, outputs: list[Path], **failure) -> None:
+        """Record ``status``, the outputs, and a failure's ``exit_code`` and ``error``."""
+        self.doc.update(
+            status=status,
+            finished_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
+            outputs=[str(p) for p in outputs],
+            # Linux reports the high-water mark of the resident set in KiB
+            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            **failure,
+        )
         write_json(self.doc, self.path)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if not args.config:
-        raise UsageError("this command requires --config")
     path = Path(args.config)
     config = ExperimentConfig.from_dict(read_json(path, "config file", error=UsageError), base_dir=path.parent)
     if args.seed is not None:
@@ -112,21 +119,17 @@ def cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    manifest = Manifest(out_dir, "score", Path(args.config), config.trainer.seed)
+def cmd_score(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
     db, _, schemes, kernels = load_task(config)
     if args.strategy == "online":
         raise UsageError("the online strategy scores nothing up front; use it with `train`")
     scores = compute_scores(args.strategy, db, schemes, config.trainer, kernels, config)
-    outputs: list[Path] = []
     score_path = out_dir / f"scores_{args.strategy}.csv"
     write_csv(score_path, ["scheme_text", "target_attr", "strategy", "score", "rank", "diagnostics"], (
         [scheme_text(sc.tws.scheme), sc.tws.target_attr, sc.strategy, repr(sc.score), rank, sc.diagnostic]
         for rank, sc in ranked(scores)
     ))
-    outputs.append(score_path)
+    outputs = [score_path]
     for ratio in config.ratios:
         selection = select(scores, ratio)
         sel_path = out_dir / f"selection_{args.strategy}_{ratio:g}.json"
@@ -142,16 +145,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             sel_path,
         )
         outputs.append(sel_path)
-    manifest.finish(outputs)
-    for p in outputs:
-        print(p)
-    return 0
+    return outputs
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    manifest = Manifest(out_dir, "train", Path(args.config), config.trainer.seed)
+def cmd_train(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
     db, _, schemes, kernels = load_task(config)
 
     strategy = args.strategy
@@ -188,13 +185,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             print(f"kept {len(kept)} of {len(schemes)} schemes via {strategy} at ratio {args.ratio}")
         model, history = train(db, config.task_relation, kept, config.trainer, kernels)
 
-    outputs: list[Path] = []
     model_path = Path(args.model_out) if args.model_out else out_dir / "model.json"
     save_model(model, db, model_path)
-    outputs.append(model_path)
     emb_path = out_dir / "embeddings.csv"
     export_embeddings_csv(model, db, emb_path)
-    outputs.append(emb_path)
     log_path = out_dir / "training_log.csv"
     header = ["epoch", "scheme_text", "target_attr", "epoch_loss", "cumulative_loss", "wall_time", "samples_used",
               "samples_skipped"]
@@ -204,17 +198,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         for stats in history
         for tws, loss in stats.epoch_mean_loss.items()
     ))
-    outputs.append(log_path)
-    manifest.finish(outputs)
-    for p in outputs:
-        print(p)
-    return 0
+    return [model_path, emb_path, log_path]
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    manifest = Manifest(out_dir, "extend", Path(args.config), config.trainer.seed)
+def cmd_extend(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
     db, _, _, _ = load_task(config)
     model = load_model(args.model, db)
 
@@ -248,17 +235,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
         if failed:
             raise NumericError(f"clone residual check failed for {failed} new fact(s)")
 
-    outputs: list[Path] = []
     model_path = Path(args.model_out) if args.model_out else out_dir / "model_extended.json"
     save_model(extended, db_new, model_path)
-    outputs.append(model_path)
     emb_path = out_dir / "embeddings_new.csv"
     export_embeddings_csv(extended, db_new, emb_path, fact_ids=new_start)
-    outputs.append(emb_path)
-    manifest.finish(outputs)
-    for p in outputs:
-        print(p)
-    return 0
+    return [model_path, emb_path]
 
 
 def _verify_clones(db, db_new, model, extended, new_start, strict: bool) -> int:
@@ -342,12 +323,9 @@ def _deletion_fractions(text: str) -> tuple[float, ...]:
     return tuple(fractions)
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_experiment(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
     # checked before the grid trains, so a bad list costs nothing
     fractions = None if args.dynamic is None else _deletion_fractions(args.dynamic)
-    out_dir = Path(args.out_dir)
-    manifest = Manifest(out_dir, "experiment", Path(args.config), config.trainer.seed)
     report = run_experiment(config)
     outputs = write_report(report, out_dir)
 
@@ -376,15 +354,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         write_csv(dyn_path, ["strategy", "fraction_deleted", "n_inserted", "accuracy"], rows)
         outputs.append(dyn_path)
 
-    manifest.finish(outputs)
     print(f"baseline accuracy: {report.baseline_accuracy:.4f}")
     print(f"accuracy threshold (95%): {report.alpha_star:.4f}")
     for (strategy, ratio), t in sorted(report.t_star.items()):
         shown = "never" if t is None else f"{t:.3f}s"
         print(f"t*({strategy}, r={ratio:g}) = {shown}")
-    for p in outputs:
-        print(p)
-    return 0
+    return outputs
 
 
 def cmd_plot_data(args: argparse.Namespace) -> int:
@@ -438,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score and select schemes with one strategy")
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", required=True)
-    p.set_defaults(fn=cmd_score)
+    p.set_defaults(fn=cmd_score, writes=True)
 
     p = sub.add_parser("train", help="train embeddings")
     p.add_argument("--config", required=True)
@@ -446,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=1.0)
     p.add_argument("--selection", default=None, help="selection manifest JSON from `score`")
     p.add_argument("--model-out", default=None)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, writes=True)
 
     p = sub.add_parser("extend", help="embed newly inserted facts")
     p.add_argument("--config", required=True)
@@ -456,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="check clone residuals")
     p.add_argument("--exact", action="store_true", help="exact expected-kernel-distance targets")
     p.add_argument("--exhaustive", action="store_true", help="use every existing fact as partner")
-    p.set_defaults(fn=cmd_extend)
+    p.set_defaults(fn=cmd_extend, writes=True)
 
     p = sub.add_parser("evaluate", help="cross-validated accuracy of a saved model")
     p.add_argument("--config", required=True)
@@ -472,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also run the insert-and-extend protocol (optional comma list of deletion fractions)",
     )
-    p.set_defaults(fn=cmd_experiment)
+    p.set_defaults(fn=cmd_experiment, writes=True)
 
     p = sub.add_parser("plot-data", help="flatten a report into long-format CSV")
     p.add_argument("--report", required=True, help="report.json or its directory")
@@ -482,19 +457,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    manifest = None
     try:
-        return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SchemaError, IntegrityError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
+        if not getattr(args, "writes", False):
+            return args.fn(args)
+        config = _load_config(args)
+        out_dir = Path(args.out_dir)
+        manifest = Manifest(out_dir, args.command, Path(args.config), config.trainer.seed)
+        outputs = args.fn(args, config, out_dir)
+        manifest.finish("complete", outputs)
+        for p in outputs:
+            print(p)
+        return 0
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = EXIT_CODES[type(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if manifest is not None:
+            with suppress(UsageError):  # the run's own error and exit code win over the manifest's
+                manifest.finish("failed", [], exit_code=code, error=str(exc))
+        return code
 
 
 if __name__ == "__main__":

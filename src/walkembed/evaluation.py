@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrityError, UsageError
-from .files import write_csv, write_json
+from .files import ensure_dir, write_csv, write_json
 from .kernels import KernelMap, KernelSpec, default_kernels
 from .relational import (  # noqa: F401  (build_database: bench/layertrace.py patches it here)
     Database,
@@ -478,8 +478,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
-        """The config of a JSON document; a missing or ill-typed field, or a
-        count that is not a whole number, is a UsageError."""
+        """The config of a JSON document; a field the document leaves out
+        takes the dataclass default.  A missing required or ill-typed field,
+        or a count that is not a whole number, is a UsageError."""
         if not isinstance(doc, dict):
             raise UsageError("malformed config: expected a JSON object")
         try:
@@ -488,31 +489,32 @@ class ExperimentConfig:
             for name in ("k", "n_samples", "epochs", "seed", "retry_cap"):
                 if name in trainer_doc:
                     trainer_doc[name] = _count(trainer_doc[name], f"trainer.{name}")
-            trainer = TrainConfig(**trainer_doc)
+            given = {
+                name: _count(doc[name], name)
+                for name in ("max_length", "folds", "split_seed", "walk_budget", "facts_per_scheme",
+                             "sampling_epochs", "per_epoch_removals", "workers")
+                if name in doc
+            }
+            if doc.get("pair_budget") is not None:
+                given["pair_budget"] = _count(doc["pair_budget"], "pair_budget")
+            if "strategies" in doc:
+                given["strategies"] = tuple(doc["strategies"])
+            if "ratios" in doc:
+                given["ratios"] = tuple(float(r) for r in doc["ratios"])
+            if "seeds" in doc:
+                given["seeds"] = tuple(_count(s, "seeds") for s in doc["seeds"])
+            if "kernels" in doc:
+                given["kernel_overrides"] = tuple(
+                    KernelSpec(k["relation"], k["attribute"], k["kind"], k.get("sigma")) for k in doc["kernels"]
+                )
             task = doc["task"]
-            kernels = tuple(
-                KernelSpec(k["relation"], k["attribute"], k["kind"], k.get("sigma"))
-                for k in doc.get("kernels", [])
-            )
             return ExperimentConfig(
                 schema_path=str(base / doc["schema"]),
                 data_dir=str(base / doc["data_dir"]),
                 task_relation=task["relation"],
                 task_attribute=task["attribute"],
-                max_length=_count(doc.get("max_length", 2), "max_length"),
-                trainer=trainer,
-                strategies=tuple(doc.get("strategies", ["kvar"])),
-                ratios=tuple(float(r) for r in doc.get("ratios", [0.5])),
-                seeds=tuple(_count(s, "seeds") for s in doc.get("seeds", [0, 1, 2, 3, 4])),
-                folds=_count(doc.get("folds", 10), "folds"),
-                split_seed=_count(doc.get("split_seed", 0), "split_seed"),
-                walk_budget=_count(doc.get("walk_budget", 2000), "walk_budget"),
-                pair_budget=None if doc.get("pair_budget") is None else _count(doc["pair_budget"], "pair_budget"),
-                facts_per_scheme=_count(doc.get("facts_per_scheme", 10), "facts_per_scheme"),
-                sampling_epochs=_count(doc.get("sampling_epochs", 10), "sampling_epochs"),
-                per_epoch_removals=_count(doc.get("per_epoch_removals", 1), "per_epoch_removals"),
-                workers=_count(doc.get("workers", 1), "workers"),
-                kernel_overrides=kernels,
+                trainer=TrainConfig(**trainer_doc),
+                **given,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed config: {type(exc).__name__}: {exc}") from exc
@@ -919,8 +921,7 @@ def dynamic_protocol(
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     """Write report.json plus one CSV per ensemble curve; returns the paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = ensure_dir(out_dir)
     paths = []
     report_path = out_dir / "report.json"
     write_json(report.to_dict(), report_path)

@@ -5,7 +5,8 @@ JSON into an error naming the file, never a traceback.  ``write_json`` and
 ``write_csv`` write a temporary file beside the target (its name plus
 ``.tmp``), rename it over the target, and delete it when writing raises,
 so a target holds either its previous bytes or the whole new content.
-CSV lines end in ``\\r\\n``, the csv module's default.
+CSV lines end in ``\\r\\n``, the csv module's default.  A target or a
+directory that cannot be written is a UsageError naming the path.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ def read_json(path: str | Path, what: str, error: type[Exception] | None = None)
         raise (error or IntegrityError)(f"{what} {path} is not valid JSON: {exc}") from None
 
 
+def ensure_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    return Path(path)
+
+
 @contextmanager
 def _replacing(path: str | Path, newline: str | None = None):
     tmp = Path(path).with_name(Path(path).name + ".tmp")
@@ -41,8 +51,11 @@ def _replacing(path: str | Path, newline: str | None = None):
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if tmp.is_file():  # not when the parent is missing or is not a directory
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 

@@ -88,7 +88,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IntegrityError, SchemaError
-from .files import read_json, write_csv, write_json
+from .files import ensure_dir, read_json, write_csv, write_json
 
 Value = None | str | float
 
@@ -963,7 +963,11 @@ def save_schema(schema: DatabaseSchema, path: str | Path) -> None:
 
 
 def load_schema(path: str | Path) -> DatabaseSchema:
-    return schema_from_dict(read_json(path, "schema file", error=SchemaError))
+    doc = read_json(path, "schema file", error=SchemaError)
+    try:
+        return schema_from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, file: str, line_no: int) -> Value:
@@ -1050,8 +1054,7 @@ def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
 
 def write_database_csv(db: Database, out_dir: str | Path) -> None:
     """Write one CSV per relation, inverse of load_database."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = ensure_dir(out_dir)
     for rel in db.schema.relations:
         rows = (["" if v is None else v for v in fact.values] for fact in db.relation_facts(rel.name))
         write_csv(out_dir / f"{rel.name}.csv", rel.attr_names, rows)

@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 import walkembed
+from walkembed import cli, files
 from walkembed.cli import main
+from walkembed.errors import UsageError
 from walkembed.evaluation import strip_attribute
 from walkembed.model_io import load_model, save_model
 from walkembed.relational import (
@@ -570,6 +572,9 @@ def test_strict_verify_fails_on_an_unconverged_model(strict_ws):
     ])
     assert code == 4
     assert "(FAIL)" in printed
+    manifest = json.loads((strict_ws / "out_fail" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 4
+    assert "clone residual check failed" in manifest["error"]
 
 
 # -- experiment and plot-data ----------------------------------------------------------
@@ -767,6 +772,66 @@ def test_bad_input_files_exit_with_a_code_and_a_message(ws, readable_files, tmp_
     assert bad.name in err and message in err
 
 
+# -- output paths that cannot be written -----------------------------------------------
+
+# fault: the output directory is a regular file, the parent of --model-out or
+# --out is missing, or the output path is an existing directory
+WRITE_FAULT_CASES = (
+    [(cmd, "out-dir is a file") for cmd in ("score", "train", "extend", "experiment", "plot-data")]
+    + [(cmd, "parent missing") for cmd in ("train", "extend", "plot-data")]
+    + [(cmd, "target is a directory") for cmd in ("score", "train", "extend", "experiment", "plot-data")]
+)
+
+
+@pytest.mark.parametrize("command, fault", WRITE_FAULT_CASES)
+def test_unwritable_output_exits_2_naming_the_path(ws, readable_files, tmp_path, capsys, command, fault):
+    """An output that cannot be written exits 2 with a message naming it,
+    leaves no temporary file and no partial target, and a manifest already
+    opened records the failure."""
+    out = tmp_path / "out"
+    (tmp_path / "new").mkdir()
+    argv = {
+        "score": ["score", "--config", str(ws["config"]), "--strategy", "length"],
+        "train": ["train", "--config", str(ws["config"])],
+        "extend": ["extend", "--config", str(ws["config"]), "--model", str(readable_files["model"]),
+                   "--new-dir", str(tmp_path / "new")],
+        "experiment": ["experiment", "--config", str(ws["config"])],
+        "plot-data": ["plot-data", "--report", str(readable_files["report"])],
+    }[command]
+    default_target = {"score": "scores_length.csv", "train": "model.json", "extend": "model_extended.json",
+                      "experiment": "report.json", "plot-data": None}[command]
+    if fault == "out-dir is a file":
+        (tmp_path / "file").write_text("x")
+        target = tmp_path / "file"
+        if command == "plot-data":
+            argv += ["--out", str(target / "plotdata.csv")]
+        else:
+            out = target
+    elif fault == "parent missing":
+        target = tmp_path / "missing" / "output"
+        argv += ["--out" if command == "plot-data" else "--model-out", str(target)]
+    else:
+        target = tmp_path / "taken" if command == "plot-data" else out / default_target
+        target.mkdir(parents=True)
+        if command == "plot-data":
+            argv += ["--out", str(target)]
+    code, _ = _run(["--out-dir", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(target) in err and "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+    if fault == "out-dir is a file":
+        assert target.read_text() == "x"
+    elif fault == "parent missing":
+        assert not target.parent.exists()
+    else:
+        assert target.is_dir() and not any(target.iterdir())
+    if command != "plot-data" and fault != "out-dir is a file":
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["exit_code"] == 2
+        assert str(target) in manifest["error"]
+
+
 # -- error handling --------------------------------------------------------------------
 
 
@@ -805,6 +870,50 @@ def test_unreadable_config_or_schema_exits_with_its_code(tmp_path, capsys, optio
     }[option]
     assert _run(argv)[0] == code
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3", "malformed schema descriptor"),
+        ('{"relations": [{"name": "R", "attributes": [{"name": "a", "kind": "categorical"}], "key": []}]}',
+         "declares an empty key"),
+    ],
+)
+def test_bad_schema_content_exits_3_with_a_message_that_starts_with_its_path(ws, tmp_path, capsys, text, message):
+    """Errors from the schema's content name the file, as read errors do;
+    a command that opened its manifest records the failure there."""
+    schema = tmp_path / "s.json"
+    schema.write_text(text)
+    assert _run(["schemes", "--schema", str(schema), "--start", "item", "--max-length", "1"])[0] == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {schema}: ") and message in err
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(schema), data_dir=str(ws["root"] / "data"))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert _run(["--out-dir", str(out), "train", "--config", str(tmp_path / "config.json")])[0] == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 3
+    assert manifest["error"].startswith(f"{schema}: ") and "finished_at" in manifest and "peak_rss_mb" in manifest
+
+
+def test_a_manifest_that_cannot_be_finalised_keeps_the_runs_error(ws, tmp_path, capsys, monkeypatch):
+    def write_json(doc, path, indent=2):
+        if doc.get("status") == "failed":
+            raise UsageError(f"cannot write {path}: No space left on device")
+        files.write_json(doc, path, indent)
+
+    monkeypatch.setattr(cli, "write_json", write_json)
+    (tmp_path / "s.json").write_text("3")
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(tmp_path / "s.json"), data_dir=str(ws["root"] / "data"))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert _run(["--out-dir", str(out), "train", "--config", str(tmp_path / "config.json")])[0] == 3
+    err = capsys.readouterr().err
+    assert "malformed schema descriptor" in err and "No space left" not in err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
 
 @pytest.mark.parametrize("text", ["[]", "3"])

@@ -352,6 +352,13 @@ def test_experiment_config_from_dict_rejects_malformed_fields(over):
         ExperimentConfig.from_dict(_config_doc(**over))
 
 
+def test_experiment_config_from_dict_leaves_absent_fields_to_the_dataclass():
+    expected = ExperimentConfig(**_config_kwargs(schema_path=str(Path("b") / "schema.json"),
+                                                 data_dir=str(Path("b") / "data")))
+    assert ExperimentConfig.from_dict(_config_doc(), base_dir="b") == expected
+    assert ExperimentConfig.from_dict({**_config_doc(), "pair_budget": None}, base_dir="b") == expected
+
+
 def test_experiment_config_from_dict_reads_pair_budget_as_int():
     assert ExperimentConfig.from_dict(_config_doc(pair_budget="5")).pair_budget == 5
     assert ExperimentConfig.from_dict(_config_doc()).pair_budget is None

@@ -1,11 +1,12 @@
 """The JSON reader and the atomic JSON and CSV writers."""
 
 import json
+import re
 
 import pytest
 
 from walkembed.errors import IntegrityError, SchemaError, UsageError
-from walkembed.files import read_json, write_csv, write_json
+from walkembed.files import ensure_dir, read_json, write_csv, write_json
 
 
 def _rows_then_fail(n):
@@ -68,3 +69,32 @@ def test_read_json_names_the_file(tmp_path, case, default):
         read_json(path, "document")
     with pytest.raises(SchemaError, match="doc.json"):
         read_json(path, "document", error=SchemaError)
+
+
+@pytest.mark.parametrize("case", ["parent missing", "parent is a file", "target is a directory"])
+def test_writers_name_a_target_they_cannot_write(tmp_path, case):
+    """An OSError from opening the temporary file or from the rename is a
+    UsageError naming the target, and no temporary file is left."""
+    (tmp_path / "file").write_text("x")
+    target = {
+        "parent missing": tmp_path / "missing" / "out",
+        "parent is a file": tmp_path / "file" / "out",
+        "target is a directory": tmp_path / "dir",
+    }[case]
+    if case == "target is a directory":
+        target.mkdir()
+    with pytest.raises(UsageError, match=f"cannot write {re.escape(str(target))}"):
+        write_json({"a": 1}, target)
+    with pytest.raises(UsageError, match=f"cannot write {re.escape(str(target))}"):
+        write_csv(target, ["a"], [[1]])
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert (tmp_path / "file").read_text() == "x"
+
+
+def test_ensure_dir_makes_parents_and_names_a_path_it_cannot_make(tmp_path):
+    assert ensure_dir(tmp_path / "a" / "b") == tmp_path / "a" / "b" and (tmp_path / "a" / "b").is_dir()
+    assert ensure_dir(tmp_path / "a") == tmp_path / "a"
+    (tmp_path / "file").write_text("x")
+    for path in (tmp_path / "file", tmp_path / "file" / "sub"):
+        with pytest.raises(UsageError, match=f"cannot write {re.escape(str(path))}"):
+            ensure_dir(path)
