@@ -30,6 +30,7 @@ from .evaluation import (
     apply_kernel_overrides,
     compute_scores,
     cross_validate,
+    curve_path,
     dynamic_protocol,
     load_task,
     make_folds,
@@ -37,7 +38,7 @@ from .evaluation import (
     write_report,
 )
 from .extension import ExtensionConfig, extend_embedding
-from .files import ensure_dir, read_json, write_csv, write_json
+from .files import check_writable, ensure_dir, read_json, write_csv, write_json
 from .kernels import default_kernels
 from .model_io import export_embeddings_csv, json_array, json_field, load_model, save_model
 from .relational import Fact, insert_facts, load_database, load_schema, read_relation_csv
@@ -120,19 +121,20 @@ def cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
+    score_path = out_dir / f"scores_{args.strategy}.csv"
+    sel_paths = [out_dir / f"selection_{args.strategy}_{ratio:g}.json" for ratio in config.ratios]
+    check_writable(score_path, *sel_paths)
     db, _, schemes, kernels = load_task(config)
     if args.strategy == "online":
         raise UsageError("the online strategy scores nothing up front; use it with `train`")
     scores = compute_scores(args.strategy, db, schemes, config.trainer, kernels, config)
-    score_path = out_dir / f"scores_{args.strategy}.csv"
     write_csv(score_path, ["scheme_text", "target_attr", "strategy", "score", "rank", "diagnostics"], (
         [scheme_text(sc.tws.scheme), sc.tws.target_attr, sc.strategy, repr(sc.score), rank, sc.diagnostic]
         for rank, sc in ranked(scores)
     ))
     outputs = [score_path]
-    for ratio in config.ratios:
+    for ratio, sel_path in zip(config.ratios, sel_paths):
         selection = select(scores, ratio)
-        sel_path = out_dir / f"selection_{args.strategy}_{ratio:g}.json"
         write_json(
             {
                 "format_version": 1,
@@ -149,6 +151,9 @@ def cmd_score(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path)
 
 
 def cmd_train(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
+    model_path = Path(args.model_out) if args.model_out else out_dir / "model.json"
+    emb_path, log_path = out_dir / "embeddings.csv", out_dir / "training_log.csv"
+    check_writable(model_path, emb_path, log_path)
     db, _, schemes, kernels = load_task(config)
 
     strategy = args.strategy
@@ -185,11 +190,8 @@ def cmd_train(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path)
             print(f"kept {len(kept)} of {len(schemes)} schemes via {strategy} at ratio {args.ratio}")
         model, history = train(db, config.task_relation, kept, config.trainer, kernels)
 
-    model_path = Path(args.model_out) if args.model_out else out_dir / "model.json"
     save_model(model, db, model_path)
-    emb_path = out_dir / "embeddings.csv"
     export_embeddings_csv(model, db, emb_path)
-    log_path = out_dir / "training_log.csv"
     header = ["epoch", "scheme_text", "target_attr", "epoch_loss", "cumulative_loss", "wall_time", "samples_used",
               "samples_skipped"]
     write_csv(log_path, header, (
@@ -202,6 +204,9 @@ def cmd_train(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path)
 
 
 def cmd_extend(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
+    model_path = Path(args.model_out) if args.model_out else out_dir / "model_extended.json"
+    emb_path = out_dir / "embeddings_new.csv"
+    check_writable(model_path, emb_path)
     db, _, _, _ = load_task(config)
     model = load_model(args.model, db)
 
@@ -224,7 +229,8 @@ def cmd_extend(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path
         )
         kernels = apply_kernel_overrides(default_kernels(db_new), config.kernel_overrides)
         extended = extend_embedding(
-            db_new, model, new_start, ext_cfg, kernels, seed=config.trainer.seed
+            db_new, model, new_start, ext_cfg, kernels, seed=config.trainer.seed,
+            retry_cap=config.trainer.retry_cap,
         )
     else:
         extended = model
@@ -235,9 +241,7 @@ def cmd_extend(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path
         if failed:
             raise NumericError(f"clone residual check failed for {failed} new fact(s)")
 
-    model_path = Path(args.model_out) if args.model_out else out_dir / "model_extended.json"
     save_model(extended, db_new, model_path)
-    emb_path = out_dir / "embeddings_new.csv"
     export_embeddings_csv(extended, db_new, emb_path, fact_ids=new_start)
     return [model_path, emb_path]
 
@@ -252,41 +256,25 @@ def _verify_clones(db, db_new, model, extended, new_start, strict: bool) -> int:
     responses reproduce expected kernel distances (a converged or
     constructed model).  In sampled mode the residual is reported only.
     """
-    from .trainer import bilinear
-
     schema = db_new.schema
     failures = 0
-    partners = sorted(model.phi.keys())
+    partners = extended.phi.take(sorted(model.phi)).T
+    psi = extended.psi.take(extended.active_schemes)
     for fid in new_start:
         fact = db_new.fact(fid)
         rel = schema.relation(fact.relation)
-        key_pos = {rel.attr_index(a) for a in rel.key}
-        twin = None
-        for cand_fact in db.relation_facts(fact.relation):
-            if all(
-                cand_fact.values[i] == fact.values[i]
-                for i in range(len(fact.values))
-                if i not in key_pos
-            ):
-                twin = cand_fact.fact_id
-                break
+        non_key = [i for i, a in enumerate(rel.attr_names) if a not in rel.key]
+        twin = next((cand.fact_id for cand in db.relation_facts(fact.relation)
+                     if all(cand.values[i] == fact.values[i] for i in non_key)), None)
         if twin is None:
             print(f"verify: no structural twin for new fact {fid}; skipped")
             continue
-        worst = 0.0
-        for tws in extended.active_schemes:
-            for p in partners:
-                delta = abs(
-                    bilinear(extended, fid, p, tws) - bilinear(extended, twin, p, tws)
-                )
-                worst = max(worst, delta)
-        if strict:
-            status = "ok" if worst <= 1e-6 else "FAIL"
-            print(f"verify: fact {fid} vs twin {twin}: max residual {worst:.3e} ({status})")
-            if worst > 1e-6:
-                failures += 1
-        else:
-            print(f"verify: fact {fid} vs twin {twin}: max residual {worst:.3e}")
+        # responses of the fact and its twin to every (scheme, partner): (schemes, 2, partners)
+        responses = extended.phi.take([fid, twin]) @ psi @ partners
+        worst = float(np.abs(responses[:, 0] - responses[:, 1]).max(initial=0.0))
+        status = (" (ok)" if worst <= 1e-6 else " (FAIL)") if strict else ""
+        print(f"verify: fact {fid} vs twin {twin}: max residual {worst:.3e}{status}")
+        failures += int(strict and worst > 1e-6)
     return failures
 
 
@@ -299,7 +287,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     missing = [f for f in labeled if f not in model.phi]
     if missing:
         raise UsageError(f"model lacks embeddings for {len(missing)} labeled facts")
-    X = np.stack([model.phi[f] for f in labeled])
+    X = model.phi.take(labeled)
     folds = make_folds(labels, config.folds, config.split_seed)
     acc = cross_validate(X, labels, fold_assign=folds)
     print(f"accuracy={acc:.4f} over {len(labeled)} labeled facts, {config.folds} folds")
@@ -324,8 +312,13 @@ def _deletion_fractions(text: str) -> tuple[float, ...]:
 
 
 def cmd_experiment(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
-    # checked before the grid trains, so a bad list costs nothing
+    # checked before the grid trains, so a bad list or output path costs nothing
     fractions = None if args.dynamic is None else _deletion_fractions(args.dynamic)
+    cells = [("baseline", 1.0), *((s, r) for s in config.strategies for r in config.ratios)]
+    dyn_path = out_dir / "dynamic.csv"
+    check_writable(out_dir / "report.json", *(curve_path(out_dir, *cell) for cell in cells))
+    if fractions is not None:
+        check_writable(dyn_path)
     report = run_experiment(config)
     outputs = write_report(report, out_dir)
 
@@ -350,7 +343,6 @@ def cmd_experiment(args: argparse.Namespace, config: ExperimentConfig, out_dir: 
             )
             label = strategy or "baseline"
             rows.extend((label, p.fraction_deleted, p.n_inserted, p.accuracy) for p in points)
-        dyn_path = out_dir / "dynamic.csv"
         write_csv(dyn_path, ["strategy", "fraction_deleted", "n_inserted", "accuracy"], rows)
         outputs.append(dyn_path)
 

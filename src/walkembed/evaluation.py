@@ -601,10 +601,6 @@ class ExperimentReport:
         }
 
 
-def _labeled_matrix(model: EmbeddingModel, labeled_ids: list[int]) -> np.ndarray:
-    return np.stack([model.phi[f] for f in labeled_ids])
-
-
 def _run_cell(db: Database, args: dict) -> CellResult:
     """One (strategy, ratio, seed) training run with one accuracy per epoch.
 
@@ -622,7 +618,7 @@ def _run_cell(db: Database, args: dict) -> CellResult:
         t0 = time.perf_counter()
         if not snapshots:  # a split that cannot be fitted fails the cell now, not after training
             _split(args["labels_list"], args["fold_assign"])
-        snapshots.append(_labeled_matrix(model, args["labeled_ids"]))
+        snapshots.append(model.phi.take(args["labeled_ids"]))
         times.append(clock["train"])
         clock["cv"] += time.perf_counter() - t0
 
@@ -899,7 +895,7 @@ def dynamic_protocol(
             raise UsageError(
                 f"deletion fraction {q} left a single label class; cannot fit a classifier"
             )
-        clf = train_classifier(_labeled_matrix(model, train_ids), train_labels)
+        clf = train_classifier(model.phi.take(train_ids), train_labels)
 
         extended_db = take(db, np.concatenate([kept, gone]))
         # (new id, old id) of the re-inserted prediction facts: gone[i] is new fact len(kept) + i
@@ -911,9 +907,9 @@ def dynamic_protocol(
         new_pred = [new for new, _ in pred]
         ext_kernels = default_kernels(extended_db)
         extended = extend_embedding(
-            extended_db, model, new_pred, extension, ext_kernels, seed=seed
+            extended_db, model, new_pred, extension, ext_kernels, seed=seed, retry_cap=cfg.retry_cap
         )
-        X_new = np.stack([extended.phi[f] for f in new_pred])
+        X_new = extended.phi.take(new_pred)
         y_new = [task.labels[f] for _, f in pred]
         points.append(DynamicPoint(q, len(new_pred), accuracy_score(clf, X_new, y_new)))
     return points
@@ -927,7 +923,11 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     write_json(report.to_dict(), report_path)
     paths.append(report_path)
     for (strategy, ratio), pts in sorted(report.ensembles.items()):
-        path = out_dir / f"curve_{strategy}_{ratio:g}.csv"
+        path = curve_path(out_dir, strategy, ratio)
         write_csv(path, ["seconds", "accuracy"], ([repr(t), repr(a)] for t, a in pts))
         paths.append(path)
     return paths
+
+
+def curve_path(out_dir: Path, strategy: str, ratio: float) -> Path:
+    return out_dir / f"curve_{strategy}_{ratio:g}.csv"

@@ -44,7 +44,7 @@ from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches 
 from .relational import Database
 from .schemes import exact_value_law, sample_target_values_batch
 from .seeding import derive_rng
-from .trainer import EmbeddingModel
+from .trainer import EmbeddingModel, KeyedRows
 
 # Walkers in one sampler call.  A batch of new facts is extended in chunks
 # of facts whose walks fit (at least one fact per chunk), so exhaustive
@@ -117,19 +117,17 @@ def extend_embedding(
             raise UsageError(
                 f"fact {new_fact} is in {relation!r}, model embeds {model.start_relation!r}"
             )
-    existing = sorted(model.phi.keys())
-    if not existing:
-        raise UsageError("model has no existing embeddings to extend from")
-    new_set = set(new_fact_ids)
-    pool = np.asarray([f for f in existing if f not in new_set], dtype=np.int64)
+    pool = np.setdiff1d(np.fromiter(model.phi, np.int64), new_fact_ids)  # sorted
     if not len(pool):
         raise UsageError("no pre-existing partner facts available")
 
-    pool_phi = np.stack([model.phi[f] for f in pool.tolist()])
+    pool_phi = model.phi.take(pool.tolist())
     rngs = [derive_rng(seed, "extend", str(db.key_of(f))) for f in new_fact_ids]
     n_partners = len(pool) if cfg.exhaustive_partners else min(cfg.partners_per_scheme, len(pool))
     per_chunk = max(1, EXTEND_WALKERS // (2 * n_partners * cfg.samples_per_partner))
-    phi = dict(model.phi)
+    # the source's rows, then each new fact's row in batch order
+    keys = dict.fromkeys([*model.phi, *new_fact_ids])
+    phi = KeyedRows(keys, np.concatenate([model.phi.data, np.empty((len(keys) - len(model.phi), model.k))]))
     for lo in range(0, len(new_fact_ids), per_chunk):
         chunk = new_fact_ids[lo : lo + per_chunk]
         systems = _chunk_systems(
@@ -141,7 +139,7 @@ def extend_embedding(
                     f"no complete walks for any scheme from new fact {new_fact}; "
                     f"cannot build an extension system"
                 )
-            phi[new_fact] = solve_ridge(np.concatenate(blocks), np.concatenate(targets), cfg.ridge)
+            phi[new_fact][:] = solve_ridge(np.concatenate(blocks), np.concatenate(targets), cfg.ridge)
     return EmbeddingModel(model.k, model.start_relation, phi, model.psi, model.active_schemes)
 
 

@@ -6,13 +6,17 @@ JSON into an error naming the file, never a traceback.  ``write_json`` and
 ``.tmp``), rename it over the target, and delete it when writing raises,
 so a target holds either its previous bytes or the whole new content.
 CSV lines end in ``\\r\\n``, the csv module's default.  A target or a
-directory that cannot be written is a UsageError naming the path.
+directory that cannot be written is a UsageError naming the path;
+``check_writable`` raises it for a target that is a directory or whose
+parent is not one, so a command can fail before its work rather than after.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,6 +46,19 @@ def ensure_dir(path: str | Path) -> Path:
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     return Path(path)
+
+
+def check_writable(*paths: str | Path) -> None:
+    """The UsageError a write to each of ``paths`` would end in, raised now:
+    the path is a directory, or its parent is missing or not a directory."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            reason = errno.EISDIR
+        elif not path.parent.is_dir():
+            reason = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise UsageError(f"cannot write {path}: {os.strerror(reason)}")
 
 
 @contextmanager

@@ -17,7 +17,7 @@ from .errors import IntegrityError, SchemaError, UsageError
 from .files import read_json, write_csv, write_json
 from .relational import Database
 from .schemes import TargetedWalkScheme, WalkScheme, WalkStep, scheme_text
-from .trainer import EmbeddingModel
+from .trainer import EmbeddingModel, KeyedRows
 
 MODEL_FORMAT_VERSION = 1
 
@@ -99,14 +99,14 @@ def _scheme_from_doc(doc, db: Database, path: str | Path, label: str) -> Targete
 
 
 def save_model(model: EmbeddingModel, db: Database, path: str | Path) -> None:
-    schemes = list(model.psi.keys())
+    schemes = list(model.psi)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "k": model.k,
         "start_relation": model.start_relation,
         "schemes": [_scheme_doc(t) for t in schemes],
         "active": [i for i, t in enumerate(schemes) if t in set(model.active_schemes)],
-        "psi": [model.psi[t].tolist() for t in schemes],
+        "psi": model.psi.data.tolist(),
         "phi": [
             {"key": list(db.key_of(fid)), "vec": vec.tolist()}
             for fid, vec in sorted(model.phi.items())
@@ -162,13 +162,8 @@ def load_model(path: str | Path, db: Database) -> EmbeddingModel:
     for label, arr in (("psi", psi), ("phi.vec", phi_rows)):
         if not np.isfinite(arr).all():
             raise IntegrityError(f"{path}: field {label} holds a non-finite number")
-    return EmbeddingModel(
-        k,
-        start,
-        dict(zip(fids, phi_rows)),
-        dict(zip(schemes, psi)),
-        [schemes[i] for i in active],
-    )
+    phi, psi = KeyedRows(fids, phi_rows), KeyedRows(schemes, psi)
+    return EmbeddingModel(k, start, phi, psi, [schemes[i] for i in active])
 
 
 def export_embeddings_csv(

@@ -1,11 +1,13 @@
 """Bilinear embedding trainer.
 
 Each start-relation fact f gets a vector phi(f); each targeted walk scheme
-(s, A) gets a symmetric matrix psi(s, A).  Training drives the bilinear
-form phi(f)^T psi(s,A) phi(f') toward the expected kernel distance of the
-pair under the scheme, using single-sample SGD: the regression target for
-one update is the kernel applied to one sampled destination value from
-each side, an unbiased estimate of the expected kernel distance.
+(s, A) gets a symmetric matrix psi(s, A).  The model holds them as two
+arrays read by key (``KeyedRows``): phi facts x k, psi schemes x k x k.
+Training drives the bilinear form phi(f)^T psi(s,A) phi(f') toward the
+expected kernel distance of the pair under the scheme, using single-sample
+SGD: the regression target for one update is the kernel applied to one
+sampled destination value from each side, an unbiased estimate of the
+expected kernel distance.
 
 Epoch procedure (fixed, so runs are reproducible from the seed alone):
 for every scheme in active order, every start fact contributes
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,13 +84,47 @@ class TrainConfig:
             raise UsageError("retry_cap must be at least 1")
 
 
+class KeyedRows(Mapping):
+    """The rows of one stacked array, read by key in row order: ``rows[key]``
+    is a view that writes into ``data``, and ``take(keys)`` stacks a copy."""
+
+    def __init__(self, keys: Iterable, data: np.ndarray) -> None:
+        self.data, self.index = data, {key: i for i, key in enumerate(keys)}
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.data[self.index[key]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def take(self, keys: Iterable) -> np.ndarray:
+        return self.data[[self.index[key] for key in keys]]
+
+    def first_non_finite(self):
+        """The key of the first row holding a non-finite number, or None."""
+        bad = ~np.isfinite(self.data.reshape(len(self.data), -1)).all(axis=1)
+        return list(self.index)[int(bad.argmax())] if bad.any() else None
+
+
 @dataclass
 class EmbeddingModel:
+    """phi and psi as ``KeyedRows``: a dict of rows is copied into one new array, a view is shared."""
+
     k: int
     start_relation: str
-    phi: dict[int, np.ndarray]
-    psi: dict[TargetedWalkScheme, np.ndarray]
+    phi: KeyedRows
+    psi: KeyedRows
     active_schemes: list[TargetedWalkScheme]
+
+    def __post_init__(self) -> None:
+        for name, shape in (("phi", (self.k,)), ("psi", (self.k, self.k))):
+            rows = getattr(self, name)
+            if not isinstance(rows, KeyedRows):
+                data = np.array(list(rows.values()), dtype=np.float64).reshape(-1, *shape)
+                setattr(self, name, KeyedRows(rows, data))
 
 
 @dataclass
@@ -124,11 +161,10 @@ def init_model(
             )
     rng = derive_rng(cfg.seed, "init")
     bound = 1.0 / np.sqrt(cfg.k)
-    phi = {
-        fid: rng.uniform(-bound, bound, size=cfg.k)
-        for fid in db.relation_fact_ids(start_relation)
-    }
-    psi = {tws: np.eye(cfg.k) for tws in schemes}
+    ids = db.relation_fact_ids(start_relation)
+    phi = KeyedRows(ids, rng.uniform(-bound, bound, size=(len(ids), cfg.k)))
+    keys = dict.fromkeys(schemes)
+    psi = KeyedRows(keys, np.tile(np.eye(cfg.k), (len(keys), 1, 1)))
     return EmbeddingModel(cfg.k, start_relation, phi, psi, list(schemes))
 
 
@@ -304,13 +340,13 @@ def train_epoch(
         kernel_s += time.perf_counter() - t2
     facts, partners, scheme_of, kappas = map(np.concatenate, zip(*parts))
 
-    # The rows and active matrices are copied in, updated level by level and
-    # written back into the model's arrays once; frozen psi stay untouched.
+    # The start rows and active matrices are gathered by index, updated level by level and,
+    # once every loss is finite, written back with one assignment each; frozen psi stay untouched.
     t3 = time.perf_counter()
     order = rng.permutation(len(kappas))
-    phi_rows = [model.phi[f] for f in start_ids.tolist()]
-    psi_mats = [model.psi[t] for t in active]
-    phi, psi = np.stack(phi_rows), np.array(psi_mats).reshape(len(active), model.k, model.k)
+    rows = [model.phi.index[f] for f in start_ids.tolist()]
+    mats = [model.psi.index[t] for t in active]
+    phi, psi = model.phi.data[rows], model.psi.data[mats]
     shuffled = scheme_of[order]
     losses, n_levels = _apply_levels(
         phi, psi, facts[order], partners[order], shuffled, kappas[order], cfg.learning_rate
@@ -322,10 +358,8 @@ def train_epoch(
             f"non-finite loss on scheme {targeted_text(active[scheme_of[j]])} "
             f"(facts {start_ids[facts[j]]},{start_ids[partners[j]]}, kappa={kappas[j]})"
         )
-    for vec, new in zip(phi_rows, phi):
-        vec[...] = new
-    for mat, new in zip(psi_mats, psi):
-        mat[...] = new
+    model.phi.data[rows] = phi
+    model.psi.data[mats] = psi
 
     # Per-scheme loss sums, added by bincount in shuffle order; means keyed in
     # the order the shuffle first reached each scheme (training_log.csv's rows).
@@ -339,14 +373,11 @@ def train_epoch(
     t4 = time.perf_counter()
 
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
-        for fid, vec in model.phi.items():
-            if not np.all(np.isfinite(vec)):
-                raise NumericError(f"non-finite embedding for fact {fid} after epoch {epoch_index}")
-        for tws, mat in model.psi.items():
-            if not np.all(np.isfinite(mat)):
-                raise NumericError(
-                    f"non-finite scheme matrix for {targeted_text(tws)} after epoch {epoch_index}"
-                )
+        fid, tws = model.phi.first_non_finite(), model.psi.first_non_finite()
+        if fid is not None:
+            raise NumericError(f"non-finite embedding for fact {fid} after epoch {epoch_index}")
+        if tws is not None:
+            raise NumericError(f"non-finite scheme matrix for {targeted_text(tws)} after epoch {epoch_index}")
     t5 = time.perf_counter()
 
     return EpochStats(

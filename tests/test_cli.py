@@ -287,6 +287,30 @@ def test_extend_sampled_with_new_rows(ws, trained):
     assert len(rows) == 2 and rows[1][0] == "fresh"
 
 
+def test_extend_passes_the_configs_retry_cap(ws, trained, tmp_path, monkeypatch):
+    config = json.loads(ws["config"].read_text())
+    config["trainer"]["retry_cap"] = 3
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    for name in ("schema.json", "data"):
+        (tmp_path / name).symlink_to(ws["root"] / name)
+    new_dir = tmp_path / "new"
+    new_dir.mkdir()
+    (new_dir / "item.csv").write_text("iid\nfresh\n")
+    caps = []
+    real_extend = cli.extend_embedding
+
+    def spy(*args, retry_cap=20, **kwargs):
+        caps.append(retry_cap)
+        return real_extend(*args, retry_cap=retry_cap, **kwargs)
+
+    monkeypatch.setattr(cli, "extend_embedding", spy)
+    code, _ = _run([
+        "--out-dir", str(tmp_path / "out"), "extend", "--config", str(tmp_path / "config.json"),
+        "--model", str(trained / "model.json"), "--new-dir", str(new_dir),
+    ])
+    assert code == 0 and caps == [3]
+
+
 def test_extend_zero_new_facts_is_a_no_op(ws, trained, tmp_path):
     new_dir = tmp_path / "empty"
     new_dir.mkdir()
@@ -784,10 +808,17 @@ WRITE_FAULT_CASES = (
 
 
 @pytest.mark.parametrize("command, fault", WRITE_FAULT_CASES)
-def test_unwritable_output_exits_2_naming_the_path(ws, readable_files, tmp_path, capsys, command, fault):
+def test_unwritable_output_exits_2_naming_the_path(ws, readable_files, tmp_path, capsys, monkeypatch, command, fault):
     """An output that cannot be written exits 2 with a message naming it,
     leaves no temporary file and no partial target, and a manifest already
-    opened records the failure."""
+    opened records the failure.  The paths are checked before any data is
+    loaded, any model trained or any grid run."""
+
+    def work_started(*args, **kwargs):
+        pytest.fail("the command started its work before checking its output paths")
+
+    for name in ("load_task", "train", "online_elimination_train", "run_experiment", "compute_scores"):
+        monkeypatch.setattr(cli, name, work_started)
     out = tmp_path / "out"
     (tmp_path / "new").mkdir()
     argv = {

@@ -702,6 +702,21 @@ def test_dynamic_protocol_reinserts_and_scores():
     assert again == pts
 
 
+def test_dynamic_protocol_extends_with_the_trainers_retry_cap(monkeypatch):
+    setup = planted_database(n_items=12, n_obs=2, with_noise=False, seed=0)
+    cfg = TrainConfig(k=4, n_samples=3, epochs=1, learning_rate=0.1, seed=0, retry_cap=3)
+    caps = []
+    real_extend = evaluation.extend_embedding
+
+    def spy(*args, retry_cap=20, **kwargs):
+        caps.append(retry_cap)
+        return real_extend(*args, retry_cap=retry_cap, **kwargs)
+
+    monkeypatch.setattr(evaluation, "extend_embedding", spy)
+    dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(0.3, 0.5), seed=0)
+    assert caps == [3, 3]
+
+
 def test_dynamic_protocol_rejects_degenerate_fractions():
     setup = planted_database(n_items=12, n_obs=1, with_noise=False, seed=0)
     cfg = TrainConfig(k=4, n_samples=3, epochs=1, learning_rate=0.1, seed=0)
@@ -765,7 +780,7 @@ def _reference_dynamic_protocol(raw_db, task_relation, task_attribute, max_lengt
         model, _ = evaluation.train(reduced, task_relation, schemes, cfg, evaluation.default_kernels(reduced))
         train_ids = [old_to_new[f] for f in labeled if f not in removed]
         clf = train_classifier(
-            evaluation._labeled_matrix(model, train_ids), [task.labels[f] for f in labeled if f not in removed]
+            np.stack([model.phi[f] for f in train_ids]), [task.labels[f] for f in labeled if f not in removed]
         )
         insert_order = sorted(removed)
         extended_db = insert_facts(reduced, [Fact(db.fact(f).relation, db.fact(f).values) for f in insert_order])

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from walkembed.errors import IntegrityError, SchemaError, UsageError
-from walkembed.files import ensure_dir, read_json, write_csv, write_json
+from walkembed.files import check_writable, ensure_dir, read_json, write_csv, write_json
 
 
 def _rows_then_fail(n):
@@ -83,12 +83,23 @@ def test_writers_name_a_target_they_cannot_write(tmp_path, case):
     }[case]
     if case == "target is a directory":
         target.mkdir()
-    with pytest.raises(UsageError, match=f"cannot write {re.escape(str(target))}"):
+    with pytest.raises(UsageError, match=f"cannot write {re.escape(str(target))}") as err:
         write_json({"a": 1}, target)
     with pytest.raises(UsageError, match=f"cannot write {re.escape(str(target))}"):
         write_csv(target, ["a"], [[1]])
     assert list(tmp_path.rglob("*.tmp")) == []
     assert (tmp_path / "file").read_text() == "x"
+    # checked before any work, with the message the write would end in
+    with pytest.raises(UsageError) as checked:
+        check_writable(tmp_path / "fine.json", target)
+    assert str(checked.value) == str(err.value)
+
+
+def test_check_writable_passes_a_writable_path(tmp_path):
+    (tmp_path / "old.json").write_text("{}")
+    check_writable(tmp_path / "new.json", str(tmp_path / "old.json"))
+    check_writable()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
 
 
 def test_ensure_dir_makes_parents_and_names_a_path_it_cannot_make(tmp_path):

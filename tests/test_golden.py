@@ -4,7 +4,9 @@ The trainer's update loop and the classifier's gradient descent are tuned
 for speed under one promise: a fixed seed gives the same bits.  The values
 below were recorded with a per-sample trainer that keyed everything by
 scheme and a classifier that fitted one fold at a time.  Any change to the
-RNG draw order or to the floating-point expression order moves them.  Run
+RNG draw order or to the floating-point expression order moves them.
+``model`` is the SHA-256 of the trained model's ``save_model`` file, which
+pins the model file's layout, row order and number format as well.  Run
 this file as a script to print the current values.
 
 The batched classifier is also checked against that per-fold classifier,
@@ -15,7 +17,9 @@ and for a stack of snapshots fitted together.
 from __future__ import annotations
 
 import hashlib
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from walkembed.evaluation import (
     train_classifier,
 )
 from walkembed.kernels import default_kernels
+from walkembed.model_io import save_model
 from walkembed.relational import build_database, schema_from_dict
 from walkembed.schemes import enumerate_targeted_schemes
 from walkembed.seeding import derive_rng
@@ -47,12 +52,14 @@ PLANTED = {
     "psi": "b60a0bfe68adfcd41673d65d4eb3ed0bd54c1ad3d4543c9a0279a1a65b252fe6",
     "losses": "93713eec53c6865872bb3201a1e2f2a44be14c103a2c2bb00e527fb885ba5c81",
     "samples": [[2560, 0]] * 8,
+    "model": "2ad9bdadb89edbeb032a42de3326cd151dc9b263c94f3495520b9cbeaa9f6a00",
 }
 NULLABLE = {
     "phi": "45730a0a3f5d370351e75774814f838a06aef71ad2c349b2d85a77e50a99e714",
     "psi": "56d117670dd715a67c89079a98ace46ca333a0e1365841919a2538bfb39674d4",
     "losses": "3777b5d138e2b23c1b6dd90e8229d1006b5354307da2a102749bd94225ca6ef5",
     "samples": [[193, 143], [203, 133], [189, 147], [184, 152]],
+    "model": "eeb1e1611a0b6d3551469584f34c44e0382259174720379d21d40609cd08a31b",
 }
 CV = {
     "stratified": 0.825,
@@ -71,6 +78,13 @@ def _sha(arrays) -> str:
     return h.hexdigest()
 
 
+def _model_sha(model, db) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, db, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _fingerprint(db, start, max_length, cfg) -> dict:
     schemes = enumerate_targeted_schemes(db.schema, start, max_length)
     model, history = train(db, start, schemes, cfg, default_kernels(db))
@@ -84,6 +98,7 @@ def _fingerprint(db, start, max_length, cfg) -> dict:
         "psi": _sha(model.psi[t] for t in schemes),
         "losses": _sha([np.asarray(losses)]),
         "samples": [[s.samples_used, s.samples_skipped] for s in history],
+        "model": _model_sha(model, db),
     }
 
 

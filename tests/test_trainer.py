@@ -23,12 +23,15 @@ from conftest import decoded
 
 from walkembed import trainer
 from walkembed.errors import NumericError, UsageError
+from walkembed.extension import ExtensionConfig, extend_embedding
 from walkembed.kernels import default_kernels, kernel_eval, kernel_for
+from walkembed.relational import Fact, insert_facts
 from walkembed.schemes import enumerate_targeted_schemes, sample_target_values_batch, targeted_text
 from walkembed.seeding import derive_rng
 from walkembed.synth import convergence_database, random_database, random_schema, two_cluster_database
 from walkembed.trainer import (
     EmbeddingModel,
+    KeyedRows,
     TrainConfig,
     _LossLedger,
     bilinear,
@@ -166,8 +169,8 @@ def test_sgd_step_keeps_psi_symmetric():
     tws = _gval_scheme(db)
     rng = derive_rng(5, "sym")
     model = _toy_model(tws)
-    model.phi[0] = rng.normal(size=2)
-    model.phi[1] = rng.normal(size=2)
+    model.phi[0][:] = rng.normal(size=2)
+    model.phi[1][:] = rng.normal(size=2)
     for _ in range(20):
         sgd_step(model.phi[0], model.phi[1], model.psi[tws], float(rng.uniform()), 0.05)
     assert np.array_equal(model.psi[tws], model.psi[tws].T)
@@ -177,7 +180,7 @@ def test_sgd_step_non_finite_loss_raises():
     db = two_cluster_database(2)
     tws = _gval_scheme(db)
     model = _toy_model(tws)
-    model.phi[0] = np.array([np.inf, 0.0])
+    model.phi[0][:] = [np.inf, 0.0]
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         sgd_step(model.phi[0], model.phi[1], model.psi[tws], 1.0, 0.1)
 
@@ -251,6 +254,107 @@ def test_train_seed_changes_outcome():
     m1, _ = train(db, "item", schemes, TrainConfig(k=4, epochs=2, seed=0))
     m2, _ = train(db, "item", schemes, TrainConfig(k=4, epochs=2, seed=1))
     assert any(not np.array_equal(m1.phi[f], m2.phi[f]) for f in m1.phi)
+
+
+# -- the model's layout: two arrays read by key -------------------------------------
+
+
+def test_init_model_draws_phi_as_the_per_row_draws():
+    """One (facts, k) uniform draw equals one k-draw per fact, in fact order."""
+    db = two_cluster_database(4)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    cfg = TrainConfig(k=5, seed=3)
+    model = init_model(db, "item", schemes, cfg)
+    rng = derive_rng(cfg.seed, "init")
+    bound = 1.0 / np.sqrt(cfg.k)
+    for fid in db.relation_fact_ids("item"):
+        assert model.phi[fid].tobytes() == rng.uniform(-bound, bound, size=cfg.k).tobytes()
+    assert model.phi.data.shape == (len(model.phi), 5) and model.psi.data.shape == (len(schemes), 5, 5)
+
+
+def test_a_dict_is_copied_in_and_a_view_is_shared():
+    db = two_cluster_database(2)
+    tws = _gval_scheme(db)
+    rows = {3: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}
+    psi = {tws: np.eye(2)}
+    model = EmbeddingModel(2, "item", rows, psi, [tws])
+    rows[3][0] = 9.0
+    psi[tws][0, 0] = 9.0
+    assert model.phi[3].tolist() == [1.0, 2.0] and model.psi[tws][0, 0] == 1.0
+    assert model.phi.data.dtype == np.float64
+    shared = EmbeddingModel(2, "item", model.phi, model.psi, [tws])
+    assert shared.phi is model.phi and shared.psi is model.psi
+    empty = EmbeddingModel(2, "item", {}, {}, [])
+    assert empty.phi.data.shape == (0, 2) and empty.psi.data.shape == (0, 2, 2)
+
+
+def test_rows_iterate_in_row_order_and_take_stacks_a_copy():
+    data = np.arange(12.0).reshape(4, 3)
+    rows = KeyedRows([7, 2, 9, 0], data)
+    assert list(rows) == [7, 2, 9, 0] and len(rows) == 4
+    assert 9 in rows and 5 not in rows
+    assert [k for k, _ in rows.items()] == [7, 2, 9, 0]
+    taken = rows.take([0, 7, 0])
+    assert np.array_equal(taken, np.stack([rows[0], rows[7], rows[0]]))
+    assert rows.take([]).shape == (0, 3)
+    taken[0, 0] = -1.0
+    assert data[3, 0] == 9.0  # take copies
+    rows[2][:] = 5.0
+    assert data[1].tolist() == [5.0, 5.0, 5.0]  # a row is a view into the array
+
+
+def test_first_non_finite_names_the_first_row_in_row_order():
+    rows = KeyedRows(["a", "b", "c"], np.zeros((3, 2, 2)))
+    assert rows.first_non_finite() is None
+    rows["c"][1, 0] = np.nan
+    rows["b"][0, 1] = np.inf
+    assert rows.first_non_finite() == "b"
+
+
+def test_a_write_through_a_row_reaches_training():
+    db = convergence_database(6)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    cfg = TrainConfig(k=3, n_samples=2, epochs=1, seed=4)
+    model = init_model(db, "item", schemes, cfg)
+    first = db.relation_fact_ids("item")[0]
+    model.phi[first][:] = [0.5, -0.5, 0.25]
+    # the same values handed over as dicts: training must see the written row
+    twin = EmbeddingModel(cfg.k, "item", {f: v.copy() for f, v in model.phi.items()},
+                          {t: m.copy() for t, m in model.psi.items()}, list(schemes))
+    untouched = init_model(db, "item", schemes, cfg)
+    for m in (model, twin, untouched):
+        train_epoch(db, m, cfg, default_kernels(db), 1, _LossLedger())
+    assert np.array_equal(model.phi.data, twin.phi.data) and np.array_equal(model.psi.data, twin.psi.data)
+    assert not np.array_equal(model.phi.data, untouched.phi.data)
+
+
+def test_deepcopy_gives_an_independent_model():
+    db = two_cluster_database(3)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    model = init_model(db, "item", schemes, TrainConfig(k=2, seed=0))
+    clone = copy.deepcopy(model)
+    first = db.relation_fact_ids("item")[0]
+    clone.phi[first][:] = 7.0
+    clone.psi[schemes[0]][:] = 7.0
+    assert not np.array_equal(model.phi[first], clone.phi[first])
+    assert not np.array_equal(model.psi[schemes[0]], clone.psi[schemes[0]])
+    assert list(clone.phi) == list(model.phi) and list(clone.psi) == list(model.psi)
+
+
+def test_an_extended_model_leaves_its_sources_rows_untouched():
+    db = two_cluster_database(4)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    model, _ = train(db, "item", schemes, TrainConfig(k=2, n_samples=2, epochs=2, seed=1))
+    before = model.phi.data.copy()
+    rel = db.schema.relation("item")
+    first = db.relation_fact_ids("item")[0]
+    db2 = insert_facts(db, [Fact("item", ("fresh", db.fact(first).value(rel, "g")))])
+    new = db2.n_facts - 1
+    ext = extend_embedding(db2, model, [new], ExtensionConfig(), default_kernels(db2))
+    assert list(ext.phi) == [*model.phi, new]  # the source's rows, then the new one
+    assert ext.psi is model.psi and new not in model.phi
+    ext.phi[first][:] = 3.0
+    assert np.array_equal(model.phi.data, before)
 
 
 def test_zero_loss_model_is_a_fixed_point():
@@ -370,7 +474,7 @@ def test_bilinear_definition():
     db = two_cluster_database(2)
     tws = _gval_scheme(db)
     model = _toy_model(tws)
-    model.psi[tws] = np.array([[2.0, 0.5], [0.5, 1.0]])
+    model.psi[tws][:] = [[2.0, 0.5], [0.5, 1.0]]
     assert bilinear(model, 0, 1, tws) == pytest.approx(0.5, abs=1e-15)
     assert bilinear(model, 0, 0, tws) == pytest.approx(2.0, abs=1e-15)
 
