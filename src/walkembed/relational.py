@@ -25,9 +25,16 @@ built on demand: ``fact``, ``facts``, ``relation_facts``, ``attr_value``,
 ``active_domain`` collects in id order, so a set of floats iterates as a
 row-by-row build made it.
 
-``build_database`` validates and encodes one column at a time.  When a
-column check fails, the per-row checks run over the input and raise the
-error of its first faulty row, with the message a row-by-row build gives.
+Builds, inserts and loads meet in one column entry: each hands it the
+new facts as one value column per attribute of each relation, which it
+validates and encodes one column at a time.  ``build_database`` and
+``insert_facts`` transpose their rows into those columns;
+``load_database`` reads each CSV file whole straight into them.  A column
+check only says that something is wrong: when one fails, the per-row
+checks run over the input and raise the error of its first faulty row,
+with the message a row-by-row build gives, and a file that fails its
+column read is read again row by row for the error of its first faulty
+line.
 
 The foreign-key index holds one ``FkIndex`` of int64 arrays per foreign
 key, in schema order, and is the only form of the index: the walk
@@ -78,9 +85,10 @@ references; ``closure`` grows a mask to such a set.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import is_, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -399,9 +407,9 @@ class Database:
 
 # -- construction ----------------------------------------------------------
 #
-# Builds and inserts run column by column.  A column check only says that
-# something is wrong; the per-row checks then run over the input and raise
-# the error of its first faulty row.
+# Builds, inserts and loads run column by column.  A column check only says
+# that something is wrong; the per-row checks then run over the input and
+# raise the error of its first faulty row.
 
 
 class _Fault(Exception):
@@ -514,16 +522,6 @@ def _encode(attr: AttributeDecl, cells: Sequence[Value], old: Column) -> tuple[C
     return Column(data, null, np.fromiter(seen, dtype=object, count=len(seen)), codes), glob
 
 
-def _encode_relation(
-    rel: RelationSchema, rows: list[Sequence[Value]], old: tuple[Column, ...]
-) -> tuple[tuple[Column, np.ndarray | None], ...]:
-    """``_encode`` of each column of ``rows`` of ``rel`` after ``old``'s."""
-    width = len(rel.attributes)
-    if not set(map(len, rows)) <= {width}:
-        raise _Fault
-    return tuple(map(_encode, rel.attributes, zip(*rows), old))
-
-
 def _key_map(rel: RelationSchema, cols: tuple[Column, ...], ids: list[int]) -> dict[tuple[Value, ...], int]:
     key_cols = [cols[rel.attr_index(a)] for a in rel.key]
     if any(c.null.any() for c in key_cols):
@@ -539,11 +537,12 @@ def _references(
     rel: RelationSchema,
     cols: tuple[Column, ...],
     ids: np.ndarray,
-    resolve: Callable[[tuple[Value, ...]], int],
+    resolve: Callable[[list[tuple[Value, ...]]], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sources, destinations) of the facts ``ids`` of ``fk.src``, whose
     columns are ``cols``; a fact with a null in the reference has none.
-    ``resolve`` gives the destination of a key, -1 for none."""
+    ``resolve`` gives the destination of each of a list of keys, -1 for
+    none."""
     ref_cols = [cols[rel.attr_index(a)] for a in fk.src_attrs]
     has = ~ref_cols[0].null
     for c in ref_cols[1:]:
@@ -551,11 +550,9 @@ def _references(
     col = ref_cols[0]
     if len(ref_cols) == 1 and col.table is not None:
         # one lookup per distinct value
-        lut = np.fromiter((resolve((v,)) for v in col.table), np.int64, len(col.table))
-        dst = lut[col.data[has]]
+        dst = resolve(list(zip(col.table.tolist())))[col.data[has]]
     else:
-        refs = zip(*[c.values() for c in ref_cols])
-        dst = np.fromiter((resolve(r) for r, h in zip(refs, has.tolist()) if h), np.int64)
+        dst = resolve(list(compress(zip(*[c.values() for c in ref_cols]), has.tolist())))
     if (dst < 0).any():
         raise _Fault
     return ids[has], dst
@@ -667,13 +664,21 @@ def _extend_fk_index(
     return FkIndex(fwd[:n], offsets[: n + 1], _extend(lineage, ("flat", pos), flat, src[split:]))
 
 
-def _split_rows(
+def _transpose(
     schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]]
-) -> tuple[np.ndarray, list[Sequence[Value]]]:
-    """Each row's relation position in the schema, and the rows' values."""
+) -> tuple[np.ndarray, dict[str, list[tuple[Value, ...]]]]:
+    """Each row's relation position in the schema, and per relation with
+    rows one column of values per attribute, in row order."""
     pos = {r.name: i for i, r in enumerate(schema.relations)}
-    rel_of = np.fromiter(map(pos.__getitem__, map(itemgetter(0), rows)), np.int32, len(rows))
-    return rel_of, list(map(itemgetter(1), rows))
+    rel_new = np.fromiter(map(pos.__getitem__, map(itemgetter(0), rows)), np.int32, len(rows))
+    columns = {}
+    for p in np.flatnonzero(np.bincount(rel_new, minlength=len(pos))).tolist():
+        rel = schema.relations[p]
+        values = [rows[i][1] for i in np.flatnonzero(rel_new == p).tolist()]
+        if not set(map(len, values)) <= {len(rel.attributes)}:
+            raise _Fault
+        columns[rel.name] = list(zip(*values))
+    return rel_new, columns
 
 
 def _empty_database(schema: DatabaseSchema) -> Database:
@@ -701,7 +706,7 @@ def build_database(schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Va
     """Build a database from (relation name, values) rows, ids in row order."""
     rows = rows if isinstance(rows, (list, tuple)) else list(rows)
     try:
-        return _append(_empty_database(schema), rows)
+        return _append(_empty_database(schema), *_transpose(schema, rows))
     except Exception:
         _check_rows(schema, rows, None)
         raise
@@ -722,25 +727,29 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
     """
     batch = [(f.relation, f.values) for f in new_facts]
     try:
-        return _append(db, batch)
+        return _append(db, *_transpose(db.schema, batch))
     except Exception:
         _check_rows(db.schema, batch, db)
         raise
 
 
-def _append(db: Database, rows: Sequence[tuple[str, Sequence[Value]]]) -> Database:
-    """``db`` with ``rows`` appended, checked column by column; a failed
-    check raises before any store is written."""
+def _append(db: Database, rel_new: np.ndarray, values: dict[str, Sequence[Sequence[Value]]]) -> Database:
+    """``db`` with a batch of facts appended, checked column by column; a
+    failed check raises before any store is written.
+
+    ``rel_new`` holds each new fact's relation position in the schema, in
+    id order, and ``values`` one column of values per attribute over each
+    of those relations' new facts, in id order.
+    """
     schema = db.schema
-    n_old, n = db.n_facts, db.n_facts + len(rows)
-    rel_new, values = _split_rows(schema, rows)
+    n_old, n = db.n_facts, db.n_facts + len(rel_new)
     staged: dict[str, tuple] = {}  # per touched relation: batch rows, their ids, their columns
     batch_keys: dict[str, dict[tuple[Value, ...], int]] = {}
     for pos in np.flatnonzero(np.bincount(rel_new, minlength=len(schema.relations))).tolist():
         rel = schema.relations[pos]
         local = np.flatnonzero(rel_new == pos)
         id_list = (local + n_old).tolist()  # shared by the key map and the id tuple
-        encoded = _encode_relation(rel, [values[i] for i in local.tolist()], db._columns[rel.name])
+        encoded = tuple(map(_encode, rel.attributes, values[rel.name], db._columns[rel.name]))
         keys = _key_map(rel, tuple(c for c, _ in encoded), id_list)
         # a shared key map also holds the keys of newer versions
         if not db._key_to_fact[rel.name].keys().isdisjoint(keys) and any(
@@ -750,14 +759,20 @@ def _append(db: Database, rows: Sequence[tuple[str, Sequence[Value]]]) -> Databa
         staged[rel.name] = (local, id_list, encoded)
         batch_keys[rel.name] = keys
 
-    def resolver(relation: str) -> Callable[[tuple[Value, ...]], int]:
-        extra = batch_keys.get(relation, {})
+    def resolver(relation: str) -> Callable[[list[tuple[Value, ...]]], np.ndarray]:
+        extra, old = batch_keys.get(relation, {}), db._key_to_fact[relation]
+        rel_pos = schema.relation_names.index(relation)
 
-        def resolve(key: tuple[Value, ...]) -> int:
-            fact_id = extra.get(key)
-            if fact_id is None:
-                fact_id = db.fact_by_key(relation, key)
-            return -1 if fact_id is None else fact_id
+        def resolve(keys: list[tuple[Value, ...]]) -> np.ndarray:
+            got = np.fromiter(map(extra.get, keys, repeat(-1)), np.int64, len(keys))
+            miss = np.flatnonzero(got < 0)
+            if len(miss) and n_old:
+                ids = np.fromiter(map(old.get, [keys[i] for i in miss.tolist()], repeat(-1)), np.int64, len(miss))
+                # a shared key map also holds ids past n_old, or of other relations here
+                mine = (ids >= 0) & (ids < n_old)
+                mine[mine] = db._rel_of[ids[mine]] == rel_pos
+                got[miss] = np.where(mine, ids, -1)
+            return got
 
         return resolve
 
@@ -773,7 +788,7 @@ def _append(db: Database, rows: Sequence[tuple[str, Sequence[Value]]]) -> Databa
 
     # every check has passed: write
     lineage = db._lineage if db._lineage.n_tip == n_old else _Lineage(n_old)
-    row_new = np.empty(len(rows), dtype=np.int64)
+    row_new = np.empty(len(rel_new), dtype=np.int64)
     columns = dict(db._columns)
     by_relation = dict(db._by_relation)
     key_to_fact = dict(db._key_to_fact)
@@ -1035,21 +1050,89 @@ def read_relation_csv(rel: RelationSchema, path: Path) -> Iterator[tuple[Value, 
         raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _split_cells(text: str, width: int) -> tuple[list[str], list[list[str]]] | None:
+    """The header and the cells per column that ``csv.reader`` reads from
+    ``text``, split without one list per row, or None for text only
+    ``csv.reader`` reads right: with a quote, a NUL, a carriage return
+    outside a ``\\r\\n`` line end, a blank line or a line longer than the
+    field size limit.  Raises when a row has the wrong number of cells."""
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":  # the final newline ends the last row
+        lines.pop()
+    if not lines or "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    body = lines[1:]
+    if not set(map(str.count, body, repeat(","))) <= {width - 1}:
+        raise _Fault
+    flat = ",".join(body).split(",") if body else []
+    return lines[0].split(","), [flat[j::width] for j in range(width)]
+
+
+def _parse_column(rel: RelationSchema, attr: AttributeDecl, cells: Sequence[str]) -> Sequence[Value]:
+    """One attribute's cells as ``_parse_cell`` parses them; raises where
+    it would reject a cell."""
+    empty = "" in cells
+    if empty and (not attr.nullable or attr.name in rel.key):
+        raise _Fault
+    if attr.kind != "numeric":
+        return [c or None for c in cells] if empty else cells
+    values = [float(c) if c else None for c in cells] if empty else list(map(float, cells))
+    # filter(None, ...) drops the nulls, and the zeros, which are finite
+    if not all(map(math.isfinite, filter(None, values))):
+        raise _Fault
+    return values
+
+
+def _read_columns(rel: RelationSchema, path: Path) -> list[Sequence[Value]]:
+    """The values of one relation's CSV file, one list per attribute,
+    accepted as ``read_relation_csv`` accepts them; raises on any fault
+    without naming it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    width = len(rel.attributes)
+    split = _split_cells(text, width)
+    if split is None:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        if not set(map(len, rows)) <= {width}:
+            raise _Fault
+        split = header, list(zip(*rows)) or [()] * width
+    header, cells = split
+    if tuple(header) != rel.attr_names:
+        raise _Fault
+    return list(map(_parse_column, repeat(rel), rel.attributes, cells))
+
+
 def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
     """Load one CSV per relation from ``data_dir``.
 
-    Files are named ``<relation>.csv`` and read by ``read_relation_csv``.
-    Fact ids follow file row order, relations in schema order, so loading
-    is deterministic.
+    Files are named ``<relation>.csv``.  Each is read whole into one value
+    column per attribute, with the checks of ``read_relation_csv``, and
+    the columns go straight to the build.  A file that fails its column
+    read is read again by ``read_relation_csv``, which raises the error of
+    its first faulty line; when the build's checks fail, the per-row
+    checks run over the rows zipped back from the columns.  Fact ids
+    follow file row order, relations in schema order, so loading is
+    deterministic.
     """
     data_dir = Path(data_dir)
-    rows: list[tuple[str, tuple[Value, ...]]] = []
+    columns: dict[str, list[Sequence[Value]]] = {}
     for rel in schema.relations:
         path = data_dir / f"{rel.name}.csv"
         if not path.exists():
             raise IntegrityError(f"missing data file for relation {rel.name!r}: {path}")
-        rows.extend((rel.name, values) for values in read_relation_csv(rel, path))
-    return build_database(schema, rows)
+        try:
+            columns[rel.name] = _read_columns(rel, path)
+        except Exception:
+            list(read_relation_csv(rel, path))  # raises the error of the first faulty line
+            raise
+    rel_new = np.repeat(np.arange(len(columns), dtype=np.int32), [len(cols[0]) for cols in columns.values()])
+    try:
+        return _append(_empty_database(schema), rel_new, columns)
+    except Exception:
+        _check_rows(schema, [(name, row) for name, cols in columns.items() for row in zip(*cols)], None)
+        raise
 
 
 def write_database_csv(db: Database, out_dir: str | Path) -> None:

@@ -151,20 +151,25 @@ def init_model(
     cfg: TrainConfig,
 ) -> EmbeddingModel:
     """Fresh model: phi entries i.i.d. uniform on (-1/sqrt(k), 1/sqrt(k)),
-    psi the identity.  Deterministic under cfg.seed."""
+    psi the identity.  Deterministic under cfg.seed.  Every scheme must
+    start at ``start_relation`` and be listed once, else UsageError."""
     if not schemes:
         raise UsageError("scheme list is empty")
+    seen: set[TargetedWalkScheme] = set()
     for tws in schemes:
         if tws.scheme.start_relation != start_relation:
             raise UsageError(
                 f"scheme {targeted_text(tws)} does not start at {start_relation!r}"
             )
+        # each occurrence would be sampled, and all but one copy of its psi updates lost
+        if tws in seen:
+            raise UsageError(f"scheme {targeted_text(tws)} is listed more than once")
+        seen.add(tws)
     rng = derive_rng(cfg.seed, "init")
     bound = 1.0 / np.sqrt(cfg.k)
     ids = db.relation_fact_ids(start_relation)
     phi = KeyedRows(ids, rng.uniform(-bound, bound, size=(len(ids), cfg.k)))
-    keys = dict.fromkeys(schemes)
-    psi = KeyedRows(keys, np.tile(np.eye(cfg.k), (len(keys), 1, 1)))
+    psi = KeyedRows(schemes, np.tile(np.eye(cfg.k), (len(schemes), 1, 1)))
     return EmbeddingModel(cfg.k, start_relation, phi, psi, list(schemes))
 
 

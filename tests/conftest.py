@@ -1,12 +1,17 @@
 """Shared fixtures: small databases with hand-checkable structure, the
 decoding of sampled target values and exact value laws, scalar readers of
-the foreign-key arrays, and the dict walkers and per-fact closures that
-the array primitives replaced, kept as oracles."""
+the foreign-key arrays, and the dict walkers, per-fact closures and the
+per-row CSV load that the array and column paths replaced, kept as
+oracles."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from walkembed.errors import IntegrityError
 from walkembed.kernels import kernel_eval
-from walkembed.relational import Value, build_database, schema_from_dict
+from walkembed.relational import Value, build_database, read_relation_csv, schema_from_dict
 from walkembed.schemes import FORWARD
 
 
@@ -31,6 +36,46 @@ def law_dicts(db, tws, law, n_rows) -> list[dict]:
     for r, k, w in zip(row.tolist(), keys, weight.tolist()):
         out[r][k] = w
     return out
+
+
+# -- the per-row CSV load ----------------------------------------------------------------
+
+
+def load_database_by_rows(schema, data_dir):
+    """The load as first written: every file through the per-row reader
+    ``read_relation_csv`` into one list of (relation, row) pairs, relations
+    in schema order, then ``build_database`` over that list."""
+    rows = []
+    for rel in schema.relations:
+        path = Path(data_dir) / f"{rel.name}.csv"
+        if not path.exists():
+            raise IntegrityError(f"missing data file for relation {rel.name!r}: {path}")
+        rows.extend((rel.name, values) for values in read_relation_csv(rel, path))
+    return build_database(schema, rows)
+
+
+def assert_same_arrays(got, want):
+    """``got`` and ``want`` hold equal stores array for array: every
+    column's data (to the bit), null mask, value table and code map, the
+    key maps in order, the id tuples, ``row_of``, the relation positions
+    and every ``FkIndex``."""
+    assert got.schema == want.schema
+    for a, b in ((got.row_of, want.row_of), (got._rel_of, want._rel_of)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for rel in got.schema.relation_names:
+        for c, d in zip(got._columns[rel], want._columns[rel], strict=True):
+            assert c.data.dtype == d.data.dtype and c.data.tobytes() == d.data.tobytes()
+            assert c.null.dtype == d.null.dtype == bool and np.array_equal(c.null, d.null)
+            if d.table is None:
+                assert c.table is None and c.codes is None
+            else:
+                assert c.table.dtype == d.table.dtype == object and c.table.tolist() == d.table.tolist()
+                assert list(c.codes.items()) == list(d.codes.items())
+        assert list(got._key_to_fact[rel].items()) == list(want._key_to_fact[rel].items())
+        assert got.relation_fact_ids(rel) == want.relation_fact_ids(rel)
+    for a, b in zip(got.fk_index, want.fk_index, strict=True):
+        for x, y in zip(a, b, strict=True):
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
 
 
 # -- scalar readers of the foreign-key arrays -----------------------------------------

@@ -34,6 +34,8 @@ from walkembed.relational import (
     load_database,
     load_schema,
     save_schema,
+    schema_from_dict,
+    schema_to_dict,
     write_database_csv,
 )
 from walkembed.schemes import enumerate_targeted_schemes, targeted_text
@@ -219,6 +221,21 @@ def test_train_selection_with_unknown_scheme_fails(ws, tmp_path):
         "--selection", str(bad),
     ])
     assert code == 2
+
+
+def test_train_selection_with_a_repeated_scheme_fails(ws, tmp_path, capsys):
+    stripped, _ = strip_attribute(ws["setup"].db, "item", "cls")
+    text = targeted_text(enumerate_targeted_schemes(stripped.schema, "item", 1)[0])
+    sel = tmp_path / "sel.json"
+    sel.write_text(json.dumps({"kept": [text, text], "removed": []}))
+    out = tmp_path / "out"
+    code, _ = _run(["--out-dir", str(out), "train", "--config", str(ws["config"]), "--selection", str(sel)])
+    message = f"scheme {text} is listed more than once"
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    doc = json.loads((out / "manifest.json").read_text())
+    assert (doc["status"], doc["exit_code"], doc["error"]) == ("failed", 2, message)
+    assert not (out / "model.json").exists()
 
 
 def test_train_selection_and_strategy_conflict(ws, tmp_path):
@@ -448,6 +465,58 @@ def test_unreadable_data_csv_exits_3(toy_db, tmp_path, capsys, fault, message):
     assert _run(train)[0] == 3
     err = capsys.readouterr().err
     assert str(tmp_path / "data" / "S.csv") in err and message in err
+
+
+# fault: (file, its content, or None to remove it, or "dir" for a directory; the message)
+LOAD_FAULTS = {
+    "missing file": ("S.csv", None, "missing data file for relation 'S': {data}/S.csv"),
+    "empty file": ("S.csv", b"", "{data}/S.csv is empty; expected a header row"),
+    "header mismatch": (
+        "S.csv", b"C,E\r\nx,1.0\r\n", "{data}/S.csv header ['C', 'E'] does not match attributes ('C', 'D')"
+    ),
+    "wrong width": ("S.csv", b"C,D\nx,1.0\ny\n", "{data}/S.csv line 3: expected 2 cells, got 1"),
+    "null in a non-nullable attribute": ("R.csv", b"A,B\nx,b1\n,b2\n", "null in non-nullable attribute R.A (R.csv line 3)"),
+    "null key": ("S.csv", b"C,D\nx,1.0\n,2.0\n", "null key value in S.C (S.csv line 3)"),
+    "non-numeric": ("S.csv", b"C,D\nx,1.0\ny,abc\n", "cannot parse 'abc' as numeric for S.D (S.csv line 3)"),
+    "non-finite": ("S.csv", b"C,D\nx,1.0\ny,1e999\n", "non-finite value '1e999' in S.D (S.csv line 3)"),
+    "duplicate key": ("S.csv", b"C,D\nx,1.0\ny,2.0\nx,3.0\n", "duplicate key ('x',) in relation 'S'"),
+    "dangling reference": ("R.csv", b"A,B\nx,b1\nw,b2\n", "dangling reference ('w',) from R(id 1) via R(A)->S(C)"),
+    "not UTF-8": ("S.csv", b"C,D\nx,1.0\n\xff,2.0\n", "{data}/S.csv line 3: not UTF-8 text (invalid start byte)"),
+    "directory": ("S.csv", "dir", "cannot read {data}/S.csv: Is a directory"),
+}
+
+
+@pytest.mark.parametrize("fault", LOAD_FAULTS)
+def test_every_load_fault_exits_3_with_its_message(toy_db, tmp_path, capsys, fault):
+    """Each fault of a data directory ends the command with exit 3, the
+    message on stderr and in the failed manifest; the column load names
+    the faulty line or row as the per-row load does."""
+    doc = schema_to_dict(toy_db.schema)
+    doc["relations"][1]["attributes"][0]["nullable"] = True  # a nullable key attribute still refuses a null
+    save_schema(schema_from_dict(doc), tmp_path / "schema.json")
+    data = tmp_path / "data"
+    write_database_csv(toy_db, data)
+    config = {
+        "schema": "schema.json",
+        "data_dir": "data",
+        "task": {"relation": "R", "attribute": "B"},
+        "max_length": 1,
+        "trainer": {"k": 2, "n_samples": 1, "epochs": 1},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    name, content, message = LOAD_FAULTS[fault]
+    (data / name).unlink()
+    if content == "dir":
+        (data / name).mkdir()
+    elif content is not None:
+        (data / name).write_bytes(content)
+    out = tmp_path / "out"
+    code, _ = _run(["--out-dir", str(out), "train", "--config", str(tmp_path / "config.json")])
+    message = message.format(data=data)
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    doc = json.loads((out / "manifest.json").read_text())
+    assert (doc["status"], doc["exit_code"], doc["error"]) == ("failed", 3, message)
 
 
 def test_extend_new_dir_that_is_a_file_exits_2(ws, trained, tmp_path, capsys):

@@ -6,14 +6,26 @@ every fact pair; insertion and ``take`` are checked against rebuilding
 from scratch, and ``closure`` against the per-fact closures.
 """
 
+import csv
+import importlib.util
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import back_refs, forward_ref, reference_cascade, reference_sample_closure
+from conftest import (
+    assert_same_arrays,
+    back_refs,
+    forward_ref,
+    load_database_by_rows,
+    reference_cascade,
+    reference_sample_closure,
+)
 
 from walkembed.errors import IntegrityError, SchemaError
 from walkembed.kernels import default_kernels
@@ -31,7 +43,17 @@ from walkembed.relational import (
     take,
     write_database_csv,
 )
-from walkembed.synth import random_database, random_schema
+from walkembed.relational import _Fault, _split_cells
+from walkembed.synth import (
+    convergence_database,
+    mi_chain_database,
+    planted_database,
+    random_database,
+    random_schema,
+    two_cluster_database,
+)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _schema_doc():
@@ -548,6 +570,225 @@ def test_numeric_values_survive_roundtrip(tmp_path, toy_schema):
     (tmp_path / "R.csv").write_text("A,B\n")
     again = load_database(toy_schema, tmp_path)
     assert again.attr_value(0, "D") == pytest.approx(0.1234567890123, abs=0.0)
+
+
+# -- the column load against the per-row load ---------------------------------------
+
+
+def _outcome(load, schema, data_dir):
+    """The database ``load`` reads from ``data_dir``, or its error as (type, message)."""
+    try:
+        return load(schema, data_dir)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loads_alike(schema, data_dir):
+    """The column load and the per-row load give equal stores, or the same
+    error; returns the per-row load's outcome."""
+    got, want = (_outcome(load, schema, data_dir) for load in (load_database, load_database_by_rows))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_same_arrays(got, want)
+    return want
+
+
+SYNTH = {
+    "planted": lambda: planted_database(n_items=12, n_obs=3, seed=2).db,
+    "two_cluster": lambda: two_cluster_database(5),
+    "convergence": lambda: convergence_database(8),
+    "mi_chain": lambda: mi_chain_database(4),
+    **{f"random_{seed}": (lambda seed=seed: random_database(random_schema(seed), seed)) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("generator", SYNTH)
+def test_column_load_equals_row_load_on_synth_databases(generator, tmp_path):
+    db = SYNTH[generator]()
+    write_database_csv(db, tmp_path)
+    for rel in db.schema.relations:
+        # the files write_csv writes are split without a list per row
+        with open(tmp_path / f"{rel.name}.csv", newline="", encoding="utf-8") as fh:
+            assert _split_cells(fh.read(), len(rel.attributes)) is not None
+    assert_same_arrays(load_database(db.schema, tmp_path), load_database_by_rows(db.schema, tmp_path))
+
+
+@pytest.mark.parametrize("workload", ["experiment", "select", "insert"])
+def test_column_load_equals_row_load_on_bench_shapes(workload, tmp_path, monkeypatch):
+    """The benchmark's three input shapes, generated by its own input
+    module at a reduced number of items."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("_bench_inputs", BENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.EXPERIMENT["n_items"] = 20
+    inputs.SELECT["n_items"] = 60
+    inputs.INSERT.update(n_items=40, held_out=8)
+    inputs.GENERATORS[workload](3, tmp_path)
+    schema = load_schema(tmp_path / "schema.json")
+    assert_same_arrays(load_database(schema, tmp_path / "data"), load_database_by_rows(schema, tmp_path / "data"))
+
+
+# P is keyed by a string and a number, which Q references; Q's key is declared
+# nullable, and Q references itself
+CSV_SCHEMA = schema_from_dict(
+    {
+        "relations": [
+            {
+                "name": "P",
+                "attributes": [
+                    {"name": "pid", "kind": "categorical", "nullable": False},
+                    {"name": "grade", "kind": "numeric", "nullable": False},
+                    {"name": "note", "kind": "text"},
+                    {"name": "score", "kind": "numeric"},
+                ],
+                "key": ["pid", "grade"],
+            },
+            {
+                "name": "Q",
+                "attributes": [
+                    {"name": "qid", "kind": "categorical"},
+                    {"name": "rp", "kind": "categorical"},
+                    {"name": "rg", "kind": "numeric"},
+                    {"name": "label", "kind": "categorical", "nullable": False},
+                    {"name": "up", "kind": "categorical"},
+                ],
+                "key": ["qid"],
+            },
+        ],
+        "foreign_keys": [
+            {"src": "Q", "src_attrs": ["rp", "rg"], "dst": "P", "dst_attrs": ["pid", "grade"]},
+            {"src": "Q", "src_attrs": ["up"], "dst": "Q", "dst_attrs": ["qid"]},
+        ],
+    }
+)
+TEXT_CELLS = ["", "a", "b", "x y", "a,b", 'say "hi"', '"', "two\nlines", "cr\rhere", "crlf\r\n", " a", "\x85",
+              "\u2028", "\x0b", "é"]
+# the cells each attribute accepts, and some it rejects
+VALID = {
+    "pid": [f"k{i}" for i in range(1, 9)] + ["k 9", "k,10", 'k"11', "k1 "],
+    "grade": ["1", "2", "3", "1.0", " 1 ", "1_0", "1e0", "\t2\n"],
+    "note": TEXT_CELLS,
+    "score": ["", "1", "-2.5", "1e3", "1_000", "-1E-2", ".5", "5.", "+0", "-0", "\u0661\u0662"],
+    "qid": [f"q{i}" for i in range(1, 13)] + ["q1 ", "q,1"],
+    "label": TEXT_CELLS[1:],
+}
+INVALID = {
+    "pid": [""],
+    "grade": ["", "nan", "x"],
+    "score": ["1__0", "_1", "nan", "NaN", "inf", "-Infinity", "1e999", "abc", "0x10"],
+    "qid": [""],
+    "rp": ["k99"],
+    "rg": ["x", "inf"],
+    "label": [""],
+    "up": ["q99"],
+}
+
+
+def _csv_bytes(draw, names, rows):
+    """``rows`` under a header of ``names`` as the bytes of a CSV file:
+    written by ``csv.writer`` or joined raw, with any line end, with or
+    without a final one, and sometimes one fault: a row of the wrong
+    width, a wrong header, a blank line, a NUL, a cell the attribute
+    rejects or a repeated row."""
+    names, rows = list(names), [list(r) for r in rows]
+    header = names
+    fault = draw(st.sampled_from([None] * 8 + ["wide", "narrow", "header", "blank", "nul", "cell", "repeat"]))
+    i = draw(st.integers(0, max(len(rows) - 1, 0)))
+    if fault == "header":
+        header = draw(st.sampled_from([names[::-1], names[:-1], names + ["extra"]]))
+    elif fault in ("wide", "narrow", "nul", "cell", "repeat") and rows:
+        if fault == "wide":
+            rows[i].append("extra")
+        elif fault == "narrow":
+            rows[i].pop()
+        elif fault == "nul":
+            rows[i][-1] += "\x00"
+        elif fault == "cell":
+            j = draw(st.sampled_from([j for j, a in enumerate(names) if a in INVALID]))
+            rows[i][j] = draw(st.sampled_from(INVALID[names[j]]))
+        else:
+            rows.append(rows[i])
+    raw = draw(st.sampled_from([False, False, False, True]))
+
+    def line(cells):
+        if raw:
+            return ",".join(cells)
+        buf = io.StringIO()
+        csv.writer(buf).writerow(cells)  # quotes a cell holding \r or \n, as the default \r\n line end has both
+        return buf.getvalue()[:-2]
+
+    lines = [line(header)] + [line(r) for r in rows]
+    if fault == "blank":
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\r\n", "\n", "\r"] if raw else ["\r\n", "\n"]))
+    return (end.join(lines) + (end if draw(st.booleans()) else "")).encode("utf-8")
+
+
+@st.composite
+def csv_databases(draw):
+    """The bytes of ``P.csv`` and ``Q.csv`` for ``CSV_SCHEMA``: Q's
+    references name P's keys as P's file writes them, or are null."""
+    p_names, q_names = (rel.attr_names for rel in CSV_SCHEMA.relations)
+    p_row = st.tuples(*[st.sampled_from(VALID[a]) for a in p_names])
+    p_rows = draw(st.lists(p_row, max_size=6, unique_by=lambda r: r[0]))
+    refs = [("", ""), ("", ""), ("k1", "")] + [r[:2] for r in p_rows]
+    q_row = st.tuples(st.sampled_from(VALID["qid"]), st.sampled_from(refs), st.sampled_from(VALID["label"]))
+    q_rows = draw(st.lists(q_row, max_size=6, unique_by=lambda r: r[0]))
+    up = st.sampled_from(["", ""] + [qid for qid, _, _ in q_rows])
+    q_rows = [(qid, *ref, label, draw(up)) for qid, ref, label in q_rows]
+    return _csv_bytes(draw, p_names, p_rows), _csv_bytes(draw, q_names, q_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=csv_databases())
+def test_column_load_equals_row_load_on_generated_files(files):
+    """Quoted cells with commas and line ends, either line end, empty
+    cells, numbers with spaces, ``_``, exponents, nan and inf: both loads
+    give equal stores, or both raise the same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in zip(("P.csv", "Q.csv"), files):
+            (Path(tmp) / name).write_bytes(data)
+        _assert_loads_alike(CSV_SCHEMA, tmp)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet=',"\r\n\x00ab \x85\u2028', max_size=30), width=st.integers(1, 3))
+def test_split_cells_reads_as_csv_reader(text, width):
+    """Where ``_split_cells`` splits, it reads what ``csv.reader`` reads, and
+    where it finds a row of the wrong width, ``csv.reader`` does too."""
+    try:
+        got = _split_cells(text, width)
+    except _Fault:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert any(len(r) != width for r in rows[1:])
+        return
+    if got is not None:
+        header, columns = got
+        assert [header, *map(list, zip(*columns))] == list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_field_size_limit_holds_in_the_column_load(tmp_path):
+    """A line longer than the field size limit is read by ``csv.reader``,
+    which accepts it when no one field is too long and raises for one
+    that is, as the per-row load does."""
+    schema = schema_from_dict(
+        {"relations": [{"name": "S", "attributes": [{"name": "a", "kind": "categorical"},
+                                                    {"name": "b", "kind": "categorical"}], "key": ["a"]}]}
+    )
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(6)
+        (tmp_path / "S.csv").write_text("a,b\nkey1,value1\n")
+        with open(tmp_path / "S.csv", newline="", encoding="utf-8") as fh:
+            assert _split_cells(fh.read(), 2) is None
+        assert _assert_loads_alike(schema, tmp_path).n_facts == 1
+        (tmp_path / "S.csv").write_text("a,b\nkey1,value12\n")
+        assert _assert_loads_alike(schema, tmp_path)[0] is csv.Error
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_random_database_is_deterministic():

@@ -13,6 +13,7 @@ bit, and raise the same message on the same update.
 """
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ def test_init_model_rejects_foreign_scheme():
     schemes = enumerate_targeted_schemes(db.schema, "grp", 1)
     with pytest.raises(UsageError):
         init_model(db, "item", schemes, TrainConfig(k=4))
+
+
+def test_init_model_rejects_a_repeated_scheme():
+    """A repeated scheme would be sampled once per occurrence and all but
+    one copy of its psi updates lost: it is refused, named, by init_model
+    and so by train."""
+    db = two_cluster_database(4)
+    s0, s1 = enumerate_targeted_schemes(db.schema, "item", 1)[:2]
+    message = f"scheme {targeted_text(s0)} is listed more than once"
+    with pytest.raises(UsageError, match=re.escape(message)):
+        init_model(db, "item", [s0, s1, s0], TrainConfig(k=4))
+    with pytest.raises(UsageError, match=re.escape(message)):
+        train(db, "item", [s0, s0], TrainConfig(k=4, epochs=1))
 
 
 def test_init_model_rejects_empty_schemes():
