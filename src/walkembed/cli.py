@@ -41,7 +41,7 @@ from .extension import ExtensionConfig, extend_embedding
 from .files import check_writable, ensure_dir, read_json, write_csv, write_json
 from .kernels import default_kernels
 from .model_io import export_embeddings_csv, json_array, json_field, load_model, save_model
-from .relational import Fact, insert_facts, load_database, load_schema, read_relation_csv
+from .relational import insert_columns, load_database, load_schema, read_relation_columns
 from .schemes import enumerate_targeted_schemes, scheme_text, targeted_text
 from .selection import online_elimination_train, ranked, select
 from .trainer import train
@@ -213,13 +213,12 @@ def cmd_extend(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path
     new_dir = Path(args.new_dir)
     if not new_dir.is_dir():
         raise UsageError(f"--new-dir is not a directory: {new_dir}")
-    batch: list[Fact] = []
+    columns = {}
     for rel in db.schema.relations:
         path = new_dir / f"{rel.name}.csv"
-        if not path.exists():
-            continue
-        batch.extend(Fact(rel.name, values) for values in read_relation_csv(rel, path))
-    db_new = insert_facts(db, batch)
+        if path.exists():
+            columns[rel.name] = read_relation_columns(rel, path)
+    db_new = insert_columns(db, columns)
     new_ids = list(range(db.n_facts, db_new.n_facts))
     new_start = [f for f in new_ids if db_new.relation_of(f) == model.start_relation]
     if new_start:

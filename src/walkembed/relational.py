@@ -29,12 +29,10 @@ Builds, inserts and loads meet in one column entry: each hands it the
 new facts as one value column per attribute of each relation, which it
 validates and encodes one column at a time.  ``build_database`` and
 ``insert_facts`` transpose their rows into those columns;
-``load_database`` reads each CSV file whole straight into them.  A column
-check only says that something is wrong: when one fails, the per-row
-checks run over the input and raise the error of its first faulty row,
-with the message a row-by-row build gives, and a file that fails its
-column read is read again row by row for the error of its first faulty
-line.
+``read_relation_columns`` reads a CSV file whole straight into them, for
+loads and for new rows alike.  Each rule is written once: a column check
+names its own first faulty row, or line of a file, and the error raised
+is the first a row-by-row pass meets.  No input is read twice.
 
 The foreign-key index holds one ``FkIndex`` of int64 arrays per foreign
 key, in schema order, and is the only form of the index: the walk
@@ -91,7 +89,7 @@ from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import is_, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -407,111 +405,75 @@ class Database:
 
 # -- construction ----------------------------------------------------------
 #
-# Builds, inserts and loads run column by column.  A column check only says
-# that something is wrong; the per-row checks then run over the input and
-# raise the error of its first faulty row.
+# Each check finds its own first faulty row and builds that row's error.
+# The error raised is the one a row-by-row pass meets first; it checks a row
+# for a known relation, its width, each attribute in schema order, a key not
+# null and a key no earlier row or older fact has, then after all rows each
+# foreign key's references, in schema order.
 
 
-class _Fault(Exception):
-    """A column check failed; ``_check_rows`` finds the faulty row."""
+class _First:
+    """The first fault among the first ``rows`` rows of one relation: the
+    checks run in the row-by-row order, each over the rows before the
+    first fault found so far, so a fault one finds comes first."""
 
+    def __init__(self, rows: int, error: Exception | None = None) -> None:
+        self.rows, self.error = rows, error  # with an error, the rows before its row
 
-def _check_value(rel: RelationSchema, attr: AttributeDecl, value: Value, where: str, n: int) -> Value:
-    """``value`` as stored; errors name the row as ``where`` followed by ``n``."""
-    if value is None:
-        if not attr.nullable:
-            raise IntegrityError(f"null in non-nullable attribute {rel.name}.{attr.name} ({where} {n})")
-        return None
-    if attr.kind == "numeric":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise IntegrityError(f"non-numeric value {value!r} in {rel.name}.{attr.name} ({where} {n})")
-        if not math.isfinite(value):
-            raise IntegrityError(f"non-finite value {value!r} in {rel.name}.{attr.name} ({where} {n})")
-        return float(value)
-    if not isinstance(value, str):
-        raise IntegrityError(f"expected string for {rel.name}.{attr.name}, got {value!r} ({where} {n})")
-    return value
+    def check(self, bad: Sequence[bool] | np.ndarray, message: Callable[[int], str]) -> None:
+        """Take the error ``message(i)`` of the first row ``i`` where ``bad`` holds."""
+        hit = np.flatnonzero(bad[: self.rows])
+        if len(hit):
+            self.rows = int(hit[0])
+            self.error = IntegrityError(message(self.rows))
 
-
-def _check_rows(
-    schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]], db: Database | None
-) -> None:
-    """Check ``rows`` one at a time and raise the first error: a build's
-    when ``db`` is None, else an insert's into ``db`` (ids follow its own)."""
-    inserted = db is not None
-    where = "inserted row" if inserted else "row"
-    first_id = db.n_facts if inserted else 0
-    keys: dict[str, dict[tuple[Value, ...], int]] = {r: {} for r in schema.relation_names}
-
-    def known(rel_name: str, key: tuple[Value, ...]) -> bool:
-        return key in keys[rel_name] or (inserted and db.fact_by_key(rel_name, key) is not None)
-
-    checked_rows = []
-    for fact_id, (rel_name, values) in enumerate(rows, start=first_id):
-        rel = schema.relation(rel_name)
-        if len(values) != len(rel.attributes):
-            raise IntegrityError(
-                f"relation {rel_name!r} expects {len(rel.attributes)} values, got {len(values)}"
-            )
-        checked = tuple([
-            _check_value(rel, attr, v, where, fact_id) for attr, v in zip(rel.attributes, values)
-        ])
-        key = tuple([checked[rel.attr_index(a)] for a in rel.key])
-        if None in key:
-            raise IntegrityError(
-                f"null key value in inserted {rel_name!r} row" if inserted
-                else f"null key value in {rel_name!r} row {fact_id}"
-            )
-        if known(rel_name, key):
-            raise IntegrityError(f"duplicate key {key!r} in relation {rel_name!r}")
-        keys[rel_name][key] = fact_id
-        checked_rows.append((rel_name, checked, fact_id))
-    for fk in schema.foreign_keys:
-        src_pos = [schema.relation(fk.src).attr_index(a) for a in fk.src_attrs]
-        for rel_name, checked, fact_id in checked_rows:
-            if rel_name != fk.src:
-                continue
-            ref = tuple([checked[p] for p in src_pos])
-            if None in ref or known(fk.dst, ref):
-                continue  # a null anywhere in the reference makes it non-referencing
-            raise IntegrityError(
-                f"dangling reference {ref!r} from inserted {fk.src} row via {fk.name}" if inserted
-                else f"dangling reference {ref!r} from {fk.src}(id {fact_id}) via {fk.name}"
-            )
+    def cut(self, seq):
+        """``seq`` without the rows from the first fault on."""
+        return seq if len(seq) <= self.rows else seq[: self.rows]
 
 
 _PLAIN_NUMERIC = {float, int, type(None)}
+_STRING = (str, type(None))
 
 
-def _is_number(value: Value) -> bool:
-    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
-
-
-def _encode(attr: AttributeDecl, cells: Sequence[Value], old: Column) -> tuple[Column, np.ndarray | None]:
+def _encode(
+    rel_name: str, attr: AttributeDecl, cells: Sequence[Value], old: Column, first: _First, at: Callable[[int], str]
+) -> tuple[Column, np.ndarray | None]:
     """The column of ``cells`` with its own value table, and the code of
     each of its strings in ``old``'s numbering followed by -1, so that
     indexing it with the column's codes gives the codes in that numbering.
 
     Strings ``old`` lacks get the codes after its table, in the order they
-    first occur.  ``old`` is not changed.
+    first occur.  ``old`` is not changed.  The cells are checked over
+    ``first``'s rows, row ``i`` named ``at(i)``, and the column covers the
+    rows before the first fault.
     """
-    n = len(cells)
-    null = np.fromiter(map(is_, cells, repeat(None)), dtype=bool, count=n)
-    if not attr.nullable and null.any():
-        raise _Fault
+    cells = first.cut(cells)
+    name = f"{rel_name}.{attr.name}"
+    null = np.fromiter(map(is_, cells, repeat(None)), dtype=bool, count=len(cells))
+    if not attr.nullable:
+        first.check(null, lambda i: f"null in non-nullable attribute {name} ({at(i)})")
     if attr.kind == "numeric":
-        if not set(map(type, cells)) <= _PLAIN_NUMERIC and not all(map(_is_number, cells)):
-            raise _Fault
+        if not set(map(type, cells)) <= _PLAIN_NUMERIC:
+            bad = [v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))) for v in cells]
+            first.check(bad, lambda i: f"non-numeric value {cells[i]!r} in {name} ({at(i)})")
+            cells, null = first.cut(cells), first.cut(null)
         data = np.array(cells, dtype=np.float64)  # None becomes NaN
-        if not np.isfinite(data[~null]).all():
-            raise _Fault
+        first.check(~(np.isfinite(data) | null), lambda i: f"non-finite value {cells[i]!r} in {name} ({at(i)})")
         return Column(data, null, None, None), None
-    seen = dict.fromkeys(cells)
+    try:
+        seen = dict.fromkeys(cells)
+        strings = all(map(isinstance, seen, repeat(_STRING)))
+    except TypeError:  # an unhashable value, which is no string
+        strings = False
+    if not strings:
+        bad = [not isinstance(v, _STRING) for v in cells]
+        first.check(bad, lambda i: f"expected string for {name}, got {cells[i]!r} ({at(i)})")
+        cells, null = first.cut(cells), first.cut(null)
+        seen = dict.fromkeys(cells)
     seen.pop(None, None)
-    if not all(map(isinstance, seen, repeat(str))):
-        raise _Fault
     codes = dict(zip(seen, range(len(seen))))
-    data = np.fromiter(map(codes.get, cells, repeat(-1)), dtype=np.int32, count=n)
+    data = np.fromiter(map(codes.get, cells, repeat(-1)), dtype=np.int32, count=len(cells))
     width = len(old.table)
     glob = np.empty(len(seen) + 1, dtype=np.int32)
     glob[:-1] = np.fromiter(map(old.codes.get, seen, repeat(width)), dtype=np.int64, count=len(seen))
@@ -522,27 +484,41 @@ def _encode(attr: AttributeDecl, cells: Sequence[Value], old: Column) -> tuple[C
     return Column(data, null, np.fromiter(seen, dtype=object, count=len(seen)), codes), glob
 
 
-def _key_map(rel: RelationSchema, cols: tuple[Column, ...], ids: list[int]) -> dict[tuple[Value, ...], int]:
-    key_cols = [cols[rel.attr_index(a)] for a in rel.key]
-    if any(c.null.any() for c in key_cols):
-        raise _Fault
-    keys = dict(zip(zip(*[c.values() for c in key_cols]), ids))
-    if len(keys) != len(ids):
-        raise _Fault
+def _key_map(
+    db: Database, rel: RelationSchema, cells: Sequence[Sequence[Value]], cols: tuple[Column, ...], ids: list[int],
+    first: _First, inserted: bool,
+) -> dict[tuple[Value, ...], int]:
+    """The key of each row before ``first``'s first fault, built from the
+    values (strings as given, numbers from their float64 column) and mapped
+    to the row's id in ``ids``.  A null key, or one that an earlier row or
+    a fact of ``db`` has, is a fault."""
+    key_pos = [rel.attr_index(a) for a in rel.key]
+    first.check(
+        np.logical_or.reduce([cols[p].null[: first.rows] for p in key_pos]),
+        lambda i: f"null key value in inserted {rel.name!r} row" if inserted
+        else f"null key value in {rel.name!r} row {ids[i]}",
+    )
+    parts = [cols[p].data[: first.rows].tolist() if cols[p].table is None else first.cut(cells[p]) for p in key_pos]
+    keys = dict(zip(zip(*parts), ids))
+    # a shared key map also holds the keys of newer versions
+    if len(keys) < first.rows or not db._key_to_fact[rel.name].keys().isdisjoint(keys) and any(
+        db.fact_by_key(rel.name, k) is not None for k in keys
+    ):
+        rows = list(zip(*parts))
+        first_row = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
+        bad = [first_row[k] != i or db.fact_by_key(rel.name, k) is not None for i, k in enumerate(rows)]
+        first.check(bad, lambda i: f"duplicate key {rows[i]!r} in relation {rel.name!r}")
     return keys
 
 
 def _references(
-    fk: ForeignKey,
-    rel: RelationSchema,
-    cols: tuple[Column, ...],
-    ids: np.ndarray,
-    resolve: Callable[[list[tuple[Value, ...]]], np.ndarray],
+    fk: ForeignKey, rel: RelationSchema, cols: tuple[Column, ...], ids: np.ndarray,
+    resolve: Callable[[list[tuple[Value, ...]]], np.ndarray], inserted: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sources, destinations) of the facts ``ids`` of ``fk.src``, whose
     columns are ``cols``; a fact with a null in the reference has none.
     ``resolve`` gives the destination of each of a list of keys, -1 for
-    none."""
+    none, and the first reference that has none raises."""
     ref_cols = [cols[rel.attr_index(a)] for a in fk.src_attrs]
     has = ~ref_cols[0].null
     for c in ref_cols[1:]:
@@ -553,8 +529,14 @@ def _references(
         dst = resolve(list(zip(col.table.tolist())))[col.data[has]]
     else:
         dst = resolve(list(compress(zip(*[c.values() for c in ref_cols]), has.tolist())))
-    if (dst < 0).any():
-        raise _Fault
+    dangling = np.flatnonzero(dst < 0)
+    if len(dangling):
+        row = np.flatnonzero(has)[dangling[0]]
+        ref = tuple(c.value(row) for c in ref_cols)
+        raise IntegrityError(
+            f"dangling reference {ref!r} from inserted {fk.src} row via {fk.name}" if inserted
+            else f"dangling reference {ref!r} from {fk.src}(id {ids[row]}) via {fk.name}"
+        )
     return ids[has], dst
 
 
@@ -666,19 +648,32 @@ def _extend_fk_index(
 
 def _transpose(
     schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]]
-) -> tuple[np.ndarray, dict[str, list[tuple[Value, ...]]]]:
-    """Each row's relation position in the schema, and per relation with
-    rows one column of values per attribute, in row order."""
+) -> tuple[np.ndarray, dict[str, list[tuple[Value, ...]]], list[tuple[int, Exception]]]:
+    """Each row's relation position in the schema, per relation with rows
+    one column of values per attribute in row order, and the (row, error)
+    pairs of the first row of an unknown relation and of each relation's
+    first row of the wrong width, which end the rows and its rows."""
     pos = {r.name: i for i, r in enumerate(schema.relations)}
-    rel_new = np.fromiter(map(pos.__getitem__, map(itemgetter(0), rows)), np.int32, len(rows))
+    rel_new = np.fromiter(map(pos.get, map(itemgetter(0), rows), repeat(-1)), np.int32, len(rows))
+    faults: list[tuple[int, Exception]] = []
+    unknown = np.flatnonzero(rel_new < 0)
+    if len(unknown):
+        u = int(unknown[0])
+        faults.append((u, SchemaError(f"unknown relation {rows[u][0]!r}")))
+        rel_new = rel_new[:u]
     columns = {}
     for p in np.flatnonzero(np.bincount(rel_new, minlength=len(pos))).tolist():
         rel = schema.relations[p]
-        values = [rows[i][1] for i in np.flatnonzero(rel_new == p).tolist()]
-        if not set(map(len, values)) <= {len(rel.attributes)}:
-            raise _Fault
-        columns[rel.name] = list(zip(*values))
-    return rel_new, columns
+        local = np.flatnonzero(rel_new == p).tolist()
+        values = [rows[i][1] for i in local]
+        width = len(rel.attributes)
+        if not set(map(len, values)) <= {width}:
+            w = next(i for i, v in enumerate(values) if len(v) != width)
+            error = IntegrityError(f"relation {rel.name!r} expects {width} values, got {len(values[w])}")
+            faults.append((local[w], error))
+            values = values[:w]
+        columns[rel.name] = list(zip(*values)) or [()] * width
+    return rel_new, columns, faults
 
 
 def _empty_database(schema: DatabaseSchema) -> Database:
@@ -705,11 +700,7 @@ def _empty_database(schema: DatabaseSchema) -> Database:
 def build_database(schema: DatabaseSchema, rows: Sequence[tuple[str, Sequence[Value]]]) -> Database:
     """Build a database from (relation name, values) rows, ids in row order."""
     rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-    try:
-        return _append(_empty_database(schema), *_transpose(schema, rows))
-    except Exception:
-        _check_rows(schema, rows, None)
-        raise
+    return _append(_empty_database(schema), *_transpose(schema, rows), inserted=False)
 
 
 def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
@@ -726,38 +717,62 @@ def insert_facts(db: Database, new_facts: Iterable[Fact]) -> Database:
     source's columns, key map and id tuple.
     """
     batch = [(f.relation, f.values) for f in new_facts]
-    try:
-        return _append(db, *_transpose(db.schema, batch))
-    except Exception:
-        _check_rows(db.schema, batch, db)
-        raise
+    return _append(db, *_transpose(db.schema, batch), inserted=True)
 
 
-def _append(db: Database, rel_new: np.ndarray, values: dict[str, Sequence[Sequence[Value]]]) -> Database:
+def insert_columns(db: Database, columns: dict[str, Sequence[Sequence[Value]]]) -> Database:
+    """``insert_facts`` with the new facts given as one value column per
+    attribute of each relation in ``columns``; their ids follow the
+    relations in schema order, then row order."""
+    return _append(db, _stacked(db.schema, columns), columns, inserted=True)
+
+
+def _stacked(schema: DatabaseSchema, columns: dict[str, Sequence[Sequence[Value]]]) -> np.ndarray:
+    """The relation position of each fact of ``columns``, the relations'
+    facts one after another in schema order."""
+    counts = [len(columns[r.name][0]) if r.name in columns else 0 for r in schema.relations]
+    return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+
+
+def _append(
+    db: Database, rel_new: np.ndarray, values: dict[str, Sequence[Sequence[Value]]],
+    faults: Sequence[tuple[int, Exception]] = (), *, inserted: bool,
+) -> Database:
     """``db`` with a batch of facts appended, checked column by column; a
-    failed check raises before any store is written.
+    fault raises before any store is written.
 
     ``rel_new`` holds each new fact's relation position in the schema, in
     id order, and ``values`` one column of values per attribute over each
-    of those relations' new facts, in id order.
+    of those relations' new facts, in id order.  ``faults`` holds (batch
+    row, error) pairs found before; a relation's columns end before its
+    own.  Errors name a row by its id, in an insert's words if ``inserted``.
     """
     schema = db.schema
     n_old, n = db.n_facts, db.n_facts + len(rel_new)
+    label = "inserted row" if inserted else "row"
+    faults = list(faults)
     staged: dict[str, tuple] = {}  # per touched relation: batch rows, their ids, their columns
     batch_keys: dict[str, dict[tuple[Value, ...], int]] = {}
     for pos in np.flatnonzero(np.bincount(rel_new, minlength=len(schema.relations))).tolist():
         rel = schema.relations[pos]
         local = np.flatnonzero(rel_new == pos)
         id_list = (local + n_old).tolist()  # shared by the key map and the id tuple
-        encoded = tuple(map(_encode, rel.attributes, values[rel.name], db._columns[rel.name]))
-        keys = _key_map(rel, tuple(c for c, _ in encoded), id_list)
-        # a shared key map also holds the keys of newer versions
-        if not db._key_to_fact[rel.name].keys().isdisjoint(keys) and any(
-            db.fact_by_key(rel.name, k) is not None for k in keys
-        ):
-            raise _Fault
+        cells = values[rel.name]
+        first = _First(len(cells[0]))
+
+        def at(i: int) -> str:
+            return f"{label} {id_list[i]}"
+
+        encoded = tuple(
+            _encode(rel.name, attr, c, o, first, at) for attr, c, o in zip(rel.attributes, cells, db._columns[rel.name])
+        )
+        keys = _key_map(db, rel, cells, tuple(c for c, _ in encoded), id_list, first, inserted)
+        if first.error is not None:
+            faults.append((int(local[first.rows]), first.error))
         staged[rel.name] = (local, id_list, encoded)
         batch_keys[rel.name] = keys
+    if faults:  # (batch row, error) pairs, one per row: the first row's is the first fault
+        raise min(faults, key=itemgetter(0))[1]
 
     def resolver(relation: str) -> Callable[[list[tuple[Value, ...]]], np.ndarray]:
         extra, old = batch_keys.get(relation, {}), db._key_to_fact[relation]
@@ -782,7 +797,7 @@ def _append(db: Database, rel_new: np.ndarray, values: dict[str, Sequence[Sequen
         if fk.src in staged:
             local, _, encoded = staged[fk.src]
             cols = tuple(c for c, _ in encoded)
-            refs.append(_references(fk, schema.relation(fk.src), cols, local + n_old, resolver(fk.dst)))
+            refs.append(_references(fk, schema.relation(fk.src), cols, local + n_old, resolver(fk.dst), inserted))
         else:
             refs.append((none, none))
 
@@ -985,77 +1000,12 @@ def load_schema(path: str | Path) -> DatabaseSchema:
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def _parse_cell(rel: RelationSchema, attr: AttributeDecl, cell: str, file: str, line_no: int) -> Value:
-    if cell == "":
-        if not attr.nullable:
-            raise IntegrityError(
-                f"null in non-nullable attribute {rel.name}.{attr.name} ({file} line {line_no})"
-            )
-        if attr.name in rel.key:
-            raise IntegrityError(f"null key value in {rel.name}.{attr.name} ({file} line {line_no})")
-        return None
-    if attr.kind == "numeric":
-        try:
-            value = float(cell)
-        except ValueError:
-            raise IntegrityError(
-                f"cannot parse {cell!r} as numeric for {rel.name}.{attr.name} ({file} line {line_no})"
-            ) from None
-        if not math.isfinite(value):
-            raise IntegrityError(
-                f"non-finite value {cell!r} in {rel.name}.{attr.name} ({file} line {line_no})"
-            )
-        return value
-    return cell
-
-
-def read_relation_csv(rel: RelationSchema, path: Path) -> Iterator[tuple[Value, ...]]:
-    """The parsed rows of one relation's CSV file, one at a time.
-
-    The header must equal the attribute names in schema order and every
-    row must have one cell per attribute.  Empty cells are nulls, which
-    key and non-nullable attributes reject; numeric cells must parse as
-    finite floats.  Errors name the file and line.  A file that cannot be
-    read or is not UTF-8 is an IntegrityError too.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IntegrityError(f"{path} is empty; expected a header row") from None
-            if tuple(header) != rel.attr_names:
-                raise IntegrityError(
-                    f"{path} header {header!r} does not match attributes {rel.attr_names!r}"
-                )
-            attributes, width, file = rel.attributes, len(rel.attributes), path.name
-            for line_no, cells in enumerate(reader, start=2):
-                if len(cells) != width:
-                    raise IntegrityError(
-                        f"{path} line {line_no}: expected {width} cells, got {len(cells)}"
-                    )
-                yield tuple([
-                    _parse_cell(rel, attr, cell, file, line_no) for attr, cell in zip(attributes, cells)
-                ])
-    except UnicodeDecodeError:
-        data = path.read_bytes()  # the text layer decodes in chunks: find the line in the bytes
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = data.count(b"\n", 0, exc.start) + 1
-            raise IntegrityError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
-        raise
-    except OSError as exc:
-        raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
-
-
 def _split_cells(text: str, width: int) -> tuple[list[str], list[list[str]]] | None:
     """The header and the cells per column that ``csv.reader`` reads from
     ``text``, split without one list per row, or None for text only
     ``csv.reader`` reads right: with a quote, a NUL, a carriage return
-    outside a ``\\r\\n`` line end, a blank line or a line longer than the
-    field size limit.  Raises when a row has the wrong number of cells."""
+    outside a ``\\r\\n`` line end, a blank line, a line longer than the
+    field size limit or a row of other than ``width`` cells."""
     if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
     lines = text.replace("\r\n", "\n").split("\n")
@@ -1065,56 +1015,110 @@ def _split_cells(text: str, width: int) -> tuple[list[str], list[list[str]]] | N
         return None
     body = lines[1:]
     if not set(map(str.count, body, repeat(","))) <= {width - 1}:
-        raise _Fault
+        return None
     flat = ",".join(body).split(",") if body else []
     return lines[0].split(","), [flat[j::width] for j in range(width)]
 
 
-def _parse_column(rel: RelationSchema, attr: AttributeDecl, cells: Sequence[str]) -> Sequence[Value]:
-    """One attribute's cells as ``_parse_cell`` parses them; raises where
-    it would reject a cell."""
+def _unparsable(cell: str) -> bool:
+    """Whether ``cell`` is neither empty nor a number ``float`` reads."""
+    try:
+        float(cell)
+    except ValueError:
+        return cell != ""
+    return False
+
+
+def _parse_column(
+    rel: RelationSchema, attr: AttributeDecl, cells: Sequence[str], first: _First, at: Callable[[int], str]
+) -> Sequence[Value]:
+    """One attribute's cells over ``first``'s rows, row ``i`` named
+    ``at(i)``: empty cells as None, which key and non-nullable attributes
+    reject, and numeric cells as finite floats.  The values cover the rows
+    before the first fault."""
+    cells = first.cut(cells)
+    name = f"{rel.name}.{attr.name}"
     empty = "" in cells
     if empty and (not attr.nullable or attr.name in rel.key):
-        raise _Fault
+        null = "null key value in" if attr.nullable else "null in non-nullable attribute"
+        first.check([not c for c in cells], lambda i: f"{null} {name} ({at(i)})")
+        cells, empty = first.cut(cells), False
     if attr.kind != "numeric":
         return [c or None for c in cells] if empty else cells
-    values = [float(c) if c else None for c in cells] if empty else list(map(float, cells))
+    try:
+        values = [float(c) if c else None for c in cells] if empty else list(map(float, cells))
+    except ValueError:
+        bad = list(map(_unparsable, cells))
+        first.check(bad, lambda i: f"cannot parse {cells[i]!r} as numeric for {name} ({at(i)})")
+        cells = first.cut(cells)
+        values = [float(c) if c else None for c in cells]
     # filter(None, ...) drops the nulls, and the zeros, which are finite
     if not all(map(math.isfinite, filter(None, values))):
-        raise _Fault
+        bad = [v is not None and not math.isfinite(v) for v in values]
+        first.check(bad, lambda i: f"non-finite value {cells[i]!r} in {name} ({at(i)})")
     return values
 
 
-def _read_columns(rel: RelationSchema, path: Path) -> list[Sequence[Value]]:
-    """The values of one relation's CSV file, one list per attribute,
-    accepted as ``read_relation_csv`` accepts them; raises on any fault
-    without naming it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+def read_relation_columns(rel: RelationSchema, path: Path) -> list[Sequence[Value]]:
+    """The values of one relation's CSV file, read whole, one list per
+    attribute.
+
+    The header must equal the attribute names in schema order and every
+    row must have one cell per attribute.  Empty cells are nulls, which
+    key and non-nullable attributes reject; numeric cells must parse as
+    finite floats.  The error of the first faulty row names the file and
+    line, as does that of a file not UTF-8 or one ``csv.reader`` rejects.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise IntegrityError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
+    del data  # freed before the split
     width = len(rel.attributes)
     split = _split_cells(text, width)
     if split is None:
-        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        rows: list[list[str]] = []
+        error = None
+        try:
+            # extend keeps the rows read before an error
+            rows.extend(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            error = IntegrityError(f"{path} line {len(rows) + 1}: {exc}")
+        if not rows:
+            raise error or IntegrityError(f"{path} is empty; expected a header row")
+        header, rows = rows[0], rows[1:]
+        first = _First(len(rows), error)
         if not set(map(len, rows)) <= {width}:
-            raise _Fault
-        split = header, list(zip(*rows)) or [()] * width
+            bad = [len(r) != width for r in rows]
+            first.check(bad, lambda i: f"{path} line {i + 2}: expected {width} cells, got {len(rows[i])}")
+        split = header, list(zip(*first.cut(rows))) or [()] * width
+    else:
+        first = _First(len(split[1][0]))
     header, cells = split
     if tuple(header) != rel.attr_names:
-        raise _Fault
-    return list(map(_parse_column, repeat(rel), rel.attributes, cells))
+        raise IntegrityError(f"{path} header {header!r} does not match attributes {rel.attr_names!r}")
+
+    def at(i: int) -> str:
+        return f"{path.name} line {i + 2}"
+
+    values = [_parse_column(rel, attr, c, first, at) for attr, c in zip(rel.attributes, cells)]
+    if first.error is not None:
+        raise first.error
+    return values
 
 
 def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
     """Load one CSV per relation from ``data_dir``.
 
-    Files are named ``<relation>.csv``.  Each is read whole into one value
-    column per attribute, with the checks of ``read_relation_csv``, and
-    the columns go straight to the build.  A file that fails its column
-    read is read again by ``read_relation_csv``, which raises the error of
-    its first faulty line; when the build's checks fail, the per-row
-    checks run over the rows zipped back from the columns.  Fact ids
-    follow file row order, relations in schema order, so loading is
-    deterministic.
+    Files are named ``<relation>.csv``; each is read by
+    ``read_relation_columns``, and its columns go straight to the build.
+    Fact ids follow file row order, relations in schema order, so loading
+    is deterministic.
     """
     data_dir = Path(data_dir)
     columns: dict[str, list[Sequence[Value]]] = {}
@@ -1122,17 +1126,8 @@ def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
         path = data_dir / f"{rel.name}.csv"
         if not path.exists():
             raise IntegrityError(f"missing data file for relation {rel.name!r}: {path}")
-        try:
-            columns[rel.name] = _read_columns(rel, path)
-        except Exception:
-            list(read_relation_csv(rel, path))  # raises the error of the first faulty line
-            raise
-    rel_new = np.repeat(np.arange(len(columns), dtype=np.int32), [len(cols[0]) for cols in columns.values()])
-    try:
-        return _append(_empty_database(schema), rel_new, columns)
-    except Exception:
-        _check_rows(schema, [(name, row) for name, cols in columns.items() for row in zip(*cols)], None)
-        raise
+        columns[rel.name] = read_relation_columns(rel, path)
+    return _append(_empty_database(schema), _stacked(schema, columns), columns, inserted=False)
 
 
 def write_database_csv(db: Database, out_dir: str | Path) -> None:

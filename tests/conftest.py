@@ -4,6 +4,8 @@ the foreign-key arrays, and the dict walkers, per-fact closures and the
 per-row CSV load that the array and column paths replaced, kept as
 oracles."""
 
+import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from walkembed.errors import IntegrityError
 from walkembed.kernels import kernel_eval
-from walkembed.relational import Value, build_database, read_relation_csv, schema_from_dict
+from walkembed.relational import Value, build_database, schema_from_dict
 from walkembed.schemes import FORWARD
 
 
@@ -41,6 +43,70 @@ def law_dicts(db, tws, law, n_rows) -> list[dict]:
 # -- the per-row CSV load ----------------------------------------------------------------
 
 
+def _parse_cell(rel, attr, cell, file, line_no):
+    if cell == "":
+        if not attr.nullable:
+            raise IntegrityError(
+                f"null in non-nullable attribute {rel.name}.{attr.name} ({file} line {line_no})"
+            )
+        if attr.name in rel.key:
+            raise IntegrityError(f"null key value in {rel.name}.{attr.name} ({file} line {line_no})")
+        return None
+    if attr.kind == "numeric":
+        try:
+            value = float(cell)
+        except ValueError:
+            raise IntegrityError(
+                f"cannot parse {cell!r} as numeric for {rel.name}.{attr.name} ({file} line {line_no})"
+            ) from None
+        if not math.isfinite(value):
+            raise IntegrityError(
+                f"non-finite value {cell!r} in {rel.name}.{attr.name} ({file} line {line_no})"
+            )
+        return value
+    return cell
+
+
+def read_relation_csv(rel, path):
+    """The parsed rows of one relation's CSV file, one at a time, as the
+    load first read them: each row checked cell by cell, and an error
+    raised at the first faulty line."""
+    line_no = 0  # the last line read
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IntegrityError(f"{path} is empty; expected a header row") from None
+            line_no = 1
+            if tuple(header) != rel.attr_names:
+                raise IntegrityError(
+                    f"{path} header {header!r} does not match attributes {rel.attr_names!r}"
+                )
+            attributes, width, file = rel.attributes, len(rel.attributes), path.name
+            for line_no, cells in enumerate(reader, start=2):
+                if len(cells) != width:
+                    raise IntegrityError(
+                        f"{path} line {line_no}: expected {width} cells, got {len(cells)}"
+                    )
+                yield tuple([
+                    _parse_cell(rel, attr, cell, file, line_no) for attr, cell in zip(attributes, cells)
+                ])
+    except csv.Error as exc:
+        raise IntegrityError(f"{path} line {line_no + 1}: {exc}") from None
+    except UnicodeDecodeError:
+        data = path.read_bytes()  # the text layer decodes in chunks: find the line in the bytes
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise IntegrityError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
+        raise
+    except OSError as exc:
+        raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def load_database_by_rows(schema, data_dir):
     """The load as first written: every file through the per-row reader
     ``read_relation_csv`` into one list of (relation, row) pairs, relations
@@ -57,7 +123,7 @@ def load_database_by_rows(schema, data_dir):
 def assert_same_arrays(got, want):
     """``got`` and ``want`` hold equal stores array for array: every
     column's data (to the bit), null mask, value table and code map, the
-    key maps in order, the id tuples, ``row_of``, the relation positions
+    key maps in order with keys of the same types, the id tuples, ``row_of``, the relation positions
     and every ``FkIndex``."""
     assert got.schema == want.schema
     for a, b in ((got.row_of, want.row_of), (got._rel_of, want._rel_of)):
@@ -72,6 +138,8 @@ def assert_same_arrays(got, want):
                 assert c.table.dtype == d.table.dtype == object and c.table.tolist() == d.table.tolist()
                 assert list(c.codes.items()) == list(d.codes.items())
         assert list(got._key_to_fact[rel].items()) == list(want._key_to_fact[rel].items())
+        for a, b in zip(got._key_to_fact[rel], want._key_to_fact[rel]):
+            assert list(map(type, a)) == list(map(type, b))
         assert got.relation_fact_ids(rel) == want.relation_fact_ids(rel)
     for a, b in zip(got.fk_index, want.fk_index, strict=True):
         for x, y in zip(a, b, strict=True):

@@ -483,6 +483,9 @@ LOAD_FAULTS = {
     "dangling reference": ("R.csv", b"A,B\nx,b1\nw,b2\n", "dangling reference ('w',) from R(id 1) via R(A)->S(C)"),
     "not UTF-8": ("S.csv", b"C,D\nx,1.0\n\xff,2.0\n", "{data}/S.csv line 3: not UTF-8 text (invalid start byte)"),
     "directory": ("S.csv", "dir", "cannot read {data}/S.csv: Is a directory"),
+    "oversized field": (
+        "S.csv", b'C,D\nx,1.0\n"' + b"y" * 200_000 + b'",2.0\n', "{data}/S.csv line 3: field larger than field limit (131072)"
+    ),
 }
 
 
@@ -517,6 +520,82 @@ def test_every_load_fault_exits_3_with_its_message(toy_db, tmp_path, capsys, fau
     assert capsys.readouterr().err == f"data error: {message}\n"
     doc = json.loads((out / "manifest.json").read_text())
     assert (doc["status"], doc["exit_code"], doc["error"]) == ("failed", 3, message)
+
+
+# fault: (file in --new-dir, its content, or "dir" for a directory; the message)
+EXTEND_FAULTS = {
+    "empty file": ("S.csv", b"", "{new}/S.csv is empty; expected a header row"),
+    "header mismatch": (
+        "S.csv", b"C,E\r\nw,1.0\r\n", "{new}/S.csv header ['C', 'E'] does not match attributes ('C', 'D')"
+    ),
+    "wrong width": ("S.csv", b"C,D\nw,1.0\nv\n", "{new}/S.csv line 3: expected 2 cells, got 1"),
+    "null key": ("S.csv", b"C,D\nw,1.0\n,2.0\n", "null key value in S.C (S.csv line 3)"),
+    "non-numeric": ("S.csv", b"C,D\nw,1.0\nv,abc\n", "cannot parse 'abc' as numeric for S.D (S.csv line 3)"),
+    "non-finite": ("S.csv", b"C,D\nw,1.0\nv,-inf\n", "non-finite value '-inf' in S.D (S.csv line 3)"),
+    "not UTF-8": ("S.csv", b"C,D\nw,1.0\n\xff,2.0\n", "{new}/S.csv line 3: not UTF-8 text (invalid start byte)"),
+    "directory": ("S.csv", "dir", "cannot read {new}/S.csv: Is a directory"),
+    "key in the base": ("S.csv", b"C,D\nw,1.0\ny,3.0\n", "duplicate key ('y',) in relation 'S'"),
+    "dangling reference": ("R.csv", b"A\nw\n", "dangling reference ('w',) from inserted R row via R(A)->S(C)"),
+    # the null key comes first: a row-by-row read stops there, before the short row
+    "two faults in one file": ("S.csv", b"C,D\nw,1.0\n,2.0\nv\n", "null key value in S.C (S.csv line 3)"),
+}
+
+
+@pytest.fixture(scope="module")
+def toy_model(tmp_path_factory):
+    """The toy database on disk, with a nullable key attribute S.C, its
+    run configuration and a model trained on it (R.B is the task, so the
+    model's R has the one attribute A)."""
+    root = tmp_path_factory.mktemp("toy")
+    doc = {
+        "relations": [
+            {"name": "R", "attributes": [{"name": "A", "kind": "categorical", "nullable": False},
+                                         {"name": "B", "kind": "categorical"}], "key": ["A"]},
+            {"name": "S", "attributes": [{"name": "C", "kind": "categorical"},
+                                         {"name": "D", "kind": "numeric"}], "key": ["C"]},
+        ],
+        "foreign_keys": [{"src": "R", "src_attrs": ["A"], "dst": "S", "dst_attrs": ["C"]}],
+    }
+    schema = schema_from_dict(doc)
+    save_schema(schema, root / "schema.json")
+    rows = [("R", ("x", "b1")), ("R", ("y", None)), ("S", ("x", 1.0)), ("S", ("y", 2.0)), ("S", ("z", None))]
+    write_database_csv(build_database(schema, rows), root / "data")
+    config = {
+        "schema": "schema.json",
+        "data_dir": "data",
+        "task": {"relation": "R", "attribute": "B"},
+        "max_length": 1,
+        "trainer": {"k": 2, "n_samples": 1, "epochs": 1},
+    }
+    (root / "config.json").write_text(json.dumps(config))
+    assert _run(["--out-dir", str(root / "out"), "train", "--config", str(root / "config.json")])[0] == 0
+    return root
+
+
+@pytest.mark.parametrize("fault", EXTEND_FAULTS)
+def test_every_extend_fault_exits_3_with_its_message(toy_model, tmp_path, capsys, fault):
+    """Each fault of a --new-dir file ends ``extend`` with exit 3 and the
+    message on stderr and in the failed manifest; new rows are read and
+    checked as a load's are, with an insert's wording for the build's
+    checks."""
+    name, content, message = EXTEND_FAULTS[fault]
+    new = tmp_path / "new"
+    new.mkdir()
+    if content == "dir":
+        (new / name).mkdir()
+    else:
+        (new / name).write_bytes(content)
+    out = tmp_path / "out"
+    code, _ = _run([
+        "--out-dir", str(out), "extend", "--config", str(toy_model / "config.json"),
+        "--model", str(toy_model / "out" / "model.json"), "--new-dir", str(new),
+    ])
+    message = message.format(new=new)
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    doc = json.loads((out / "manifest.json").read_text())
+    assert (doc["status"], doc["exit_code"], doc["error"]) == ("failed", 3, message)
+    assert not (out / "model_extended.json").exists()
 
 
 def test_extend_new_dir_that_is_a_file_exits_2(ws, trained, tmp_path, capsys):

@@ -9,6 +9,7 @@ from scratch, and ``closure`` against the per-fact closures.
 import csv
 import importlib.util
 import io
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -43,7 +44,7 @@ from walkembed.relational import (
     take,
     write_database_csv,
 )
-from walkembed.relational import _Fault, _split_cells
+from walkembed.relational import _split_cells
 from walkembed.synth import (
     convergence_database,
     mi_chain_database,
@@ -687,30 +688,38 @@ INVALID = {
 }
 
 
-def _csv_bytes(draw, names, rows):
+ROW_FAULTS = ["wide", "narrow", "nul", "cell", "repeat"]
+
+
+def _csv_bytes(draw, names, rows, n_faults):
     """``rows`` under a header of ``names`` as the bytes of a CSV file:
     written by ``csv.writer`` or joined raw, with any line end, with or
-    without a final one, and sometimes one fault: a row of the wrong
-    width, a wrong header, a blank line, a NUL, a cell the attribute
-    rejects or a repeated row."""
+    without a final one, and ``n_faults`` faults at different lines: a row
+    of the wrong width, a wrong header, a blank line, a NUL, a cell the
+    attribute rejects or a repeated row."""
     names, rows = list(names), [list(r) for r in rows]
     header = names
-    fault = draw(st.sampled_from([None] * 8 + ["wide", "narrow", "header", "blank", "nul", "cell", "repeat"]))
-    i = draw(st.integers(0, max(len(rows) - 1, 0)))
-    if fault == "header":
-        header = draw(st.sampled_from([names[::-1], names[:-1], names + ["extra"]]))
-    elif fault in ("wide", "narrow", "nul", "cell", "repeat") and rows:
-        if fault == "wide":
-            rows[i].append("extra")
-        elif fault == "narrow":
-            rows[i].pop()
-        elif fault == "nul":
-            rows[i][-1] += "\x00"
-        elif fault == "cell":
-            j = draw(st.sampled_from([j for j, a in enumerate(names) if a in INVALID]))
-            rows[i][j] = draw(st.sampled_from(INVALID[names[j]]))
-        else:
-            rows.append(rows[i])
+    free = list(range(len(rows)))  # the rows no fault has changed
+    blanks = 0
+    for _ in range(n_faults):
+        fault = draw(st.sampled_from(["header", "blank", *ROW_FAULTS]))
+        if fault == "header" and header is names:
+            header = draw(st.sampled_from([names[::-1], names[:-1], names + ["extra"]]))
+        elif fault == "blank":
+            blanks += 1
+        elif fault in ROW_FAULTS and free:
+            i = free.pop(draw(st.integers(0, len(free) - 1)))
+            if fault == "wide":
+                rows[i].append("extra")
+            elif fault == "narrow":
+                rows[i].pop()
+            elif fault == "nul":
+                rows[i][-1] += "\x00"
+            elif fault == "cell":
+                j = draw(st.sampled_from([j for j, a in enumerate(names) if a in INVALID]))
+                rows[i][j] = draw(st.sampled_from(INVALID[names[j]]))
+            else:
+                rows.append(list(rows[i]))
     raw = draw(st.sampled_from([False, False, False, True]))
 
     def line(cells):
@@ -721,7 +730,7 @@ def _csv_bytes(draw, names, rows):
         return buf.getvalue()[:-2]
 
     lines = [line(header)] + [line(r) for r in rows]
-    if fault == "blank":
+    for _ in range(blanks):
         lines.insert(draw(st.integers(0, len(lines))), "")
     end = draw(st.sampled_from(["\r\n", "\n", "\r"] if raw else ["\r\n", "\n"]))
     return (end.join(lines) + (end if draw(st.booleans()) else "")).encode("utf-8")
@@ -730,7 +739,8 @@ def _csv_bytes(draw, names, rows):
 @st.composite
 def csv_databases(draw):
     """The bytes of ``P.csv`` and ``Q.csv`` for ``CSV_SCHEMA``: Q's
-    references name P's keys as P's file writes them, or are null."""
+    references name P's keys as P's file writes them, or are null.  Up to
+    two faults go into either file."""
     p_names, q_names = (rel.attr_names for rel in CSV_SCHEMA.relations)
     p_row = st.tuples(*[st.sampled_from(VALID[a]) for a in p_names])
     p_rows = draw(st.lists(p_row, max_size=6, unique_by=lambda r: r[0]))
@@ -739,7 +749,9 @@ def csv_databases(draw):
     q_rows = draw(st.lists(q_row, max_size=6, unique_by=lambda r: r[0]))
     up = st.sampled_from(["", ""] + [qid for qid, _, _ in q_rows])
     q_rows = [(qid, *ref, label, draw(up)) for qid, ref, label in q_rows]
-    return _csv_bytes(draw, p_names, p_rows), _csv_bytes(draw, q_names, q_rows)
+    n_faults = draw(st.integers(0, 2))
+    p_faults = draw(st.integers(0, n_faults))
+    return _csv_bytes(draw, p_names, p_rows, p_faults), _csv_bytes(draw, q_names, q_rows, n_faults - p_faults)
 
 
 @settings(max_examples=300, deadline=None)
@@ -747,7 +759,8 @@ def csv_databases(draw):
 def test_column_load_equals_row_load_on_generated_files(files):
     """Quoted cells with commas and line ends, either line end, empty
     cells, numbers with spaces, ``_``, exponents, nan and inf: both loads
-    give equal stores, or both raise the same error."""
+    give equal stores, or both raise the same error, the first of up to
+    two faults."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in zip(("P.csv", "Q.csv"), files):
             (Path(tmp) / name).write_bytes(data)
@@ -757,14 +770,9 @@ def test_column_load_equals_row_load_on_generated_files(files):
 @settings(max_examples=500, deadline=None)
 @given(text=st.text(alphabet=',"\r\n\x00ab \x85\u2028', max_size=30), width=st.integers(1, 3))
 def test_split_cells_reads_as_csv_reader(text, width):
-    """Where ``_split_cells`` splits, it reads what ``csv.reader`` reads, and
-    where it finds a row of the wrong width, ``csv.reader`` does too."""
-    try:
-        got = _split_cells(text, width)
-    except _Fault:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        assert any(len(r) != width for r in rows[1:])
-        return
+    """Where ``_split_cells`` splits, it reads what ``csv.reader`` reads, so
+    it splits no text with a row of the wrong width."""
+    got = _split_cells(text, width)
     if got is not None:
         header, columns = got
         assert [header, *map(list, zip(*columns))] == list(csv.reader(io.StringIO(text, newline="")))
@@ -772,8 +780,9 @@ def test_split_cells_reads_as_csv_reader(text, width):
 
 def test_field_size_limit_holds_in_the_column_load(tmp_path):
     """A line longer than the field size limit is read by ``csv.reader``,
-    which accepts it when no one field is too long and raises for one
-    that is, as the per-row load does."""
+    which accepts it when no one field is too long; a field that is too
+    long is a data error naming the file and line, as in the per-row
+    load."""
     schema = schema_from_dict(
         {"relations": [{"name": "S", "attributes": [{"name": "a", "kind": "categorical"},
                                                     {"name": "b", "kind": "categorical"}], "key": ["a"]}]}
@@ -786,7 +795,8 @@ def test_field_size_limit_holds_in_the_column_load(tmp_path):
             assert _split_cells(fh.read(), 2) is None
         assert _assert_loads_alike(schema, tmp_path).n_facts == 1
         (tmp_path / "S.csv").write_text("a,b\nkey1,value12\n")
-        assert _assert_loads_alike(schema, tmp_path)[0] is csv.Error
+        too_long = f"{tmp_path / 'S.csv'} line 2: field larger than field limit (6)"
+        assert _assert_loads_alike(schema, tmp_path) == (IntegrityError, too_long)
     finally:
         csv.field_size_limit(limit)
 
@@ -1016,6 +1026,23 @@ def test_build_errors_match_per_row_build(seed, order_seed, faults):
     want = _error_of(_reference_build_database, schema, rows)
     assert want is not None
     assert _error_of(build_database, schema, rows) == want
+
+
+@pytest.mark.parametrize("kind, faulty", [("numeric", [None, math.inf, "1.5", True]), ("categorical", [None, 5, 1.5, ["x"]])])
+def test_faults_in_one_column_raise_the_first_rows_error(kind, faulty):
+    """Faults of each kind at different rows of one non-nullable column,
+    in every order: the build raises the first faulty row's error, as the
+    per-row build does."""
+    schema = schema_from_dict(
+        {"relations": [{"name": "S", "attributes": [{"name": "k", "kind": "categorical", "nullable": False},
+                                                    {"name": "v", "kind": kind, "nullable": False}], "key": ["k"]}]}
+    )
+    good = 1.0 if kind == "numeric" else "a"
+    for order in itertools.permutations(faulty):
+        rows = [("S", (f"k{i}", v)) for i, v in enumerate([good, *order])]
+        want = _error_of(_reference_build_database, schema, rows)
+        assert want is not None and "row 1)" in want[1]
+        assert _error_of(build_database, schema, rows) == want
 
 
 def _snapshot(db):
