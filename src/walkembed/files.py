@@ -77,8 +77,10 @@ def _replacing(path: str | Path, newline: str | None = None):
 
 
 def write_json(doc, path: str | Path, indent: int | None = 2) -> None:
+    # one dumps and one write: json.dump streams through the pure-Python
+    # encoder, dumps uses the C one when indent is None; the bytes are equal
     with _replacing(path) as fh:
-        json.dump(doc, fh, indent=indent)
+        fh.write(json.dumps(doc, indent=indent))
 
 
 def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:

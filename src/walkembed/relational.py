@@ -93,7 +93,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, SchemaError
+from .errors import IntegrityError, SchemaError, UsageError
 from .files import ensure_dir, read_json, write_csv, write_json
 
 Value = None | str | float
@@ -1131,7 +1131,23 @@ def load_database(schema: DatabaseSchema, data_dir: str | Path) -> Database:
 
 
 def write_database_csv(db: Database, out_dir: str | Path) -> None:
-    """Write one CSV per relation, inverse of load_database."""
+    """Write one CSV per relation, inverse of load_database.
+
+    A cell cannot tell the empty string from null, so a non-null empty
+    string in any column is a UsageError naming the first such row, raised
+    before anything is written."""
+    for rel in db.schema.relations:
+        for attr in rel.attributes:
+            col = db._column(rel.name, attr.name)
+            code = None if col.codes is None else col.codes.get("")
+            if code is None or code >= len(col.table):  # a newer version's code
+                continue
+            rows = np.flatnonzero((col.data == code) & ~col.null)
+            if len(rows):
+                raise UsageError(
+                    f"cannot write {rel.name}.{attr.name}: row {rows[0]} ({rel.name}.csv "
+                    f"line {rows[0] + 2}) holds an empty string, which would load back as null"
+                )
     out_dir = ensure_dir(out_dir)
     for rel in db.schema.relations:
         rows = (["" if v is None else v for v in fact.values] for fact in db.relation_facts(rel.name))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError, UsageError
-from .relational import Database, DatabaseSchema, ForeignKey
+from .relational import Database, DatabaseSchema, FkIndex, ForeignKey
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -244,14 +244,36 @@ def exact_dest_distribution(db: Database, fact_id: int, scheme: WalkScheme) -> d
 # codes of one column are equal exactly when the strings are.
 
 
+def _resolve(db: Database, scheme: WalkScheme) -> list[tuple[FkIndex, bool]]:
+    """Each step's foreign-key index and whether it is taken forward."""
+    return [
+        (db.fk_index[db.schema.fk_position(step.fk)], step.direction == FORWARD)
+        for step in scheme.steps
+    ]
+
+
+def _uniforms(
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    n: int,
+    block: np.ndarray | None,
+) -> np.ndarray:
+    """``n`` uniforms: one ``rng.random`` call, or with ``block`` one call
+    per block that has walkers, each on that block's generator."""
+    if block is None:
+        return rng.random(n)
+    counts = np.bincount(block, minlength=len(rng)).tolist()
+    return np.concatenate([g.random(c) for g, c in zip(rng, counts) if c])
+
+
 def _advance(
-    db: Database,
+    index: FkIndex,
+    forward: bool,
     cur: np.ndarray,
-    step: WalkStep,
     rng: np.random.Generator | Sequence[np.random.Generator],
     block: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Where the walkers at ``cur`` go on ``step``; -1 for a dead end.
+    """Where the (non-empty set of) walkers at ``cur`` go on one step over
+    ``index``; -1 for a dead end.
 
     A backward step draws one ``rng.random`` value per walker that has a
     candidate, in one call, and none when no walker has one.  With
@@ -259,22 +281,61 @@ def _advance(
     generator per block, and each block with such walkers makes that call
     on its own generator.
     """
-    index = db.fk_index[db.schema.fk_position(step.fk)]
-    if step.direction == FORWARD:
+    if forward:
         return index.fwd[cur]
     lo = index.offsets[cur]
     width = index.offsets[cur + 1] - lo
+    if width.all():  # every walker has a candidate
+        return index.flat[lo + (_uniforms(rng, len(cur), block) * width).astype(np.int64)]
     nxt = np.full(len(cur), -1, dtype=np.int64)
     has = width > 0
     if has.any():
-        if block is None:
-            u = rng.random(int(has.sum()))
-        else:
-            counts = np.bincount(block[has], minlength=len(rng)).tolist()
-            u = np.concatenate([g.random(c) for g, c in zip(rng, counts) if c])
-        picks = lo[has] + (u * width[has]).astype(np.int64)
-        nxt[has] = index.flat[picks]
+        u = _uniforms(rng, int(has.sum()), None if block is None else block[has])
+        nxt[has] = index.flat[lo[has] + (u * width[has]).astype(np.int64)]
     return nxt
+
+
+def _drop_dead(
+    here: np.ndarray, live: np.ndarray | None, block: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``here``, ``live`` and ``block`` without the walkers at -1."""
+    ok = here >= 0
+    if ok.all():
+        return here, live, block
+    kept = np.flatnonzero(ok)
+    live = kept if live is None else live[kept]
+    return here[kept], live, None if block is None else block[kept]
+
+
+def _walk(
+    steps: list[tuple[FkIndex, bool]],
+    start: np.ndarray,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    block: np.ndarray | None = None,
+    paths: np.ndarray | None = None,
+) -> np.ndarray:
+    """Destinations of the walkers at ``start`` over resolved ``steps``; -1
+    marks a dead end, and a start below 0 is dead.  With ``paths``, column
+    i + 1 of each live walker's row gets its position after step i.
+
+    While every walker lives the arrays are stepped whole; once one dies
+    the live walkers are compacted, with their rows (``live``) and
+    blocks, so each step advances exactly the walkers alive before it, in
+    row order."""
+    here, live = start, None
+    for col, (index, forward) in enumerate(steps, start=1):
+        here, live, block = _drop_dead(here, live, block)
+        if not len(here):
+            break
+        here = _advance(index, forward, here, rng, block)
+        if paths is not None:
+            paths[slice(None) if live is None else live, col] = here
+    here, live, _ = _drop_dead(here, live, None)
+    if live is None:
+        return here
+    out = np.full(len(start), -1, dtype=np.int64)
+    out[live] = here
+    return out
 
 
 def sample_dest_batch(
@@ -289,16 +350,7 @@ def sample_dest_batch(
     Each walk picks uniformly among the candidates at every step.  With
     ``block``, ``rng`` holds one generator per block (see ``_advance``).
     """
-    here = np.asarray(fact_ids, dtype=np.int64).copy()
-    alive = here >= 0
-    for step in scheme.steps:
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        here[idx] = _advance(db, here[idx], step, rng, None if block is None else block[idx])
-        alive = here >= 0
-    here[~alive] = -1
-    return here
+    return _walk(_resolve(db, scheme), np.array(fact_ids, dtype=np.int64), rng, block)
 
 
 def sample_target_values_batch(
@@ -331,15 +383,14 @@ def sample_target_values_batch(
             raise UsageError(f"{len(start)} starts do not split into {len(rng)} equal blocks")
         block = np.arange(len(start)) // (len(start) // len(rng) or 1)
     data, null, _ = db.column(tws.scheme.end_relation, tws.target_attr)
+    steps = _resolve(db, tws.scheme)
     dests = np.full(len(start), -1, dtype=np.int64)
     values = np.zeros(len(start), dtype=data.dtype)
     pending = np.arange(len(start))
     for _ in range(retry_cap):
         if len(pending) == 0:
             break
-        got = sample_dest_batch(
-            db, start[pending], tws.scheme, rng, None if block is None else block[pending]
-        )
+        got = _walk(steps, start[pending], rng, None if block is None else block[pending])
         ok = got >= 0
         rows = db.row_of[got[ok]]
         keep = ~null[rows]
@@ -358,15 +409,8 @@ def sample_walks_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Full paths for many starts, shape (n, length+1); dead rows hold -1."""
-    here = np.asarray(fact_ids, dtype=np.int64).copy()
-    paths = np.full((len(here), scheme.length + 1), -1, dtype=np.int64)
+    here = np.asarray(fact_ids, dtype=np.int64)
+    paths = np.empty((len(here), scheme.length + 1), dtype=np.int64)
     paths[:, 0] = here
-    alive = here >= 0
-    for col, step in enumerate(scheme.steps, start=1):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        here[idx] = paths[idx, col] = _advance(db, here[idx], step, rng)
-        alive = here >= 0
-    paths[~alive, :] = -1
+    paths[_walk(_resolve(db, scheme), here, rng, paths=paths) < 0] = -1
     return paths

@@ -110,21 +110,49 @@ def score_length(schemes: list[TargetedWalkScheme]) -> list[SchemeScore]:
     ]
 
 
-def _empirical_mi(a: np.ndarray, b: np.ndarray) -> float:
-    """Plug-in mutual information (natural log) of two aligned samples.
+def _run_edges(s: np.ndarray) -> np.ndarray:
+    """Where the runs of equal values in sorted ``s`` start, then ``len(s)``."""
+    return np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
 
-    Only the value pairs that occur are counted, so time is O(n log n) and
+
+def _empirical_mi(a: np.ndarray, b: np.ndarray) -> float:
+    """Plug-in mutual information (natural log) of two aligned, non-empty
+    integer samples.
+
+    Only the value pairs that occur are counted.  Each pair is coded as one
+    integer, a-major, so sorting the codes once orders the pairs as (a, b):
+    pair counts are runs of equal codes and per-a counts runs of equal a
+    among them; per-b counts are runs in sorted b.  Time is O(n log n) and
     memory O(n) in the sample size n, whatever the number of distinct
     values on either side."""
-    _, ia = np.unique(a, return_inverse=True)
-    vb, ib = np.unique(b, return_inverse=True)
-    n = len(ia)
-    pairs, counts = np.unique(ia * len(vb) + ib, return_counts=True)
-    pij = counts / n
-    pa = np.bincount(ia) / n
-    pb = np.bincount(ib) / n
-    mi = float(np.sum(pij * np.log(pij / (pa[pairs // len(vb)] * pb[pairs % len(vb)]))))
+    a_lo, b_lo = int(a.min()), int(b.min())
+    m = int(b.max()) - b_lo + 1
+    if (int(a.max()) - a_lo + 1) * m >= 2**63:  # codes would overflow: rank first
+        a, b = np.unique(a, return_inverse=True)[1], np.unique(b, return_inverse=True)[1]
+        a_lo, b_lo, m = 0, 0, int(b.max()) + 1
+    n = len(a)
+    codes = np.sort((a - a_lo) * m + (b - b_lo))
+    edges = _run_edges(codes)
+    pairs = codes[edges[:-1]]
+    a_edges = _run_edges(pairs // m)
+    a_counts = edges[a_edges[1:]] - edges[a_edges[:-1]]
+    pa = np.repeat(a_counts, a_edges[1:] - a_edges[:-1]) / n
+    sorted_b = np.sort(b)
+    b_edges = _run_edges(sorted_b)
+    b_counts = b_edges[1:] - b_edges[:-1]
+    pb = b_counts[np.searchsorted(sorted_b[b_edges[:-1]], pairs % m + b_lo)] / n
+    pij = (edges[1:] - edges[:-1]) / n
+    mi = float(np.sum(pij * np.log(pij / (pa * pb))))
     return max(0.0, mi)
+
+
+def _start_arrays(db: Database, schemes: list[TargetedWalkScheme]) -> dict[str, np.ndarray]:
+    """The fact ids of each start relation among ``schemes`` as one int64
+    array, made once per scoring pass rather than once per scheme."""
+    return {
+        rel: np.asarray(db.relation_fact_ids(rel), dtype=np.int64)
+        for rel in {t.scheme.start_relation for t in schemes}
+    }
 
 
 def score_mi(
@@ -143,13 +171,12 @@ def score_mi(
         raise UsageError(f"retry_cap must be at least 1, got {retry_cap}")
     raw: dict[TargetedWalkScheme, float] = {}
     notes: dict[TargetedWalkScheme, str] = {}
+    start_arrays = _start_arrays(db, schemes)
     for idx, tws in enumerate(schemes):
         if tws.scheme.length == 0:
             notes[tws] = "length-0 scheme: no step pairs to assess"
             continue
-        start_ids = np.asarray(
-            db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64
-        )
+        start_ids = start_arrays[tws.scheme.start_relation]
         if len(start_ids) == 0:
             notes[tws] = "start relation is empty"
             continue
@@ -209,10 +236,9 @@ def score_kvar(
         raise UsageError("pair_budget must be at least 2")
     raw: dict[TargetedWalkScheme, float] = {}
     notes: dict[TargetedWalkScheme, str] = {}
+    start_arrays = _start_arrays(db, schemes)
     for idx, tws in enumerate(schemes):
-        start_ids = np.asarray(
-            db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64
-        )
+        start_ids = start_arrays[tws.scheme.start_relation]
         m = len(start_ids)
         if m < 2:
             notes[tws] = "fewer than two start facts"

@@ -6,7 +6,11 @@ below were recorded with a per-sample trainer that keyed everything by
 scheme and a classifier that fitted one fold at a time.  Any change to the
 RNG draw order or to the floating-point expression order moves them.
 ``model`` is the SHA-256 of the trained model's ``save_model`` file, which
-pins the model file's layout, row order and number format as well.  Run
+pins the model file's layout, row order and number format as well.
+``SCORES`` holds the SHA-256 of the sampled kvar and mutual-information
+scores, which pins the samplers' draws and the scorers' arithmetic; it
+was recorded with a walker that found the live walkers afresh before
+every step and a mutual information made of three ``np.unique`` counts.  Run
 this file as a script to print the current values.
 
 The batched classifier is also checked against that per-fold classifier,
@@ -39,9 +43,10 @@ from walkembed.evaluation import (
 )
 from walkembed.kernels import default_kernels
 from walkembed.model_io import save_model
-from walkembed.relational import build_database, schema_from_dict
-from walkembed.schemes import enumerate_targeted_schemes
+from walkembed.relational import build_database, schema_from_dict, schema_to_dict
+from walkembed.schemes import enumerate_targeted_schemes, sample_target_values_batch
 from walkembed.seeding import derive_rng
+from walkembed.selection import score_kvar, score_mi
 from walkembed.synth import planted_database
 from walkembed.trainer import TrainConfig, train
 
@@ -60,6 +65,10 @@ NULLABLE = {
     "losses": "3777b5d138e2b23c1b6dd90e8229d1006b5354307da2a102749bd94225ca6ef5",
     "samples": [[193, 143], [203, 133], [189, 147], [184, 152]],
     "model": "eeb1e1611a0b6d3551469584f34c44e0382259174720379d21d40609cd08a31b",
+}
+SCORES = {
+    "kvar": "faebee21ba5146bf19cf0dc19912c66dd8c934cfea3660ffe9fad62a25af39bb",
+    "mi": "03d9a39c5a2179ead593ccb261f62157e408efb224e4ba3d245c63e974c6aba9",
 }
 CV = {
     "stratified": 0.825,
@@ -159,6 +168,37 @@ def nullable_fingerprint() -> dict:
     return _fingerprint(nullable_database(), "item", 2, cfg)
 
 
+def scoring_database():
+    """The planted layout with a nullable numeric column on every
+    observation relation, about a third null, as the ``select`` benchmark
+    builds it but with 40 items: kvar's Gaussian kernel and the samplers'
+    retry rounds over null destinations both run, and an item whose
+    observations are all null retries up to the cap."""
+    p = planted_database(n_items=40, n_obs=2, obs_per_item=3, seed=5)
+    doc = schema_to_dict(p.schema)
+    for rel in doc["relations"]:
+        if rel["name"].startswith("obs"):
+            rel["attributes"].append({"name": "onum", "kind": "numeric", "nullable": True})
+    rng = derive_rng(0, "golden", "scoring")
+    rows = []
+    for fact in p.db.facts:
+        values = fact.values
+        if fact.relation.startswith("obs"):
+            values += (None if rng.random() < 0.35 else round(float(rng.normal()), 3),)
+        rows.append((fact.relation, values))
+    db, _ = strip_attribute(build_database(schema_from_dict(doc), rows), "item", "cls")
+    return db
+
+
+def scoring_fingerprint() -> dict:
+    """kvar and mi over every scheme of length <= 2 from the items."""
+    db = scoring_database()
+    schemes = enumerate_targeted_schemes(db.schema, "item", 2)
+    kvar = score_kvar(db, schemes, default_kernels(db), 200, seed=3)
+    mi = score_mi(db, schemes, 300, seed=3)
+    return {"kvar": _sha([[s.score for s in kvar]]), "mi": _sha([[s.score for s in mi]])}
+
+
 def cv_case(name: str) -> tuple[np.ndarray, list, int]:
     """(features, labels, folds) of one recorded cross-validation split."""
     rng = derive_rng(0, "golden", "cv", name)
@@ -194,6 +234,15 @@ def test_nullable_numeric_training_is_bit_identical():
     got = nullable_fingerprint()
     assert sum(skipped for _, skipped in got["samples"]) > 0  # null retries ran out
     assert got == NULLABLE
+
+
+def test_scheme_scores_are_bit_identical():
+    db = scoring_database()
+    onum = [t for t in enumerate_targeted_schemes(db.schema, "item", 1) if t.target_attr == "onum"]
+    items = np.asarray(db.relation_fact_ids("item"), dtype=np.int64)
+    dests, _ = sample_target_values_batch(db, items, onum[0], np.random.default_rng(0))
+    assert (dests < 0).any()  # some walkers run to the retry cap
+    assert scoring_fingerprint() == SCORES
 
 
 @pytest.mark.parametrize("name", sorted(CV))
@@ -383,4 +432,5 @@ def test_classifier_matches_per_fold_oracle_at_pairwise_class_counts(n_classes):
 if __name__ == "__main__":
     print("PLANTED =", planted_fingerprint())
     print("NULLABLE =", nullable_fingerprint())
+    print("SCORES =", scoring_fingerprint())
     print("CV =", {name: cv_value(name) for name in sorted(CV)})

@@ -28,7 +28,7 @@ from conftest import (
     reference_sample_closure,
 )
 
-from walkembed.errors import IntegrityError, SchemaError
+from walkembed.errors import IntegrityError, SchemaError, UsageError
 from walkembed.kernels import default_kernels
 from walkembed.relational import (
     Fact,
@@ -466,6 +466,60 @@ def test_csv_roundtrip_random(tmp_path):
     write_database_csv(db, tmp_path)
     again = load_database(schema, tmp_path)
     assert _db_equal(again, db)
+
+
+def _empty_string_schema(kind):
+    return schema_from_dict(
+        {
+            "relations": [
+                {
+                    "name": "R",
+                    "attributes": [
+                        {"name": "a", "kind": "categorical", "nullable": False},
+                        {"name": "b", "kind": kind, "nullable": True},
+                    ],
+                    "key": ["a"],
+                }
+            ],
+            "foreign_keys": [],
+        }
+    )
+
+
+@pytest.mark.parametrize("kind", ["categorical", "text"])
+def test_csv_write_refuses_a_non_null_empty_string(tmp_path, kind):
+    # a cell cannot tell "" from null: the load would read row 2's b as null
+    schema = _empty_string_schema(kind)
+    rows = [("R", ("x", "p")), ("R", ("y", None)), ("R", ("z", "")), ("R", ("w", ""))]
+    db = build_database(schema, rows)
+    out = tmp_path / "data"
+    with pytest.raises(UsageError) as err:
+        write_database_csv(db, out)
+    assert str(err.value) == (
+        "cannot write R.b: row 2 (R.csv line 4) holds an empty string, which would load back as null"
+    )
+    assert not out.exists()  # refused before anything is written
+    # an empty key is refused the same way, at its own row
+    keyed = build_database(schema, [("R", ("x", "p")), ("R", ("", "q"))])
+    with pytest.raises(UsageError, match=r"^cannot write R\.a: row 1 \(R\.csv line 3\)"):
+        write_database_csv(keyed, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["categorical", "text"])
+def test_csv_roundtrip_with_null_where_the_empty_string_was(tmp_path, kind):
+    # the same rows with null in place of "" round-trip unchanged, and a
+    # database derived from one holding "" is checked by its own rows
+    schema = _empty_string_schema(kind)
+    db = build_database(schema, [("R", ("x", "p")), ("R", ("y", None)), ("R", ("z", None))])
+    write_database_csv(db, tmp_path)
+    again = load_database(schema, tmp_path)
+    assert _db_equal(again, db)
+    assert again.attr_value(2, "b") is None and again.attr_value(0, "b") == "p"
+    base = build_database(schema, [("R", ("x", "")), ("R", ("y", None))])
+    kept = take(base, np.asarray([1]))
+    write_database_csv(kept, tmp_path / "kept")
+    assert _db_equal(load_database(schema, tmp_path / "kept"), kept)
 
 
 def test_schema_file_roundtrip(tmp_path, toy_schema):

@@ -3,7 +3,8 @@ destination / value laws.
 
 Enumeration is checked against an independent brute-force expander, and
 the samplers against exact distributions (frozen 1/2-1/2 values for the
-hand-built chain, total-variation bounds for random databases).
+hand-built chain, total-variation bounds for random databases) and
+against the walker and retry loops they replaced, draw for draw.
 """
 
 import numpy as np
@@ -441,12 +442,144 @@ def test_enumeration_is_deterministic(seed):
     assert a == b
 
 
+# -- the walkers against the loops they replaced ---------------------------------------
+
+
+def _reference_advance(db, cur, step, rng, block=None):
+    """One step as first written: the foreign-key index looked up per call,
+    and a -1 array, a candidate mask and a scatter on every backward step."""
+    index = db.fk_index[db.schema.fk_position(step.fk)]
+    if step.direction == FORWARD:
+        return index.fwd[cur]
+    lo = index.offsets[cur]
+    width = index.offsets[cur + 1] - lo
+    nxt = np.full(len(cur), -1, dtype=np.int64)
+    has = width > 0
+    if has.any():
+        if block is None:
+            u = rng.random(int(has.sum()))
+        else:
+            counts = np.bincount(block[has], minlength=len(rng)).tolist()
+            u = np.concatenate([g.random(c) for g, c in zip(rng, counts) if c])
+        picks = lo[has] + (u * width[has]).astype(np.int64)
+        nxt[has] = index.flat[picks]
+    return nxt
+
+
+def _reference_sample_dest_batch(db, fact_ids, scheme, rng, block=None):
+    """Destinations as first written: the live positions found afresh
+    before every step."""
+    here = np.asarray(fact_ids, dtype=np.int64).copy()
+    alive = here >= 0
+    for step in scheme.steps:
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        here[idx] = _reference_advance(db, here[idx], step, rng, None if block is None else block[idx])
+        alive = here >= 0
+    here[~alive] = -1
+    return here
+
+
+def _reference_sample_walks_batch(db, fact_ids, scheme, rng):
+    """Full paths as first written, on the reference step."""
+    here = np.asarray(fact_ids, dtype=np.int64).copy()
+    paths = np.full((len(here), scheme.length + 1), -1, dtype=np.int64)
+    paths[:, 0] = here
+    alive = here >= 0
+    for col, step in enumerate(scheme.steps, start=1):
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        here[idx] = paths[idx, col] = _reference_advance(db, here[idx], step, rng)
+        alive = here >= 0
+    paths[~alive, :] = -1
+    return paths
+
+
+def _assert_walkers_match_reference(db, starts, scheme, rng_seed, n_blocks=None):
+    """Destinations (plain, or over ``n_blocks`` equal blocks) and full
+    paths equal the reference's, and every generator ends in the same state."""
+    def rngs():
+        if n_blocks is None:
+            return np.random.default_rng(rng_seed)
+        return [np.random.default_rng([rng_seed, g]) for g in range(n_blocks)]
+
+    def states(rng):
+        return [g.bit_generator.state for g in ([rng] if n_blocks is None else rng)]
+
+    block = None if n_blocks is None else np.arange(len(starts)) // (len(starts) // n_blocks or 1)
+    got_rng, want_rng = rngs(), rngs()
+    before = starts.copy()
+    got = sample_dest_batch(db, starts, scheme, got_rng, block)
+    want = _reference_sample_dest_batch(db, starts, scheme, want_rng, block)
+    assert np.array_equal(starts, before)  # the starts are not written
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert states(got_rng) == states(want_rng)
+    if n_blocks is None:
+        got_rng, want_rng = rngs(), rngs()
+        paths = sample_walks_batch(db, starts, scheme, got_rng)
+        assert np.array_equal(paths, _reference_sample_walks_batch(db, starts, scheme, want_rng))
+        assert states(got_rng) == states(want_rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    db_seed=st.integers(min_value=0, max_value=400),
+    pick=st.integers(min_value=0, max_value=10_000),
+    n_starts=st.integers(min_value=0, max_value=40),
+    dead_share=st.sampled_from([0.0, 0.2, 1.0]),
+    n_blocks=st.sampled_from([None, 1, 2, 3]),
+    rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_walkers_match_reference(db_seed, pick, n_starts, dead_share, n_blocks, rng_seed):
+    # random databases carry nullable and self-referencing foreign keys and
+    # facts nothing references, so walkers die at every step; some starts
+    # are -1, dead before the first step
+    schema = random_schema(db_seed)
+    db = random_database(schema, db_seed)
+    start_rel = schema.relations[0].name
+    schemes = enumerate_walk_schemes(schema, start_rel, 3)
+    scheme = schemes[pick % len(schemes)]
+    ids = db.relation_fact_ids(start_rel)
+    rng = np.random.default_rng(pick)
+    starts = np.asarray([ids[(pick + 7 * i) % len(ids)] for i in range(n_starts)], dtype=np.int64)
+    starts[rng.random(n_starts) < dead_share] = -1
+    if n_blocks is not None:
+        starts = starts[: len(starts) - len(starts) % n_blocks]
+    _assert_walkers_match_reference(db, starts, scheme, rng_seed, n_blocks)
+
+
+@pytest.mark.parametrize("n_blocks", [None, 1, 3])
+@pytest.mark.parametrize("rng_seed", [0, 1])
+def test_walkers_match_reference_when_all_die_at_the_first_step(chain_schema, n_blocks, rng_seed):
+    # R <- S -> R <- S: nothing references r3, so every walker from it
+    # dies on the first step; from r1 and r2 walkers draw twice
+    from walkembed.relational import build_database
+
+    db = build_database(
+        chain_schema,
+        [("R", ("r1",)), ("R", ("r2",)), ("R", ("r3",))]
+        + [("S", (f"x{i}", "r1", None)) for i in range(3)]
+        + [("S", ("y0", "r2", None))],
+    )
+    fk = db.schema.foreign_keys[0]
+    back, fwd = WalkStep(fk, BACKWARD), WalkStep(fk, FORWARD)
+    scheme = WalkScheme("R", (back, fwd, back))
+    for starts in ([2] * 6, [2, -1, 2, 2, -1, 2], [-1] * 6, [0, 2, 1, 2, 0, 0], []):
+        _assert_walkers_match_reference(db, np.asarray(starts, dtype=np.int64), scheme, rng_seed, n_blocks)
+    # a scheme without steps returns its live starts and -1 for the rest
+    got = sample_dest_batch(db, np.asarray([0, -3, 2]), WalkScheme("R"), np.random.default_rng(0))
+    assert got.tolist() == [0, -1, 2]
+
+
 # -- the sampler's row loop against the loop it replaced ------------------------------
 
 
 def _reference_target_values_batch(db, fact_ids, tws, rng, retry_cap=20):
     """The retry loop as first written, one numpy scalar and one ``db.fact``
-    call per row; the sampler must reproduce it draw for draw."""
+    call per row, on the reference walker; the sampler must reproduce it
+    draw for draw."""
     start = np.asarray(fact_ids, dtype=np.int64)
     attr_pos = db.schema.relation(tws.scheme.end_relation).attr_index(tws.target_attr)
     dests = np.full(len(start), -1, dtype=np.int64)
@@ -455,7 +588,7 @@ def _reference_target_values_batch(db, fact_ids, tws, rng, retry_cap=20):
     for _ in range(retry_cap):
         if len(pending) == 0:
             break
-        got = sample_dest_batch(db, start[pending], tws.scheme, rng)
+        got = _reference_sample_dest_batch(db, start[pending], tws.scheme, rng)
         still = []
         for row, dest in zip(pending, got):
             if dest < 0:

@@ -5,7 +5,9 @@ all unordered fact pairs; the mutual-information estimator against the
 closed forms ln(n) for a bijective step and 0 for a constant step; and
 selection invariants with property-based ratios.  The array-based mutual
 information and sampled kernel variance are checked against the
-dense-table and per-pair loops they replaced, kept here as references.
+dense-table and per-pair loops they replaced, kept here as references,
+and the one-sort mutual information against the three-``np.unique``
+count before it, float for float.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,6 +34,7 @@ from walkembed.relational import build_database, schema_from_dict
 from walkembed.schemes import (
     enumerate_targeted_schemes,
     sample_target_values_batch,
+    sample_walks_batch,
     targeted_text,
 )
 from walkembed.seeding import derive_rng
@@ -157,6 +160,71 @@ def test_empirical_mi_matches_dense_table(pairs):
     a = np.asarray([p[0] for p in pairs], dtype=np.int64)
     b = np.asarray([p[1] for p in pairs], dtype=np.int64)
     assert _empirical_mi(a, b) == pytest.approx(_dense_mi(a, b), rel=1e-12)
+
+
+def _reference_empirical_mi(a, b):
+    """The sparse count as first written, three ``np.unique`` calls; the
+    one-sort version must give its terms in the same order, hence the
+    same float."""
+    _, ia = np.unique(a, return_inverse=True)
+    vb, ib = np.unique(b, return_inverse=True)
+    n = len(ia)
+    pairs, counts = np.unique(ia * len(vb) + ib, return_counts=True)
+    pij = counts / n
+    pa = np.bincount(ia) / n
+    pb = np.bincount(ib) / n
+    mi = float(np.sum(pij * np.log(pij / (pa[pairs // len(vb)] * pb[pairs % len(vb)]))))
+    return max(0.0, mi)
+
+
+# negative ids, one value, ids up to 2**31 (pair codes near 2**62), and
+# ranges whose pair codes would overflow int64
+MI_RANGES = [(0, 5), (-4, 40), (7, 7), (0, 2**31), (-(2**31), 2**31), (-(2**62), 2**62)]
+
+
+@st.composite
+def aligned_samples(draw):
+    """Two aligned int64 samples, each drawn from a small pool of values in
+    one of ``MI_RANGES``, so pairs repeat whatever the range."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column():
+        lo, hi = draw(st.sampled_from(MI_RANGES))
+        pool = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=30))
+        return np.asarray(pool, dtype=np.int64)[rng.integers(0, len(pool), size=n)]
+
+    return column(), column()
+
+
+def _aligned(a, b):
+    return np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=aligned_samples())
+# pair codes just below 2**62, and just past 2**63 (ranked first)
+@example(samples=_aligned([0, 2**31, 0, 2**31, 5], [2**31, 0, 0, 0, 2**31]))
+@example(samples=_aligned([0, 2**32, 0, 2**32, 5], [0, 2**31, 2**31, 0, 0]))
+def test_empirical_mi_equals_the_three_unique_count(samples):
+    a, b = samples
+    assert _empirical_mi(a, b) == _reference_empirical_mi(a, b)
+
+
+def test_empirical_mi_equals_the_three_unique_count_on_walk_columns():
+    # the columns score_mi passes: strided views of complete walks
+    db = planted_database(n_items=30, seed=1).db
+    items = np.asarray(db.relation_fact_ids("item"), dtype=np.int64)
+    rng = np.random.default_rng(0)
+    checked = 0
+    for tws in enumerate_targeted_schemes(db.schema, "item", 2):
+        walks = sample_walks_batch(db, rng.choice(items, 500), tws.scheme, rng)
+        walks = walks[walks[:, -1] >= 0]
+        for i in range(tws.scheme.length if len(walks) else 0):
+            a, b = walks[:, i], walks[:, i + 1]
+            assert _empirical_mi(a, b) == _reference_empirical_mi(a, b)
+            checked += 1
+    assert checked > 50
 
 
 def test_empirical_mi_memory_is_linear_in_walks():
