@@ -15,25 +15,33 @@ for every scheme in active order, every start fact contributes
 from it; destination values are sampled per side with dead ends and null
 destinations retried up to ``retry_cap`` attempts; pairs still incomplete
 are skipped and counted.  All surviving samples of the epoch are then
-applied in one seeded shuffled order.
+shuffled by one seeded permutation and applied level by level (below).
 
 Cost: an epoch interns its active schemes to list indices once and keeps
 its samples as parallel lists, so the sampling phase indexes lists instead
 of hashing scheme dataclasses.  The shuffled updates then run level by
 level (see ``_apply_levels``): an update's level is one more than the
-highest level of any earlier update that shares its fact row, its partner
-row or its scheme matrix.  Updates of one level touch disjoint rows and
-matrices (a partner is never its own fact), and every row and matrix gets
-its updates in shuffle order, so running a level as one stack of numpy
-operations on gathered copies gives the sequential result.  It gives it to
-the bit: numpy's stacked ``matmul`` calls the same BLAS gemv and ddot per
-element as the 1-D products of ``sgd_step``, and the rest is elementwise
-in the same expression order.  A level costs about two dozen numpy calls:
-at k=16 on a 2-vCPU Xeon VM about 30 µs for up to four updates and about
-2 µs per further update.  With 16 schemes on 80 start facts a level holds
-about 6 updates, so an update costs about 6 µs, against 14-20 µs for one
-``sgd_step`` call; with two start facts every level holds one update.  A fixed seed fixes phi, psi and
-the losses (tests/test_golden.py holds their hashes).
+highest level of any earlier update that shares its fact row or its
+partner row.  Updates of one level touch disjoint phi rows (a partner is
+never its own fact) and all read the level-start phi and psi, so a level
+runs as one stack of numpy operations on gathered copies.  Each phi row
+gets its updates in shuffle order with ``sgd_step``'s arithmetic, to the
+bit: numpy's stacked ``matmul`` calls the same BLAS gemv and ddot per
+element as the 1-D products, and the rest is elementwise in the same
+expression order.  psi is the one densely shared parameter, so the updates
+of a level may share a scheme matrix: the matrix takes one step by the sum
+of their symmetrised gradients, added in shuffle order.  The rows follow
+DSGD's conflict-free strata (Gemulla et al., KDD 2011) and psi a
+Hogwild!-style summed update (Niu et al., NeurIPS 2011).  A matrix with
+one update in its level takes ``sgd_step``'s psi step.  A level costs
+about two dozen numpy calls, plus one in-place add per further update of
+its busiest matrix: at k=16 on a 2-vCPU Xeon VM about 18 µs for one
+update, 2.5 µs per further update and 1 µs per add.  With 16 schemes on
+80 start facts a level holds about 12 updates (210 levels an epoch,
+against 435 when a level held at most one update per matrix), so an
+update costs about 4 µs, against 14-20 µs for one ``sgd_step`` call; with
+two start facts every level holds one update.  A fixed seed fixes phi,
+psi and the losses (tests/test_golden.py holds their hashes).
 
 Kernel targets come from arrays: the sampler returns each scheme's target
 column gathered at the walk destinations, a sample is skipped where either
@@ -139,8 +147,8 @@ class EpochStats:
     # seconds spent drawing walks, evaluating kernel targets, applying
     # updates and checking finiteness; they add up to at most wall_time
     phase_seconds: dict[str, float]
-    # conflict-free batches the updates ran in (see _apply_levels): at most
-    # samples_used, at least the largest per-scheme sample count
+    # row-disjoint batches the updates ran in (see _apply_levels): at most
+    # samples_used, at least the largest number of updates that touch one phi row
     sgd_levels: int
 
 
@@ -201,7 +209,8 @@ def sgd_step(
     arithmetic is that of ``loss_and_grads`` to the bit: ``phi_f @ psi``
     is computed once and serves both the prediction and grad_p (it runs
     the same matrix-vector product as ``psi.T @ phi_f``).  Training runs
-    the same arithmetic on stacks of updates (``_apply_levels``).
+    the same arithmetic on stacks of updates, and sums the psi steps of
+    updates that share a matrix within a level (``_apply_levels``).
     """
     row = phi_f @ psi
     residual = float(row @ phi_p) - kappa
@@ -241,19 +250,58 @@ def _draw_partners(
     return fact_pos, (fact_pos + 1 + offsets) % m
 
 
-def _levels(f: list[int], p: list[int], s: list[int], n_rows: int, n_mats: int) -> list[int]:
-    """Level of each update (f[i], p[i], s[i]), in order: 1 + the highest
-    level of any earlier update sharing its fact row, partner row or matrix."""
+def _levels(f: list[int], p: list[int], n_rows: int) -> list[int]:
+    """Level of each update (f[i], p[i]), in order: 1 + the highest level of
+    any earlier update sharing its fact row or its partner row."""
     row_level = [0] * n_rows
-    mat_level = [0] * n_mats
     levels = []
-    for a, b, c in zip(f, p, s):
-        la, lb, lc = row_level[a], row_level[b], mat_level[c]
-        level = la if la > lb else lb  # a comparison costs less than a call to max
-        level = (level if level > lc else lc) + 1
-        row_level[a] = row_level[b] = mat_level[c] = level
+    for a, b in zip(f, p):
+        la, lb = row_level[a], row_level[b]
+        level = (la if la > lb else lb) + 1  # a comparison costs less than a call to max
+        row_level[a] = row_level[b] = level
         levels.append(level)
     return levels
+
+
+def _level_order(level: np.ndarray, s: np.ndarray, n_mats: int) -> tuple[np.ndarray, list[list]]:
+    """The order the updates run in, and per level (start, end, u, sums).
+
+    Within a level the updates run in blocks by rank, the rank of an update
+    being the number of earlier updates of its matrix in the level.  Block 0
+    holds one update of each of the level's u matrices, ordered by how many
+    updates the matrix takes (most first), then by matrix; each later block
+    follows the same order, so it holds the first matrices of block 0.
+    ``sums`` lists the later blocks as (start, end) relative to the level.
+    """
+    n = len(level)
+    # stable: shuffle order within a level's matrix
+    by_mat = np.argsort(level * n_mats + s, kind="stable")
+    lev = level[by_mat]
+    head = _run_heads(lev, s[by_mat])
+    first = np.flatnonzero(head)
+    group = np.cumsum(head) - 1
+    rank = np.arange(n) - first[group]
+    size = np.diff(np.append(first, n))[group]  # updates of the matrix in the level
+    # by level, rank, then most updates first; stable, so ties keep the matrix order
+    span = int(size.max(initial=0)) + 1
+    blocked = np.lexsort((rank * span + span - size, lev))
+    by_mat, lev, rank = by_mat[blocked], lev[blocked], rank[blocked]
+    starts = np.flatnonzero(_run_heads(lev, rank))
+    plan: list[list] = []
+    for lo, hi, r in zip(starts.tolist(), [*starts[1:].tolist(), n], rank[starts].tolist()):
+        if r == 0:
+            plan.append([lo, hi, hi - lo, []])
+        else:
+            plan[-1][1] = hi
+            plan[-1][3].append((lo - plan[-1][0], hi - plan[-1][0]))
+    return by_mat, plan
+
+
+def _run_heads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """True where (a[i], b[i]) differs from the pair before it, and at 0."""
+    head = np.ones(len(a), dtype=bool)
+    head[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return head
 
 
 def _apply_levels(
@@ -264,27 +312,28 @@ def _apply_levels(
     s: np.ndarray,
     kappa: np.ndarray,
     learning_rate: float,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply the updates (rows f[i], p[i] of phi, matrix s[i] of psi,
     target kappa[i]), given in shuffle order, in place, one level at a time.
 
-    Returns each update's pre-update loss, in shuffle order, and the number
-    of levels.  Each level is ``sgd_step`` on stacked arrays, with the same
-    BLAS calls and the same elementwise expression order.  A non-finite
-    loss does not stop the loop: it can only spoil updates that come later
-    in shuffle order, so the earliest non-finite loss is the one the
-    sequential order would have raised on.
+    Returns each update's pre-update loss and its level, in shuffle order.
+    Every update of a level reads the level-start phi rows and psi matrix.
+    Its phi rows take ``sgd_step``'s arithmetic on stacked arrays, with the
+    same BLAS calls and the same elementwise expression order.  Each matrix
+    takes one step by the sum of its updates' symmetrised gradients, added
+    in shuffle order; a matrix with one update in the level takes
+    ``sgd_step``'s psi update.  A non-finite loss does not stop the loop;
+    the caller names the first one in level order.
     """
-    level = np.array(_levels(f.tolist(), p.tolist(), s.tolist(), len(phi), len(psi)), dtype=np.int64)
-    by_level = np.argsort(level, kind="stable")
-    ends = np.cumsum(np.bincount(level, minlength=1)).tolist()
+    level = np.array(_levels(f.tolist(), p.tolist(), len(phi)), dtype=np.int64)
+    order, plan = _level_order(level, s, len(psi))
     # per update: its fact and partner row, matrix, and target as (1, 1)
-    rows = np.stack((f, p), axis=1)[by_level]
-    mats = s[by_level]
-    target = kappa[by_level, None, None]
+    rows = np.stack((f, p), axis=1)[order]
+    mats = s[order]
+    target = kappa[order, None, None]
     residual = np.empty_like(target)
     half_lr = learning_rate * 0.5
-    for a, b in zip(ends[:-1], ends[1:]):
+    for a, b, u, sums in plan:
         fp, m = rows[a:b], mats[a:b]
         x, ps = phi.take(fp, axis=0), psi.take(m, axis=0)  # x: (w, 2, k)
         pf, pp = x[:, :1], x[:, 1:]
@@ -295,11 +344,17 @@ def _apply_levels(
         # (psi @ phi_p, phi_f @ psi): the gradients of phi_f and phi_p divided by r
         grads = np.concatenate((np.matmul(ps, pp_col).transpose(0, 2, 1), row), axis=1)
         phi[fp] = x - learning_rate * (r * grads)
+        # a level may hold one update per two phi rows: keep at most two (w, k, k) arrays alive
+        del ps
         grad_psi = r * (pf.transpose(0, 2, 1) * pp)
-        psi[m] = ps - half_lr * (grad_psi + grad_psi.transpose(0, 2, 1))
+        sym = grad_psi + grad_psi.transpose(0, 2, 1)
+        del grad_psi
+        for c, e in sums:  # a later block onto the first matrices of block 0
+            sym[: e - c] += sym[c:e]
+        psi[m[:u]] -= half_lr * sym[:u]  # psi[m] is still the level-start psi
     loss = np.empty(len(level))
-    loss[by_level] = (0.5 * residual * residual).ravel()
-    return loss, len(ends) - 1
+    loss[order] = (0.5 * residual * residual).ravel()
+    return loss, level
 
 
 def train_epoch(
@@ -353,12 +408,13 @@ def train_epoch(
     mats = [model.psi.index[t] for t in active]
     phi, psi = model.phi.data[rows], model.psi.data[mats]
     shuffled = scheme_of[order]
-    losses, n_levels = _apply_levels(
+    losses, levels = _apply_levels(
         phi, psi, facts[order], partners[order], shuffled, kappas[order], cfg.learning_rate
     )
     bad = np.flatnonzero(~np.isfinite(losses))
     if len(bad):
-        j = int(order[bad[0]])
+        # the first in application order: lowest level, then shuffle position
+        j = int(order[bad[levels[bad].argmin()]])
         raise NumericError(
             f"non-finite loss on scheme {targeted_text(active[scheme_of[j]])} "
             f"(facts {start_ids[facts[j]]},{start_ids[partners[j]]}, kappa={kappas[j]})"
@@ -394,7 +450,7 @@ def train_epoch(
         wall_time=time.perf_counter() - t0,
         active_schemes=tuple(active),
         phase_seconds={"sample": sample_s, "kernel": kernel_s, "sgd": t4 - t3, "check": t5 - t4},
-        sgd_levels=n_levels,
+        sgd_levels=int(levels.max(initial=0)),
     )
 
 

@@ -367,8 +367,8 @@ def test_experiment_config_from_dict_reads_pair_budget_as_int():
 # -- the experiment grid ----------------------------------------------------------
 
 
-def _materialise(tmp_path, n_items=12, n_obs=2, seed=0):
-    setup = planted_database(n_items=n_items, n_obs=n_obs, with_noise=False, seed=seed)
+def _materialise(tmp_path, n_items=12, n_obs=2, seed=0, with_noise=False):
+    setup = planted_database(n_items=n_items, n_obs=n_obs, with_noise=with_noise, seed=seed)
     schema_path = tmp_path / "schema.json"
     data_dir = tmp_path / "data"
     data_dir.mkdir()
@@ -433,6 +433,32 @@ def test_best_time_tracks_the_fastest_ratio(small_report):
     else:
         assert report.best_time["length"] == t
         assert report.best_ratio["length"] == 0.5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_the_benchmarks_experiment_grid_reaches_t_star(tmp_path, seed):
+    """The shape of the benchmark's ``experiment`` workload: 80 planted items
+    with noise, k 16, two samples, lr 0.15, 8 epochs, two seeds and 5 folds.
+    kvar at ratio 0.5 reaches 95% of the baseline accuracy, and no cell
+    fails; an unreached t* fails the benchmark run."""
+    _, schema_path, data_dir = _materialise(tmp_path, n_items=80, seed=seed, with_noise=True)
+    cfg = ExperimentConfig(
+        schema_path=str(schema_path),
+        data_dir=str(data_dir),
+        task_relation="item",
+        task_attribute="cls",
+        max_length=1,
+        trainer=TrainConfig(k=16, n_samples=2, epochs=8, learning_rate=0.15, seed=seed),
+        strategies=("kvar",),
+        ratios=(0.5,),
+        seeds=(seed, seed + 1),
+        folds=5,
+        split_seed=seed,
+    )
+    report = run_experiment(cfg)
+    assert report.failures == {}
+    assert len(report.cells) == 4
+    assert report.t_star[("kvar", 0.5)] is not None
 
 
 def test_write_report_emits_json_and_curves(small_report, tmp_path):

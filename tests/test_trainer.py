@@ -1,18 +1,20 @@
 """Bilinear trainer: gradients against central differences, fixed points,
-loss bookkeeping, determinism, and the level-batched epoch against the
-sequential one.
+loss bookkeeping, determinism, and the level-batched epoch against a scalar
+one.
 
 The gradient oracle perturbs every coordinate of phi_f, phi_p, and psi by
 h = 1e-5 and compares the two-sided difference quotient to the analytic
 gradient; psi is treated as unconstrained here because the analytic value
 is the raw (unsymmetrised) matrix gradient.
 
-The epoch oracle is the sequential trainer: one ``sgd_step`` per surviving
-sample, in shuffle order.  The level-batched trainer must match it bit for
+The epoch oracle is a scalar trainer: the same levels, run one update at
+a time with ``loss_and_grads`` at the level-start psi, and one summed psi
+step per matrix and level.  The level-batched trainer must match it bit for
 bit, and raise the same message on the same update.
 """
 
 import copy
+import math
 import re
 
 import numpy as np
@@ -497,8 +499,12 @@ def test_bilinear_definition():
 
 
 def _reference_train_epoch(db, model, cfg, kernels, epoch_index, ledger):
-    """The sequential epoch: the same draws, then one ``sgd_step`` per
-    surviving sample in shuffle order.  Returns (epoch means, cumulative
+    """The scalar epoch: the same draws, then the updates level by level
+    (``_reference_levels``), each level in shuffle order.  Every update
+    takes ``loss_and_grads`` at the level-start psi and steps its two phi
+    rows at once; at the level's end each matrix steps once by the sum of
+    its updates' symmetrised gradients, added in shuffle order.  The first
+    non-finite loss in that order raises.  Returns (epoch means, cumulative
     means, samples used, samples skipped)."""
     start_ids = np.asarray(db.relation_fact_ids(model.start_relation), dtype=np.int64)
     rng = derive_rng(cfg.seed, "epoch", epoch_index)
@@ -522,22 +528,33 @@ def _reference_train_epoch(db, model, cfg, kernels, epoch_index, ledger):
             partners.append(p)
             scheme_of.append(s)
             kappas.append(kernel_eval(spec, a, b))
-    order = rng.permutation(len(kappas))
+    order = rng.permutation(len(kappas)).tolist()
+    levels = _reference_levels([facts[j] for j in order], [partners[j] for j in order])
+    losses = {}
+    for level in sorted(set(levels)):
+        steps = {}
+        for j in [j for j, lv in zip(order, levels) if lv == level]:
+            f, p, s = facts[j], partners[j], scheme_of[j]
+            loss, g_f, g_p, g_psi = loss_and_grads(model.phi[f], model.phi[p], model.psi[active[s]], kappas[j])
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss on scheme {targeted_text(active[s])} "
+                    f"(facts {f},{p}, kappa={kappas[j]})"
+                )
+            losses[j] = loss
+            model.phi[f][:] = model.phi[f] - cfg.learning_rate * g_f
+            model.phi[p][:] = model.phi[p] - cfg.learning_rate * g_p
+            sym = g_psi + g_psi.T
+            steps[s] = sym if s not in steps else steps[s] + sym
+        for s, total in steps.items():
+            model.psi[active[s]][:] = model.psi[active[s]] - cfg.learning_rate * 0.5 * total
     loss_sum = [0.0] * len(active)
     loss_n = [0] * len(active)
-    for j in order.tolist():
-        f, p, s = facts[j], partners[j], scheme_of[j]
-        try:
-            loss = sgd_step(model.phi[f], model.phi[p], model.psi[active[s]], kappas[j], cfg.learning_rate)
-        except NumericError:
-            raise NumericError(
-                f"non-finite loss on scheme {targeted_text(active[s])} "
-                f"(facts {f},{p}, kappa={kappas[j]})"
-            ) from None
-        loss_sum[s] += loss
-        loss_n[s] += 1
+    for j in order:
+        loss_sum[scheme_of[j]] += losses[j]
+        loss_n[scheme_of[j]] += 1
     epoch_mean_loss = {}
-    for j in order.tolist():
+    for j in order:
         s = scheme_of[j]
         if active[s] not in epoch_mean_loss:
             epoch_mean_loss[active[s]] = loss_sum[s] / loss_n[s]
@@ -604,7 +621,7 @@ def _case(kind, db_seed):
 def test_level_batched_training_matches_sequential_oracle(
     kind, db_seed, k, n_samples, epochs, learning_rate, seed, shrink
 ):
-    """Full train runs agree bit for bit with the sequential oracle: phi,
+    """Full train runs agree bit for bit with the scalar oracle: phi,
     psi (active and frozen), epoch and cumulative loss means with their
     key order, and sample counts; a run that diverges raises the same
     message in both.  ``shrink`` 0 leaves an epoch with no active scheme."""
@@ -623,6 +640,30 @@ def test_level_batched_training_matches_sequential_oracle(
         for tws in schemes:
             assert np.array_equal(got[0].psi[tws], want[0].psi[tws])
     assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("n_schemes", [1, 3])
+def test_wide_levels_sum_each_matrix_like_the_oracle(monkeypatch, n_schemes):
+    """Many facts and few schemes: levels hold many updates of one matrix,
+    and the summed psi steps still match the scalar oracle bit for bit."""
+    db = convergence_database(40, obs_per_item=2, seed=3)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)[:n_schemes]
+    cfg = TrainConfig(k=5, n_samples=3, epochs=2, learning_rate=0.1, seed=4)
+    most = []
+    apply_levels = trainer._apply_levels
+
+    def spy(phi, psi, f, p, s, kappa, learning_rate):
+        loss, levels = apply_levels(phi, psi, f, p, s, kappa, learning_rate)
+        most.append(max(np.bincount(s[levels == v]).max() for v in range(1, levels.max() + 1)))
+        return loss, levels
+
+    monkeypatch.setattr(trainer, "_apply_levels", spy)
+    got = _run(train_epoch, db, "item", schemes, cfg, None)
+    want = _run(_reference_train_epoch, db, "item", schemes, cfg, None)
+    assert min(most) >= 5  # some level steps one matrix by a sum of at least 5 updates
+    assert got[2] is None and want[2] is None and got[1] == want[1]
+    assert np.array_equal(got[0].phi.data, want[0].phi.data)
+    assert np.array_equal(got[0].psi.data, want[0].psi.data)
 
 
 def test_epoch_without_surviving_samples_is_a_no_op(chain_db):
@@ -666,6 +707,9 @@ def _raise_message(epoch_fn, db, model, cfg):
     n_bad=st.integers(min_value=1, max_value=3),
 )
 def test_non_finite_loss_names_the_oracles_update_and_writes_nothing(k, seed, plant_seed, n_bad):
+    """The message names the first non-finite loss in application order,
+    lowest level first and then shuffle position, as the scalar oracle
+    meets it; the model keeps every value it had."""
     db = convergence_database(8)
     schemes = enumerate_targeted_schemes(db.schema, "item", 1)
     cfg = TrainConfig(k=k, n_samples=2, epochs=1, seed=seed)
@@ -680,19 +724,21 @@ def test_non_finite_loss_names_the_oracles_update_and_writes_nothing(k, seed, pl
         assert np.array_equal(mat, before.psi[tws])
 
 
-def test_earliest_failure_wins_over_a_later_one_on_a_lower_level(monkeypatch):
+def test_lowest_level_failure_wins_over_an_earlier_one_in_shuffle_order(monkeypatch):
     """With two planted rows, some epoch's first failing update in shuffle
-    order sits on a higher level than a later, independent failure; the
-    message still names the first, as the sequential order does."""
+    order sits on a higher level than a later, independent failure.  The
+    lower level runs first and spoils the matrices the higher one reads, so
+    the message names the later update, as the scalar oracle does."""
     db = convergence_database(8)
+    ids = db.relation_fact_ids("item")
     schemes = enumerate_targeted_schemes(db.schema, "item", 1)
     seen = []
     apply_levels = trainer._apply_levels
 
     def spy(phi, psi, f, p, s, kappa, learning_rate):
-        loss, n_levels = apply_levels(phi, psi, f, p, s, kappa, learning_rate)
-        seen.append((trainer._levels(f.tolist(), p.tolist(), s.tolist(), len(phi), len(psi)), loss))
-        return loss, n_levels
+        loss, levels = apply_levels(phi, psi, f, p, s, kappa, learning_rate)
+        seen.append((f, p, levels, loss))
+        return loss, levels
 
     monkeypatch.setattr(trainer, "_apply_levels", spy)
     inverted = 0
@@ -702,9 +748,11 @@ def test_earliest_failure_wins_over_a_later_one_on_a_lower_level(monkeypatch):
         before = copy.deepcopy(model)
         got = _raise_message(train_epoch, db, model, cfg)
         assert got == _raise_message(_reference_train_epoch, db, before, cfg)
-        levels, loss = seen[-1]
-        bad = np.flatnonzero(~np.isfinite(loss))
-        inverted += levels[bad[0]] > min(levels[i] for i in bad)
+        f, p, levels, loss = seen[-1]
+        bad = np.flatnonzero(~np.isfinite(loss)).tolist()
+        first = min(bad, key=lambda i: (levels[i], i))
+        assert f"(facts {ids[f[first]]},{ids[p[first]]}, " in got
+        inverted += first != bad[0]
     assert inverted > 0
 
 
@@ -713,15 +761,28 @@ def _stats(db, schemes, cfg):
     return history
 
 
-def test_sgd_levels_bounds():
-    """Updates of one scheme share its matrix, so they sit on distinct
-    levels: a scheme's sample count bounds the level count from below."""
+def test_sgd_levels_bounds(monkeypatch):
+    """Updates that touch one phi row sit on distinct levels, so the most
+    updates any row takes bound the level count from below.  Updates of one
+    scheme may share a level: one scheme alone runs in fewer levels than it
+    has samples."""
     db = convergence_database(10)
     schemes = enumerate_targeted_schemes(db.schema, "item", 1)
     cfg = TrainConfig(k=4, n_samples=3, epochs=2, seed=5)
-    for stats in _stats(db, schemes, cfg):
-        assert stats.samples_skipped == 0  # every scheme keeps 10 * 3 samples
-        assert 10 * 3 <= stats.sgd_levels < stats.samples_used
+    touches = []
+    apply_levels = trainer._apply_levels
+
+    def spy(phi, psi, f, p, s, kappa, learning_rate):
+        touches.append(int(np.bincount(np.concatenate((f, p))).max()))
+        return apply_levels(phi, psi, f, p, s, kappa, learning_rate)
+
+    monkeypatch.setattr(trainer, "_apply_levels", spy)
+    history = _stats(db, schemes, cfg)
+    for stats, most in zip(history, touches, strict=True):
+        assert stats.samples_skipped == 0  # every fact starts 3 samples of every scheme
+        assert len(schemes) * 3 <= most <= stats.sgd_levels < stats.samples_used
+    for stats in _stats(db, schemes[:1], cfg):
+        assert stats.sgd_levels < stats.samples_used == 10 * 3
 
 
 def test_sgd_levels_equal_samples_with_two_start_facts():
@@ -732,28 +793,23 @@ def test_sgd_levels_equal_samples_with_two_start_facts():
         assert stats.sgd_levels == stats.samples_used
 
 
-def _reference_levels(f, p, s, n_rows, n_mats):
-    """The level scheduler as first written, with the builtin ``max``."""
-    row_level = [0] * n_rows
-    mat_level = [0] * n_mats
+def _reference_levels(f, p):
+    """The level scheduler as first written, with the builtin ``max``, on
+    rows of any hashable kind."""
+    row_level = {}
     levels = []
-    for a, b, c in zip(f, p, s):
-        level = max(row_level[a], row_level[b], mat_level[c]) + 1
-        row_level[a] = row_level[b] = mat_level[c] = level
+    for a, b in zip(f, p):
+        level = max(row_level.get(a, 0), row_level.get(b, 0)) + 1
+        row_level[a] = row_level[b] = level
         levels.append(level)
     return levels
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    n_rows=st.integers(2, 12),
-    n_mats=st.integers(1, 5),
-    data=st.data(),
-)
-def test_levels_match_the_max_oracle(n_rows, n_mats, data):
+@given(n_rows=st.integers(2, 12), data=st.data())
+def test_levels_match_the_max_oracle(n_rows, data):
     n = data.draw(st.integers(0, 60))
     f = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
     offsets = data.draw(st.lists(st.integers(1, n_rows - 1), min_size=n, max_size=n))
     p = [(a + o) % n_rows for a, o in zip(f, offsets)]  # a partner is never its own fact
-    s = data.draw(st.lists(st.integers(0, n_mats - 1), min_size=n, max_size=n))
-    assert trainer._levels(f, p, s, n_rows, n_mats) == _reference_levels(f, p, s, n_rows, n_mats)
+    assert trainer._levels(f, p, n_rows) == _reference_levels(f, p)
