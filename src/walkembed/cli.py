@@ -255,16 +255,17 @@ def _verify_clones(db, db_new, model, extended, new_start, strict: bool) -> int:
     responses reproduce expected kernel distances (a converged or
     constructed model).  In sampled mode the residual is reported only.
     """
-    schema = db_new.schema
+    rel = db.schema.relation(model.start_relation)
+    non_key = [i for i, a in enumerate(rel.attr_names) if a not in rel.key]
+    twins: dict[tuple, int] = {}  # non-key values -> the first fact holding them, in id order
+    for cand in db.relation_facts(rel.name):
+        twins.setdefault(tuple(cand.values[i] for i in non_key), cand.fact_id)
     failures = 0
     partners = extended.phi.take(sorted(model.phi)).T
     psi = extended.psi.take(extended.active_schemes)
     for fid in new_start:
-        fact = db_new.fact(fid)
-        rel = schema.relation(fact.relation)
-        non_key = [i for i, a in enumerate(rel.attr_names) if a not in rel.key]
-        twin = next((cand.fact_id for cand in db.relation_facts(fact.relation)
-                     if all(cand.values[i] == fact.values[i] for i in non_key)), None)
+        values = db_new.fact(fid).values
+        twin = twins.get(tuple(values[i] for i in non_key))
         if twin is None:
             print(f"verify: no structural twin for new fact {fid}; skipped")
             continue

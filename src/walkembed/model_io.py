@@ -99,13 +99,12 @@ def _scheme_from_doc(doc, db: Database, path: str | Path, label: str) -> Targete
 
 
 def save_model(model: EmbeddingModel, db: Database, path: str | Path) -> None:
-    schemes = list(model.psi)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "k": model.k,
         "start_relation": model.start_relation,
-        "schemes": [_scheme_doc(t) for t in schemes],
-        "active": [i for i, t in enumerate(schemes) if t in set(model.active_schemes)],
+        "schemes": [_scheme_doc(t) for t in model.psi],
+        "active": sorted(model.psi.index[t] for t in model.active_schemes),
         "psi": model.psi.data.tolist(),
         "phi": [
             {"key": list(db.key_of(fid)), "vec": vec.tolist()}

@@ -80,21 +80,16 @@ class SelectionResult:
 
 
 def _fill_unassessable(
-    schemes: list[TargetedWalkScheme],
-    raw: dict[TargetedWalkScheme, float],
-    notes: dict[TargetedWalkScheme, str],
-    strategy: str,
+    schemes: list[TargetedWalkScheme], raw: list[float], notes: list[str], strategy: str
 ) -> list[SchemeScore]:
-    finite = [v for v in raw.values() if math.isfinite(v)]
-    floor = (min(finite) if finite else 0.0) - 1.0
-    out = []
-    for tws in schemes:
-        if tws in raw and math.isfinite(raw[tws]):
-            out.append(SchemeScore(tws, raw[tws], strategy, notes.get(tws, "")))
-        else:
-            note = notes.get(tws, "unassessable")
-            out.append(SchemeScore(tws, floor, strategy, note))
-    return out
+    """Scores from ``raw`` and ``notes``, both by position in ``schemes``:
+    a non-finite (NaN: not assessed) score becomes one less than the
+    lowest finite one."""
+    floor = min((v for v in raw if math.isfinite(v)), default=0.0) - 1.0
+    return [
+        SchemeScore(t, v if math.isfinite(v) else floor, strategy, note)
+        for t, v, note in zip(schemes, raw, notes)
+    ]
 
 
 def score_random(schemes: list[TargetedWalkScheme], seed: int) -> list[SchemeScore]:
@@ -169,16 +164,15 @@ def score_mi(
         raise UsageError("walk_budget must be positive")
     if retry_cap < 1:
         raise UsageError(f"retry_cap must be at least 1, got {retry_cap}")
-    raw: dict[TargetedWalkScheme, float] = {}
-    notes: dict[TargetedWalkScheme, str] = {}
+    raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
     start_arrays = _start_arrays(db, schemes)
     for idx, tws in enumerate(schemes):
         if tws.scheme.length == 0:
-            notes[tws] = "length-0 scheme: no step pairs to assess"
+            notes[idx] = "length-0 scheme: no step pairs to assess"
             continue
         start_ids = start_arrays[tws.scheme.start_relation]
         if len(start_ids) == 0:
-            notes[tws] = "start relation is empty"
+            notes[idx] = "start relation is empty"
             continue
         rng = derive_rng(seed, "score", "mi", idx)
         rows: list[np.ndarray] = []
@@ -193,14 +187,14 @@ def score_mi(
                 rows.append(paths[ok])
                 need -= int(ok.sum())
         if not rows:
-            notes[tws] = "no complete walks within the retry cap"
+            notes[idx] = "no complete walks within the retry cap"
             continue
         walks = np.concatenate(rows, axis=0)
         mi_per_step = [
             _empirical_mi(walks[:, i], walks[:, i + 1]) for i in range(tws.scheme.length)
         ]
-        raw[tws] = -min(mi_per_step)
-        notes[tws] = f"walks={len(walks)}"
+        raw[idx] = -min(mi_per_step)
+        notes[idx] = f"walks={len(walks)}"
     return _fill_unassessable(schemes, raw, notes, "mi")
 
 
@@ -234,14 +228,13 @@ def score_kvar(
     left out."""
     if pair_budget < 2:
         raise UsageError("pair_budget must be at least 2")
-    raw: dict[TargetedWalkScheme, float] = {}
-    notes: dict[TargetedWalkScheme, str] = {}
+    raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
     start_arrays = _start_arrays(db, schemes)
     for idx, tws in enumerate(schemes):
         start_ids = start_arrays[tws.scheme.start_relation]
         m = len(start_ids)
         if m < 2:
-            notes[tws] = "fewer than two start facts"
+            notes[idx] = "fewer than two start facts"
             continue
         rng = derive_rng(seed, "score", "kvar", idx)
         spec = kernel_for(kernels, tws)
@@ -259,10 +252,10 @@ def score_kvar(
         means = np.bincount(pair, weights=k) / np.bincount(pair)
         var = _unbiased_variance(means)
         if var is None:
-            notes[tws] = f"only {len(means)} assessable pair(s) within the retry cap"
+            notes[idx] = f"only {len(means)} assessable pair(s) within the retry cap"
             continue
-        raw[tws] = var
-        notes[tws] = f"pairs={len(means)}"
+        raw[idx] = var
+        notes[idx] = f"pairs={len(means)}"
     return _fill_unassessable(schemes, raw, notes, "kvar")
 
 
@@ -278,9 +271,8 @@ def score_kvar_exact(
     values; the distances are the upper triangle of P K P^T.  Memory is
     8 bytes times (starts x values + values^2 + starts^2), so this is
     for small databases or small domains."""
-    raw: dict[TargetedWalkScheme, float] = {}
-    notes: dict[TargetedWalkScheme, str] = {}
-    for tws in schemes:
+    raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
+    for idx, tws in enumerate(schemes):
         start_ids = db.relation_fact_ids(tws.scheme.start_relation)
         spec = kernel_for(kernels, tws)
         row, value, weight = exact_value_law(db, tws, start_ids)
@@ -294,10 +286,10 @@ def score_kvar_exact(
         pairs = kd[np.triu_indices(len(starts), 1)]
         var = _unbiased_variance(pairs)
         if var is None:
-            notes[tws] = f"only {len(pairs)} assessable pair(s)"
+            notes[idx] = f"only {len(pairs)} assessable pair(s)"
             continue
-        raw[tws] = var
-        notes[tws] = f"pairs={len(pairs)}"
+        raw[idx] = var
+        notes[idx] = f"pairs={len(pairs)}"
     return _fill_unassessable(schemes, raw, notes, "kvar")
 
 
@@ -316,10 +308,8 @@ def score_one_epoch(
         raise UsageError("scheme list is empty")
     _, history = train(db, start, schemes, one, kernels)
     losses = history[0].epoch_mean_loss
-    raw = {t: losses[t] for t in schemes if t in losses}
-    notes = {
-        t: "no samples survived the retry cap" for t in schemes if t not in losses
-    }
+    raw = [losses.get(t, math.nan) for t in schemes]
+    notes = ["" if t in losses else "no samples survived the retry cap" for t in schemes]
     return _fill_unassessable(schemes, raw, notes, "one_epoch")
 
 
@@ -390,10 +380,8 @@ def score_sampling(
     sub_kernels = default_kernels(sub) if kernels is None else kernels
     _, history = train(sub, start, schemes, sub_cfg, sub_kernels)
     cumulative = history[-1].cumulative_mean_loss
-    raw = {t: cumulative[t] for t in schemes if t in cumulative}
-    notes = {
-        t: "never sampled on the sub-database" for t in schemes if t not in cumulative
-    }
+    raw = [cumulative.get(t, math.nan) for t in schemes]
+    notes = ["" if t in cumulative else "never sampled on the sub-database" for t in schemes]
     return _fill_unassessable(schemes, raw, notes, "sampling")
 
 
@@ -470,7 +458,6 @@ def online_elimination_train(
     if per_epoch_removals < 1:
         raise UsageError("per_epoch_removals must be at least 1")
     schedule = OnlineSchedule()
-    index_of = {t: i for i, t in enumerate(schemes)}
 
     def eliminate(epoch: int, model: EmbeddingModel, stats: EpochStats) -> None:
         active = list(model.active_schemes)
@@ -479,13 +466,11 @@ def online_elimination_train(
             schedule.counts.append(len(active))
             schedule.removed.append(())
             return
-        # Schemes that produced no samples this epoch carry no signal;
-        # they sort below every real loss and go first.
-        def key(tws: TargetedWalkScheme):
-            return (stats.epoch_mean_loss.get(tws, -1.0), index_of[tws])
-
-        victims = sorted(active, key=key)[:n_remove]
-        model.active_schemes = [t for t in active if t not in set(victims)]
+        # Schemes that produced no samples this epoch carry no signal; they
+        # sort below every real loss and go first.  active keeps the given
+        # order and the sort is stable, so ties go to the earlier scheme.
+        victims = sorted(active, key=lambda t: stats.epoch_mean_loss.get(t, -1.0))[:n_remove]
+        model.active_schemes = [t for t in active if t not in victims]
         schedule.counts.append(len(model.active_schemes))
         schedule.removed.append(tuple(victims))
 

@@ -17,10 +17,12 @@ destinations retried up to ``retry_cap`` attempts; pairs still incomplete
 are skipped and counted.  All surviving samples of the epoch are then
 shuffled by one seeded permutation and applied level by level (below).
 
-Cost: an epoch interns its active schemes to list indices once and keeps
-its samples as parallel lists, so the sampling phase indexes lists instead
-of hashing scheme dataclasses.  The shuffled updates then run level by
-level (see ``_apply_levels``): an update's level is one more than the
+Cost: a scheme is its position.  Its psi row is its position in the run's
+scheme list, and within an epoch each sample names its scheme by position
+in the active list, so neither the sampling phase nor the loss sums hash
+scheme dataclasses; only the returned ``EpochStats`` dicts are keyed by
+scheme.  The shuffled updates then run level by level (see
+``_apply_levels``): an update's level is one more than the
 highest level of any earlier update that shares its fact row or its
 partner row.  Updates of one level touch disjoint phi rows (a partner is
 never its own fact) and all read the level-start phi and psi, so a level
@@ -56,7 +58,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -138,7 +140,10 @@ class EmbeddingModel:
 @dataclass
 class EpochStats:
     epoch_index: int
+    # keyed in the order the epoch's shuffle first reached each scheme, which
+    # is also the order of training_log.csv's rows
     epoch_mean_loss: dict[TargetedWalkScheme, float]
+    # keyed in psi row order, over every scheme sampled in some epoch so far
     cumulative_mean_loss: dict[TargetedWalkScheme, float]
     samples_used: int
     samples_skipped: int
@@ -223,21 +228,6 @@ def sgd_step(
     phi_p -= learning_rate * (residual * row)
     psi -= learning_rate * 0.5 * (grad_psi + grad_psi.T)
     return loss
-
-
-@dataclass
-class _LossLedger:
-    """Running per-scheme loss sums across epochs, for cumulative means."""
-
-    total: dict[TargetedWalkScheme, float] = field(default_factory=dict)
-    count: dict[TargetedWalkScheme, int] = field(default_factory=dict)
-
-    def add(self, tws: TargetedWalkScheme, loss_sum: float, n: int) -> None:
-        self.total[tws] = self.total.get(tws, 0.0) + loss_sum
-        self.count[tws] = self.count.get(tws, 0) + n
-
-    def means(self) -> dict[TargetedWalkScheme, float]:
-        return {t: self.total[t] / self.count[t] for t in self.total if self.count[t] > 0}
 
 
 def _draw_partners(
@@ -363,13 +353,14 @@ def train_epoch(
     cfg: TrainConfig,
     kernels: KernelMap,
     epoch_index: int,
-    ledger: _LossLedger,
+    ledger: np.ndarray,
 ) -> EpochStats:
     """Run one epoch in place and report its statistics.
 
     Skipped samples (either side failed to produce a non-null destination
     within the retry cap) never reach the optimiser and are excluded from
-    loss means.
+    loss means.  ``ledger`` is a (2, schemes) float array of loss sums and
+    counts by psi row across epochs; the epoch adds its own to it.
     """
     t0 = time.perf_counter()
     start_ids = np.asarray(db.relation_fact_ids(model.start_relation), dtype=np.int64)
@@ -422,15 +413,16 @@ def train_epoch(
     model.phi.data[rows] = phi
     model.psi.data[mats] = psi
 
-    # Per-scheme loss sums, added by bincount in shuffle order; means keyed in
-    # the order the shuffle first reached each scheme (training_log.csv's rows).
-    loss_sum = np.bincount(shuffled, weights=losses, minlength=len(active)).tolist()
-    loss_n = np.bincount(shuffled, minlength=len(active)).tolist()
+    # Per-scheme loss sums, added by bincount in shuffle order, and means as
+    # Python floats (see EpochStats for the key orders).
+    loss_sum = np.bincount(shuffled, weights=losses, minlength=len(active))
+    loss_n = np.bincount(shuffled, minlength=len(active))
+    ledger[:, mats] += (loss_sum, loss_n)
     _, first = np.unique(shuffled, return_index=True)
-    epoch_mean_loss = {}
-    for s in shuffled[np.sort(first)].tolist():
-        epoch_mean_loss[active[s]] = loss_sum[s] / loss_n[s]
-        ledger.add(active[s], loss_sum[s], loss_n[s])
+    reached = shuffled[np.sort(first)].tolist()
+    epoch_mean_loss = {active[s]: float(loss_sum[s] / loss_n[s]) for s in reached}
+    total, count = ledger.tolist()
+    cumulative_mean_loss = {t: total[i] / count[i] for i, t in enumerate(model.psi) if count[i]}
     t4 = time.perf_counter()
 
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
@@ -444,7 +436,7 @@ def train_epoch(
     return EpochStats(
         epoch_index=epoch_index,
         epoch_mean_loss=epoch_mean_loss,
-        cumulative_mean_loss=ledger.means(),
+        cumulative_mean_loss=cumulative_mean_loss,
         samples_used=len(kappas),
         samples_skipped=skipped,
         wall_time=time.perf_counter() - t0,
@@ -474,7 +466,7 @@ def train(
     if kernels is None:
         kernels = default_kernels(db)
     model = init_model(db, start_relation, schemes, cfg)
-    ledger = _LossLedger()
+    ledger = np.zeros((2, len(model.psi)))
     history: list[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         stats = train_epoch(db, model, cfg, kernels, epoch, ledger)

@@ -27,6 +27,7 @@ from walkembed.evaluation import strip_attribute
 from walkembed.model_io import load_model, save_model
 from walkembed.relational import (
     AttributeDecl,
+    Database,
     DatabaseSchema,
     ForeignKey,
     RelationSchema,
@@ -726,6 +727,33 @@ def test_strict_verify_skips_facts_without_a_twin(strict_ws):
     ])
     assert code == 0
     assert "no structural twin" in printed
+
+
+def test_verify_decodes_the_start_relation_once_per_batch(strict_ws, monkeypatch):
+    """Each new fact's twin is the first existing fact, in id order, with
+    its non-key values; the relation is decoded once for the whole batch."""
+    new_dir = strict_ws / "new_batch"
+    new_dir.mkdir(exist_ok=True)
+    (new_dir / "item.csv").write_text("iid,g\nc1,ga\nc2,gb\nc3,ga\n")
+    calls = []
+    relation_facts = Database.relation_facts
+
+    def spy(self, relation):
+        calls.append(relation)
+        return relation_facts(self, relation)
+
+    monkeypatch.setattr(Database, "relation_facts", spy)
+    code, printed = _run([
+        "--out-dir", str(strict_ws / "out_batch"), "extend", "--config", str(strict_ws / "config.json"),
+        "--model", str(strict_ws / "hand_model.json"), "--new-dir", str(new_dir),
+        "--verify", "--exact", "--exhaustive",
+    ])
+    assert code == 0
+    assert calls == ["item"]
+    # grp holds facts 0-2, then items alternate a0 (3, g=ga), b0 (4, g=gb), ...
+    twins = [int(line.split(" vs twin ")[1].split(":")[0]) for line in printed.splitlines() if " vs twin " in line]
+    assert twins == [3, 4, 3]
+    assert printed.count("(ok)") == 3
 
 
 def test_strict_verify_fails_on_an_unconverged_model(strict_ws):

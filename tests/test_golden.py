@@ -14,8 +14,14 @@ pins the model file's layout, row order and number format as well.
 ``SCORES`` holds the SHA-256 of the sampled kvar and mutual-information
 scores, which pins the samplers' draws and the scorers' arithmetic; it
 was recorded with a walker that found the live walkers afresh before
-every step and a mutual information made of three ``np.unique`` counts.  Run
-this file as a script to print the current values.
+every step and a mutual information made of three ``np.unique`` counts.
+``CLI`` holds the SHA-256 of the files that ``score --strategy kvar``,
+``score --strategy mi``, ``train`` and ``train --strategy online`` write on
+the scoring database: each score CSV and selection JSON as bytes, and each
+``training_log.csv`` cell by cell with its ``wall_time`` column blanked.
+They pin the rows' order and every cell's text, so a numpy scalar that
+reaches a cell as ``np.float64(...)`` moves them.  Run this file as a
+script to print the current values.
 
 The batched classifier is also checked against that per-fold classifier,
 kept here as an oracle, on generated inputs, both for one feature matrix
@@ -24,9 +30,13 @@ and for a stack of snapshots fitted together.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import json
 import tempfile
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +55,16 @@ from walkembed.evaluation import (
     strip_attribute,
     train_classifier,
 )
+from walkembed.cli import main
 from walkembed.kernels import default_kernels
 from walkembed.model_io import save_model
-from walkembed.relational import build_database, schema_from_dict, schema_to_dict
+from walkembed.relational import (
+    build_database,
+    save_schema,
+    schema_from_dict,
+    schema_to_dict,
+    write_database_csv,
+)
 from walkembed.schemes import enumerate_targeted_schemes, sample_target_values_batch
 from walkembed.seeding import derive_rng
 from walkembed.selection import score_kvar, score_mi
@@ -73,6 +90,18 @@ NULLABLE = {
 SCORES = {
     "kvar": "faebee21ba5146bf19cf0dc19912c66dd8c934cfea3660ffe9fad62a25af39bb",
     "mi": "03d9a39c5a2179ead593ccb261f62157e408efb224e4ba3d245c63e974c6aba9",
+}
+CLI = {
+    "kvar": [
+        "57e429a04dd426f6ab2c71d8df0f4bf5c9cd12da50e2a2eb3ffafe015eace6c3",
+        "1b351b55d58f3ff788528befcc6faacfa488a30b6ab4e074d73a14d1b8d5d01f",
+    ],
+    "mi": [
+        "6b2f1b65dc49622458c1935de5c55c333f1c52ea833dbb368965349cafd9e778",
+        "2e35e5532db95beb91a86e7b1017730d611c6ecfd22c408cd2e2afd4efd438f0",
+    ],
+    "train": ["ab63a5f9297564fb1f1983aa57f2ae5ed4130a7145b714caea1055e40d3da969"],
+    "online": ["369f38892bbeaa3397d7a0eae5cf184074d5772b04184735ff28efe34ffa1426"],
 }
 CV = {
     "stratified": 0.825,
@@ -172,12 +201,13 @@ def nullable_fingerprint() -> dict:
     return _fingerprint(nullable_database(), "item", 2, cfg)
 
 
-def scoring_database():
+def scoring_database(labeled: bool = False):
     """The planted layout with a nullable numeric column on every
     observation relation, about a third null, as the ``select`` benchmark
     builds it but with 40 items: kvar's Gaussian kernel and the samplers'
     retry rounds over null destinations both run, and an item whose
-    observations are all null retries up to the cap."""
+    observations are all null retries up to the cap.  The item label
+    ``cls`` is stripped unless ``labeled``."""
     p = planted_database(n_items=40, n_obs=2, obs_per_item=3, seed=5)
     doc = schema_to_dict(p.schema)
     for rel in doc["relations"]:
@@ -190,8 +220,8 @@ def scoring_database():
         if fact.relation.startswith("obs"):
             values += (None if rng.random() < 0.35 else round(float(rng.normal()), 3),)
         rows.append((fact.relation, values))
-    db, _ = strip_attribute(build_database(schema_from_dict(doc), rows), "item", "cls")
-    return db
+    db = build_database(schema_from_dict(doc), rows)
+    return db if labeled else strip_attribute(db, "item", "cls")[0]
 
 
 def scoring_fingerprint() -> dict:
@@ -201,6 +231,53 @@ def scoring_fingerprint() -> dict:
     kvar = score_kvar(db, schemes, default_kernels(db), 200, seed=3)
     mi = score_mi(db, schemes, 300, seed=3)
     return {"kvar": _sha([[s.score for s in kvar]]), "mi": _sha([[s.score for s in mi]])}
+
+
+def _masked_log(path: Path) -> bytes:
+    """A training log's cells as JSON, with the wall_time column blanked."""
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    wall = rows[0].index("wall_time")
+    return json.dumps([row[:wall] + [""] + row[wall + 1 :] for row in rows]).encode()
+
+
+def cli_fingerprint() -> dict:
+    """Output hashes of ``score`` (kvar, mi) and ``train`` (plain, online)
+    run through ``main`` on the scoring database, schemes of length <= 2."""
+    runs = {
+        "kvar": (["score", "--strategy", "kvar"], ["scores_kvar.csv", "selection_kvar_0.5.json"]),
+        "mi": (["score", "--strategy", "mi"], ["scores_mi.csv", "selection_mi_0.5.json"]),
+        "train": (["train"], ["training_log.csv"]),
+        "online": (["train", "--strategy", "online", "--ratio", "0.5"], ["training_log.csv"]),
+    }
+    db = scoring_database(labeled=True)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        save_schema(db.schema, root / "schema.json")
+        write_database_csv(db, root)
+        config = {
+            "schema": "schema.json",
+            "data_dir": ".",
+            "task": {"relation": "item", "attribute": "cls"},
+            "max_length": 2,
+            "trainer": {"k": 4, "n_samples": 2, "epochs": 3, "learning_rate": 0.1, "seed": 3},
+            "ratios": [0.5],
+            "walk_budget": 300,
+            "pair_budget": 200,
+        }
+        (root / "config.json").write_text(json.dumps(config))
+        for name, (command, files) in runs.items():
+            out_dir = root / name
+            argv = ["--out-dir", str(out_dir), command[0], "--config", str(root / "config.json"), *command[1:]]
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            out[name] = [
+                hashlib.sha256(
+                    _masked_log(out_dir / f) if f == "training_log.csv" else (out_dir / f).read_bytes()
+                ).hexdigest()
+                for f in files
+            ]
+    return out
 
 
 def cv_case(name: str) -> tuple[np.ndarray, list, int]:
@@ -247,6 +324,10 @@ def test_scheme_scores_are_bit_identical():
     dests, _ = sample_target_values_batch(db, items, onum[0], np.random.default_rng(0))
     assert (dests < 0).any()  # some walkers run to the retry cap
     assert scoring_fingerprint() == SCORES
+
+
+def test_cli_outputs_are_byte_identical():
+    assert cli_fingerprint() == CLI
 
 
 @pytest.mark.parametrize("name", sorted(CV))
@@ -437,4 +518,5 @@ if __name__ == "__main__":
     print("PLANTED =", planted_fingerprint())
     print("NULLABLE =", nullable_fingerprint())
     print("SCORES =", scoring_fingerprint())
+    print("CLI =", cli_fingerprint())
     print("CV =", {name: cv_value(name) for name in sorted(CV)})

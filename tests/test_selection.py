@@ -362,12 +362,12 @@ def test_kvar_deterministic_under_seed():
 def _reference_kvar(db, schemes, kernels, pair_budget, seed, retry_cap=20):
     """Reference sampled kernel variance: a dict of per-pair kernel lists,
     one scalar kernel_eval per draw, and a mean per pair."""
-    raw, notes = {}, {}
+    raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
     for idx, tws in enumerate(schemes):
         start_ids = np.asarray(db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64)
         m = len(start_ids)
         if m < 2:
-            notes[tws] = "fewer than two start facts"
+            notes[idx] = "fewer than two start facts"
             continue
         rng = derive_rng(seed, "score", "kvar", idx)
         spec = kernel_for(kernels, tws)
@@ -386,10 +386,10 @@ def _reference_kvar(db, schemes, kernels, pair_budget, seed, retry_cap=20):
             per_pair.setdefault(pair, []).append(kernel_eval(spec, va, vb))
         means = [float(np.mean(v)) for v in per_pair.values()]
         if len(means) < 2:
-            notes[tws] = f"only {len(means)} assessable pair(s) within the retry cap"
+            notes[idx] = f"only {len(means)} assessable pair(s) within the retry cap"
             continue
-        raw[tws] = float(np.var(means, ddof=1))
-        notes[tws] = f"pairs={len(means)}"
+        raw[idx] = float(np.var(means, ddof=1))
+        notes[idx] = f"pairs={len(means)}"
     return _fill_unassessable(schemes, raw, notes, "kvar")
 
 
@@ -689,6 +689,25 @@ def test_online_all_removals_in_first_epoch_match_one_epoch_selection():
     ), default_kernels(db))
     expected = set(select(scores, ratio).kept)
     assert set(model.active_schemes) == expected
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_online_ties_go_to_the_earlier_scheme_in_the_given_order(chain_db, reverse):
+    """Every walk from R(r2) dies, so the three length-1 schemes yield no
+    sample in any epoch and share the key -1.0; one goes per epoch, the
+    earliest in the given order first, also when that order is reversed."""
+    schemes = enumerate_targeted_schemes(chain_db.schema, "R", 1)
+    if reverse:
+        schemes = schemes[::-1]
+    dead = [t for t in schemes if t.scheme.length == 1]
+    assert len(dead) == 3 and len(schemes) == 4
+    cfg = TrainConfig(k=2, n_samples=3, epochs=4, learning_rate=0.1, seed=0)
+    model, history, schedule = online_elimination_train(chain_db, "R", schemes, cfg, ratio=0.25)
+    assert all(t not in stats.epoch_mean_loss for stats in history for t in dead)
+    assert schedule.removed == [(dead[0],), (dead[1],), (dead[2],), ()]
+    assert model.active_schemes == [t for t in schemes if t not in dead]
+    _, _, pairs = online_elimination_train(chain_db, "R", schemes, cfg, ratio=0.25, per_epoch_removals=2)
+    assert pairs.removed == [(dead[0], dead[1]), (dead[2],), (), ()]
 
 
 def test_online_rejects_zero_keep():

@@ -36,7 +36,6 @@ from walkembed.trainer import (
     EmbeddingModel,
     KeyedRows,
     TrainConfig,
-    _LossLedger,
     bilinear,
     init_model,
     loss_and_grads,
@@ -44,6 +43,11 @@ from walkembed.trainer import (
     train,
     train_epoch,
 )
+
+
+def _ledger(model):
+    """A fresh loss ledger: sums and counts by psi row."""
+    return np.zeros((2, len(model.psi)))
 
 
 def _gval_scheme(db):
@@ -227,11 +231,9 @@ def test_non_finite_loss_writes_nothing_and_names_the_scheme():
     model.phi[first][0] = np.inf
     before = model.phi[first].copy()
 
-    from walkembed.trainer import train_epoch, _LossLedger
-
     cfg = TrainConfig(k=2, n_samples=2, epochs=1, seed=0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
-        train_epoch(db, model, cfg, default_kernels(db), 1, _LossLedger())
+        train_epoch(db, model, cfg, default_kernels(db), 1, _ledger(model))
     assert targeted_text(tws) in str(err.value)
     assert "facts " in str(err.value) and "kappa=" in str(err.value)
     # a write would have turned the infinite row into NaN
@@ -339,7 +341,7 @@ def test_a_write_through_a_row_reaches_training():
                           {t: m.copy() for t, m in model.psi.items()}, list(schemes))
     untouched = init_model(db, "item", schemes, cfg)
     for m in (model, twin, untouched):
-        train_epoch(db, m, cfg, default_kernels(db), 1, _LossLedger())
+        train_epoch(db, m, cfg, default_kernels(db), 1, _ledger(m))
     assert np.array_equal(model.phi.data, twin.phi.data) and np.array_equal(model.psi.data, twin.psi.data)
     assert not np.array_equal(model.phi.data, untouched.phi.data)
 
@@ -386,11 +388,9 @@ def test_zero_loss_model_is_a_fixed_point():
     before_phi = {f: v.copy() for f, v in model.phi.items()}
     before_psi = model.psi[tws].copy()
 
-    from walkembed.trainer import train_epoch, _LossLedger
-
     cfg = TrainConfig(k=2, n_samples=4, epochs=1, learning_rate=0.5, seed=0)
     kernels = default_kernels(db)
-    stats = train_epoch(db, model, cfg, kernels, 1, _LossLedger())
+    stats = train_epoch(db, model, cfg, kernels, 1, _ledger(model))
     assert stats.epoch_mean_loss[tws] == 0.0
     for f, v in model.phi.items():
         assert np.array_equal(v, before_phi[f])
@@ -504,8 +504,9 @@ def _reference_train_epoch(db, model, cfg, kernels, epoch_index, ledger):
     takes ``loss_and_grads`` at the level-start psi and steps its two phi
     rows at once; at the level's end each matrix steps once by the sum of
     its updates' symmetrised gradients, added in shuffle order.  The first
-    non-finite loss in that order raises.  Returns (epoch means, cumulative
-    means, samples used, samples skipped)."""
+    non-finite loss in that order raises.  ``ledger`` holds loss sums and
+    counts by psi row.  Returns (epoch means in first-reach order,
+    cumulative means in psi row order, samples used, samples skipped)."""
     start_ids = np.asarray(db.relation_fact_ids(model.start_relation), dtype=np.int64)
     rng = derive_rng(cfg.seed, "epoch", epoch_index)
     active = list(model.active_schemes)
@@ -558,14 +559,17 @@ def _reference_train_epoch(db, model, cfg, kernels, epoch_index, ledger):
         s = scheme_of[j]
         if active[s] not in epoch_mean_loss:
             epoch_mean_loss[active[s]] = loss_sum[s] / loss_n[s]
-            ledger.add(active[s], loss_sum[s], loss_n[s])
+            row = model.psi.index[active[s]]
+            ledger[0, row] += loss_sum[s]
+            ledger[1, row] += loss_n[s]
+    cumulative = {t: float(ledger[0, i] / ledger[1, i]) for i, t in enumerate(model.psi) if ledger[1, i]}
     for fid, vec in model.phi.items():
         if not np.all(np.isfinite(vec)):
             raise NumericError(f"non-finite embedding for fact {fid} after epoch {epoch_index}")
     for tws, mat in model.psi.items():
         if not np.all(np.isfinite(mat)):
             raise NumericError(f"non-finite scheme matrix for {targeted_text(tws)} after epoch {epoch_index}")
-    return epoch_mean_loss, ledger.means(), len(kappas), skipped
+    return epoch_mean_loss, cumulative, len(kappas), skipped
 
 
 def _run(epoch_fn, db, start, schemes, cfg, shrink):
@@ -574,7 +578,7 @@ def _run(epoch_fn, db, start, schemes, cfg, shrink):
     the NumericError message or None)."""
     kernels = default_kernels(db)
     model = init_model(db, start, schemes, cfg)
-    ledger = _LossLedger()
+    ledger = _ledger(model)
     records = []
     try:
         for epoch in range(1, cfg.epochs + 1):
@@ -675,7 +679,7 @@ def test_epoch_without_surviving_samples_is_a_no_op(chain_db):
     cfg = TrainConfig(k=3, n_samples=4, epochs=1, seed=0)
     model = init_model(chain_db, "R", schemes, cfg)
     before = copy.deepcopy(model)
-    stats = train_epoch(chain_db, model, cfg, default_kernels(chain_db), 1, _LossLedger())
+    stats = train_epoch(chain_db, model, cfg, default_kernels(chain_db), 1, _ledger(model))
     assert (stats.samples_used, stats.sgd_levels, stats.epoch_mean_loss) == (0, 0, {})
     for fid, vec in model.phi.items():
         assert np.array_equal(vec, before.phi[fid])
@@ -695,7 +699,7 @@ def _planted_model(db, schemes, cfg, plant_seed, n_bad):
 
 def _raise_message(epoch_fn, db, model, cfg):
     with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
-        epoch_fn(db, model, cfg, default_kernels(db), 1, _LossLedger())
+        epoch_fn(db, model, cfg, default_kernels(db), 1, _ledger(model))
     return str(err.value)
 
 
