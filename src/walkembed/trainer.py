@@ -22,28 +22,31 @@ scheme list, and within an epoch each sample names its scheme by position
 in the active list, so neither the sampling phase nor the loss sums hash
 scheme dataclasses; only the returned ``EpochStats`` dicts are keyed by
 scheme.  The shuffled updates then run level by level (see
-``_apply_levels``): an update's level is one more than the
-highest level of any earlier update that shares its fact row or its
-partner row.  Updates of one level touch disjoint phi rows (a partner is
-never its own fact) and all read the level-start phi and psi, so a level
-runs as one stack of numpy operations on gathered copies.  Each phi row
-gets its updates in shuffle order with ``sgd_step``'s arithmetic, to the
-bit: numpy's stacked ``matmul`` calls the same BLAS gemv and ddot per
-element as the 1-D products, and the rest is elementwise in the same
-expression order.  psi is the one densely shared parameter, so the updates
-of a level may share a scheme matrix: the matrix takes one step by the sum
-of their symmetrised gradients, added in shuffle order.  The rows follow
-DSGD's conflict-free strata (Gemulla et al., KDD 2011) and psi a
-Hogwild!-style summed update (Niu et al., NeurIPS 2011).  A matrix with
-one update in its level takes ``sgd_step``'s psi step.  A level costs
-about two dozen numpy calls, plus one in-place add per further update of
-its busiest matrix: at k=16 on a 2-vCPU Xeon VM about 18 µs for one
-update, 2.5 µs per further update and 1 µs per add.  With 16 schemes on
-80 start facts a level holds about 12 updates (210 levels an epoch,
-against 435 when a level held at most one update per matrix), so an
-update costs about 4 µs, against 14-20 µs for one ``sgd_step`` call; with
-two start facts every level holds one update.  A fixed seed fixes phi,
-psi and the losses (tests/test_golden.py holds their hashes).
+``_apply_levels``), packed by first fit (``_levels``): walking them in
+shuffle order, each takes the lowest level that no earlier update of its
+fact row or its partner row holds.  Updates of one level touch disjoint phi
+rows (a partner is never its own fact) and all read the level-start phi
+and psi, so a level runs as one stack of numpy operations on gathered
+copies.  Each phi row gets its updates in level order, which need not be
+shuffle order, with ``sgd_step``'s arithmetic, to the bit: numpy's stacked
+``matmul`` calls the same BLAS gemv and ddot per element as the 1-D
+products, and the rest is elementwise in the same expression order.  psi
+is the one densely shared parameter, so the updates of a level may share a
+scheme matrix: the matrix takes one step by the sum of their symmetrised
+gradients, added in shuffle order.  The rows follow DSGD's conflict-free
+strata (Gemulla et al., KDD 2011) and psi a Hogwild!-style summed update
+(Niu et al., NeurIPS 2011).  A matrix with one update in its level takes
+``sgd_step``'s psi step.  A level costs about two dozen numpy calls, plus
+one in-place add per further update of its busiest matrix: at k=16 on a
+2-vCPU Xeon VM about 18 µs for one update, 2.5 µs per further update and
+1 µs per add.  With 16 schemes on 80 start facts an epoch's 2560 updates
+run in about 80 levels of about 32 updates, as many levels as the busiest
+row has updates, against about 210 when an update went one level above
+the highest level of its two rows.  ``_apply_levels`` then takes about
+7 ms an epoch, 0.6 ms of it finding the levels, against about 9.5 ms
+(0.2 ms): about 2.7 µs an update, against 14-20 µs for one ``sgd_step``
+call.  With two start facts every level holds one update.  A fixed seed
+fixes phi, psi and the losses (tests/test_golden.py holds their hashes).
 
 Kernel targets come from arrays: the sampler returns each scheme's target
 column gathered at the walk destinations, a sample is skipped where either
@@ -152,8 +155,9 @@ class EpochStats:
     # seconds spent drawing walks, evaluating kernel targets, applying
     # updates and checking finiteness; they add up to at most wall_time
     phase_seconds: dict[str, float]
-    # row-disjoint batches the updates ran in (see _apply_levels): at most
-    # samples_used, at least the largest number of updates that touch one phi row
+    # row-disjoint batches the updates ran in (see _levels): at most
+    # samples_used; at least the largest number D of updates that touch one
+    # phi row, and by first fit at most 2D - 1
     sgd_levels: int
 
 
@@ -241,15 +245,23 @@ def _draw_partners(
 
 
 def _levels(f: list[int], p: list[int], n_rows: int) -> list[int]:
-    """Level of each update (f[i], p[i]), in order: 1 + the highest level of
-    any earlier update sharing its fact row or its partner row."""
-    row_level = [0] * n_rows
+    """Level of each update (f[i], p[i]) by first fit, in order: the lowest
+    level (from 1) that no earlier update of its fact row or its partner row
+    holds.
+
+    The busiest row's update count D bounds the level count from below,
+    and first fit uses at most 2D - 1 levels: an update's two rows hold at
+    most 2D - 2 levels besides its own.  Bit j of ``taken[r]`` says row r
+    holds level j + 1, so the lowest level free in both rows is the lowest
+    zero bit of their union."""
+    taken = [0] * n_rows
     levels = []
     for a, b in zip(f, p):
-        la, lb = row_level[a], row_level[b]
-        level = (la if la > lb else lb) + 1  # a comparison costs less than a call to max
-        row_level[a] = row_level[b] = level
-        levels.append(level)
+        x = taken[a] | taken[b]
+        bit = ~x & (x + 1)
+        taken[a] |= bit
+        taken[b] |= bit
+        levels.append(bit.bit_length())
     return levels
 
 
@@ -306,10 +318,12 @@ def _apply_levels(
     """Apply the updates (rows f[i], p[i] of phi, matrix s[i] of psi,
     target kappa[i]), given in shuffle order, in place, one level at a time.
 
-    Returns each update's pre-update loss and its level, in shuffle order.
-    Every update of a level reads the level-start phi rows and psi matrix.
-    Its phi rows take ``sgd_step``'s arithmetic on stacked arrays, with the
-    same BLAS calls and the same elementwise expression order.  Each matrix
+    Returns each update's pre-update loss and its level (``_levels``), in
+    shuffle order.  Levels run lowest first, so a phi row takes its updates
+    in level order, which need not be shuffle order.  Every update of a
+    level reads the level-start phi rows and psi matrix.  Its phi rows take
+    ``sgd_step``'s arithmetic on stacked arrays, with the same BLAS calls
+    and the same elementwise expression order.  Each matrix
     takes one step by the sum of its updates' symmetrised gradients, added
     in shuffle order; a matrix with one update in the level takes
     ``sgd_step``'s psi update.  A non-finite loss does not stop the loop;

@@ -26,12 +26,19 @@ from conftest import decoded
 
 from walkembed import trainer
 from walkembed.errors import NumericError, UsageError
+from walkembed.evaluation import strip_attribute
 from walkembed.extension import ExtensionConfig, extend_embedding
 from walkembed.kernels import default_kernels, kernel_eval, kernel_for
 from walkembed.relational import Fact, insert_facts
 from walkembed.schemes import enumerate_targeted_schemes, sample_target_values_batch, targeted_text
 from walkembed.seeding import derive_rng
-from walkembed.synth import convergence_database, random_database, random_schema, two_cluster_database
+from walkembed.synth import (
+    convergence_database,
+    planted_database,
+    random_database,
+    random_schema,
+    two_cluster_database,
+)
 from walkembed.trainer import (
     EmbeddingModel,
     KeyedRows,
@@ -765,26 +772,34 @@ def _stats(db, schemes, cfg):
     return history
 
 
-def test_sgd_levels_bounds(monkeypatch):
-    """Updates that touch one phi row sit on distinct levels, so the most
-    updates any row takes bound the level count from below.  Updates of one
-    scheme may share a level: one scheme alone runs in fewer levels than it
-    has samples."""
-    db = convergence_database(10)
-    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
-    cfg = TrainConfig(k=4, n_samples=3, epochs=2, seed=5)
-    touches = []
+def _busiest_rows(monkeypatch):
+    """Spy on ``_apply_levels``: the list it returns gets, per epoch, the
+    most updates any one phi row takes."""
+    most = []
     apply_levels = trainer._apply_levels
 
     def spy(phi, psi, f, p, s, kappa, learning_rate):
-        touches.append(int(np.bincount(np.concatenate((f, p))).max()))
+        most.append(int(np.bincount(np.concatenate((f, p))).max()))
         return apply_levels(phi, psi, f, p, s, kappa, learning_rate)
 
     monkeypatch.setattr(trainer, "_apply_levels", spy)
+    return most
+
+
+def test_sgd_levels_bounds(monkeypatch):
+    """Updates that touch one phi row sit on distinct levels, so the most
+    updates any row takes bound the level count from below; first fit uses
+    at most twice that, less one.  Updates of one scheme may share a level:
+    one scheme alone runs in fewer levels than it has samples."""
+    db = convergence_database(10)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    cfg = TrainConfig(k=4, n_samples=3, epochs=2, seed=5)
+    touches = _busiest_rows(monkeypatch)
     history = _stats(db, schemes, cfg)
     for stats, most in zip(history, touches, strict=True):
         assert stats.samples_skipped == 0  # every fact starts 3 samples of every scheme
         assert len(schemes) * 3 <= most <= stats.sgd_levels < stats.samples_used
+        assert stats.sgd_levels <= 2 * most - 1
     for stats in _stats(db, schemes[:1], cfg):
         assert stats.sgd_levels < stats.samples_used == 10 * 3
 
@@ -797,23 +812,66 @@ def test_sgd_levels_equal_samples_with_two_start_facts():
         assert stats.sgd_levels == stats.samples_used
 
 
+def test_experiment_epochs_run_in_about_as_many_levels_as_the_busiest_row(monkeypatch):
+    """The benchmark's ``experiment`` shape (80 items, 16 schemes,
+    ``n_samples`` 2): an epoch runs in at most 5% more levels than its
+    busiest row has updates.  The rule that put an update one level above
+    its rows' highest level took about 2.7 times as many."""
+    setup = planted_database(n_items=80, n_obs=2, seed=7)
+    db, _ = strip_attribute(setup.db, "item", "cls")
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    assert len(schemes) == 16
+    most = _busiest_rows(monkeypatch)
+    cfg = TrainConfig(k=16, n_samples=2, epochs=2, learning_rate=0.15, seed=7)
+    _, history = train(db, "item", schemes, cfg)
+    for stats, busiest in zip(history, most, strict=True):
+        assert stats.samples_used == 80 * 16 * 2
+        assert busiest <= stats.sgd_levels <= 1.05 * busiest
+
+
 def _reference_levels(f, p):
-    """The level scheduler as first written, with the builtin ``max``, on
-    rows of any hashable kind."""
-    row_level = {}
+    """First fit, written plainly on rows of any hashable kind: each update
+    takes the lowest level from 1 that neither of its rows holds yet."""
+    taken = {}
     levels = []
     for a, b in zip(f, p):
-        level = max(row_level.get(a, 0), row_level.get(b, 0)) + 1
-        row_level[a] = row_level[b] = level
+        held = taken.setdefault(a, set()) | taken.setdefault(b, set())
+        level = 1
+        while level in held:
+            level += 1
+        taken[a].add(level)
+        taken[b].add(level)
         levels.append(level)
     return levels
 
 
-@settings(max_examples=200, deadline=None)
-@given(n_rows=st.integers(2, 12), data=st.data())
-def test_levels_match_the_max_oracle(n_rows, data):
+def _draw_updates(n_rows, data):
+    """Up to 60 updates (fact row, partner row) on rows range(n_rows)."""
     n = data.draw(st.integers(0, 60))
     f = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
     offsets = data.draw(st.lists(st.integers(1, n_rows - 1), min_size=n, max_size=n))
-    p = [(a + o) % n_rows for a, o in zip(f, offsets)]  # a partner is never its own fact
+    return f, [(a + o) % n_rows for a, o in zip(f, offsets)]  # a partner is never its own fact
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_rows=st.integers(2, 12), data=st.data())
+def test_levels_match_the_first_fit_oracle(n_rows, data):
+    f, p = _draw_updates(n_rows, data)
     assert trainer._levels(f, p, n_rows) == _reference_levels(f, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_rows=st.integers(2, 12), data=st.data())
+def test_levels_are_row_disjoint_and_each_update_takes_the_lowest_free_level(n_rows, data):
+    f, p = _draw_updates(n_rows, data)
+    levels = trainer._levels(f, p, n_rows)
+    for level in set(levels):
+        rows = [r for a, b, lv in zip(f, p, levels) if lv == level for r in (a, b)]
+        assert len(rows) == len(set(rows))
+    for i, (a, b, level) in enumerate(zip(f, p, levels)):
+        # the levels that earlier updates of row a or row b hold
+        held = {lv for c, d, lv in zip(f[:i], p[:i], levels[:i]) if {c, d} & {a, b}}
+        assert level not in held and held >= set(range(1, level))
+    if f:
+        most = int(np.bincount(f + p).max())
+        assert most <= max(levels) <= 2 * most - 1
