@@ -6,11 +6,13 @@ trained.  Higher score always means "keep".  Strategies:
 
 - random: uniform noise, the control baseline.
 - length: 1/length; shorter schemes score higher, length 0 scores 2.
-- mutual information: walks are sampled per scheme and the smallest
+- mutual information: walks are sampled per walk scheme and the smallest
   empirical mutual information between consecutive walk positions is the
   bottleneck; its negation is the score (an information-poor step makes
-  the whole scheme uninformative).  Each step counts only the value pairs
-  that occur: O(walks * log walks) time and linear memory.
+  the whole scheme uninformative).  The walks never read the target
+  attribute, so this is a property of the walk scheme and all of its
+  targets share one score.  Each step counts only the value pairs that
+  occur: O(walks * log walks) time and linear memory.
 - kernel variance: the variance of the expected kernel distance across
   start-fact pairs, estimated from sampled walk pairs; a scheme whose
   similarity never varies cannot distinguish tuples.  After sampling, a
@@ -158,19 +160,25 @@ def score_mi(
     retry_cap: int = 20,
 ) -> list[SchemeScore]:
     """Score = -min over consecutive positions of empirical mutual
-    information, from ``walk_budget`` complete walks per scheme (uniform
-    start fact; dead walks redrawn up to the retry cap, at least 1)."""
+    information, from ``walk_budget`` complete walks per walk scheme
+    (uniform start fact; dead walks redrawn up to the retry cap, at least 1).
+
+    The walks never read the target attribute, so MI is a property of the
+    walk scheme, not of the targeted scheme: each walk scheme is walked
+    once, on the stream of its first position in ``schemes``, and all of
+    its targets share that score and its note, unassessable ones included."""
     if walk_budget <= 0:
         raise UsageError("walk_budget must be positive")
     if retry_cap < 1:
         raise UsageError(f"retry_cap must be at least 1, got {retry_cap}")
     raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
     start_arrays = _start_arrays(db, schemes)
-    for idx, tws in enumerate(schemes):
-        if tws.scheme.length == 0:
+    first = {tws.scheme: idx for idx, tws in reversed(list(enumerate(schemes)))}  # earliest wins
+    for scheme, idx in first.items():
+        if scheme.length == 0:
             notes[idx] = "length-0 scheme: no step pairs to assess"
             continue
-        start_ids = start_arrays[tws.scheme.start_relation]
+        start_ids = start_arrays[scheme.start_relation]
         if len(start_ids) == 0:
             notes[idx] = "start relation is empty"
             continue
@@ -181,7 +189,7 @@ def score_mi(
             if need <= 0:
                 break
             starts = start_ids[rng.integers(0, len(start_ids), size=need)]
-            paths = sample_walks_batch(db, starts, tws.scheme, rng)
+            paths = sample_walks_batch(db, starts, scheme, rng)
             ok = paths[:, -1] >= 0
             if ok.any():
                 rows.append(paths[ok])
@@ -190,12 +198,10 @@ def score_mi(
             notes[idx] = "no complete walks within the retry cap"
             continue
         walks = np.concatenate(rows, axis=0)
-        mi_per_step = [
-            _empirical_mi(walks[:, i], walks[:, i + 1]) for i in range(tws.scheme.length)
-        ]
-        raw[idx] = -min(mi_per_step)
+        raw[idx] = -min(_empirical_mi(walks[:, i], walks[:, i + 1]) for i in range(scheme.length))
         notes[idx] = f"walks={len(walks)}"
-    return _fill_unassessable(schemes, raw, notes, "mi")
+    at = [first[tws.scheme] for tws in schemes]  # each target takes its walk scheme's score
+    return _fill_unassessable(schemes, [raw[i] for i in at], [notes[i] for i in at], "mi")
 
 
 def _unbiased_variance(values: Sequence[float] | np.ndarray) -> float | None:

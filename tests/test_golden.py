@@ -16,6 +16,10 @@ pins the model file's layout, row order and number format as well.
 scores, which pins the samplers' draws and the scorers' arithmetic; it
 was recorded with a walker that found the live walkers afresh before
 every step and a mutual information made of three ``np.unique`` counts.
+Its mutual-information value, and the ``score --strategy mi`` pins in
+``CLI``, were re-recorded when mutual information became one score per
+walk scheme, drawn on the stream of the scheme's first target and shared
+by all of its targets; the first target's score did not move.
 ``CLI`` holds the SHA-256 of the files that ``score --strategy kvar``,
 ``score --strategy mi``, ``train`` and ``train --strategy online`` write on
 the scoring database: each score CSV and selection JSON as bytes, and each
@@ -90,7 +94,7 @@ NULLABLE = {
 }
 SCORES = {
     "kvar": "faebee21ba5146bf19cf0dc19912c66dd8c934cfea3660ffe9fad62a25af39bb",
-    "mi": "03d9a39c5a2179ead593ccb261f62157e408efb224e4ba3d245c63e974c6aba9",
+    "mi": "d14a1985de4695ba7534223792569f398ed57286132ebbea0ba0fa6399515d3e",
 }
 CLI = {
     "kvar": [
@@ -98,8 +102,8 @@ CLI = {
         "1b351b55d58f3ff788528befcc6faacfa488a30b6ab4e074d73a14d1b8d5d01f",
     ],
     "mi": [
-        "6b2f1b65dc49622458c1935de5c55c333f1c52ea833dbb368965349cafd9e778",
-        "2e35e5532db95beb91a86e7b1017730d611c6ecfd22c408cd2e2afd4efd438f0",
+        "48cb4af7d924be721d296409246e353fe9097c84c8e1312a1c0391c934d4e5c5",
+        "97e1be59911047a7c9b5688f0aa94a552dda6511badb571c0243df18ffe5321e",
     ],
     "train": ["0da73e3b44633009af4833cc828884f1474161d221bb372b744be1ce959f99cc"],
     "online": ["0a1ec3a0d9423ec55c73e1e5ee8d0d638bba5ea6a18e978782d246f344039f7f"],

@@ -7,7 +7,9 @@ selection invariants with property-based ratios.  The array-based mutual
 information and sampled kernel variance are checked against the
 dense-table and per-pair loops they replaced, kept here as references,
 and the one-sort mutual information against the three-``np.unique``
-count before it, float for float.
+count before it, float for float.  Mutual information scored once per walk
+scheme is checked against the per-targeted-scheme scorer it replaced: each
+walk scheme's first target scores as before, bit for bit.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from conftest import (
     reference_value_distribution,
 )
 
+import walkembed.selection as selection
 from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
 from walkembed.relational import build_database, schema_from_dict
@@ -247,6 +250,159 @@ def test_mi_deterministic_under_seed():
     a = [s.score for s in score_mi(db, schemes, 1_000, seed=5)]
     b = [s.score for s in score_mi(db, schemes, 1_000, seed=5)]
     assert a == b
+
+
+def _reference_mi(db, schemes, walk_budget, seed, retry_cap=20):
+    """Mutual information as scored per targeted scheme: every targeted
+    scheme walked on its own stream ``("score", "mi", position)``, though
+    its walks never read the target attribute."""
+    raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
+    for idx, tws in enumerate(schemes):
+        if tws.scheme.length == 0:
+            notes[idx] = "length-0 scheme: no step pairs to assess"
+            continue
+        start_ids = np.asarray(db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64)
+        if len(start_ids) == 0:
+            notes[idx] = "start relation is empty"
+            continue
+        rng = derive_rng(seed, "score", "mi", idx)
+        rows = []
+        need = walk_budget
+        for _ in range(retry_cap):
+            if need <= 0:
+                break
+            starts = start_ids[rng.integers(0, len(start_ids), size=need)]
+            paths = sample_walks_batch(db, starts, tws.scheme, rng)
+            ok = paths[:, -1] >= 0
+            if ok.any():
+                rows.append(paths[ok])
+                need -= int(ok.sum())
+        if not rows:
+            notes[idx] = "no complete walks within the retry cap"
+            continue
+        walks = np.concatenate(rows, axis=0)
+        mi_per_step = [
+            _empirical_mi(walks[:, i], walks[:, i + 1]) for i in range(tws.scheme.length)
+        ]
+        raw[idx] = -min(mi_per_step)
+        notes[idx] = f"walks={len(walks)}"
+    return _fill_unassessable(schemes, raw, notes, "mi")
+
+
+def _dead_end_db():
+    """R(r2) and no S: every walk from R into S dies, and S is empty."""
+    schema = schema_from_dict(
+        {
+            "relations": [
+                {
+                    "name": "R",
+                    "attributes": [{"name": "rid", "kind": "categorical", "nullable": False}],
+                    "key": ["rid"],
+                },
+                {
+                    "name": "S",
+                    "attributes": [
+                        {"name": "sid", "kind": "categorical", "nullable": False},
+                        {"name": "ref", "kind": "categorical", "nullable": False},
+                    ],
+                    "key": ["sid"],
+                },
+            ],
+            "foreign_keys": [
+                {"src": "S", "src_attrs": ["ref"], "dst": "R", "dst_attrs": ["rid"]}
+            ],
+        }
+    )
+    return build_database(schema, [("R", ("r2",))])
+
+
+def _walk_scheme_groups(schemes):
+    groups = {}
+    for i, t in enumerate(schemes):
+        groups.setdefault(t.scheme, []).append(i)
+    return list(groups.values())
+
+
+def _assert_mi_matches_the_oracle(db, schemes, walk_budget, seed, retry_cap):
+    """Each walk scheme's first target scores as the per-target oracle did,
+    and its other targets copy that first one.  An unassessable first
+    target keeps the oracle's note; its score is the floor, one below the
+    lowest finite score, which moves with the other targets' scores.
+    Returns the notes of the first targets."""
+    got = score_mi(db, schemes, walk_budget, seed, retry_cap)
+    want = _reference_mi(db, schemes, walk_budget, seed, retry_cap)
+    assert [s.tws for s in got] == schemes
+    finite = [s.score for s in got if s.diagnostic.startswith("walks=")]
+    floor = min(finite, default=0.0) - 1.0
+    firsts = []
+    for first, *rest in _walk_scheme_groups(schemes):
+        g, w = got[first], want[first]
+        assert g.diagnostic == w.diagnostic
+        assert g.score == (w.score if w.diagnostic.startswith("walks=") else floor)
+        for i in rest:
+            assert (got[i].score, got[i].diagnostic) == (g.score, g.diagnostic)
+        firsts.append(g.diagnostic)
+    return firsts
+
+
+MI_ORACLE_CASES = ["random", "mi_chain", "nullable_numeric", "dead_end"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(MI_ORACLE_CASES),
+    db_seed=st.integers(0, 10_000),
+    walk_budget=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+    retry_cap=st.integers(1, 4),
+)
+def test_mi_per_walk_scheme_matches_the_per_target_oracle(
+    case, db_seed, walk_budget, seed, retry_cap
+):
+    if case == "random":
+        db = random_database(random_schema(db_seed), db_seed, max_facts=30)
+    elif case == "mi_chain":
+        db = mi_chain_database(2 + db_seed % 5)
+    elif case == "nullable_numeric":
+        db = _nullable_numeric_db(seed=db_seed)
+    else:
+        db = _dead_end_db()
+    for rel in db.schema.relations:
+        schemes = enumerate_targeted_schemes(db.schema, rel.name, 2)
+        _assert_mi_matches_the_oracle(db, schemes, walk_budget, seed, retry_cap)
+
+
+def test_mi_oracle_cases_cover_every_unassessable_note():
+    db = _dead_end_db()
+    notes = set()
+    for start in ("R", "S"):
+        schemes = enumerate_targeted_schemes(db.schema, start, 2)
+        notes.update(_assert_mi_matches_the_oracle(db, schemes, 50, 0, 3))
+    assert notes == {
+        "length-0 scheme: no step pairs to assess",
+        "start relation is empty",
+        "no complete walks within the retry cap",
+    }
+    db = _nullable_numeric_db()
+    schemes = enumerate_targeted_schemes(db.schema, "item", 2)
+    notes = _assert_mi_matches_the_oracle(db, schemes, 300, 7, 20)
+    assert any(n.startswith("walks=") for n in notes)
+
+
+def test_mi_draws_one_stream_per_walk_scheme(monkeypatch):
+    tags = []
+
+    def spy(seed, *tag):
+        tags.append(tag)
+        return derive_rng(seed, *tag)
+
+    monkeypatch.setattr(selection, "derive_rng", spy)
+    db = mi_chain_database(4)
+    schemes = enumerate_targeted_schemes(db.schema, "X", 2)
+    score_mi(db, schemes, 100, seed=3)
+    firsts = [g[0] for g in _walk_scheme_groups(schemes) if schemes[g[0]].scheme.length >= 1]
+    assert len(firsts) < sum(t.scheme.length >= 1 for t in schemes)  # targets share walk schemes
+    assert sorted(tags) == sorted(("score", "mi", i) for i in firsts)
 
 
 # -- kernel variance -------------------------------------------------------------------
