@@ -43,7 +43,7 @@ from .kernels import default_kernels
 from .model_io import export_embeddings_csv, json_array, json_field, load_model, save_model
 from .relational import insert_columns, load_database, load_schema, read_relation_columns
 from .schemes import enumerate_targeted_schemes, scheme_text, targeted_text
-from .selection import online_elimination_train, ranked, select
+from .selection import STRATEGIES, online_elimination_train, ranked, select
 from .trainer import train
 
 MANIFEST_FORMAT_VERSION = 1
@@ -103,6 +103,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _check_strategy(strategy: str, ratio: float | None = None) -> None:
+    """Reject an unknown strategy, or a ``ratio`` outside (0, 1], before
+    any data is loaded; the messages are those of the scorers."""
+    if strategy not in STRATEGIES:
+        raise UsageError(f"unknown strategy {strategy!r}, expected one of: {', '.join(STRATEGIES)}")
+    if ratio is not None and not 0.0 < ratio <= 1.0:
+        raise UsageError("ratio must be in (0, 1]")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -121,12 +130,13 @@ def cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
+    _check_strategy(args.strategy)
+    if args.strategy == "online":
+        raise UsageError("the online strategy scores nothing up front; use it with `train`")
     score_path = out_dir / f"scores_{args.strategy}.csv"
     sel_paths = [out_dir / f"selection_{args.strategy}_{ratio:g}.json" for ratio in config.ratios]
     check_writable(score_path, *sel_paths)
     db, _, schemes, kernels = load_task(config)
-    if args.strategy == "online":
-        raise UsageError("the online strategy scores nothing up front; use it with `train`")
     scores = compute_scores(args.strategy, db, schemes, config.trainer, kernels, config)
     write_csv(score_path, ["scheme_text", "target_attr", "strategy", "score", "rank", "diagnostics"], (
         [scheme_text(sc.tws.scheme), sc.tws.target_attr, sc.strategy, repr(sc.score), rank, sc.diagnostic]
@@ -153,12 +163,14 @@ def cmd_score(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path)
 def cmd_train(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
     model_path = Path(args.model_out) if args.model_out else out_dir / "model.json"
     emb_path, log_path = out_dir / "embeddings.csv", out_dir / "training_log.csv"
-    check_writable(model_path, emb_path, log_path)
-    db, _, schemes, kernels = load_task(config)
-
     strategy = args.strategy
     if args.selection and strategy:
         raise UsageError("--selection and --strategy are mutually exclusive")
+    if strategy is not None:
+        _check_strategy(strategy, args.ratio)
+    check_writable(model_path, emb_path, log_path)
+    db, _, schemes, kernels = load_task(config)
+
     history = None
     if args.selection:
         texts = json_field(read_json(args.selection, "selection manifest"), "kept", list, args.selection)

@@ -445,7 +445,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     folds: int = 10
     split_seed: int = 0
-    walk_budget: int = 2000
     pair_budget: int | None = None
     facts_per_scheme: int = 10
     sampling_epochs: int = 10
@@ -465,7 +464,6 @@ class ExperimentConfig:
         for name, least in (
             ("max_length", 0),
             ("folds", 2),
-            ("walk_budget", 1),
             ("facts_per_scheme", 1),
             ("sampling_epochs", 1),
             ("per_epoch_removals", 1),
@@ -491,8 +489,8 @@ class ExperimentConfig:
                     trainer_doc[name] = _count(trainer_doc[name], f"trainer.{name}")
             given = {
                 name: _count(doc[name], name)
-                for name in ("max_length", "folds", "split_seed", "walk_budget", "facts_per_scheme",
-                             "sampling_epochs", "per_epoch_removals", "workers")
+                for name in ("max_length", "folds", "split_seed", "facts_per_scheme", "sampling_epochs",
+                             "per_epoch_removals", "workers")
                 if name in doc
             }
             if doc.get("pair_budget") is not None:
@@ -672,7 +670,7 @@ def compute_scores(
     if strategy == "length":
         return score_length(schemes)
     if strategy == "mi":
-        return score_mi(db, schemes, config.walk_budget, cfg.seed, cfg.retry_cap)
+        return score_mi(db, schemes)
     if strategy == "kvar":
         budget = config.pair_budget
         if budget is None:

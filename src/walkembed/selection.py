@@ -6,13 +6,15 @@ trained.  Higher score always means "keep".  Strategies:
 
 - random: uniform noise, the control baseline.
 - length: 1/length; shorter schemes score higher, length 0 scores 2.
-- mutual information: walks are sampled per walk scheme and the smallest
-  empirical mutual information between consecutive walk positions is the
-  bottleneck; its negation is the score (an information-poor step makes
-  the whole scheme uninformative).  The walks never read the target
-  attribute, so this is a property of the walk scheme and all of its
-  targets share one score.  Each step counts only the value pairs that
-  occur: O(walks * log walks) time and linear memory.
+- mutual information: the smallest mutual information between
+  consecutive walk positions is the bottleneck; its negation is the score
+  (an information-poor step makes the whole scheme uninformative).  It is
+  exact, under the law of complete walks, and samples nothing: a step's
+  mutual information is the entropy of its referenced side, read from one
+  forward and one backward pass of ``np.bincount`` over the relations'
+  rows, linear in the foreign-key edges the steps cross.  The target
+  attribute plays no part, so this is a property of the walk scheme and
+  all of its targets share one score.
 - kernel variance: the variance of the expected kernel distance across
   start-fact pairs, estimated from sampled walk pairs; a scheme whose
   similarity never varies cannot distinguish tuples.  After sampling, a
@@ -51,8 +53,10 @@ from .kernels import (  # noqa: F401  (kernel_eval: bench/layertrace.py patches 
     kernel_for,
 )
 from .relational import Database, closure, take
-from .schemes import (
+from .schemes import (  # noqa: F401  (sample_walks_batch: bench/layertrace.py patches it here)
+    FORWARD,
     TargetedWalkScheme,
+    WalkStep,
     exact_dest_law,
     exact_value_law,
     sample_target_values_batch,
@@ -107,99 +111,72 @@ def score_length(schemes: list[TargetedWalkScheme]) -> list[SchemeScore]:
     ]
 
 
-def _run_edges(s: np.ndarray) -> np.ndarray:
-    """Where the runs of equal values in sorted ``s`` start, then ``len(s)``."""
-    return np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+def _moves(db: Database, step: WalkStep) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """One entry per edge ``step`` can take: the row it leaves, the row it
+    enters, and its chance from the row it leaves (1 forward, one over the
+    referencing facts backward)."""
+    index = db.fk_index[db.schema.fk_position(step.fk)]
+    dst = index.fwd[index.flat]
+    if step.direction == FORWARD:
+        return db.row_of[index.flat], db.row_of[dst], 1.0
+    return db.row_of[dst], db.row_of[index.flat], 1.0 / (index.offsets[dst + 1] - index.offsets[dst])
 
 
-def _empirical_mi(a: np.ndarray, b: np.ndarray) -> float:
-    """Plug-in mutual information (natural log) of two aligned, non-empty
-    integer samples.
-
-    Only the value pairs that occur are counted.  Each pair is coded as one
-    integer, a-major, so sorting the codes once orders the pairs as (a, b):
-    pair counts are runs of equal codes and per-a counts runs of equal a
-    among them; per-b counts are runs in sorted b.  Time is O(n log n) and
-    memory O(n) in the sample size n, whatever the number of distinct
-    values on either side."""
-    a_lo, b_lo = int(a.min()), int(b.min())
-    m = int(b.max()) - b_lo + 1
-    if (int(a.max()) - a_lo + 1) * m >= 2**63:  # codes would overflow: rank first
-        a, b = np.unique(a, return_inverse=True)[1], np.unique(b, return_inverse=True)[1]
-        a_lo, b_lo, m = 0, 0, int(b.max()) + 1
-    n = len(a)
-    codes = np.sort((a - a_lo) * m + (b - b_lo))
-    edges = _run_edges(codes)
-    pairs = codes[edges[:-1]]
-    a_edges = _run_edges(pairs // m)
-    a_counts = edges[a_edges[1:]] - edges[a_edges[:-1]]
-    pa = np.repeat(a_counts, a_edges[1:] - a_edges[:-1]) / n
-    sorted_b = np.sort(b)
-    b_edges = _run_edges(sorted_b)
-    b_counts = b_edges[1:] - b_edges[:-1]
-    pb = b_counts[np.searchsorted(sorted_b[b_edges[:-1]], pairs % m + b_lo)] / n
-    pij = (edges[1:] - edges[:-1]) / n
-    mi = float(np.sum(pij * np.log(pij / (pa * pb))))
-    return max(0.0, mi)
-
-
-def _start_arrays(db: Database, schemes: list[TargetedWalkScheme]) -> dict[str, np.ndarray]:
-    """The fact ids of each start relation among ``schemes`` as one int64
-    array, made once per scoring pass rather than once per scheme."""
-    return {
-        rel: np.asarray(db.relation_fact_ids(rel), dtype=np.int64)
-        for rel in {t.scheme.start_relation for t in schemes}
-    }
+def _entropy(mass: np.ndarray) -> float:
+    """Entropy (natural log) of ``mass`` normalised, clamped at 0."""
+    p = mass[mass > 0]
+    p = p / p.sum()
+    return max(0.0, float(-np.sum(p * np.log(p))))
 
 
 def score_mi(
     db: Database,
     schemes: list[TargetedWalkScheme],
-    walk_budget: int,
-    seed: int,
-    retry_cap: int = 20,
+    walk_budget: int | None = None,
+    seed: int | None = None,
 ) -> list[SchemeScore]:
-    """Score = -min over consecutive positions of empirical mutual
-    information, from ``walk_budget`` complete walks per walk scheme
-    (uniform start fact; dead walks redrawn up to the retry cap, at least 1).
+    """Score = -min over steps of the exact mutual information between
+    consecutive walk positions, under the law of complete walks: a uniform
+    start fact, uniform steps, conditioned on completing.
 
-    The walks never read the target attribute, so MI is a property of the
-    walk scheme, not of the targeted scheme: each walk scheme is walked
-    once, on the stream of its first position in ``schemes``, and all of
-    its targets share that score and its note, unassessable ones included."""
-    if walk_budget <= 0:
-        raise UsageError("walk_budget must be positive")
-    if retry_cap < 1:
-        raise UsageError(f"retry_cap must be at least 1, got {retry_cap}")
+    One position of a foreign-key step is a function of the other, so a
+    step's mutual information is the entropy of its referenced side, whose
+    law is the chance of reaching each row times the chance of completing
+    from it: one forward and one backward ``np.bincount`` pass over the
+    relations' rows (``Database.row_of``).  Nothing is sampled, so
+    ``walk_budget`` and ``seed`` are ignored, kept for callers that pass
+    them.  The target attribute plays no part, so all targets of a walk
+    scheme share its score and note, unassessable ones included."""
     raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
-    start_arrays = _start_arrays(db, schemes)
     first = {tws.scheme: idx for idx, tws in reversed(list(enumerate(schemes)))}  # earliest wins
+    moves = {step: _moves(db, step) for step in {step for scheme in first for step in scheme.steps}}
     for scheme, idx in first.items():
         if scheme.length == 0:
             notes[idx] = "length-0 scheme: no step pairs to assess"
             continue
-        start_ids = start_arrays[scheme.start_relation]
-        if len(start_ids) == 0:
+        relations = [scheme.start_relation, *(step.target_relation for step in scheme.steps)]
+        sizes = [len(db.relation_fact_ids(rel)) for rel in relations]
+        if sizes[0] == 0:
             notes[idx] = "start relation is empty"
             continue
-        rng = derive_rng(seed, "score", "mi", idx)
-        rows: list[np.ndarray] = []
-        need = walk_budget
-        for _ in range(retry_cap):
-            if need <= 0:
-                break
-            starts = start_ids[rng.integers(0, len(start_ids), size=need)]
-            paths = sample_walks_batch(db, starts, scheme, rng)
-            ok = paths[:, -1] >= 0
-            if ok.any():
-                rows.append(paths[ok])
-                need -= int(ok.sum())
-        if not rows:
-            notes[idx] = "no complete walks within the retry cap"
+        # reach[i]: chance a walk is at each row of position i after i steps
+        reach = [np.full(sizes[0], 1.0 / sizes[0])]
+        for step, size in zip(scheme.steps, sizes[1:]):
+            leave, enter, chance = moves[step]
+            reach.append(np.bincount(enter, weights=reach[-1][leave] * chance, minlength=size))
+        # finish[i]: chance a walk at each row of position i completes
+        finish = [np.ones(sizes[-1])]
+        for step, size in zip(scheme.steps[::-1], sizes[-2::-1]):
+            leave, enter, chance = moves[step]
+            finish.append(np.bincount(leave, weights=finish[-1][enter] * chance, minlength=size))
+        finish.reverse()
+        completing = np.count_nonzero(finish[0])
+        if not completing:
+            notes[idx] = "no complete walks"
             continue
-        walks = np.concatenate(rows, axis=0)
-        raw[idx] = -min(_empirical_mi(walks[:, i], walks[:, i + 1]) for i in range(scheme.length))
-        notes[idx] = f"walks={len(walks)}"
+        referenced = [i + 1 if step.direction == FORWARD else i for i, step in enumerate(scheme.steps)]
+        raw[idx] = 0.0 - min(_entropy(reach[i] * finish[i]) for i in referenced)  # 0.0, not -0.0
+        notes[idx] = f"walks=exact, from {completing} of {sizes[0]} start facts"
     at = [first[tws.scheme] for tws in schemes]  # each target takes its walk scheme's score
     return _fill_unassessable(schemes, [raw[i] for i in at], [notes[i] for i in at], "mi")
 
@@ -214,6 +191,15 @@ def default_pair_budget(db: Database, start_relation: str, cfg: TrainConfig) -> 
     """A tenth of the trainer's per-scheme sample count per epoch."""
     n = len(db.relation_fact_ids(start_relation)) * cfg.n_samples
     return max(2, round(0.1 * n))
+
+
+def _start_arrays(db: Database, schemes: list[TargetedWalkScheme]) -> dict[str, np.ndarray]:
+    """The fact ids of each start relation among ``schemes`` as one int64
+    array, made once per scoring pass rather than once per scheme."""
+    return {
+        rel: np.asarray(db.relation_fact_ids(rel), dtype=np.int64)
+        for rel in {t.scheme.start_relation for t in schemes}
+    }
 
 
 def score_kvar(

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import walkembed
-from walkembed import cli, files
+from walkembed import cli, evaluation, files
 from walkembed.cli import main
 from walkembed.errors import UsageError
 from walkembed.evaluation import strip_attribute
@@ -154,6 +154,27 @@ def test_score_online_is_rejected(ws):
         "--config", str(ws["config"]), "--strategy", "online",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["score", "--strategy", "bogus"], "unknown strategy 'bogus', expected one of: random, length,"),
+        (["score", "--strategy", "online"], "the online strategy scores nothing up front"),
+        (["train", "--strategy", "bogus"], "unknown strategy 'bogus', expected one of: random, length,"),
+        (["train", "--strategy", "kvar", "--ratio", "2"], "ratio must be in (0, 1]"),
+        (["train", "--strategy", "online", "--ratio", "0"], "ratio must be in (0, 1]"),
+    ],
+    ids=["score-bogus", "score-online", "train-bogus", "train-kvar-ratio-2", "train-online-ratio-0"],
+)
+def test_bad_strategy_or_ratio_exits_2_before_loading(ws, tmp_path, capsys, monkeypatch, argv, message):
+    def loaded(*args, **kwargs):
+        pytest.fail("the command loaded the database before checking --strategy and --ratio")
+
+    monkeypatch.setattr(evaluation, "load_database", loaded)
+    code, _ = _run(["--out-dir", str(tmp_path), argv[0], "--config", str(ws["config"]), *argv[1:]])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 # -- train ----------------------------------------------------------------------------
@@ -1151,7 +1172,7 @@ def test_out_of_range_config_exits_2_before_training(ws, tmp_path, capsys):
         ({"pair_budget": 1.5}, "pair_budget"),
         ({"seeds": [0, 0.5]}, "seeds"),
         ({"trainer": {"epochs": 1.5}}, "trainer.epochs"),
-        ({"walk_budget": float("inf")}, "walk_budget"),
+        ({"facts_per_scheme": float("inf")}, "facts_per_scheme"),
         ({"workers": True}, "workers"),
     ],
 )

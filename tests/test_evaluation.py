@@ -297,7 +297,6 @@ def test_experiment_config_validation():
         ("per_epoch_removals", 0, 1),
         ("folds", 1, 2),
         ("workers", 0, 1),
-        ("walk_budget", 0, 1),
         ("max_length", -1, 0),
         ("facts_per_scheme", 0, 1),
         ("pair_budget", 1, 2),

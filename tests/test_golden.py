@@ -18,8 +18,10 @@ was recorded with a walker that found the live walkers afresh before
 every step and a mutual information made of three ``np.unique`` counts.
 Its mutual-information value, and the ``score --strategy mi`` pins in
 ``CLI``, were re-recorded when mutual information became one score per
-walk scheme, drawn on the stream of the scheme's first target and shared
-by all of its targets; the first target's score did not move.
+walk scheme, and again when it became exact: each step's entropy under
+the complete-walk law, computed from arrays with no walks sampled.  The
+exact scores match an explicit joint-law oracle within 1e-12
+(tests/test_selection.py), so these pins hold its arithmetic only.
 ``CLI`` holds the SHA-256 of the files that ``score --strategy kvar``,
 ``score --strategy mi``, ``train`` and ``train --strategy online`` write on
 the scoring database: each score CSV and selection JSON as bytes, and each
@@ -94,7 +96,7 @@ NULLABLE = {
 }
 SCORES = {
     "kvar": "faebee21ba5146bf19cf0dc19912c66dd8c934cfea3660ffe9fad62a25af39bb",
-    "mi": "d14a1985de4695ba7534223792569f398ed57286132ebbea0ba0fa6399515d3e",
+    "mi": "04cee1ac7ee7792ac88e5c8df12a36fa06eb58cbf42e534f8c3b5bc2e22b00da",
 }
 CLI = {
     "kvar": [
@@ -102,8 +104,8 @@ CLI = {
         "1b351b55d58f3ff788528befcc6faacfa488a30b6ab4e074d73a14d1b8d5d01f",
     ],
     "mi": [
-        "48cb4af7d924be721d296409246e353fe9097c84c8e1312a1c0391c934d4e5c5",
-        "97e1be59911047a7c9b5688f0aa94a552dda6511badb571c0243df18ffe5321e",
+        "a0e1226606f11e791924fb890b7bc7a940d2284c6ea27fdf8e23a9410d915469",
+        "ee22ee58b9f4b24343ee6f6ad06f49cb0956cdc03925925eb9d32cd1375da173",
     ],
     "train": ["0da73e3b44633009af4833cc828884f1474161d221bb372b744be1ce959f99cc"],
     "online": ["0a1ec3a0d9423ec55c73e1e5ee8d0d638bba5ea6a18e978782d246f344039f7f"],
@@ -234,7 +236,7 @@ def scoring_fingerprint() -> dict:
     db = scoring_database()
     schemes = enumerate_targeted_schemes(db.schema, "item", 2)
     kvar = score_kvar(db, schemes, default_kernels(db), 200, seed=3)
-    mi = score_mi(db, schemes, 300, seed=3)
+    mi = score_mi(db, schemes)
     return {"kvar": _sha([[s.score for s in kvar]]), "mi": _sha([[s.score for s in mi]])}
 
 
@@ -267,7 +269,6 @@ def cli_fingerprint() -> dict:
             "max_length": 2,
             "trainer": {"k": 4, "n_samples": 2, "epochs": 3, "learning_rate": 0.1, "seed": 3},
             "ratios": [0.5],
-            "walk_budget": 300,
             "pair_budget": 200,
         }
         (root / "config.json").write_text(json.dumps(config))

@@ -1,24 +1,20 @@
 """Scheme scoring strategies, selection arithmetic, and online elimination.
 
 Exact kernel variance is checked against a literal brute-force loop over
-all unordered fact pairs; the mutual-information estimator against the
-closed forms ln(n) for a bijective step and 0 for a constant step; and
-selection invariants with property-based ratios.  The array-based mutual
-information and sampled kernel variance are checked against the
-dense-table and per-pair loops they replaced, kept here as references,
-and the one-sort mutual information against the three-``np.unique``
-count before it, float for float.  Mutual information scored once per walk
-scheme is checked against the per-targeted-scheme scorer it replaced: each
-walk scheme's first target scores as before, bit for bit.
+all unordered fact pairs; exact mutual information against ln(n) for a
+bijective step and 0 for a constant step, and against the explicit joint
+table of every complete walk, enumerated one path at a time; and
+selection invariants with property-based ratios.  The sampled kernel
+variance is checked against the per-pair loop it replaced, kept here as a
+reference.
 """
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -28,8 +24,10 @@ from conftest import (
     reference_kd,
     reference_sample_closure,
     reference_value_distribution,
+    step_candidates,
 )
 
+import walkembed.schemes as schemes_module
 import walkembed.selection as selection
 from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
@@ -37,14 +35,12 @@ from walkembed.relational import build_database, schema_from_dict
 from walkembed.schemes import (
     enumerate_targeted_schemes,
     sample_target_values_batch,
-    sample_walks_batch,
     targeted_text,
 )
 from walkembed.seeding import derive_rng
 from walkembed.selection import (
     SamplingParams,
     SchemeScore,
-    _empirical_mi,
     _fill_unassessable,
     build_sample_database,
     default_pair_budget,
@@ -103,7 +99,7 @@ def test_mi_bijective_step_is_log_n():
     scores = {targeted_text(s.tws): s for s in score_mi(db, schemes, 10_000, seed=0)}
     got = scores["X[fy]--[yid]Y :: yid"].score
     # deterministic bijection onto 4 values: I = ln 4, kept score is -I
-    assert abs(-got - math.log(4)) <= 0.05
+    assert abs(-got - math.log(4)) <= 1e-12
 
 
 def test_mi_constant_step_is_zero():
@@ -113,15 +109,7 @@ def test_mi_constant_step_is_zero():
     # the Y -> Z hop lands on a single Z row: that position pair carries
     # no information and the minimum over positions picks it up
     got = scores["X[fy]--[yid]Y[fz]--[zid]Z :: zid"].score
-    assert abs(got) <= 0.05
-
-
-@pytest.mark.parametrize("retry_cap", [0, -1])
-def test_mi_rejects_retry_cap_below_one(retry_cap):
-    db = mi_chain_database(4)
-    schemes = enumerate_targeted_schemes(db.schema, "X", 1)
-    with pytest.raises(UsageError, match="retry_cap"):
-        score_mi(db, schemes, 100, seed=0, retry_cap=retry_cap)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0  # 0.0, not -0.0
 
 
 def test_mi_length_zero_unassessable_below_finite():
@@ -136,157 +124,49 @@ def test_mi_length_zero_unassessable_below_finite():
         assert s.diagnostic != ""
 
 
-def _dense_mi(a, b):
-    """Reference plug-in mutual information: a dense joint table and a
-    loop over its non-zero cells."""
-    va, ia = np.unique(a, return_inverse=True)
-    vb, ib = np.unique(b, return_inverse=True)
-    joint = np.zeros((len(va), len(vb)))
-    np.add.at(joint, (ia, ib), 1.0)
-    joint /= joint.sum()
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    mi = 0.0
-    for i, j in zip(*np.nonzero(joint)):
-        pij = joint[i, j]
-        mi += pij * math.log(pij / (pa[i] * pb[j]))
-    return max(0.0, mi)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(st.integers(0, 6), st.integers(-4, 40)), min_size=1, max_size=80
-    )
-)
-def test_empirical_mi_matches_dense_table(pairs):
-    a = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    b = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    assert _empirical_mi(a, b) == pytest.approx(_dense_mi(a, b), rel=1e-12)
-
-
-def _reference_empirical_mi(a, b):
-    """The sparse count as first written, three ``np.unique`` calls; the
-    one-sort version must give its terms in the same order, hence the
-    same float."""
-    _, ia = np.unique(a, return_inverse=True)
-    vb, ib = np.unique(b, return_inverse=True)
-    n = len(ia)
-    pairs, counts = np.unique(ia * len(vb) + ib, return_counts=True)
-    pij = counts / n
-    pa = np.bincount(ia) / n
-    pb = np.bincount(ib) / n
-    mi = float(np.sum(pij * np.log(pij / (pa[pairs // len(vb)] * pb[pairs % len(vb)]))))
-    return max(0.0, mi)
-
-
-# negative ids, one value, ids up to 2**31 (pair codes near 2**62), and
-# ranges whose pair codes would overflow int64
-MI_RANGES = [(0, 5), (-4, 40), (7, 7), (0, 2**31), (-(2**31), 2**31), (-(2**62), 2**62)]
-
-
-@st.composite
-def aligned_samples(draw):
-    """Two aligned int64 samples, each drawn from a small pool of values in
-    one of ``MI_RANGES``, so pairs repeat whatever the range."""
-    n = draw(st.integers(1, 400))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def column():
-        lo, hi = draw(st.sampled_from(MI_RANGES))
-        pool = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=30))
-        return np.asarray(pool, dtype=np.int64)[rng.integers(0, len(pool), size=n)]
-
-    return column(), column()
-
-
-def _aligned(a, b):
-    return np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-
-
-@settings(max_examples=300, deadline=None)
-@given(samples=aligned_samples())
-# pair codes just below 2**62, and just past 2**63 (ranked first)
-@example(samples=_aligned([0, 2**31, 0, 2**31, 5], [2**31, 0, 0, 0, 2**31]))
-@example(samples=_aligned([0, 2**32, 0, 2**32, 5], [0, 2**31, 2**31, 0, 0]))
-def test_empirical_mi_equals_the_three_unique_count(samples):
-    a, b = samples
-    assert _empirical_mi(a, b) == _reference_empirical_mi(a, b)
-
-
-def test_empirical_mi_equals_the_three_unique_count_on_walk_columns():
-    # the columns score_mi passes: strided views of complete walks
-    db = planted_database(n_items=30, seed=1).db
-    items = np.asarray(db.relation_fact_ids("item"), dtype=np.int64)
-    rng = np.random.default_rng(0)
-    checked = 0
-    for tws in enumerate_targeted_schemes(db.schema, "item", 2):
-        walks = sample_walks_batch(db, rng.choice(items, 500), tws.scheme, rng)
-        walks = walks[walks[:, -1] >= 0]
-        for i in range(tws.scheme.length if len(walks) else 0):
-            a, b = walks[:, i], walks[:, i + 1]
-            assert _empirical_mi(a, b) == _reference_empirical_mi(a, b)
-            checked += 1
-    assert checked > 50
-
-
-def test_empirical_mi_memory_is_linear_in_walks():
-    # 5000 distinct values on each side: a dense joint table would hold
-    # 25M cells (200 MB); the sparse count keeps only the 5000 that occur
-    a = np.arange(5000)
-    tracemalloc.start()
-    try:
-        got = _empirical_mi(a, a.copy())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got == pytest.approx(math.log(5000), rel=1e-12)
-    assert peak < 10 * 2**20
-
-
 def test_mi_deterministic_under_seed():
-    db = mi_chain_database(3)
-    schemes = enumerate_targeted_schemes(db.schema, "X", 2)
-    a = [s.score for s in score_mi(db, schemes, 1_000, seed=5)]
-    b = [s.score for s in score_mi(db, schemes, 1_000, seed=5)]
-    assert a == b
+    # exact MI samples nothing: the same scores and notes for any seed and
+    # walk_budget, both ignored
+    db = _nullable_numeric_db()
+    schemes = enumerate_targeted_schemes(db.schema, "item", 2)
+    want = [(s.score, s.diagnostic) for s in score_mi(db, schemes)]
+    for walk_budget, seed in ((1_000, 5), (1_000, 5), (1, 0), (10**9, 2**40), (-5, -1)):
+        assert [(s.score, s.diagnostic) for s in score_mi(db, schemes, walk_budget, seed)] == want
 
 
-def _reference_mi(db, schemes, walk_budget, seed, retry_cap=20):
-    """Mutual information as scored per targeted scheme: every targeted
-    scheme walked on its own stream ``("score", "mi", position)``, though
-    its walks never read the target attribute."""
-    raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
-    for idx, tws in enumerate(schemes):
-        if tws.scheme.length == 0:
-            notes[idx] = "length-0 scheme: no step pairs to assess"
-            continue
-        start_ids = np.asarray(db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64)
-        if len(start_ids) == 0:
-            notes[idx] = "start relation is empty"
-            continue
-        rng = derive_rng(seed, "score", "mi", idx)
-        rows = []
-        need = walk_budget
-        for _ in range(retry_cap):
-            if need <= 0:
-                break
-            starts = start_ids[rng.integers(0, len(start_ids), size=need)]
-            paths = sample_walks_batch(db, starts, tws.scheme, rng)
-            ok = paths[:, -1] >= 0
-            if ok.any():
-                rows.append(paths[ok])
-                need -= int(ok.sum())
-        if not rows:
-            notes[idx] = "no complete walks within the retry cap"
-            continue
-        walks = np.concatenate(rows, axis=0)
-        mi_per_step = [
-            _empirical_mi(walks[:, i], walks[:, i + 1]) for i in range(tws.scheme.length)
+def _complete_walks(db, scheme):
+    """Every complete walk of ``scheme`` as (path, probability): a uniform
+    start fact and a uniform choice among the candidates at every step."""
+    starts = db.relation_fact_ids(scheme.start_relation)
+    walks = [((f,), 1.0 / len(starts)) for f in starts]
+    for step in scheme.steps:
+        walks = [
+            (path + (nxt,), p / len(cands))
+            for path, p in walks
+            for cands in [step_candidates(db, path[-1], step)]
+            for nxt in cands
         ]
-        raw[idx] = -min(mi_per_step)
-        notes[idx] = f"walks={len(walks)}"
-    return _fill_unassessable(schemes, raw, notes, "mi")
+    return walks
+
+
+def _brute_force_mi(db, scheme):
+    """-min over steps of the mutual information of consecutive positions,
+    from the explicit joint table of the complete-walk law (the walks above,
+    renormalised); None when no walk completes."""
+    walks = _complete_walks(db, scheme)
+    total = sum(p for _, p in walks)
+    if not walks:
+        return None
+    per_step = []
+    for i in range(scheme.length):
+        joint, left, right = {}, {}, {}
+        for path, p in walks:
+            a, b = path[i], path[i + 1]
+            joint[a, b] = joint.get((a, b), 0.0) + p / total
+            left[a] = left.get(a, 0.0) + p / total
+            right[b] = right.get(b, 0.0) + p / total
+        per_step.append(sum(q * math.log(q / (left[a] * right[b])) for (a, b), q in joint.items()))
+    return -min(per_step)
 
 
 def _dead_end_db():
@@ -316,93 +196,73 @@ def _dead_end_db():
     return build_database(schema, [("R", ("r2",))])
 
 
-def _walk_scheme_groups(schemes):
-    groups = {}
-    for i, t in enumerate(schemes):
-        groups.setdefault(t.scheme, []).append(i)
-    return list(groups.values())
-
-
-def _assert_mi_matches_the_oracle(db, schemes, walk_budget, seed, retry_cap):
-    """Each walk scheme's first target scores as the per-target oracle did,
-    and its other targets copy that first one.  An unassessable first
-    target keeps the oracle's note; its score is the floor, one below the
-    lowest finite score, which moves with the other targets' scores.
-    Returns the notes of the first targets."""
-    got = score_mi(db, schemes, walk_budget, seed, retry_cap)
-    want = _reference_mi(db, schemes, walk_budget, seed, retry_cap)
+def _assert_mi_matches_brute_force(db, schemes):
+    """Every assessed score is the brute-force one within 1e-12, every
+    unassessed one has a note and the floor score, and the targets of one
+    walk scheme share score and note.  Returns the notes."""
+    got = score_mi(db, schemes)
     assert [s.tws for s in got] == schemes
     finite = [s.score for s in got if s.diagnostic.startswith("walks=")]
     floor = min(finite, default=0.0) - 1.0
-    firsts = []
-    for first, *rest in _walk_scheme_groups(schemes):
-        g, w = got[first], want[first]
-        assert g.diagnostic == w.diagnostic
-        assert g.score == (w.score if w.diagnostic.startswith("walks=") else floor)
-        for i in rest:
-            assert (got[i].score, got[i].diagnostic) == (g.score, g.diagnostic)
-        firsts.append(g.diagnostic)
-    return firsts
-
-
-MI_ORACLE_CASES = ["random", "mi_chain", "nullable_numeric", "dead_end"]
+    by_scheme = {}
+    for s in got:
+        assert by_scheme.setdefault(s.tws.scheme, (s.score, s.diagnostic)) == (s.score, s.diagnostic)
+        want = _brute_force_mi(db, s.tws.scheme) if s.tws.scheme.length else None
+        if want is None:
+            assert not s.diagnostic.startswith("walks=") and s.score == floor
+        else:
+            assert s.diagnostic.startswith("walks=")
+            assert abs(s.score - want) <= 1e-12
+    return {note for _, note in by_scheme.values()}
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    case=st.sampled_from(MI_ORACLE_CASES),
-    db_seed=st.integers(0, 10_000),
-    walk_budget=st.integers(1, 300),
-    seed=st.integers(0, 2**16),
-    retry_cap=st.integers(1, 4),
-)
-def test_mi_per_walk_scheme_matches_the_per_target_oracle(
-    case, db_seed, walk_budget, seed, retry_cap
-):
-    if case == "random":
-        db = random_database(random_schema(db_seed), db_seed, max_facts=30)
-    elif case == "mi_chain":
-        db = mi_chain_database(2 + db_seed % 5)
-    elif case == "nullable_numeric":
-        db = _nullable_numeric_db(seed=db_seed)
-    else:
-        db = _dead_end_db()
+@given(db_seed=st.integers(0, 10_000), max_length=st.integers(1, 3))
+def test_mi_matches_the_brute_force_complete_walk_law(db_seed, max_length):
+    db = random_database(random_schema(db_seed), db_seed, max_facts=30)
     for rel in db.schema.relations:
-        schemes = enumerate_targeted_schemes(db.schema, rel.name, 2)
-        _assert_mi_matches_the_oracle(db, schemes, walk_budget, seed, retry_cap)
+        _assert_mi_matches_brute_force(db, enumerate_targeted_schemes(db.schema, rel.name, max_length))
+
+
+@pytest.mark.parametrize("case", ["mi_chain", "nullable_numeric", "planted"])
+def test_mi_matches_the_brute_force_complete_walk_law_on_fixed_databases(case):
+    if case == "mi_chain":
+        db, start = mi_chain_database(5), "X"
+    elif case == "nullable_numeric":
+        db, start = _nullable_numeric_db(), "item"
+    else:
+        db, start = planted_database(n_items=8, n_obs=2, seed=1).db, "item"
+    _assert_mi_matches_brute_force(db, enumerate_targeted_schemes(db.schema, start, 2))
 
 
 def test_mi_oracle_cases_cover_every_unassessable_note():
     db = _dead_end_db()
     notes = set()
     for start in ("R", "S"):
-        schemes = enumerate_targeted_schemes(db.schema, start, 2)
-        notes.update(_assert_mi_matches_the_oracle(db, schemes, 50, 0, 3))
+        notes |= _assert_mi_matches_brute_force(db, enumerate_targeted_schemes(db.schema, start, 2))
     assert notes == {
         "length-0 scheme: no step pairs to assess",
         "start relation is empty",
-        "no complete walks within the retry cap",
+        "no complete walks",
     }
     db = _nullable_numeric_db()
-    schemes = enumerate_targeted_schemes(db.schema, "item", 2)
-    notes = _assert_mi_matches_the_oracle(db, schemes, 300, 7, 20)
-    assert any(n.startswith("walks=") for n in notes)
+    notes = _assert_mi_matches_brute_force(db, enumerate_targeted_schemes(db.schema, "item", 2))
+    # 12 of the 15 items have an observation; the last three have none
+    assert "walks=exact, from 12 of 15 start facts" in notes
 
 
-def test_mi_draws_one_stream_per_walk_scheme(monkeypatch):
-    tags = []
+def test_mi_calls_no_sampler_and_no_derive_rng(monkeypatch):
+    def sampling(*args, **kwargs):
+        pytest.fail("score_mi sampled")
 
-    def spy(seed, *tag):
-        tags.append(tag)
-        return derive_rng(seed, *tag)
-
-    monkeypatch.setattr(selection, "derive_rng", spy)
+    for name in ("derive_rng", "sample_walks_batch", "sample_target_values_batch"):
+        monkeypatch.setattr(selection, name, sampling)
+    for name in ("sample_walks_batch", "sample_dest_batch", "sample_target_values_batch", "_walk"):
+        monkeypatch.setattr(schemes_module, name, sampling)
+    monkeypatch.setattr(np.random, "default_rng", sampling)
     db = mi_chain_database(4)
-    schemes = enumerate_targeted_schemes(db.schema, "X", 2)
-    score_mi(db, schemes, 100, seed=3)
-    firsts = [g[0] for g in _walk_scheme_groups(schemes) if schemes[g[0]].scheme.length >= 1]
-    assert len(firsts) < sum(t.scheme.length >= 1 for t in schemes)  # targets share walk schemes
-    assert sorted(tags) == sorted(("score", "mi", i) for i in firsts)
+    scores = score_mi(db, enumerate_targeted_schemes(db.schema, "X", 2), 100, seed=3)
+    assert any(s.diagnostic.startswith("walks=") for s in scores)
 
 
 # -- kernel variance -------------------------------------------------------------------
