@@ -5,26 +5,27 @@ attribute from the database (so nothing can leak through walks), trains
 embeddings on what is left, and measures how well a classifier fitted on
 the embeddings recovers the label.
 
-The classifier is an in-repo multinomial logistic regression trained by
-full-batch gradient descent on standardised features; accuracy comes from
-stratified k-fold cross-validation with one fixed split per task, and
-reported accuracies are means over an ensemble of independently seeded
-training runs.  Timing curves record cumulative training wall time only;
-scoring time is reported per strategy and cross-validation time per grid
-cell (``cv_seconds``).
+The classifier is an in-repo multinomial logistic regression on
+standardised features, solved to the optimum of its L2-penalised
+cross-entropy by damped Newton steps; accuracy comes from stratified
+k-fold cross-validation with one fixed split per task, and reported
+accuracies are means over an ensemble of independently seeded training
+runs.  Timing curves record cumulative training wall time only; scoring
+time is reported per strategy and cross-validation time per grid cell
+(``cv_seconds``).
 
 Cost: a grid cell is cross-validated once, after training.  Its epoch
 callback only copies the labelled rows; then one ``cross_validate`` call
 fits every (epoch, fold) problem whose training set has the same shape in
-one batched gradient descent of 400 steps.  On a 2-vCPU Xeon VM a cell of
-8 epochs, 5 folds and 80 labelled tuples with 16 features spends about
-50 ms in cross-validation, a third of one call per epoch; a step over its
-40 problems is about fifteen numpy calls and costs 70-100 us, 25-40 us of
-it in the two matmuls (120-165 us with a row-wise softmax, see
-``_fit_stack``).  The stack is cut into chunks of snapshots holding at
-most ``CV_STACK_BYTES`` of features, so memory stays bounded when many
-epochs, folds or labelled tuples meet.  Every fold's weights are
-bit-identical to ``train_classifier`` on that fold alone.
+one batched Newton solve, where each problem stops on its own once its
+largest gradient entry is at most 1e-10.  On a 2-vCPU Xeon VM a cell of
+8 epochs, 5 folds and 80 labelled tuples with 16 features spends 10-12 ms
+in cross-validation; its 40 problems take 5 to 12 steps, each step
+building their 17 x 17 Hessians from two batched products and solving
+them in one ``np.linalg.solve`` call.  The stack is cut into chunks of
+snapshots holding at most ``CV_STACK_BYTES`` of features, so memory stays
+bounded when many epochs, folds or labelled tuples meet.  Every fold's
+weights are bit-identical to ``train_classifier`` on that fold alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -167,77 +168,90 @@ def _prepare(
     return classes, mean, scale, Xs, y
 
 
-def _class_sum(cols: list[np.ndarray]) -> np.ndarray:
-    """The elementwise sum of the columns in the order of numpy's pairwise
-    sum of a row: one by one below 8 terms, eight lanes combined pairwise up
-    to 128, two halves (the first a multiple of 8 long) above."""
-    n = len(cols)
-    if n < 8:
-        return reduce(np.add, cols)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _class_sum(cols[:half]) + _class_sum(cols[half:])
-    tail = n - n % 8
-    r = [reduce(np.add, cols[j:tail:8]) for j in range(8)]
-    lanes = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(np.add, cols[tail:], lanes)
+# Newton stops a problem once its largest gradient entry is at most this, or
+# after _NEWTON_STEPS steps; no problem in the tests or the benchmark takes 14.
+_GRADIENT_TOL = 1e-10
+_NEWTON_STEPS = 50
 
 
-def _fit_stack(
-    Xs: np.ndarray,
-    y: np.ndarray,
-    l2: float = 1e-4,
-    learning_rate: float = 1.0,
-    iterations: int = 400,
-) -> np.ndarray:
-    """Full-batch gradient descent on a stack of equally shaped problems.
+def _probabilities(W: np.ndarray, Xt: np.ndarray) -> np.ndarray:
+    """Softmax (problems, classes, n) of weights W (problems, classes, d)
+    on features Xt (problems, d, n)."""
+    p = W @ Xt
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def _fit_stack(Xs: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> np.ndarray:
+    """Damped Newton on a stack of equally shaped problems.
 
     ``Xs`` is (problems, n, d) with the bias as the last column and ``y``
-    is (problems, n, classes); returns the weights, (problems, d, classes).
-    Every problem gets the bits it would get on its own: a batched matmul
-    runs the same product on each slice, the row max is taken column by
-    column with ``np.maximum``, which is exact, and ``_class_sum`` adds the
-    softmax denominator in the order of ``p.sum(axis=-1)``.  The softmax
-    works on class columns ``logits[..., j]`` because numpy runs a
-    reduction or broadcast over a short last axis one row at a time, which
-    at two classes cost more than both matmuls.
+    is (problems, n, classes); returns the weights (problems, d, classes)
+    minimising mean cross-entropy plus ``l2/2`` times the squared weights
+    outside the bias row; each weight row sums to zero.  Steps are solved
+    in the orthonormal Helmert basis ``Q`` of zero-sum rows, where the
+    Hessian, sum_i Q^T (diag p_i - p_i p_i^T) Q (x) x_i x_i^T / n, is
+    regular.  A step is halved until the objective does not rise, with
+    each sample's rise computed as one quantity, log1p of a sum of expm1s
+    of logit changes relative to its label's: near the optimum a
+    difference of two objectives is all rounding.  A problem that
+    converges, reaches the cap or finds no descent down to 1e-9 of its
+    step leaves the stack, so its bits never depend on the other problems.
     """
     n, d = Xs.shape[1:]
-    n_classes = y.shape[2]
-    Xt = Xs.transpose(0, 2, 1)
-    W = np.zeros((len(Xs), d, n_classes))
-    for _ in range(iterations):
-        logits = Xs @ W
-        cols = [logits[..., j] for j in range(n_classes)]
-        top = reduce(np.maximum, cols)
-        for col in cols:
-            col -= top
-        p = np.exp(logits)
-        cols = [p[..., j] for j in range(n_classes)]
-        denom = _class_sum(cols)
-        for col in cols:
-            col /= denom
-        grad = Xt @ (p - y) / n
-        grad[:, :-1] += l2 * W[:, :-1]  # no penalty on the bias row
-        W -= learning_rate * grad
-    return W
+    C = y.shape[2]
+    K = C - 1
+    k = np.arange(1, C)
+    helmert = np.triu(np.ones((C, C)), 1) - np.diag(np.r_[0, k])
+    helmert[:, 0] = 1.0
+    helmert /= np.sqrt(np.r_[C, k * (k + 1)])
+    Q = helmert[:, 1:]
+    # sum_j p_ij Q_j Q_j^T, the Hessian's first term, is T3 @ (helmert^T p_i)
+    T3 = (Q[:, :, None] * Q[:, None, :]).reshape(C, K * K).T @ helmert
+    penalty = np.r_[np.full(d - 1, l2), 0.0]
+    ridge = np.diag(np.tile(penalty, K))
+    X, Xt, Yt = Xs, np.ascontiguousarray(Xs.transpose(0, 2, 1)), np.ascontiguousarray(y.transpose(0, 2, 1))
+    W = np.zeros((len(Xs), C, d))
+    out, live, p, moved = np.empty_like(W), np.arange(len(Xs)), _probabilities(W, Xt), np.ones(len(Xs), dtype=bool)
+    for step in range(_NEWTON_STEPS + 1):
+        g = (p - Yt) @ X / n + W * penalty
+        go = (np.abs(g).max(axis=(1, 2)) > _GRADIENT_TOL) & moved & (step < _NEWTON_STEPS)
+        if not go.all():
+            out[live[~go]] = W[~go]
+            live, W, X, Xt, Yt, p, g = (v[go] for v in (live, W, X, Xt, Yt, p, g))
+            if not live.size:
+                break
+        B = ((helmert.T @ p)[:, :, None] * Xt[:, None]).reshape(len(W), C * d, n)
+        curv = (T3 @ (B @ X).reshape(-1, C, d * d)).reshape(-1, K, K, d, d).transpose(0, 1, 3, 2, 4)
+        hess = (curv.reshape(-1, K * d, K * d) - B[:, d:] @ B[:, d:].transpose(0, 2, 1)) / n + ridge
+        s = Q @ np.linalg.solve(hess, (Q.T @ g).reshape(-1, K * d, 1)).reshape(-1, K, d)
+        dL = s @ Xt
+        dL -= (dL * Yt).sum(axis=1, keepdims=True)  # logit changes relative to the label's
+        lin, quad = (penalty * W * s).sum(axis=(1, 2)), (penalty * s * s).sum(axis=(1, 2)) / 2
+        t, todo = 1.0, np.arange(len(W))
+        while todo.size and t > 1e-9:
+            with np.errstate(all="ignore"):
+                rise = np.log1p((p[todo] * np.expm1(-t * dL[todo])).sum(axis=1)).mean(axis=1)
+                rise += t * (t * quad[todo] - lin[todo])
+            ok = (rise <= 0.0) & np.isfinite(rise)  # -inf: a sum that cancelled to -1, not descent
+            W[todo[ok]] -= t * s[todo[ok]]
+            todo, t = todo[~ok], t / 2
+        moved = ~np.isin(np.arange(len(W)), todo)
+        p = _probabilities(W, Xt)
+    return out.transpose(0, 2, 1).copy()
 
 
-def train_classifier(
-    X: np.ndarray,
-    labels: list[Value],
-    l2: float = 1e-4,
-    learning_rate: float = 1.0,
-    iterations: int = 400,
-) -> LogisticModel:
-    """Multinomial logistic regression by full-batch gradient descent.
+def train_classifier(X: np.ndarray, labels: list[Value], l2: float = 1e-4) -> LogisticModel:
+    """Multinomial logistic regression with an L2 penalty, solved to its
+    optimum by ``_fit_stack``.
 
-    Weights start at zero and the descent runs for a fixed iteration
-    count; nothing is random, so identical inputs give identical models.
+    Weights start at zero and nothing is random, so identical inputs give
+    identical models.
     """
     classes, mean, scale, Xs, y = _prepare(X, labels)
-    W = _fit_stack(Xs[None], y[None], l2, learning_rate, iterations)[0]
-    return LogisticModel(classes, mean, scale, W)
+    return LogisticModel(classes, mean, scale, _fit_stack(Xs[None], y[None], l2)[0])
 
 
 def predict(clf: LogisticModel, X: np.ndarray) -> list[Value]:
@@ -293,7 +307,7 @@ def make_folds(labels: list[Value], folds: int, split_seed: int) -> np.ndarray:
 
 
 # Largest stack of standardised training features, in bytes, that one
-# batched descent in cross_validate holds; more snapshots run in chunks.
+# batched Newton solve in cross_validate holds; more snapshots run in chunks.
 CV_STACK_BYTES = 32 << 20
 
 # One fold of a fixed split: the test mask, the training set's classes and
@@ -359,8 +373,9 @@ def cross_validate(
     (snapshots, n, d) stack over the same samples, such as one matrix per
     training epoch, which gives a list of accuracies, one per snapshot.
     All problems whose training sets have the same shape (sample and class
-    counts) are fitted together in batched descents; each fold's model is
-    bit-identical to ``train_classifier`` on that fold alone.
+    counts) are solved together by batched Newton steps; each fold's model
+    is bit-identical to ``train_classifier`` on that fold alone, because a
+    problem's steps never depend on the others in its stack.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim not in (2, 3) or X.shape[-2] != len(labels):
@@ -432,6 +447,15 @@ def time_to_threshold(points: list[tuple[float, float]], alpha_star: float) -> f
 # -- experiment configuration ----------------------------------------------------
 
 
+# The keys a config document may hold at top level and under "task".
+_CONFIG_KEYS = frozenset({
+    "schema", "data_dir", "task", "max_length", "trainer", "strategies", "ratios", "seeds", "folds",
+    "split_seed", "pair_budget", "facts_per_scheme", "sampling_epochs", "per_epoch_removals", "workers",
+    "kernels",
+})
+_TASK_KEYS = frozenset({"relation", "attribute"})
+
+
 @dataclass
 class ExperimentConfig:
     schema_path: str
@@ -478,9 +502,17 @@ class ExperimentConfig:
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
         """The config of a JSON document; a field the document leaves out
         takes the dataclass default.  A missing required or ill-typed field,
-        or a count that is not a whole number, is a UsageError."""
+        an unknown top-level or ``task`` key, or a count that is not a whole
+        number, is a UsageError.  ``walk_budget``, which mutual information
+        no longer reads, is accepted and ignored."""
         if not isinstance(doc, dict):
             raise UsageError("malformed config: expected a JSON object")
+        task = doc.get("task")
+        for where, keys, known in (("config", set(doc) - {"walk_budget"}, _CONFIG_KEYS),
+                                   ("task", set(task) if isinstance(task, dict) else set(), _TASK_KEYS)):
+            unknown = sorted(keys - known, key=str)
+            if unknown:
+                raise UsageError(f"unknown {where} key {unknown[0]!r}; expected one of: {', '.join(sorted(known))}")
         try:
             base = Path(base_dir)
             trainer_doc = dict(doc.get("trainer", {}))

@@ -2,7 +2,7 @@
 decoding of sampled target values and exact value laws, scalar readers of
 the foreign-key arrays, and the dict walkers, per-fact closures and the
 per-row CSV load that the array and column paths replaced, kept as
-oracles."""
+oracles, and an optimality oracle for the logistic classifier."""
 
 import csv
 import math
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from walkembed.errors import IntegrityError
+from walkembed.evaluation import _GRADIENT_TOL
 from walkembed.kernels import kernel_eval
 from walkembed.relational import Value, build_database, schema_from_dict
 from walkembed.schemes import FORWARD
@@ -144,6 +145,56 @@ def assert_same_arrays(got, want):
     for a, b in zip(got.fk_index, want.fk_index, strict=True):
         for x, y in zip(a, b, strict=True):
             assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+
+# -- the classifier's objective, in plain 2-D numpy ----------------------------------
+
+CLASSIFIER_L2 = 1e-4
+
+
+def classifier_problem(X, labels) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, column means, column scales, standardised features with a
+    bias column, one-hot labels) of one classification problem; a constant
+    column gets unit scale."""
+    X = np.asarray(X, dtype=np.float64)
+    classes = sorted(set(labels), key=str)
+    y = np.zeros((len(labels), len(classes)))
+    y[np.arange(len(labels)), [classes.index(lab) for lab in labels]] = 1.0
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return classes, mean, scale, np.hstack([(X - mean) / scale, np.ones((len(X), 1))]), y
+
+
+def classifier_objective(Xs, y, W) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of weights ``W`` (d+1, classes) plus
+    ``CLASSIFIER_L2``/2 times the squared weights outside the bias row, and
+    its gradient."""
+    logits = Xs @ W
+    logits -= logits.max(axis=1, keepdims=True)
+    log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    grad = Xs.T @ (np.exp(log_p) - y) / len(Xs)
+    grad[:-1] += CLASSIFIER_L2 * W[:-1]
+    return float(-(log_p * y).sum(axis=1).mean() + CLASSIFIER_L2 / 2 * (W[:-1] ** 2).sum()), grad
+
+
+def assert_optimal_classifier(clf, X, labels, descent_steps: int = 0) -> None:
+    """``clf`` has the classes and moments of (X, labels) and minimises its
+    objective: the gradient's largest entry is within the solver's stated
+    tolerance (plus 1e-13 for this oracle's rounding), each weight row sums
+    to zero, and, given ``descent_steps``, the objective is no higher than
+    that many unit steps of full-batch gradient descent from zero reach."""
+    classes, mean, scale, Xs, y = classifier_problem(X, labels)
+    assert clf.classes == classes
+    assert np.array_equal(clf.mean, mean) and np.array_equal(clf.scale, scale)
+    value, grad = classifier_objective(Xs, y, clf.weights)
+    assert np.abs(grad).max() <= _GRADIENT_TOL + 1e-13
+    assert np.abs(clf.weights.sum(axis=1)).max() <= 1e-12
+    if descent_steps:
+        W = np.zeros_like(clf.weights)
+        for _ in range(descent_steps):
+            W -= classifier_objective(Xs, y, W)[1]
+        assert value <= classifier_objective(Xs, y, W)[0] + 1e-12
 
 
 # -- scalar readers of the foreign-key arrays -----------------------------------------

@@ -1166,6 +1166,24 @@ def test_out_of_range_config_exits_2_before_training(ws, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"pair_buget": 50}, "unknown config key 'pair_buget'"),
+        ({"task": {"relation": "item", "atribute": "cls"}}, "unknown task key 'atribute'"),
+    ],
+)
+def test_misspelt_config_key_exits_2_naming_the_key(ws, tmp_path, capsys, over, message):
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"), **over)
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(config))
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), "experiment", "--config", str(bad)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
     "over, field",
     [
         ({"folds": 2.7}, "folds"),

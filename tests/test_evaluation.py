@@ -12,7 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import back_refs, forward_ref, reference_cascade
+from conftest import (
+    assert_optimal_classifier,
+    back_refs,
+    classifier_objective,
+    classifier_problem,
+    forward_ref,
+    reference_cascade,
+)
 
 import walkembed.evaluation as evaluation
 from walkembed.seeding import derive_rng
@@ -230,6 +237,61 @@ def test_cross_validate_separable_data():
     assert cross_validate(X, labels, folds=3) == 1.0
 
 
+def _training_folds(X, labels, folds):
+    """The training sets of ``cross_validate``'s split (seed 0)."""
+    assign = make_folds(labels, folds, 0)
+    return [(X[assign != f], [l for l, a in zip(labels, assign) if a != f]) for f in range(folds)]
+
+
+def _hard_problems(case: str) -> list[tuple[np.ndarray, list]]:
+    if case == "separable blobs":
+        return [_blobs()]
+    if case == "separable folds":
+        return _training_folds(*_blobs(15), folds=3)
+    if case == "one mislabelled point":
+        X, labels = _blobs()
+        labels[0] = "b"  # inside the other blob: nearly separable
+        return [(X, labels)]
+    if case == "constant column":
+        X, labels = _blobs()
+        return [(np.hstack([X, np.full((len(X), 1), 3.0)]), labels)]
+    if case == "130 classes":
+        rng = np.random.default_rng(130)
+        labels = [f"c{c}" for c, size in enumerate(3 + rng.integers(0, 3, size=130)) for _ in range(size)]
+        return [(rng.normal(size=(len(labels), 3)) * 4.0, labels)]
+    # one far point: undamped Newton from zero diverges on these five points
+    X = np.array([[0.4, -0.7], [-9.2, -3.3], [0.8, 0.2], [-0.6, -1.4], [-0.3, 0.2]])
+    return [(X, ["a", "b", "a", "a", "b"])]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["separable blobs", "separable folds", "one mislabelled point", "constant column", "130 classes", "far point"],
+)
+def test_newton_converges_on_hard_problems(monkeypatch, case):
+    """Each problem reaches the gradient tolerance before the step cap, and
+    no accepted Newton step raises the objective (the oracle's rounding
+    aside).  ``_fit_stack`` takes the softmax of every accepted iterate, so
+    recording those calls on a one-problem stack gives its iterates."""
+    iterates = []
+    real_probabilities = evaluation._probabilities
+
+    def recording(W, Xt):
+        iterates.append(W[0].T.copy())
+        return real_probabilities(W, Xt)
+
+    monkeypatch.setattr(evaluation, "_probabilities", recording)
+    for X, labels in _hard_problems(case):
+        iterates.clear()
+        clf = train_classifier(X, labels)
+        assert_optimal_classifier(clf, X, labels)
+        assert np.array_equal(iterates[-1], clf.weights)
+        assert len(iterates) <= evaluation._NEWTON_STEPS  # the start and fewer steps than the cap
+        _, _, _, Xs, y = classifier_problem(X, labels)
+        values = [classifier_objective(Xs, y, W)[0] for W in iterates]
+        assert np.all(np.diff(values) <= 1e-14), values
+
+
 # -- timing curves --------------------------------------------------------------------
 
 
@@ -356,6 +418,24 @@ def test_experiment_config_from_dict_leaves_absent_fields_to_the_dataclass():
                                                  data_dir=str(Path("b") / "data")))
     assert ExperimentConfig.from_dict(_config_doc(), base_dir="b") == expected
     assert ExperimentConfig.from_dict({**_config_doc(), "pair_budget": None}, base_dir="b") == expected
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"pair_buget": 50}, "unknown config key 'pair_buget'; expected one of: data_dir,"),
+        ({"bogus": 1, "sampling_epoch": 3}, "unknown config key 'bogus'"),
+        ({"task": {"relation": "item", "atribute": "cls"}}, "unknown task key 'atribute'; expected one of: attribute, relation"),
+    ],
+)
+def test_experiment_config_from_dict_rejects_unknown_keys(over, message):
+    with pytest.raises(UsageError, match=message):
+        ExperimentConfig.from_dict(_config_doc(**over))
+
+
+def test_experiment_config_from_dict_ignores_walk_budget():
+    """A config written when mutual information sampled walks still loads."""
+    assert ExperimentConfig.from_dict(_config_doc(walk_budget=2000)) == ExperimentConfig.from_dict(_config_doc())
 
 
 def test_experiment_config_from_dict_reads_pair_budget_as_int():
