@@ -204,11 +204,13 @@ def cmd_train(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path)
 
     save_model(model, db, model_path)
     export_embeddings_csv(model, db, emb_path)
+    phases = ("sample", "kernel", "sgd", "check")
     header = ["epoch", "scheme_text", "target_attr", "epoch_loss", "cumulative_loss", "wall_time", "samples_used",
-              "samples_skipped"]
+              "samples_skipped", "sgd_levels", *(f"{phase}_s" for phase in phases)]
     write_csv(log_path, header, (
         [stats.epoch_index, scheme_text(tws.scheme), tws.target_attr, repr(loss),
-         repr(stats.cumulative_mean_loss.get(tws)), repr(stats.wall_time), stats.samples_used, stats.samples_skipped]
+         repr(stats.cumulative_mean_loss.get(tws)), repr(stats.wall_time), stats.samples_used, stats.samples_skipped,
+         stats.sgd_levels, *(repr(stats.phase_seconds[phase]) for phase in phases)]
         for stats in history
         for tws, loss in stats.epoch_mean_loss.items()
     ))

@@ -22,9 +22,10 @@ largest gradient entry is at most 1e-10.  On a 2-vCPU Xeon VM a cell of
 8 epochs, 5 folds and 80 labelled tuples with 16 features spends 10-12 ms
 in cross-validation; its 40 problems take 5 to 12 steps, each step
 building their 17 x 17 Hessians from two batched products and solving
-them in one ``np.linalg.solve`` call.  The stack is cut into chunks of
-snapshots holding at most ``CV_STACK_BYTES`` of features, so memory stays
-bounded when many epochs, folds or labelled tuples meet.  Every fold's
+them in one ``np.linalg.solve`` call.  A stack holds at most
+``CV_STACK_BYTES`` of features and Hessian arrays (or one problem), so
+memory stays bounded when many epochs, folds, classes or labelled tuples
+meet.  Every fold's
 weights are bit-identical to ``train_classifier`` on that fold alone.
 """
 
@@ -306,8 +307,9 @@ def make_folds(labels: list[Value], folds: int, split_seed: int) -> np.ndarray:
     return assign
 
 
-# Largest stack of standardised training features, in bytes, that one
-# batched Newton solve in cross_validate holds; more snapshots run in chunks.
+# Largest stack, in bytes, that one batched Newton solve in cross_validate
+# holds (features and per-step Hessian arrays, see _fit_folds); more
+# problems run in further stacks.
 CV_STACK_BYTES = 32 << 20
 
 # One fold of a fixed split: the test mask, the training set's classes and
@@ -330,32 +332,32 @@ def _fit_folds(snaps: np.ndarray, split: list[_Fold]) -> list[list[LogisticModel
     """The classifier of every (snapshot, fold) problem, indexed
     [snapshot][fold], for ``snaps`` of shape (snapshots, n, d).
 
-    Problems whose training sets have the same shape are fitted in one
-    ``_fit_stack`` call over a chunk of snapshots small enough to keep the
-    stacked features within ``CV_STACK_BYTES``."""
+    Problems whose training sets have the same shape are fitted together,
+    in ``_fit_stack`` calls of as many problems as ``CV_STACK_BYTES``
+    holds (at least one): a problem counts its standardised features and
+    the three (d * (classes - 1))^2 arrays ``_fit_stack`` builds per step,
+    the Hessian among them."""
     n_snaps, _, d = snaps.shape
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, (_, _, y, _) in enumerate(split):
         groups.setdefault(y.shape, []).append(i)
-    snapshot_bytes = sum(len(y) for _, _, y, _ in split) * (d + 1) * 8
-    step = max(1, CV_STACK_BYTES // snapshot_bytes)
     models: list[list] = [[None] * len(split) for _ in range(n_snaps)]
-    for lo in range(0, n_snaps, step):
-        chunk = snaps[lo : lo + step]
-        for members in groups.values():
-            n_train = len(split[members[0]][2])
-            Xs = np.empty((len(members), len(chunk), n_train, d + 1))
+    for (n_train, n_classes), members in groups.items():
+        problem_bytes = (n_train * (d + 1) + 3 * ((d + 1) * (n_classes - 1)) ** 2) * 8
+        step = max(1, CV_STACK_BYTES // problem_bytes)
+        problems = [(i, s) for i in members for s in range(n_snaps)]
+        for lo in range(0, len(problems), step):
+            stack = problems[lo : lo + step]
+            Xs = np.empty((len(stack), n_train, d + 1))
             Xs[..., d] = 1.0
-            stacked = []  # (fold, snapshot, mean, scale) in stack order
-            for m, i in enumerate(members):
-                for s, x in enumerate(chunk):
-                    train_x = x[~split[i][0]]
-                    mean, scale = _moments(train_x)
-                    Xs[m, s, :, :d] = _standardise(train_x, mean, scale)
-                    stacked.append((i, lo + s, mean, scale))
-            y = np.repeat(np.stack([split[i][2] for i in members]), len(chunk), axis=0)
-            W = _fit_stack(Xs.reshape(-1, n_train, d + 1), y)
-            for (i, s, mean, scale), w in zip(stacked, W):
+            moments = []
+            for x, (i, s) in zip(Xs, stack):
+                train_x = snaps[s][~split[i][0]]
+                mean, scale = _moments(train_x)
+                x[:, :d] = _standardise(train_x, mean, scale)
+                moments.append((mean, scale))
+            W = _fit_stack(Xs, np.stack([split[i][2] for i, _ in stack]))
+            for (i, s), (mean, scale), w in zip(stack, moments, W):
                 models[s][i] = LogisticModel(split[i][1], mean, scale, w)
     return models
 

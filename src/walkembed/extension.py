@@ -29,6 +29,7 @@ fact and its partners (``exact_value_law``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ class ExtensionConfig:
     def __post_init__(self) -> None:
         if self.partners_per_scheme <= 0 or self.samples_per_partner <= 0:
             raise UsageError("partners_per_scheme and samples_per_partner must be positive")
-        if self.ridge < 0:
-            raise UsageError("ridge must be non-negative")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise UsageError(f"ridge must be a finite non-negative number, got {self.ridge!r}")
 
 
 def solve_ridge(rows: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:

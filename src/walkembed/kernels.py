@@ -29,9 +29,10 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "numeric":
-            if self.sigma is None or self.sigma <= 0:
+            if self.sigma is None or not (math.isfinite(self.sigma) and self.sigma > 0):
                 raise UsageError(
-                    f"numeric kernel for {self.relation}.{self.attribute} needs sigma > 0"
+                    f"numeric kernel for {self.relation}.{self.attribute} needs a finite sigma > 0, "
+                    f"got {self.sigma!r}"
                 )
         elif self.sigma is not None:
             raise UsageError(f"sigma only applies to numeric kernels ({self.relation}.{self.attribute})")

@@ -28,25 +28,26 @@ fact row or its partner row holds.  Updates of one level touch disjoint phi
 rows (a partner is never its own fact) and all read the level-start phi
 and psi, so a level runs as one stack of numpy operations on gathered
 copies.  Each phi row gets its updates in level order, which need not be
-shuffle order, with ``sgd_step``'s arithmetic, to the bit: numpy's stacked
-``matmul`` calls the same BLAS gemv and ddot per element as the 1-D
-products, and the rest is elementwise in the same expression order.  psi
-is the one densely shared parameter, so the updates of a level may share a
-scheme matrix: the matrix takes one step by the sum of their symmetrised
-gradients, added in shuffle order.  The rows follow DSGD's conflict-free
-strata (Gemulla et al., KDD 2011) and psi a Hogwild!-style summed update
-(Niu et al., NeurIPS 2011).  A matrix with one update in its level takes
-``sgd_step``'s psi step.  A level costs about two dozen numpy calls, plus
-one in-place add per further update of its busiest matrix: at k=16 on a
-2-vCPU Xeon VM about 18 µs for one update, 2.5 µs per further update and
-1 µs per add.  With 16 schemes on 80 start facts an epoch's 2560 updates
-run in about 80 levels of about 32 updates, as many levels as the busiest
-row has updates, against about 210 when an update went one level above
-the highest level of its two rows.  ``_apply_levels`` then takes about
-7 ms an epoch, 0.6 ms of it finding the levels, against about 9.5 ms
-(0.2 ms): about 2.7 µs an update, against 14-20 µs for one ``sgd_step``
-call.  With two start facts every level holds one update.  A fixed seed
-fixes phi, psi and the losses (tests/test_golden.py holds their hashes).
+shuffle order, with ``sgd_step``'s step.  psi stays exactly symmetric
+(every step adds a gradient sum to its transpose), so one stacked product
+of the (fact, partner) rows with psi gives both ``phi_f @ psi`` and
+``psi @ phi_p``.  psi is the one densely shared parameter, so the updates
+of a level may share a scheme matrix: the matrix takes one step by the sum
+of their symmetrised gradients, and one matrix product per chunk of at
+most ``PSI_CHUNK`` updates gives every matrix's sum at once.  The rows
+follow DSGD's conflict-free strata (Gemulla et al., KDD 2011) and psi a
+Hogwild!-style summed update (Niu et al., NeurIPS 2011).  With 16 schemes
+on 80 start facts an epoch's 2560 updates run in about 80 levels of about
+32 updates, as many levels as the busiest row has updates.  At k=16 on a
+2-vCPU Xeon VM ``_apply_levels`` then takes about 4.8 ms an epoch against
+6.3 ms with one outer product per update (median of 5 runs each, the two
+interleaved): about 1.9 µs an update, against 14-20 µs for one
+``sgd_step`` call.  At 2000 start facts (levels of about 750 updates) it took 86 ms against
+213 ms.  With 70 schemes on 80 start facts, where most matrices of a level
+take one update and the product's block is mostly zeros, it takes about
+26 ms either way.  With two start facts every level holds one update.  A
+fixed seed fixes phi, psi and the losses, under any number of BLAS threads
+(tests/test_golden.py holds their hashes).
 
 Kernel targets come from arrays: the sampler returns each scheme's target
 column gathered at the walk destinations, a sample is skipped where either
@@ -91,8 +92,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.k <= 0 or self.n_samples <= 0 or self.epochs < 0:
             raise UsageError("k and n_samples must be positive, epochs non-negative")
-        if self.learning_rate <= 0:
-            raise UsageError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(f"learning_rate must be a finite positive number, got {self.learning_rate!r}")
         if self.retry_cap < 1:
             raise UsageError("retry_cap must be at least 1")
 
@@ -217,9 +218,11 @@ def sgd_step(
     loss; a non-finite loss raises before anything is written.  The
     arithmetic is that of ``loss_and_grads`` to the bit: ``phi_f @ psi``
     is computed once and serves both the prediction and grad_p (it runs
-    the same matrix-vector product as ``psi.T @ phi_f``).  Training runs
-    the same arithmetic on stacks of updates, and sums the psi steps of
-    updates that share a matrix within a level (``_apply_levels``).
+    the same matrix-vector product as ``psi.T @ phi_f``).  Training takes
+    this step on stacks of updates (``_apply_levels``): it reads
+    ``psi @ phi_p`` as ``phi_p @ psi``, psi being symmetric, and sums the
+    psi steps of the updates that share a matrix within a level by matrix
+    products, so it agrees with this function to rounding, not to the bit.
     """
     row = phi_f @ psi
     residual = float(row @ phi_p) - kappa
@@ -265,45 +268,42 @@ def _levels(f: list[int], p: list[int], n_rows: int) -> list[int]:
     return levels
 
 
-def _level_order(level: np.ndarray, s: np.ndarray, n_mats: int) -> tuple[np.ndarray, list[list]]:
-    """The order the updates run in, and per level (start, end, u, sums).
+# A level's summed psi gradients come from matrix products over at most
+# this many updates each, added in a fixed order: one longer product lets
+# OpenBLAS split its sums by the thread count, and the bits move with it.
+PSI_CHUNK = 256
 
-    Within a level the updates run in blocks by rank, the rank of an update
-    being the number of earlier updates of its matrix in the level.  Block 0
-    holds one update of each of the level's u matrices, ordered by how many
-    updates the matrix takes (most first), then by matrix; each later block
-    follows the same order, so it holds the first matrices of block 0.
-    ``sums`` lists the later blocks as (start, end) relative to the level.
-    """
+
+def _plan(level: np.ndarray, mats: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """The levels and chunks of updates sorted by level, then matrix.
+
+    Per level: (start, end, its matrices in slot order, its chunks), a
+    chunk being (start, end, its first update's slot, slots spanned) for
+    at most ``PSI_CHUNK`` updates of the level.  Also each update's slot
+    counted from its chunk's first slot."""
     n = len(level)
-    # stable: shuffle order within a level's matrix
-    by_mat = np.argsort(level * n_mats + s, kind="stable")
-    lev = level[by_mat]
-    head = _run_heads(lev, s[by_mat])
-    first = np.flatnonzero(head)
-    group = np.cumsum(head) - 1
-    rank = np.arange(n) - first[group]
-    size = np.diff(np.append(first, n))[group]  # updates of the matrix in the level
-    # by level, rank, then most updates first; stable, so ties keep the matrix order
-    span = int(size.max(initial=0)) + 1
-    blocked = np.lexsort((rank * span + span - size, lev))
-    by_mat, lev, rank = by_mat[blocked], lev[blocked], rank[blocked]
-    starts = np.flatnonzero(_run_heads(lev, rank))
-    plan: list[list] = []
-    for lo, hi, r in zip(starts.tolist(), [*starts[1:].tolist(), n], rank[starts].tolist()):
-        if r == 0:
-            plan.append([lo, hi, hi - lo, []])
-        else:
-            plan[-1][1] = hi
-            plan[-1][3].append((lo - plan[-1][0], hi - plan[-1][0]))
-    return by_mat, plan
-
-
-def _run_heads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """True where (a[i], b[i]) differs from the pair before it, and at 0."""
-    head = np.ones(len(a), dtype=bool)
-    head[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return head
+    level_head = np.ones(n, dtype=bool)
+    level_head[1:] = level[1:] != level[:-1]
+    starts = np.flatnonzero(level_head)
+    ends = np.append(starts[1:], n)[: len(starts)]  # none when there is no update
+    level_of = np.cumsum(level_head) - 1
+    run_head = level_head.copy()
+    run_head[1:] |= mats[1:] != mats[:-1]
+    run = np.cumsum(run_head) - 1
+    slot = run - run[starts][level_of]  # of the update's matrix in its level
+    heads = np.flatnonzero((np.arange(n) - starts[level_of]) % PSI_CHUNK == 0)  # each level head among them
+    tails = np.minimum(heads + PSI_CHUNK, ends[level_of[heads]])
+    local = slot - np.repeat(slot[heads], tails - heads)
+    stepped = mats[run_head]
+    plan = [
+        (a, b, stepped[first : last + 1], [])
+        for a, b, first, last in zip(starts.tolist(), ends.tolist(), run[starts].tolist(), run[ends - 1].tolist())
+    ]
+    for c, e, i, offset, width in zip(
+        heads.tolist(), tails.tolist(), level_of[heads].tolist(), slot[heads].tolist(), (local[tails - 1] + 1).tolist()
+    ):
+        plan[i][3].append((c, e, offset, width))
+    return plan, local
 
 
 def _apply_levels(
@@ -321,42 +321,46 @@ def _apply_levels(
     Returns each update's pre-update loss and its level (``_levels``), in
     shuffle order.  Levels run lowest first, so a phi row takes its updates
     in level order, which need not be shuffle order.  Every update of a
-    level reads the level-start phi rows and psi matrix.  Its phi rows take
-    ``sgd_step``'s arithmetic on stacked arrays, with the same BLAS calls
-    and the same elementwise expression order.  Each matrix
-    takes one step by the sum of its updates' symmetrised gradients, added
-    in shuffle order; a matrix with one update in the level takes
-    ``sgd_step``'s psi update.  A non-finite loss does not stop the loop;
-    the caller names the first one in level order.
+    level reads the level-start phi rows and psi matrices, which must be
+    exactly symmetric (each step keeps them so), so one stacked product
+    gives both ``phi_f @ psi`` and ``psi @ phi_p``.  Within a level the
+    updates are sorted by matrix, shuffle order kept within each.  Each
+    matrix takes one step by the sum of its updates' symmetrised
+    gradients.  The level runs in chunks of at most ``PSI_CHUNK`` updates:
+    a chunk's partner rows go into a zero (updates, matrices * k) block
+    over the chunk's matrices, one row each at its matrix's slot, and one
+    product of that block's transpose with the rows r * phi_f gives each
+    of those matrices' gradient sum.  A matrix whose updates span two
+    chunks adds their sums in chunk order.  A non-finite loss does not
+    stop the loop; the caller names the first one in level order.
     """
     level = np.array(_levels(f.tolist(), p.tolist(), len(phi)), dtype=np.int64)
-    order, plan = _level_order(level, s, len(psi))
-    # per update: its fact and partner row, matrix, and target as (1, 1)
-    rows = np.stack((f, p), axis=1)[order]
+    order = np.lexsort((s, level))  # stable: shuffle order within a level's matrix
+    n, k = len(order), phi.shape[1]
     mats = s[order]
+    rows = np.stack((f, p), axis=1)[order]
     target = kappa[order, None, None]
+    plan, local = _plan(level[order], mats)
+    upto = np.arange(PSI_CHUNK)
     residual = np.empty_like(target)
     half_lr = learning_rate * 0.5
-    for a, b, u, sums in plan:
-        fp, m = rows[a:b], mats[a:b]
-        x, ps = phi.take(fp, axis=0), psi.take(m, axis=0)  # x: (w, 2, k)
-        pf, pp = x[:, :1], x[:, 1:]
-        pp_col = pp.transpose(0, 2, 1)
-        row = np.matmul(pf, ps)  # phi_f @ psi, (w, 1, k)
-        r = np.matmul(row, pp_col) - target[a:b]
+    for a, b, level_mats, chunks in plan:
+        fp = rows[a:b]
+        x, ps = phi.take(fp, axis=0), psi.take(mats[a:b], axis=0)  # x: (w, 2, k)
+        y = np.matmul(x, ps)  # (phi_f @ psi, phi_p @ psi); the latter is psi @ phi_p
+        r = np.matmul(y[:, :1], x[:, 1:].transpose(0, 2, 1)) - target[a:b]
         residual[a:b] = r
-        # (psi @ phi_p, phi_f @ psi): the gradients of phi_f and phi_p divided by r
-        grads = np.concatenate((np.matmul(ps, pp_col).transpose(0, 2, 1), row), axis=1)
-        phi[fp] = x - learning_rate * (r * grads)
-        # a level may hold one update per two phi rows: keep at most two (w, k, k) arrays alive
-        del ps
-        grad_psi = r * (pf.transpose(0, 2, 1) * pp)
-        sym = grad_psi + grad_psi.transpose(0, 2, 1)
-        del grad_psi
-        for c, e in sums:  # a later block onto the first matrices of block 0
-            sym[: e - c] += sym[c:e]
-        psi[m[:u]] -= half_lr * sym[:u]  # psi[m] is still the level-start psi
-    loss = np.empty(len(level))
+        phi[fp] = x - learning_rate * (r * y[:, ::-1])
+        del ps  # a level may hold one update per two phi rows: free the (w, k, k) stack
+        pp, rf = x[:, 1], r[:, 0] * x[:, 0]
+        grad = np.zeros((len(level_mats), k, k))
+        for c, e, offset, width in chunks:
+            block = np.zeros((e - c, width, k))
+            block[upto[: e - c], local[c:e]] = pp[c - a : e - a]
+            sums = block.reshape(e - c, -1).T @ rf[c - a : e - a]  # (width * k, k)
+            grad[offset : offset + width] += sums.reshape(-1, k, k)
+        psi[level_mats] -= half_lr * (grad + grad.transpose(0, 2, 1))  # psi is still the level-start psi
+    loss = np.empty(n)
     loss[order] = (0.5 * residual * residual).ravel()
     return loss, level
 
@@ -374,7 +378,9 @@ def train_epoch(
     Skipped samples (either side failed to produce a non-null destination
     within the retry cap) never reach the optimiser and are excluded from
     loss means.  ``ledger`` is a (2, schemes) float array of loss sums and
-    counts by psi row across epochs; the epoch adds its own to it.
+    counts by psi row across epochs; the epoch adds its own to it.  An
+    active scheme matrix must be exactly symmetric, as ``init_model`` makes
+    it and every epoch keeps it; one that is not raises UsageError.
     """
     t0 = time.perf_counter()
     start_ids = np.asarray(db.relation_fact_ids(model.start_relation), dtype=np.int64)
@@ -412,6 +418,9 @@ def train_epoch(
     rows = [model.phi.index[f] for f in start_ids.tolist()]
     mats = [model.psi.index[t] for t in active]
     phi, psi = model.phi.data[rows], model.psi.data[mats]
+    if not np.array_equal(psi, psi.transpose(0, 2, 1), equal_nan=True):  # _apply_levels reads psi.T as psi
+        s = next(i for i, m in enumerate(psi) if not np.array_equal(m, m.T, equal_nan=True))
+        raise UsageError(f"scheme matrix for {targeted_text(active[s])} is not symmetric")
     shuffled = scheme_of[order]
     losses, levels = _apply_levels(
         phi, psi, facts[order], partners[order], shuffled, kappas[order], cfg.learning_rate

@@ -177,6 +177,40 @@ def test_bad_strategy_or_ratio_exits_2_before_loading(ws, tmp_path, capsys, monk
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "experiment"])
+@pytest.mark.parametrize(
+    "literal, field, message",
+    [
+        ('"trainer": {"learning_rate": NaN}', "learning_rate", "learning_rate must be a finite positive number, got nan"),
+        ('"trainer": {"learning_rate": Infinity}', "learning_rate", "learning_rate must be a finite positive number, got inf"),
+        ('"kernels": [{"relation": "obs0", "attribute": "oval", "kind": "numeric", "sigma": NaN}]', "sigma",
+         "needs a finite sigma > 0, got nan"),
+        ('"kernels": [{"relation": "obs0", "attribute": "oval", "kind": "numeric", "sigma": Infinity}]', "sigma",
+         "needs a finite sigma > 0, got inf"),
+    ],
+    ids=["lr-nan", "lr-inf", "sigma-nan", "sigma-inf"],
+)
+def test_non_finite_float_option_exits_2_before_loading(ws, tmp_path, capsys, monkeypatch, command, literal, field,
+                                                        message):
+    """The JSON literals NaN and Infinity reach the config as floats, and a
+    float option that must be finite is rejected by name before any load."""
+    def loaded(*args, **kwargs):
+        pytest.fail(f"the command loaded the database before checking {field}")
+
+    monkeypatch.setattr(evaluation, "load_database", loaded)
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"))
+    config.pop("trainer")
+    text = json.dumps(config)
+    bad = tmp_path / "config.json"
+    bad.write_text(text[:-1] + ", " + literal + "}")
+    code, _ = _run(["--out-dir", str(tmp_path / "out"), command, "--config", str(bad)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / "training_log.csv").exists()
+
+
 # -- train ----------------------------------------------------------------------------
 
 
@@ -199,6 +233,17 @@ def test_train_writes_model_log_and_embeddings(ws, trained):
         log = list(csv.reader(fh))
     assert log[0][:3] == ["epoch", "scheme_text", "target_attr"]
     assert {r[0] for r in log[1:]} == {"1", "2"}  # one block per epoch
+
+
+def test_training_log_reports_levels_and_phase_times_within_the_wall_time(trained):
+    with open(trained / "training_log.csv", newline="") as fh:
+        log = list(csv.DictReader(fh))
+    assert log
+    for row in log:
+        phases = [float(row[f"{phase}_s"]) for phase in ("sample", "kernel", "sgd", "check")]
+        assert all(t >= 0.0 for t in phases)
+        assert sum(phases) <= float(row["wall_time"])
+        assert 0 < int(row["sgd_levels"]) <= int(row["samples_used"])
 
 
 def test_train_with_strategy_keeps_subset(ws):

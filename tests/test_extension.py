@@ -99,6 +99,12 @@ def test_extension_config_validation():
     ExtensionConfig(ridge=0.0)  # zero is allowed; the solve may still reject it
 
 
+@pytest.mark.parametrize("ridge", [math.nan, math.inf])
+def test_extension_config_rejects_a_non_finite_ridge(ridge):
+    with pytest.raises(UsageError, match="ridge must be a finite non-negative number"):
+        ExtensionConfig(ridge=ridge)
+
+
 # -- clone behaviour against a response-exact model ------------------------------------------
 
 

@@ -110,6 +110,12 @@ def test_kernel_spec_validation():
         KernelSpec("S", "D", "numeric", sigma=0.0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_kernel_spec_rejects_a_non_finite_sigma(sigma):
+    with pytest.raises(UsageError, match="needs a finite sigma > 0"):
+        KernelSpec("S", "D", "numeric", sigma=sigma)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(min_value=-50, max_value=50),
