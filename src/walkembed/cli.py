@@ -38,9 +38,9 @@ from .evaluation import (
     write_report,
 )
 from .extension import ExtensionConfig, extend_embedding
-from .files import check_writable, ensure_dir, read_json, write_csv, write_json
+from .files import check_writable, ensure_dir, json_array, json_field, read_json, write_csv, write_json
 from .kernels import default_kernels
-from .model_io import export_embeddings_csv, json_array, json_field, load_model, save_model
+from .model_io import export_embeddings_csv, load_model, save_model
 from .relational import insert_columns, load_database, load_schema, read_relation_columns
 from .schemes import enumerate_targeted_schemes, scheme_text, targeted_text
 from .selection import STRATEGIES, online_elimination_train, ranked, select
@@ -58,15 +58,16 @@ EXIT_CODES = {
 
 
 class Manifest:
-    """Run manifest: written when a command starts, finalised when it ends."""
+    """Run manifest: written when a command starts, finalised when it ends
+    (before it starts, with no root seed, when the config is rejected)."""
 
-    def __init__(self, out_dir: Path, command: str, config_path: Path, seed: int) -> None:
+    def __init__(self, out_dir: Path, command: str, config_path: Path) -> None:
         self.path = ensure_dir(out_dir) / "manifest.json"
         self.doc = {
             "format_version": MANIFEST_FORMAT_VERSION,
             "command": command,
             "config_hash": hashlib.sha256(config_path.read_bytes()).hexdigest(),
-            "root_seed": seed,
+            "root_seed": None,
             "package_version": __version__,
             "numpy_version": np.__version__,
             "python_version": sys.version.split()[0],
@@ -74,6 +75,9 @@ class Manifest:
             "status": "running",
             "outputs": [],
         }
+
+    def start(self, seed: int) -> None:
+        self.doc["root_seed"] = seed
         write_json(self.doc, self.path)
 
     def finish(self, status: str, outputs: list[Path], **failure) -> None:
@@ -89,9 +93,12 @@ class Manifest:
         write_json(self.doc, self.path)
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace, doc) -> ExperimentConfig:
     path = Path(args.config)
-    config = ExperimentConfig.from_dict(read_json(path, "config file", error=UsageError), base_dir=path.parent)
+    try:
+        config = ExperimentConfig.from_dict(doc, base_dir=path.parent)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     if args.seed is not None:
         config = replace(
             config,
@@ -293,7 +300,7 @@ def _verify_clones(db, db_new, model, extended, new_start, strict: bool) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, read_json(args.config, "config file", error=UsageError))
     db, task, _, _ = load_task(config)
     model = load_model(args.model, db)
     labeled = sorted(task.labels)
@@ -383,7 +390,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
         for i, series in enumerate(json_field(doc, name, list, report_path)):
             where = f"{name}[{i}]"
             strategy = json_field(series, "strategy", str, report_path, f"{where}.strategy")
-            ratio = json_field(series, "ratio", (int, float), report_path, f"{where}.ratio")
+            ratio = json_field(series, "ratio", float, report_path, f"{where}.ratio")
             label = "ensemble"
             if name == "cells":
                 label = f"seed{json_field(series, 'seed', int, report_path, f'{where}.seed')}"
@@ -468,9 +475,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not getattr(args, "writes", False):
             return args.fn(args)
-        config = _load_config(args)
+        doc = read_json(args.config, "config file", error=UsageError)
         out_dir = Path(args.out_dir)
-        manifest = Manifest(out_dir, args.command, Path(args.config), config.trainer.seed)
+        manifest = Manifest(out_dir, args.command, Path(args.config))
+        config = _load_config(args, doc)
+        manifest.start(config.trainer.seed)
         outputs = args.fn(args, config, out_dir)
         manifest.finish("complete", outputs)
         for p in outputs:

@@ -44,9 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrityError, UsageError
-from .files import ensure_dir, write_csv, write_json
+from .files import ensure_dir, json_object, write_csv, write_json
 from .kernels import KernelMap, KernelSpec, default_kernels
 from .relational import (  # noqa: F401  (build_database: bench/layertrace.py patches it here)
+    KINDS,
     Database,
     Value,
     build_database,
@@ -449,15 +450,6 @@ def time_to_threshold(points: list[tuple[float, float]], alpha_star: float) -> f
 # -- experiment configuration ----------------------------------------------------
 
 
-# The keys a config document may hold at top level and under "task".
-_CONFIG_KEYS = frozenset({
-    "schema", "data_dir", "task", "max_length", "trainer", "strategies", "ratios", "seeds", "folds",
-    "split_seed", "pair_budget", "facts_per_scheme", "sampling_epochs", "per_epoch_removals", "workers",
-    "kernels",
-})
-_TASK_KEYS = frozenset({"relation", "attribute"})
-
-
 @dataclass
 class ExperimentConfig:
     schema_path: str
@@ -503,68 +495,53 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
         """The config of a JSON document; a field the document leaves out
-        takes the dataclass default.  A missing required or ill-typed field,
-        an unknown top-level or ``task`` key, or a count that is not a whole
-        number, is a UsageError.  ``walk_budget``, which mutual information
-        no longer reads, is accepted and ignored."""
-        if not isinstance(doc, dict):
-            raise UsageError("malformed config: expected a JSON object")
-        task = doc.get("task")
-        for where, keys, known in (("config", set(doc) - {"walk_budget"}, _CONFIG_KEYS),
-                                   ("task", set(task) if isinstance(task, dict) else set(), _TASK_KEYS)):
-            unknown = sorted(keys - known, key=str)
-            if unknown:
-                raise UsageError(f"unknown {where} key {unknown[0]!r}; expected one of: {', '.join(sorted(known))}")
-        try:
-            base = Path(base_dir)
-            trainer_doc = dict(doc.get("trainer", {}))
-            for name in ("k", "n_samples", "epochs", "seed", "retry_cap"):
-                if name in trainer_doc:
-                    trainer_doc[name] = _count(trainer_doc[name], f"trainer.{name}")
-            given = {
-                name: _count(doc[name], name)
-                for name in ("max_length", "folds", "split_seed", "facts_per_scheme", "sampling_epochs",
-                             "per_epoch_removals", "workers")
-                if name in doc
-            }
-            if doc.get("pair_budget") is not None:
-                given["pair_budget"] = _count(doc["pair_budget"], "pair_budget")
-            if "strategies" in doc:
-                given["strategies"] = tuple(doc["strategies"])
-            if "ratios" in doc:
-                given["ratios"] = tuple(float(r) for r in doc["ratios"])
-            if "seeds" in doc:
-                given["seeds"] = tuple(_count(s, "seeds") for s in doc["seeds"])
-            if "kernels" in doc:
-                given["kernel_overrides"] = tuple(
-                    KernelSpec(k["relation"], k["attribute"], k["kind"], k.get("sigma")) for k in doc["kernels"]
-                )
-            task = doc["task"]
-            return ExperimentConfig(
-                schema_path=str(base / doc["schema"]),
-                data_dir=str(base / doc["data_dir"]),
-                task_relation=task["relation"],
-                task_attribute=task["attribute"],
-                trainer=TrainConfig(**trainer_doc),
-                **given,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed config: {type(exc).__name__}: {exc}") from exc
-
-
-def _count(value, name: str) -> int:
-    """A config count: ``int()`` of the value, but a number that is not a
-    whole number (2.7, inf, nan) or a JSON boolean is rejected instead of
-    truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+        takes the dataclass default.  A missing required field, an ill-typed
+        one, a count that is not a whole number, or a key no field reads
+        (at top level, in ``task``, ``trainer`` or a ``kernels`` entry) is a
+        UsageError naming it.  ``walk_budget``, which mutual information no
+        longer reads, is accepted and ignored."""
+        read = partial(json_object, "malformed config", UsageError)
+        given = read(doc, {"schema": str, "data_dir": str, "task": dict}, {
+            "trainer": dict, "kernels": list, "max_length": int, "folds": int, "split_seed": int,
+            "pair_budget": (int, None), "facts_per_scheme": int, "sampling_epochs": int, "per_epoch_removals": int,
+            "workers": int, "strategies": [str], "ratios": [float], "seeds": [int], "walk_budget": None,
+        }, name="config")
+        task = read(given.pop("task"), {"relation": str, "attribute": str}, label="task")
+        trainer = read(given.pop("trainer", {}), {}, {
+            "k": int, "n_samples": int, "epochs": int, "learning_rate": float, "seed": int, "retry_cap": int,
+        }, label="trainer")
+        kernels = [
+            KernelSpec(**read(spec, {"relation": str, "attribute": str, "kind": str}, {"sigma": (float, None)},
+                              label=f"kernels[{i}]"))
+            for i, spec in enumerate(given.pop("kernels", []))
+        ]
+        base = Path(base_dir)
+        return ExperimentConfig(
+            schema_path=str(base / given.pop("schema")),
+            data_dir=str(base / given.pop("data_dir")),
+            task_relation=task["relation"],
+            task_attribute=task["attribute"],
+            trainer=TrainConfig(**trainer),
+            kernel_overrides=tuple(kernels),
+            **given,
+        )
 
 
 def apply_kernel_overrides(kernels: KernelMap, overrides: tuple[KernelSpec, ...]) -> KernelMap:
+    """``kernels`` with each override put in place of its attribute's
+    kernel.  An override of an attribute ``kernels`` has no kernel for, of a
+    kind outside ``KINDS``, or numeric where the attribute is not (or the
+    reverse), is a UsageError naming it."""
     out = dict(kernels)
     for spec in overrides:
-        out[(spec.relation, spec.attribute)] = spec
+        key, name = (spec.relation, spec.attribute), f"kernel override {spec.relation}.{spec.attribute}"
+        if key not in kernels:
+            raise UsageError(f"{name} names no attribute of the database")
+        if spec.kind not in KINDS:
+            raise UsageError(f"{name}: unknown kind {spec.kind!r}; expected one of: {', '.join(KINDS)}")
+        if (spec.kind == "numeric") != (kernels[key].kind == "numeric"):
+            raise UsageError(f"{name} is {spec.kind} but the attribute is {kernels[key].kind}")
+        out[key] = spec
     return out
 
 
@@ -888,6 +865,8 @@ def dynamic_protocol(
     cascade is re-inserted together with the prediction facts.  Both are
     ``take``s, so no fact is decoded: the survivors in id order, then the
     removed facts in id order, the ids ``insert_facts`` would give them.
+    Training and extension take the default kernels with ``config``'s
+    overrides, as ``load_task`` does.
     """
     db, task = strip_attribute(raw_db, task_relation, task_attribute)
     all_ids = list(db.relation_fact_ids(task_relation))
@@ -895,6 +874,7 @@ def dynamic_protocol(
     if len(labeled) < 4:
         raise UsageError("too few labeled facts for the dynamic protocol")
 
+    overrides = config.kernel_overrides if config is not None else ()
     points: list[DynamicPoint] = []
     for q in fractions:
         if not (0.0 < q < 1.0):
@@ -912,7 +892,7 @@ def dynamic_protocol(
         old_to_new = np.cumsum(~removed) - 1
 
         schemes = enumerate_targeted_schemes(db.schema, task_relation, max_length)
-        kernels = default_kernels(reduced)
+        kernels = apply_kernel_overrides(default_kernels(reduced), overrides)
         cfg = replace(trainer, seed=seed)
         if strategy is not None and strategy != "online" and ratio < 1.0:
             if config is None:
@@ -937,7 +917,7 @@ def dynamic_protocol(
             if db.relation_of(f) == task_relation and f in task.labels
         ]
         new_pred = [new for new, _ in pred]
-        ext_kernels = default_kernels(extended_db)
+        ext_kernels = apply_kernel_overrides(default_kernels(extended_db), overrides)
         extended = extend_embedding(
             extended_db, model, new_pred, extension, ext_kernels, seed=seed, retry_cap=cfg.retry_cap
         )

@@ -8,13 +8,12 @@ schema on load.  Loaders fail loudly on a format-version mismatch.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IntegrityError, SchemaError, UsageError
-from .files import read_json, write_csv, write_json
+from .files import json_array, json_field, read_json, write_csv, write_json
 from .relational import Database
 from .schemes import TargetedWalkScheme, WalkScheme, WalkStep, scheme_text
 from .trainer import EmbeddingModel, KeyedRows
@@ -38,34 +37,6 @@ def _scheme_doc(tws: TargetedWalkScheme) -> dict:
             for st in tws.scheme.steps
         ],
     }
-
-
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", (int, float): "a number"}
-
-
-def json_field(doc, name: str, kind, path: str | Path, label: str | None = None):
-    """``doc[name]`` when ``doc`` is a JSON object whose field holds a
-    ``kind`` (a JSON boolean is not a number); otherwise an IntegrityError
-    naming the file and the field, shown as ``label`` if given."""
-    value = doc.get(name) if isinstance(doc, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise IntegrityError(f"{path}: field {label or name} is missing or not {_KIND_NAMES[kind]}")
-    return value
-
-
-def json_array(value, shape: tuple[int, ...], kinds: str, path: str | Path, label: str) -> np.ndarray:
-    """``value`` as an array when it is a nest of JSON numbers of ``shape``
-    whose numpy dtype kind is one of ``kinds``; otherwise an IntegrityError
-    naming the file and the field."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is not None and arr.size == 0 == math.prod(shape):  # an empty list has no inner shape
-        arr = np.zeros(shape, dtype=np.int64)
-    if arr is None or arr.shape != shape or arr.dtype.kind not in kinds:
-        raise IntegrityError(f"{path}: field {label} is not numbers of shape {shape}")
-    return arr
 
 
 def _scheme_from_doc(doc, db: Database, path: str | Path, label: str) -> TargetedWalkScheme:

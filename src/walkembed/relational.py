@@ -86,6 +86,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, islice, repeat
 from operator import is_, itemgetter
 from pathlib import Path
@@ -94,7 +95,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IntegrityError, SchemaError, UsageError
-from .files import ensure_dir, read_json, write_csv, write_json
+from .files import ensure_dir, json_object, read_json, write_csv, write_json
 
 Value = None | str | float
 
@@ -936,30 +937,25 @@ def take(db: Database, ids: Sequence[int] | np.ndarray) -> Database:
 
 
 def schema_from_dict(doc: dict) -> DatabaseSchema:
-    try:
-        relations = tuple(
-            RelationSchema(
-                name=rel["name"],
-                attributes=tuple(
-                    AttributeDecl(a["name"], a["kind"], bool(a.get("nullable", True)))
-                    for a in rel["attributes"]
-                ),
-                key=tuple(rel["key"]),
-            )
-            for rel in doc["relations"]
+    """The schema of a JSON document.  A missing or ill-typed field, or a key
+    no field reads (at top level, in a relation, an attribute or a foreign
+    key), is a SchemaError naming it."""
+    read = partial(json_object, "malformed schema descriptor", SchemaError)
+    top = read(doc, {"relations": list}, {"foreign_keys": list}, name="schema")
+    relations = []
+    for i, rel_doc in enumerate(top["relations"]):
+        label = f"relations[{i}]"
+        rel = read(rel_doc, {"name": str, "attributes": list, "key": [str]}, label=label)
+        attributes = tuple(
+            AttributeDecl(**read(a, {"name": str, "kind": str}, {"nullable": bool}, label=f"{label}.attributes[{j}]"))
+            for j, a in enumerate(rel["attributes"])
         )
-        foreign_keys = tuple(
-            ForeignKey(
-                src=fk["src"],
-                src_attrs=tuple(fk["src_attrs"]),
-                dst=fk["dst"],
-                dst_attrs=tuple(fk["dst_attrs"]),
-            )
-            for fk in doc.get("foreign_keys", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed schema descriptor: {exc}") from exc
-    return DatabaseSchema(relations, foreign_keys)
+        relations.append(RelationSchema(rel["name"], attributes, rel["key"]))
+    fk_kinds = {"src": str, "src_attrs": [str], "dst": str, "dst_attrs": [str]}
+    foreign_keys = tuple(
+        ForeignKey(**read(fk, fk_kinds, label=f"foreign_keys[{i}]")) for i, fk in enumerate(top.get("foreign_keys", []))
+    )
+    return DatabaseSchema(tuple(relations), foreign_keys)
 
 
 def schema_to_dict(schema: DatabaseSchema) -> dict:

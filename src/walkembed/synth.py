@@ -55,6 +55,21 @@ class PlantedSetup:
         return [t for t in schemes if self.kind_of(t).startswith("noise")]
 
 
+def _categorical_schema(relations: dict[str, list[str]], fks: list[tuple[str, str, str]]) -> DatabaseSchema:
+    """Relations of non-nullable categorical attributes (name: attribute
+    names, the first one the key) and foreign keys (source relation, its
+    attribute, destination relation) onto a destination's key."""
+    return schema_from_dict({
+        "relations": [
+            {"name": name, "attributes": [{"name": a, "kind": "categorical", "nullable": False} for a in attrs],
+             "key": [attrs[0]]}
+            for name, attrs in relations.items()
+        ],
+        "foreign_keys": [{"src": src, "src_attrs": [a], "dst": dst, "dst_attrs": [relations[dst][0]]}
+                         for src, a, dst in fks],
+    })
+
+
 def planted_database(
     n_items: int = 40,
     n_classes: int = 2,
@@ -72,60 +87,17 @@ def planted_database(
     still varies within it.
     """
     rng = derive_rng(seed, "planted")
-    item_attrs = [
-        {"name": "iid", "kind": "categorical", "nullable": False},
-        {"name": "cls", "kind": "categorical", "nullable": False},
-    ]
+    relations = {"item": ["iid", "cls"]}
     fks = []
-    relations = []
     if with_noise:
-        item_attrs += [
-            {"name": "u", "kind": "categorical", "nullable": False},
-            {"name": "u2", "kind": "categorical", "nullable": False},
-            {"name": "c", "kind": "categorical", "nullable": False},
-        ]
+        relations["item"] += ["u", "u2", "c"]
         for rel, col in (("uniq", "u"), ("uniq2", "u2"), ("const", "c")):
-            relations.append(
-                {
-                    "name": rel,
-                    "attributes": [
-                        {"name": "uid" if rel != "const" else "cid", "kind": "categorical", "nullable": False},
-                        {"name": "uval" if rel != "const" else "cval", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["uid" if rel != "const" else "cid"],
-                }
-            )
-            fks.append(
-                {
-                    "src": "item",
-                    "src_attrs": [col],
-                    "dst": rel,
-                    "dst_attrs": ["uid" if rel != "const" else "cid"],
-                }
-            )
+            relations[rel] = ["cid", "cval"] if rel == "const" else ["uid", "uval"]
+            fks.append(("item", col, rel))
     for j in range(n_obs):
-        relations.append(
-            {
-                "name": f"obs{j}",
-                "attributes": [
-                    {"name": "oid", "kind": "categorical", "nullable": False},
-                    {"name": "ref", "kind": "categorical", "nullable": False},
-                    {"name": "oval", "kind": "categorical", "nullable": False},
-                ],
-                "key": ["oid"],
-            }
-        )
-        fks.append({"src": f"obs{j}", "src_attrs": ["ref"], "dst": "item", "dst_attrs": ["iid"]})
-
-    schema = schema_from_dict(
-        {
-            "relations": [
-                {"name": "item", "attributes": item_attrs, "key": ["iid"]},
-                *relations,
-            ],
-            "foreign_keys": fks,
-        }
-    )
+        relations[f"obs{j}"] = ["oid", "ref", "oval"]
+        fks.append((f"obs{j}", "ref", "item"))
+    schema = _categorical_schema(relations, fks)
 
     rows: list[tuple[str, tuple[Value, ...]]] = []
     classes = [i % n_classes for i in range(n_items)]
@@ -158,31 +130,7 @@ def two_cluster_database(n_per_cluster: int = 6) -> Database:
     """Items referencing one of two group rows; the expected kernel distance
     on the forward scheme targeting the group value is exactly 1 within a
     cluster and 0 across."""
-    schema = schema_from_dict(
-        {
-            "relations": [
-                {
-                    "name": "item",
-                    "attributes": [
-                        {"name": "iid", "kind": "categorical", "nullable": False},
-                        {"name": "g", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["iid"],
-                },
-                {
-                    "name": "grp",
-                    "attributes": [
-                        {"name": "gid", "kind": "categorical", "nullable": False},
-                        {"name": "gval", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["gid"],
-                },
-            ],
-            "foreign_keys": [
-                {"src": "item", "src_attrs": ["g"], "dst": "grp", "dst_attrs": ["gid"]}
-            ],
-        }
-    )
+    schema = _categorical_schema({"item": ["iid", "g"], "grp": ["gid", "gval"]}, [("item", "g", "grp")])
     rows: list[tuple[str, tuple[Value, ...]]] = [
         ("grp", ("ga", "va")),
         ("grp", ("gb", "vb")),
@@ -196,40 +144,9 @@ def convergence_database(n_items: int = 8, obs_per_item: int = 3, seed: int = 1)
     """Small database with a mix of deterministic and mildly random schemes,
     sized for exact expected-kernel-distance computation."""
     rng = derive_rng(seed, "convergence")
-    schema = schema_from_dict(
-        {
-            "relations": [
-                {
-                    "name": "item",
-                    "attributes": [
-                        {"name": "iid", "kind": "categorical", "nullable": False},
-                        {"name": "g", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["iid"],
-                },
-                {
-                    "name": "grp",
-                    "attributes": [
-                        {"name": "gid", "kind": "categorical", "nullable": False},
-                        {"name": "gval", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["gid"],
-                },
-                {
-                    "name": "obs",
-                    "attributes": [
-                        {"name": "oid", "kind": "categorical", "nullable": False},
-                        {"name": "ref", "kind": "categorical", "nullable": False},
-                        {"name": "oval", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["oid"],
-                },
-            ],
-            "foreign_keys": [
-                {"src": "item", "src_attrs": ["g"], "dst": "grp", "dst_attrs": ["gid"]},
-                {"src": "obs", "src_attrs": ["ref"], "dst": "item", "dst_attrs": ["iid"]},
-            ],
-        }
+    schema = _categorical_schema(
+        {"item": ["iid", "g"], "grp": ["gid", "gval"], "obs": ["oid", "ref", "oval"]},
+        [("item", "g", "grp"), ("obs", "ref", "item")],
     )
     rows: list[tuple[str, tuple[Value, ...]]] = [("grp", ("ga", "va")), ("grp", ("gb", "vb"))]
     for i in range(n_items):
@@ -245,36 +162,8 @@ def mi_chain_database(n: int = 4) -> Database:
     """X -> Y is a bijection (one deterministic step, mutual information
     log n); every Y references the single Z row (an uninformative step,
     mutual information exactly 0)."""
-    schema = schema_from_dict(
-        {
-            "relations": [
-                {
-                    "name": "X",
-                    "attributes": [
-                        {"name": "xid", "kind": "categorical", "nullable": False},
-                        {"name": "fy", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["xid"],
-                },
-                {
-                    "name": "Y",
-                    "attributes": [
-                        {"name": "yid", "kind": "categorical", "nullable": False},
-                        {"name": "fz", "kind": "categorical", "nullable": False},
-                    ],
-                    "key": ["yid"],
-                },
-                {
-                    "name": "Z",
-                    "attributes": [{"name": "zid", "kind": "categorical", "nullable": False}],
-                    "key": ["zid"],
-                },
-            ],
-            "foreign_keys": [
-                {"src": "X", "src_attrs": ["fy"], "dst": "Y", "dst_attrs": ["yid"]},
-                {"src": "Y", "src_attrs": ["fz"], "dst": "Z", "dst_attrs": ["zid"]},
-            ],
-        }
+    schema = _categorical_schema(
+        {"X": ["xid", "fy"], "Y": ["yid", "fz"], "Z": ["zid"]}, [("X", "fy", "Y"), ("Y", "fz", "Z")]
     )
     rows: list[tuple[str, tuple[Value, ...]]] = [("Z", ("z0",))]
     for i in range(n):

@@ -1289,6 +1289,105 @@ def test_count_below_one_exits_2_before_training(ws, tmp_path, capsys, over, mes
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+# name: (fields set in the config, a fragment naming the field)
+MALFORMED_CONFIGS = {
+    "seeds a string": ({"seeds": "12"}, "field seeds "),
+    "trainer a list": ({"trainer": []}, "field trainer "),
+    "learning rate a boolean": ({"trainer": {"learning_rate": True}}, "field trainer.learning_rate "),
+    "ratio a boolean": ({"ratios": [True]}, "field ratios "),
+    "strategies a string": ({"strategies": "kvar"}, "field strategies "),
+    "misspelt kernel key": (
+        {"kernels": [{"relation": "obs0", "attribute": "oval", "kind": "categorical", "sgima": 1.0}]},
+        "unknown kernels[0] key 'sgima'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_an_ill_typed_or_misspelt_config_field_exits_2_naming_the_file_and_the_field(ws, tmp_path, capsys, name):
+    """Nothing is coerced or ignored: the run fails before its work, and the
+    manifest records the failure with no root seed."""
+    over, fragment = MALFORMED_CONFIGS[name]
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"), **over)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert _run(["--out-dir", str(out), "score", "--config", str(path), "--strategy", "length"])[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed config: ") and fragment in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"], manifest["root_seed"]) == ("failed", 2, None)
+    assert manifest["error"] == err.removeprefix("error: ").rstrip("\n")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def _relation_named_5(doc):
+    doc["relations"].insert(0, {"name": 5, "attributes": [{"name": "a", "kind": "categorical"}], "key": ["a"]})
+
+
+# name: (change to the schema document, a fragment naming the field)
+MALFORMED_SCHEMAS = {
+    "nullable a string": (lambda doc: doc["relations"][0]["attributes"][0].update(nullable="false"),
+                          "field relations[0].attributes[0].nullable "),
+    "misspelt nullable": (lambda doc: doc["relations"][0]["attributes"][0].update(nulable=False),
+                          "unknown relations[0].attributes[0] key 'nulable'"),
+    "misspelt foreign_keys": (lambda doc: doc.update(foreign_key=doc.pop("foreign_keys")),
+                              "unknown schema key 'foreign_key'"),
+    "relation named 5": (_relation_named_5, "field relations[0].name "),
+    "foreign key over a number": (lambda doc: doc["foreign_keys"][0].update(src_attrs=[7]),
+                                  "field foreign_keys[0].src_attrs "),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SCHEMAS)
+def test_an_ill_typed_or_misspelt_schema_field_exits_3_naming_the_file_and_the_field(ws, tmp_path, capsys, name):
+    change, fragment = MALFORMED_SCHEMAS[name]
+    doc = json.loads((ws["root"] / "schema.json").read_text())
+    change(doc)
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc))
+    assert _run(["schemes", "--schema", str(schema), "--start", "item", "--max-length", "1"])[0] == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {schema}: malformed schema descriptor: ") and fragment in err
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(schema), data_dir=str(ws["root"] / "data"))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert _run(["--out-dir", str(out), "score", "--config", str(tmp_path / "config.json"), "--strategy", "length"])[0] == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"], manifest["root_seed"]) == ("failed", 3, 0)
+    assert manifest["error"].startswith(f"{schema}: ") and fragment in manifest["error"]
+
+
+# name: (kernel override on the toy database, whose S.C is categorical, S.D numeric and R.B the task; message)
+KERNEL_OVERRIDE_FAULTS = {
+    "no such attribute": ({"relation": "S", "attribute": "E", "kind": "categorical"},
+                          "kernel override S.E names no attribute of the database"),
+    "the stripped task attribute": ({"relation": "R", "attribute": "B", "kind": "categorical"},
+                                    "kernel override R.B names no attribute of the database"),
+    "unknown kind": ({"relation": "S", "attribute": "C", "kind": "gaussian"},
+                     "kernel override S.C: unknown kind 'gaussian'; expected one of: categorical, numeric, text"),
+    "numeric on categorical": ({"relation": "S", "attribute": "C", "kind": "numeric", "sigma": 1.0},
+                               "kernel override S.C is numeric but the attribute is categorical"),
+    "categorical on numeric": ({"relation": "S", "attribute": "D", "kind": "categorical"},
+                               "kernel override S.D is categorical but the attribute is numeric"),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_OVERRIDE_FAULTS)
+def test_a_kernel_override_that_fits_no_attribute_exits_2_naming_it(toy_model, tmp_path, capsys, name):
+    override, message = KERNEL_OVERRIDE_FAULTS[name]
+    config = json.loads((toy_model / "config.json").read_text())
+    config.update(schema=str(toy_model / "schema.json"), data_dir=str(toy_model / "data"), kernels=[override])
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert _run(["--out-dir", str(out), "train", "--config", str(tmp_path / "config.json")])[0] == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"], manifest["error"]) == ("failed", 2, message)
+
+
 def test_installed_entry_point_runs(ws):
     # the child imports the package the tests import, installed or not
     package_root = str(Path(walkembed.__file__).resolve().parents[1])

@@ -1,8 +1,10 @@
 """Label stripping, cross-validated scoring, timing curves, and the
 experiment grid, with hand-checked threshold arithmetic."""
 
+import inspect
 import json
 import math
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -24,8 +26,10 @@ from conftest import (
 import walkembed.evaluation as evaluation
 from walkembed.seeding import derive_rng
 from walkembed.errors import NumericError, UsageError
+from walkembed.kernels import KernelSpec, default_kernels
 from walkembed.evaluation import (
     ExperimentConfig,
+    apply_kernel_overrides,
     TimingCurve,
     cross_validate,
     dynamic_protocol,
@@ -438,9 +442,13 @@ def test_experiment_config_from_dict_ignores_walk_budget():
     assert ExperimentConfig.from_dict(_config_doc(walk_budget=2000)) == ExperimentConfig.from_dict(_config_doc())
 
 
-def test_experiment_config_from_dict_reads_pair_budget_as_int():
-    assert ExperimentConfig.from_dict(_config_doc(pair_budget="5")).pair_budget == 5
+def test_experiment_config_from_dict_reads_pair_budget_as_a_count_or_null():
+    """A whole-number float is a count; the string "5" is not read as one."""
+    assert ExperimentConfig.from_dict(_config_doc(pair_budget=5.0)).pair_budget == 5
+    assert ExperimentConfig.from_dict({**_config_doc(), "pair_budget": None}).pair_budget is None
     assert ExperimentConfig.from_dict(_config_doc()).pair_budget is None
+    with pytest.raises(UsageError, match="field pair_budget is missing or not an integer or null"):
+        ExperimentConfig.from_dict(_config_doc(pair_budget="5"))
 
 
 # -- the experiment grid ----------------------------------------------------------
@@ -820,6 +828,44 @@ def test_dynamic_protocol_extends_with_the_trainers_retry_cap(monkeypatch):
     monkeypatch.setattr(evaluation, "extend_embedding", spy)
     dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(0.3, 0.5), seed=0)
     assert caps == [3, 3]
+
+
+def test_dynamic_protocol_trains_and_extends_under_the_configs_kernel_overrides(monkeypatch):
+    """Both kernel maps of the protocol are the defaults with the config's
+    overrides, as the grid's are."""
+    setup = planted_database(n_items=12, n_obs=2, with_noise=False, seed=0)
+    cfg = TrainConfig(k=4, n_samples=3, epochs=1, learning_rate=0.1, seed=0)
+    override = KernelSpec("obs0", "oval", "text")
+    config = ExperimentConfig(**_config_kwargs(kernel_overrides=(override,)))
+    seen = []
+
+    def spy(fn):
+        def call(*args, **kwargs):
+            seen.append((fn.__name__, inspect.signature(fn).bind(*args, **kwargs).arguments["kernels"]))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(evaluation, "train", spy(evaluation.train))
+    monkeypatch.setattr(evaluation, "extend_embedding", spy(evaluation.extend_embedding))
+    dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(0.3,), config=config, seed=0)
+    assert [name for name, _ in seen] == ["train", "extend_embedding"]
+    assert all(kernels[("obs0", "oval")] == override for _, kernels in seen)
+    assert all(kernels[("obs1", "oval")].kind == "categorical" for _, kernels in seen)
+
+
+def test_apply_kernel_overrides_replaces_defaults_and_rejects_an_override_that_fits_no_attribute():
+    db, _ = strip_attribute(planted_database(n_items=6, n_obs=1, with_noise=False, seed=0).db, "item", "cls")
+    defaults = default_kernels(db)
+    text = KernelSpec("obs0", "oval", "text")  # an equality kernel; categorical and text share it
+    assert apply_kernel_overrides(defaults, (text,)) == {**defaults, ("obs0", "oval"): text}
+    assert apply_kernel_overrides(defaults, ()) == defaults
+    for spec, message in [
+        (KernelSpec("item", "cls", "categorical"), "kernel override item.cls names no attribute"),
+        (KernelSpec("obs0", "oval", "gaussian"), "kernel override obs0.oval: unknown kind 'gaussian'"),
+        (KernelSpec("obs0", "oval", "numeric", 1.0), "kernel override obs0.oval is numeric but the attribute is"),
+    ]:
+        with pytest.raises(UsageError, match=re.escape(message)):
+            apply_kernel_overrides(defaults, (text, spec))
 
 
 def test_dynamic_protocol_rejects_degenerate_fractions():
