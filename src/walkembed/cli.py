@@ -27,7 +27,6 @@ from . import __version__
 from .errors import IntegrityError, NumericError, SchemaError, UsageError
 from .evaluation import (
     ExperimentConfig,
-    apply_kernel_overrides,
     compute_scores,
     cross_validate,
     curve_path,
@@ -43,7 +42,7 @@ from .kernels import default_kernels
 from .model_io import export_embeddings_csv, load_model, save_model
 from .relational import insert_columns, load_database, load_schema, read_relation_columns
 from .schemes import enumerate_targeted_schemes, scheme_text, targeted_text
-from .selection import STRATEGIES, online_elimination_train, ranked, select
+from .selection import check_ratio, check_strategy, online_elimination_train, ranked, select
 from .trainer import train
 
 MANIFEST_FORMAT_VERSION = 1
@@ -110,15 +109,6 @@ def _load_config(args: argparse.Namespace, doc) -> ExperimentConfig:
     return config
 
 
-def _check_strategy(strategy: str, ratio: float | None = None) -> None:
-    """Reject an unknown strategy, or a ``ratio`` outside (0, 1], before
-    any data is loaded; the messages are those of the scorers."""
-    if strategy not in STRATEGIES:
-        raise UsageError(f"unknown strategy {strategy!r}, expected one of: {', '.join(STRATEGIES)}")
-    if ratio is not None and not 0.0 < ratio <= 1.0:
-        raise UsageError("ratio must be in (0, 1]")
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -137,7 +127,7 @@ def cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path) -> list[Path]:
-    _check_strategy(args.strategy)
+    check_strategy(args.strategy)  # before any data is loaded
     if args.strategy == "online":
         raise UsageError("the online strategy scores nothing up front; use it with `train`")
     score_path = out_dir / f"scores_{args.strategy}.csv"
@@ -173,8 +163,9 @@ def cmd_train(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path)
     strategy = args.strategy
     if args.selection and strategy:
         raise UsageError("--selection and --strategy are mutually exclusive")
-    if strategy is not None:
-        _check_strategy(strategy, args.ratio)
+    if strategy is not None:  # before any data is loaded
+        check_strategy(strategy)
+        check_ratio(args.ratio)
     check_writable(model_path, emb_path, log_path)
     db, _, schemes, kernels = load_task(config)
 
@@ -247,7 +238,7 @@ def cmd_extend(args: argparse.Namespace, config: ExperimentConfig, out_dir: Path
             exhaustive_partners=args.exhaustive,
             exact_targets=args.exact,
         )
-        kernels = apply_kernel_overrides(default_kernels(db_new), config.kernel_overrides)
+        kernels = default_kernels(db_new, config.kernel_overrides)
         extended = extend_embedding(
             db_new, model, new_start, ext_cfg, kernels, seed=config.trainer.seed,
             retry_cap=config.trainer.retry_cap,

@@ -47,7 +47,6 @@ from .errors import IntegrityError, UsageError
 from .files import ensure_dir, json_object, write_csv, write_json
 from .kernels import KernelMap, KernelSpec, default_kernels
 from .relational import (  # noqa: F401  (build_database: bench/layertrace.py patches it here)
-    KINDS,
     Database,
     Value,
     build_database,
@@ -60,9 +59,9 @@ from .relational import (  # noqa: F401  (build_database: bench/layertrace.py pa
 from .schemes import TargetedWalkScheme, enumerate_targeted_schemes
 from .seeding import derive_rng
 from .selection import (
-    STRATEGIES,
-    SamplingParams,
     SchemeScore,
+    check_ratio,
+    check_strategy,
     default_pair_budget,
     online_elimination_train,
     score_kvar,
@@ -472,11 +471,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for s in self.strategies:
-            if s not in STRATEGIES:
-                raise UsageError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
+            check_strategy(s)
         for r in self.ratios:
-            if not (0.0 < r <= 1.0):
-                raise UsageError("ratios must lie in (0, 1]")
+            check_ratio(r)
         if not self.seeds:
             raise UsageError("at least one ensemble seed is required")
         for name, least in (
@@ -525,24 +522,6 @@ class ExperimentConfig:
             kernel_overrides=tuple(kernels),
             **given,
         )
-
-
-def apply_kernel_overrides(kernels: KernelMap, overrides: tuple[KernelSpec, ...]) -> KernelMap:
-    """``kernels`` with each override put in place of its attribute's
-    kernel.  An override of an attribute ``kernels`` has no kernel for, of a
-    kind outside ``KINDS``, or numeric where the attribute is not (or the
-    reverse), is a UsageError naming it."""
-    out = dict(kernels)
-    for spec in overrides:
-        key, name = (spec.relation, spec.attribute), f"kernel override {spec.relation}.{spec.attribute}"
-        if key not in kernels:
-            raise UsageError(f"{name} names no attribute of the database")
-        if spec.kind not in KINDS:
-            raise UsageError(f"{name}: unknown kind {spec.kind!r}; expected one of: {', '.join(KINDS)}")
-        if (spec.kind == "numeric") != (kernels[key].kind == "numeric"):
-            raise UsageError(f"{name} is {spec.kind} but the attribute is {kernels[key].kind}")
-        out[key] = spec
-    return out
 
 
 # -- experiment run ----------------------------------------------------------------
@@ -642,7 +621,7 @@ def _run_cell(db: Database, args: dict) -> CellResult:
             kernels=args["kernels"],
             callbacks=[cb],
         )
-        kept = max(1, math.ceil(args["ratio"] * len(args["schemes"])))
+        kept = math.ceil(args["ratio"] * len(args["schemes"]))
     else:
         train(db, args["start"], args["schemes"], cfg, args["kernels"], callbacks=[cb])
         kept = len(args["schemes"])
@@ -676,6 +655,9 @@ def compute_scores(
     kernels: KernelMap,
     config: ExperimentConfig,
 ) -> list[SchemeScore]:
+    check_strategy(strategy)
+    if strategy == "online":
+        raise UsageError("strategy 'online' scores schemes during training, not ahead of it")
     if strategy == "random":
         return score_random(schemes, cfg.seed)
     if strategy == "length":
@@ -689,17 +671,8 @@ def compute_scores(
         return score_kvar(db, schemes, kernels, budget, cfg.seed, cfg.retry_cap)
     if strategy == "one_epoch":
         return score_one_epoch(db, schemes, cfg, kernels)
-    if strategy == "sampling":
-        return score_sampling(
-            db,
-            schemes,
-            cfg,
-            SamplingParams(config.facts_per_scheme, config.sampling_epochs),
-            kernels,
-        )
-    if strategy == "online":
-        raise UsageError("strategy 'online' scores schemes during training, not ahead of it")
-    raise UsageError(f"unknown strategy {strategy!r}, expected one of: {', '.join(STRATEGIES)}")
+    # "sampling", the one strategy left
+    return score_sampling(db, schemes, cfg, config.facts_per_scheme, config.sampling_epochs, kernels)
 
 
 def load_task(config: ExperimentConfig) -> tuple[Database, DownstreamTask, list[TargetedWalkScheme], KernelMap]:
@@ -710,8 +683,7 @@ def load_task(config: ExperimentConfig) -> tuple[Database, DownstreamTask, list[
     raw_db = load_database(schema, config.data_dir)
     db, task = strip_attribute(raw_db, config.task_relation, config.task_attribute)
     schemes = enumerate_targeted_schemes(db.schema, config.task_relation, config.max_length)
-    kernels = apply_kernel_overrides(default_kernels(db), config.kernel_overrides)
-    return db, task, schemes, kernels
+    return db, task, schemes, default_kernels(db, config.kernel_overrides)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -754,7 +726,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for strategy in config.strategies:
         if strategy == "online":
             for ratio in config.ratios:
-                kept_counts[("online", ratio)] = max(1, math.ceil(ratio * len(schemes)))
+                kept_counts[("online", ratio)] = math.ceil(ratio * len(schemes))
                 for seed in config.seeds:
                     jobs.append(cell_args("online", ratio, seed, schemes, online=True))
             continue
@@ -866,7 +838,8 @@ def dynamic_protocol(
     ``take``s, so no fact is decoded: the survivors in id order, then the
     removed facts in id order, the ids ``insert_facts`` would give them.
     Training and extension take the default kernels with ``config``'s
-    overrides, as ``load_task`` does.
+    overrides, as ``load_task`` does.  With a ``strategy`` and a ``ratio``
+    below 1, training keeps the schemes ``compute_scores`` ranks on top.
     """
     db, task = strip_attribute(raw_db, task_relation, task_attribute)
     all_ids = list(db.relation_fact_ids(task_relation))
@@ -892,9 +865,9 @@ def dynamic_protocol(
         old_to_new = np.cumsum(~removed) - 1
 
         schemes = enumerate_targeted_schemes(db.schema, task_relation, max_length)
-        kernels = apply_kernel_overrides(default_kernels(reduced), overrides)
+        kernels = default_kernels(reduced, overrides)
         cfg = replace(trainer, seed=seed)
-        if strategy is not None and strategy != "online" and ratio < 1.0:
+        if strategy is not None and ratio < 1.0:
             if config is None:
                 raise UsageError(f"strategy {strategy!r} needs a config to score schemes")
             scores = compute_scores(strategy, reduced, schemes, cfg, kernels, config)
@@ -917,7 +890,7 @@ def dynamic_protocol(
             if db.relation_of(f) == task_relation and f in task.labels
         ]
         new_pred = [new for new, _ in pred]
-        ext_kernels = apply_kernel_overrides(default_kernels(extended_db), overrides)
+        ext_kernels = default_kernels(extended_db, overrides)
         extended = extend_embedding(
             extended_db, model, new_pred, extension, ext_kernels, seed=seed, retry_cap=cfg.retry_cap
         )

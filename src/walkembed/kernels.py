@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .relational import Database, Value
+from .relational import KINDS, Database, Value
 from .schemes import TargetedWalkScheme, exact_value_law, sample_target_values_batch
 
 
@@ -76,10 +76,15 @@ def column_kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray, exact: bool = 
     return np.exp(arg)
 
 
-def default_kernels(db: Database) -> KernelMap:
+def default_kernels(db: Database, overrides: tuple[KernelSpec, ...] = ()) -> KernelMap:
     """One kernel per attribute; Gaussian sigma is the sample standard
     deviation of the attribute's active domain, falling back to 1 when the
-    domain has fewer than two values or zero spread."""
+    domain has fewer than two values or zero spread.
+
+    Each of ``overrides`` then takes its attribute's place.  An override of
+    an attribute ``db`` does not have, of a kind outside ``KINDS``, or
+    numeric where the attribute is not (or the reverse), is a UsageError
+    naming it."""
     out: KernelMap = {}
     for rel in db.schema.relations:
         for attr in rel.attributes:
@@ -91,6 +96,16 @@ def default_kernels(db: Database) -> KernelMap:
                 out[(rel.name, attr.name)] = KernelSpec(rel.name, attr.name, "numeric", sigma)
             else:
                 out[(rel.name, attr.name)] = KernelSpec(rel.name, attr.name, attr.kind)
+    kinds = {key: spec.kind for key, spec in out.items()}  # the attributes' own, not an earlier override's
+    for spec in overrides:
+        key, name = (spec.relation, spec.attribute), f"kernel override {spec.relation}.{spec.attribute}"
+        if key not in kinds:
+            raise UsageError(f"{name} names no attribute of the database")
+        if spec.kind not in KINDS:
+            raise UsageError(f"{name}: unknown kind {spec.kind!r}; expected one of: {', '.join(KINDS)}")
+        if (spec.kind == "numeric") != (kinds[key] == "numeric"):
+            raise UsageError(f"{name} is {spec.kind} but the attribute is {kinds[key]}")
+        out[key] = spec
     return out
 
 

@@ -19,13 +19,17 @@ equal (row, destination) pairs are merged after every step, so the entries
 never exceed starts times the facts the step reaches.  Dead-end mass is
 dropped and each row renormalised at the end.  ``exact_value_law`` gathers
 that law through the target column, drops nulls and merges equal values.
-Completeness, the expected kernel distance and the exact kernel variance
-are all read from these two laws.
+The exact kernel distance, the exact kernel variance and the extension's
+exact targets are read from these two laws.  ``row_walk_laws`` holds the
+law of complete walks over relation rows instead, for many schemes at
+once: per walk position, the chance of reaching each row and of
+completing from it, one ``np.bincount`` per step.  Mutual information
+reads its entropies from it, the sampled sub-database its start facts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +226,43 @@ def exact_value_law(
     weight = np.bincount(np.cumsum(first) - 1, weights=weight)
     row, value = row[first], value[first]
     return row, value, weight / np.bincount(row, weights=weight)[row]
+
+
+def _moves(db: Database, step: WalkStep) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """One entry per edge ``step`` can take: the row it leaves, the row it
+    enters, and its chance from the row it leaves (1 forward, one over the
+    referencing facts backward)."""
+    index = db.fk_index[db.schema.fk_position(step.fk)]
+    dst = index.fwd[index.flat]
+    if step.direction == FORWARD:
+        return db.row_of[index.flat], db.row_of[dst], 1.0
+    return db.row_of[dst], db.row_of[index.flat], 1.0 / (index.offsets[dst + 1] - index.offsets[dst])
+
+
+def row_walk_laws(
+    db: Database, schemes: Iterable[WalkScheme]
+) -> dict[WalkScheme, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """``(reach, finish)`` of each distinct scheme, one array per walk
+    position over the rows (``Database.row_of``) of its relation:
+    ``reach[i]`` the chance that a walk from a uniform start fact is at
+    each row after ``i`` steps, ``finish[i]`` the chance that a walk there
+    completes.  ``finish[0] > 0`` marks the starts ``exact_dest_law`` gives
+    entries.  Each distinct step's edge arrays are built once per call."""
+    laws: dict[WalkScheme, tuple[list[np.ndarray], list[np.ndarray]]] = dict.fromkeys(schemes)
+    moves = {step: _moves(db, step) for step in {step for scheme in laws for step in scheme.steps}}
+    for scheme in laws:
+        relations = [scheme.start_relation, *(step.target_relation for step in scheme.steps)]
+        sizes = [len(db.relation_fact_ids(rel)) for rel in relations]
+        reach = [np.full(sizes[0], 1.0 / max(sizes[0], 1))]
+        for step, size in zip(scheme.steps, sizes[1:]):
+            leave, enter, chance = moves[step]
+            reach.append(np.bincount(enter, weights=reach[-1][leave] * chance, minlength=size))
+        finish = [np.ones(sizes[-1])]
+        for step, size in zip(scheme.steps[::-1], sizes[-2::-1]):
+            leave, enter, chance = moves[step]
+            finish.append(np.bincount(leave, weights=finish[-1][enter] * chance, minlength=size))
+        laws[scheme] = reach, finish[::-1]
+    return laws
 
 
 def exact_dest_distribution(db: Database, fact_id: int, scheme: WalkScheme) -> dict[int, float]:

@@ -10,11 +10,11 @@ trained.  Higher score always means "keep".  Strategies:
   consecutive walk positions is the bottleneck; its negation is the score
   (an information-poor step makes the whole scheme uninformative).  It is
   exact, under the law of complete walks, and samples nothing: a step's
-  mutual information is the entropy of its referenced side, read from one
-  forward and one backward pass of ``np.bincount`` over the relations'
-  rows, linear in the foreign-key edges the steps cross.  The target
-  attribute plays no part, so this is a property of the walk scheme and
-  all of its targets share one score.
+  mutual information is the entropy of its referenced side, read from the
+  row-space walk law (``schemes.row_walk_laws``), linear in the
+  foreign-key edges the steps cross.  The target attribute plays no part,
+  so this is a property of the walk scheme and all of its targets share
+  one score.
 - kernel variance: the variance of the expected kernel distance across
   start-fact pairs, estimated from sampled walk pairs; a scheme whose
   similarity never varies cannot distinguish tuples.  After sampling, a
@@ -27,6 +27,8 @@ trained.  Higher score always means "keep".  Strategies:
   score).
 - sampling: same idea, but ten epochs on a small sampled sub-database
   closed under foreign-key reachability, scored by cumulative mean loss.
+  Its start facts are drawn among those the row-space walk law gives a
+  chance of completing.
 - online: no pre-scoring; training starts on all schemes and the lowest
   per-epoch-loss schemes are eliminated after every epoch until the
   target count remains.
@@ -56,9 +58,8 @@ from .relational import Database, closure, take
 from .schemes import (  # noqa: F401  (sample_walks_batch: bench/layertrace.py patches it here)
     FORWARD,
     TargetedWalkScheme,
-    WalkStep,
-    exact_dest_law,
     exact_value_law,
+    row_walk_laws,
     sample_target_values_batch,
     sample_walks_batch,
 )
@@ -66,6 +67,17 @@ from .seeding import derive_rng
 from .trainer import EmbeddingModel, EpochStats, TrainConfig, train
 
 STRATEGIES = ("random", "length", "mi", "kvar", "one_epoch", "sampling", "online")
+
+
+def check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise UsageError(f"unknown strategy {strategy!r}, expected one of: {', '.join(STRATEGIES)}")
+
+
+def check_ratio(ratio: float) -> None:
+    """A keep ratio must lie in (0, 1]; NaN does not."""
+    if not 0.0 < ratio <= 1.0:
+        raise UsageError(f"ratio must be in (0, 1], got {ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -111,17 +123,6 @@ def score_length(schemes: list[TargetedWalkScheme]) -> list[SchemeScore]:
     ]
 
 
-def _moves(db: Database, step: WalkStep) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
-    """One entry per edge ``step`` can take: the row it leaves, the row it
-    enters, and its chance from the row it leaves (1 forward, one over the
-    referencing facts backward)."""
-    index = db.fk_index[db.schema.fk_position(step.fk)]
-    dst = index.fwd[index.flat]
-    if step.direction == FORWARD:
-        return db.row_of[index.flat], db.row_of[dst], 1.0
-    return db.row_of[dst], db.row_of[index.flat], 1.0 / (index.offsets[dst + 1] - index.offsets[dst])
-
-
 def _entropy(mass: np.ndarray) -> float:
     """Entropy (natural log) of ``mass`` normalised, clamped at 0."""
     p = mass[mass > 0]
@@ -142,41 +143,28 @@ def score_mi(
     One position of a foreign-key step is a function of the other, so a
     step's mutual information is the entropy of its referenced side, whose
     law is the chance of reaching each row times the chance of completing
-    from it: one forward and one backward ``np.bincount`` pass over the
-    relations' rows (``Database.row_of``).  Nothing is sampled, so
+    from it (``row_walk_laws``).  Nothing is sampled, so
     ``walk_budget`` and ``seed`` are ignored, kept for callers that pass
     them.  The target attribute plays no part, so all targets of a walk
     scheme share its score and note, unassessable ones included."""
     raw, notes = [math.nan] * len(schemes), [""] * len(schemes)
     first = {tws.scheme: idx for idx, tws in reversed(list(enumerate(schemes)))}  # earliest wins
-    moves = {step: _moves(db, step) for step in {step for scheme in first for step in scheme.steps}}
+    laws = row_walk_laws(db, (scheme for scheme in first if scheme.length))
     for scheme, idx in first.items():
         if scheme.length == 0:
             notes[idx] = "length-0 scheme: no step pairs to assess"
             continue
-        relations = [scheme.start_relation, *(step.target_relation for step in scheme.steps)]
-        sizes = [len(db.relation_fact_ids(rel)) for rel in relations]
-        if sizes[0] == 0:
+        reach, finish = laws[scheme]
+        if not len(finish[0]):
             notes[idx] = "start relation is empty"
             continue
-        # reach[i]: chance a walk is at each row of position i after i steps
-        reach = [np.full(sizes[0], 1.0 / sizes[0])]
-        for step, size in zip(scheme.steps, sizes[1:]):
-            leave, enter, chance = moves[step]
-            reach.append(np.bincount(enter, weights=reach[-1][leave] * chance, minlength=size))
-        # finish[i]: chance a walk at each row of position i completes
-        finish = [np.ones(sizes[-1])]
-        for step, size in zip(scheme.steps[::-1], sizes[-2::-1]):
-            leave, enter, chance = moves[step]
-            finish.append(np.bincount(leave, weights=finish[-1][enter] * chance, minlength=size))
-        finish.reverse()
         completing = np.count_nonzero(finish[0])
         if not completing:
             notes[idx] = "no complete walks"
             continue
         referenced = [i + 1 if step.direction == FORWARD else i for i, step in enumerate(scheme.steps)]
         raw[idx] = 0.0 - min(_entropy(reach[i] * finish[i]) for i in referenced)  # 0.0, not -0.0
-        notes[idx] = f"walks=exact, from {completing} of {sizes[0]} start facts"
+        notes[idx] = f"walks=exact, from {completing} of {len(finish[0])} start facts"
     at = [first[tws.scheme] for tws in schemes]  # each target takes its walk scheme's score
     return _fill_unassessable(schemes, [raw[i] for i in at], [notes[i] for i in at], "mi")
 
@@ -316,21 +304,25 @@ def build_sample_database(
 ) -> tuple[Database, dict[int, int]]:
     """Small database for cheap scheme scoring.
 
-    Per scheme, up to ``facts_per_scheme`` start facts that admit at least
-    one complete walk are drawn uniformly; the union is closed under
-    foreign-key reachability in both directions (``closure``), so every
-    reference resolves, and ``take`` keeps the members in id order without
-    decoding them; the sub-database shares ``db``'s value tables.  Returns
-    the new database and a map from old fact id to new.
+    Per targeted scheme, up to ``facts_per_scheme`` start facts that admit
+    a complete walk (``finish[0] > 0`` of ``row_walk_laws``, once per walk
+    scheme) are drawn uniformly; the union is closed under foreign-key
+    reachability in both directions (``closure``), so every reference
+    resolves, and ``take`` keeps the members in id order without decoding
+    them; the sub-database shares ``db``'s value tables.  Returns the new
+    database and a map from old fact id to new.
     """
     if facts_per_scheme <= 0:
         raise UsageError("facts_per_scheme must be positive")
     rng = derive_rng(seed, "sample-db")
+    start_arrays = _start_arrays(db, schemes)
+    eligible_of = {
+        scheme: start_arrays[scheme.start_relation][finish[0] > 0]
+        for scheme, (_, finish) in row_walk_laws(db, (tws.scheme for tws in schemes)).items()
+    }
     closed = np.zeros(db.n_facts, dtype=bool)
     for tws in schemes:
-        start_ids = np.asarray(db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64)
-        row, _, _ = exact_dest_law(db, tws.scheme, start_ids)
-        eligible = start_ids[np.unique(row)]
+        eligible = eligible_of[tws.scheme]
         if not len(eligible):
             continue
         size = min(facts_per_scheme, len(eligible))
@@ -341,34 +333,27 @@ def build_sample_database(
     return take(db, ordered), {old: new for new, old in enumerate(ordered.tolist())}
 
 
-@dataclass(frozen=True)
-class SamplingParams:
-    facts_per_scheme: int = 10
-    epochs: int = 10
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise UsageError("sampling_epochs must be at least 1")
-
-
 def score_sampling(
     db: Database,
     schemes: list[TargetedWalkScheme],
     cfg: TrainConfig,
-    params: SamplingParams = SamplingParams(),
+    facts_per_scheme: int = 10,
+    epochs: int = 10,
     kernels: KernelMap | None = None,
 ) -> list[SchemeScore]:
-    """Cumulative mean loss after ``params.epochs`` epochs on the sampled
-    sub-database; the throwaway model is discarded."""
+    """Cumulative mean loss after ``epochs`` epochs on the sub-database of
+    ``build_sample_database``; the throwaway model is discarded."""
     if not schemes:
         raise UsageError("scheme list is empty")
-    sub, _ = build_sample_database(db, schemes, params.facts_per_scheme, cfg.seed)
+    if epochs < 1:
+        raise UsageError(f"sampling epochs must be at least 1, got {epochs}")
+    sub, _ = build_sample_database(db, schemes, facts_per_scheme, cfg.seed)
     start = schemes[0].scheme.start_relation
     if len(sub.relation_fact_ids(start)) < 2:
         raise UsageError(
             "sampled sub-database has fewer than two start facts; raise facts_per_scheme"
         )
-    sub_cfg = replace(cfg, epochs=params.epochs)
+    sub_cfg = replace(cfg, epochs=epochs)
     sub_kernels = default_kernels(sub) if kernels is None else kernels
     _, history = train(sub, start, schemes, sub_cfg, sub_kernels)
     cumulative = history[-1].cumulative_mean_loss
@@ -387,17 +372,14 @@ def select(scores: list[SchemeScore], ratio: float) -> SelectionResult:
     """
     if not scores:
         raise UsageError("no scores to select from")
-    if not (0.0 < ratio <= 1.0):
-        raise UsageError("ratio must be in (0, 1]")
+    check_ratio(ratio)
     n_keep = math.ceil(ratio * len(scores))
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i].score, i))
-    kept_idx = sorted(order[:n_keep])
-    removed_idx = sorted(order[n_keep:])
+    keep = [rank <= n_keep for rank, _ in ranked(scores)]
     return SelectionResult(
         strategy=scores[0].strategy,
         ratio=ratio,
-        kept=tuple(scores[i].tws for i in kept_idx),
-        removed=tuple(scores[i].tws for i in removed_idx),
+        kept=tuple(sc.tws for sc, k in zip(scores, keep) if k),
+        removed=tuple(sc.tws for sc, k in zip(scores, keep) if not k),
         scores=tuple(scores),
     )
 
@@ -442,11 +424,8 @@ def online_elimination_train(
     n = len(schemes)
     if n == 0:
         raise UsageError("scheme list is empty")
-    if not (0.0 < ratio <= 1.0):
-        raise UsageError("ratio must be in (0, 1]")
+    check_ratio(ratio)
     floor = math.ceil(ratio * n)
-    if floor < 1:
-        raise UsageError(f"ratio {ratio} would keep zero of {n} schemes")
     if per_epoch_removals < 1:
         raise UsageError("per_epoch_removals must be at least 1")
     schedule = OnlineSchedule()

@@ -23,7 +23,7 @@ import walkembed
 from walkembed import cli, evaluation, files
 from walkembed.cli import main
 from walkembed.errors import UsageError
-from walkembed.evaluation import strip_attribute
+from walkembed.evaluation import ExperimentConfig, strip_attribute
 from walkembed.model_io import load_model, save_model
 from walkembed.relational import (
     AttributeDecl,
@@ -40,8 +40,9 @@ from walkembed.relational import (
     write_database_csv,
 )
 from walkembed.schemes import enumerate_targeted_schemes, targeted_text
+from walkembed.selection import SchemeScore, online_elimination_train, select
 from walkembed.synth import planted_database
-from walkembed.trainer import EmbeddingModel
+from walkembed.trainer import EmbeddingModel, TrainConfig
 
 
 def _run(argv):
@@ -175,6 +176,45 @@ def test_bad_strategy_or_ratio_exits_2_before_loading(ws, tmp_path, capsys, monk
     code, _ = _run(["--out-dir", str(tmp_path), argv[0], "--config", str(ws["config"]), *argv[1:]])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, field",
+    [("config", "strategy"), ("score", "strategy"), ("train", "strategy"), ("config", "ratio"),
+     ("score", "ratio"), ("train", "ratio"), ("select", "ratio"), ("online_elimination_train", "ratio")],
+)
+def test_a_bad_strategy_or_ratio_has_one_message_wherever_it_is_given(ws, tmp_path, capsys, source, field):
+    """The config, both commands and the library calls reject the unknown
+    strategy ``kvr`` and the ratio 1.5 in the same words; a command puts
+    ``error: `` in front, and the config's path when the config holds it."""
+    message = {
+        "strategy": "unknown strategy 'kvr', expected one of: random, length, mi, kvar, one_epoch, sampling, online",
+        "ratio": "ratio must be in (0, 1], got 1.5",
+    }[field]
+    config = json.loads(ws["config"].read_text())
+    config.update(schema=str(ws["root"] / "schema.json"), data_dir=str(ws["root"] / "data"))
+    db, _ = strip_attribute(ws["setup"].db, "item", "cls")
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    if source in ("config", "score"):
+        config.update({"strategies": ["kvr"]} if field == "strategy" else {"ratios": [1.5]})
+    if source in ("score", "train"):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = ["--strategy", "kvr"] if field == "strategy" else ["--strategy", "kvar"]
+        if source == "train" and field == "ratio":
+            flags += ["--ratio", "1.5"]
+        code, _ = _run(["--out-dir", str(tmp_path), source, "--config", str(path), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.strip() in (f"error: {message}", f"error: {path}: {message}")
+        return
+    with pytest.raises(UsageError) as err:
+        if source == "config":
+            ExperimentConfig.from_dict(config)
+        elif source == "select":
+            select([SchemeScore(t, 0.5, "length") for t in schemes], 1.5)
+        else:
+            online_elimination_train(db, "item", schemes, TrainConfig(k=4, epochs=1), 1.5)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])

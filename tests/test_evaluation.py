@@ -29,7 +29,6 @@ from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import KernelSpec, default_kernels
 from walkembed.evaluation import (
     ExperimentConfig,
-    apply_kernel_overrides,
     TimingCurve,
     cross_validate,
     dynamic_protocol,
@@ -853,19 +852,19 @@ def test_dynamic_protocol_trains_and_extends_under_the_configs_kernel_overrides(
     assert all(kernels[("obs1", "oval")].kind == "categorical" for _, kernels in seen)
 
 
-def test_apply_kernel_overrides_replaces_defaults_and_rejects_an_override_that_fits_no_attribute():
+def test_default_kernels_apply_overrides_and_reject_an_override_that_fits_no_attribute():
     db, _ = strip_attribute(planted_database(n_items=6, n_obs=1, with_noise=False, seed=0).db, "item", "cls")
     defaults = default_kernels(db)
     text = KernelSpec("obs0", "oval", "text")  # an equality kernel; categorical and text share it
-    assert apply_kernel_overrides(defaults, (text,)) == {**defaults, ("obs0", "oval"): text}
-    assert apply_kernel_overrides(defaults, ()) == defaults
+    assert default_kernels(db, (text,)) == {**defaults, ("obs0", "oval"): text}
+    assert default_kernels(db, ()) == defaults
     for spec, message in [
         (KernelSpec("item", "cls", "categorical"), "kernel override item.cls names no attribute"),
         (KernelSpec("obs0", "oval", "gaussian"), "kernel override obs0.oval: unknown kind 'gaussian'"),
-        (KernelSpec("obs0", "oval", "numeric", 1.0), "kernel override obs0.oval is numeric but the attribute is"),
+        (KernelSpec("obs0", "oval", "numeric", 1.0), "kernel override obs0.oval is numeric but the attribute is categorical"),
     ]:
         with pytest.raises(UsageError, match=re.escape(message)):
-            apply_kernel_overrides(defaults, (text, spec))
+            default_kernels(db, (text, spec))
 
 
 def test_dynamic_protocol_rejects_degenerate_fractions():
@@ -885,6 +884,17 @@ def test_dynamic_protocol_strategy_without_config_is_a_usage_error(strategy):
     cfg = TrainConfig(k=4, n_samples=3, epochs=1, learning_rate=0.1, seed=0)
     with pytest.raises(UsageError, match=f"strategy '{strategy}' needs a config"):
         dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(0.3,), strategy=strategy, ratio=0.5)
+
+
+def test_dynamic_protocol_rejects_the_online_strategy(monkeypatch):
+    """``online`` scores nothing ahead of training, so the protocol stops
+    with the UsageError of ``compute_scores`` before it trains anything."""
+    setup = planted_database(n_items=12, n_obs=1, with_noise=False, seed=0)
+    cfg = TrainConfig(k=4, n_samples=3, epochs=1, learning_rate=0.1, seed=0)
+    monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: pytest.fail("the protocol trained"))
+    with pytest.raises(UsageError, match="strategy 'online' scores schemes during training, not ahead of it"):
+        dynamic_protocol(setup.db, "item", "cls", 1, cfg, fractions=(0.3,), strategy="online", ratio=0.5,
+                         config=ExperimentConfig(**_config_kwargs()), seed=0)
 
 
 def test_dynamic_protocol_single_class_remainder_is_an_error():

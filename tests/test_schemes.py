@@ -9,7 +9,7 @@ against the walker and retry loops they replaced, draw for draw.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -21,8 +21,9 @@ from conftest import (
     step_candidates,
 )
 
+import walkembed.schemes as schemes_module
 from walkembed.errors import SchemaError, UsageError
-from walkembed.relational import Fact, insert_facts
+from walkembed.relational import Fact, build_database, insert_facts
 from walkembed.schemes import (
     BACKWARD,
     FORWARD,
@@ -34,6 +35,7 @@ from walkembed.schemes import (
     exact_dest_distribution,
     exact_dest_law,
     exact_value_law,
+    row_walk_laws,
     sample_dest_batch,
     sample_target_values_batch,
     sample_walks_batch,
@@ -412,6 +414,45 @@ def test_exact_laws_match_dict_oracles(seed, pick):
                 law_dicts(db, tws, exact_value_law(db, tws, starts), len(starts)),
                 [reference_value_distribution(db, f, tws) for f in starts],
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=400),
+    pick=st.integers(min_value=0, max_value=1000),
+    max_length=st.integers(min_value=0, max_value=3),
+)
+@example(seed=13, pick=0, max_length=3)  # self-referencing and nullable foreign keys
+@example(seed=29, pick=2, max_length=3)
+def test_row_walk_laws_complete_from_the_starts_the_exact_law_gives_entries(seed, pick, max_length):
+    """``finish[0] > 0`` is the set of starts with entries in
+    ``exact_dest_law``, on random databases with nullable and
+    self-referencing foreign keys, and on the same schema with no facts."""
+    schema = random_schema(seed)
+    start = schema.relations[pick % len(schema.relations)].name
+    walk_schemes = enumerate_walk_schemes(schema, start, max_length)
+    for db in (random_database(schema, seed), build_database(schema, [])):
+        starts = db.relation_fact_ids(start)
+        laws = row_walk_laws(db, walk_schemes)
+        assert list(laws) == walk_schemes
+        for ws in walk_schemes:
+            reach, finish = laws[ws]
+            assert len(reach) == len(finish) == ws.length + 1
+            assert len(reach[0]) == len(finish[0]) == len(starts)
+            row, _, _ = exact_dest_law(db, ws, starts)
+            assert np.flatnonzero(finish[0] > 0).tolist() == np.unique(row).tolist()
+
+
+def test_row_walk_laws_build_each_steps_edges_once_per_call(monkeypatch):
+    calls = []
+    moves = schemes_module._moves
+    monkeypatch.setattr(schemes_module, "_moves", lambda db, step: calls.append(step) or moves(db, step))
+    schema = random_schema(13)
+    db = random_database(schema, 13)
+    walk_schemes = enumerate_walk_schemes(schema, schema.relations[0].name, 3)
+    laws = row_walk_laws(db, walk_schemes + walk_schemes[::-1])
+    assert list(laws) == walk_schemes
+    assert sorted(map(repr, calls)) == sorted(map(repr, {step for ws in walk_schemes for step in ws.steps}))
 
 
 def _assert_same_laws(got, want):

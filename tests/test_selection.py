@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_arrays,
     decoded,
     forward_ref,
     reference_has_complete_walk,
@@ -31,15 +32,15 @@ import walkembed.schemes as schemes_module
 import walkembed.selection as selection
 from walkembed.errors import NumericError, UsageError
 from walkembed.kernels import default_kernels, kd_exact, kernel_eval, kernel_for
-from walkembed.relational import build_database, schema_from_dict
+from walkembed.relational import build_database, closure, schema_from_dict, take
 from walkembed.schemes import (
     enumerate_targeted_schemes,
+    exact_dest_law,
     sample_target_values_batch,
     targeted_text,
 )
 from walkembed.seeding import derive_rng
 from walkembed.selection import (
-    SamplingParams,
     SchemeScore,
     _fill_unassessable,
     build_sample_database,
@@ -56,6 +57,7 @@ from walkembed.selection import (
     select,
 )
 from walkembed.synth import (
+    convergence_database,
     mi_chain_database,
     planted_database,
     random_database,
@@ -516,7 +518,7 @@ def test_build_sample_database_closure_and_order():
             assert forward_ref(sub, pos, f) is not None
 
 
-def _reference_build_sample_database(db, schemes, facts_per_scheme, seed):
+def _per_fact_build_sample_database(db, schemes, facts_per_scheme, seed):
     """``build_sample_database`` as first written: completeness one fact at
     a time by set propagation, and a closure loop over the scalar
     foreign-key readers."""
@@ -549,9 +551,47 @@ def test_build_sample_database_matches_reference(seed, facts_per_scheme):
         start = db.schema.relations[0].name
         schemes = enumerate_targeted_schemes(db.schema, start, 2)
         sub, old_to_new = build_sample_database(db, schemes, facts_per_scheme, seed)
-        ref, ref_map = _reference_build_sample_database(db, schemes, facts_per_scheme, seed)
+        ref, ref_map = _per_fact_build_sample_database(db, schemes, facts_per_scheme, seed)
         assert sub.facts == ref.facts
         assert list(old_to_new.items()) == list(ref_map.items())
+
+
+def _reference_build_sample_database(db, schemes, facts_per_scheme, seed):
+    """``build_sample_database`` with the starts that admit a complete walk
+    read from the rows of ``exact_dest_law``, one law per targeted scheme."""
+    rng = derive_rng(seed, "sample-db")
+    closed = np.zeros(db.n_facts, dtype=bool)
+    for tws in schemes:
+        start_ids = np.asarray(db.relation_fact_ids(tws.scheme.start_relation), dtype=np.int64)
+        row, _, _ = exact_dest_law(db, tws.scheme, start_ids)
+        eligible = start_ids[np.unique(row)]
+        if not len(eligible):
+            continue
+        size = min(facts_per_scheme, len(eligible))
+        closed[rng.choice(eligible, size=size, replace=False)] = True
+    ordered = np.flatnonzero(closure(db, closed, referencing=True, referenced=True))
+    return take(db, ordered), {old: new for new, old in enumerate(ordered.tolist())}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("facts_per_scheme", [1, 3, 10])
+@pytest.mark.parametrize("generator", ["planted", "two_cluster", "convergence", "mi_chain", "random"])
+def test_build_sample_database_matches_the_exact_law_build(generator, facts_per_scheme, seed):
+    """The same fact ids, columns, key maps and id map as the build that
+    reads each targeted scheme's starts from ``exact_dest_law``, for the
+    schemes of every start relation of every synthetic generator."""
+    db = {
+        "planted": lambda: planted_database(n_items=12, n_obs=2, with_noise=True, seed=seed).db,
+        "two_cluster": lambda: two_cluster_database(2 + seed),
+        "convergence": lambda: convergence_database(n_items=6, seed=seed),
+        "mi_chain": lambda: mi_chain_database(3 + seed),
+        "random": lambda: random_database(random_schema(seed), seed),
+    }[generator]()
+    schemes = [t for rel in db.schema.relation_names for t in enumerate_targeted_schemes(db.schema, rel, 2)]
+    sub, old_to_new = build_sample_database(db, schemes, facts_per_scheme, seed)
+    ref, ref_map = _reference_build_sample_database(db, schemes, facts_per_scheme, seed)
+    assert_same_arrays(sub, ref)
+    assert list(old_to_new.items()) == list(ref_map.items())
 
 
 def test_score_sampling_runs_and_is_deterministic():
@@ -559,9 +599,8 @@ def test_score_sampling_runs_and_is_deterministic():
     db = setup.db
     schemes = enumerate_targeted_schemes(db.schema, "item", 1)
     cfg = TrainConfig(k=6, n_samples=5, epochs=3, learning_rate=0.1, seed=0)
-    params = SamplingParams(facts_per_scheme=6, epochs=3)
-    a = score_sampling(db, schemes, cfg, params)
-    b = score_sampling(db, schemes, cfg, params)
+    a = score_sampling(db, schemes, cfg, facts_per_scheme=6, epochs=3)
+    b = score_sampling(db, schemes, cfg, facts_per_scheme=6, epochs=3)
     assert [s.score for s in a] == [s.score for s in b]
     assert len(a) == len(schemes)
 
@@ -571,14 +610,16 @@ def test_score_sampling_too_small_sample_is_an_error():
     schemes = enumerate_targeted_schemes(db.schema, "item", 1)
     cfg = TrainConfig(k=4, epochs=2)
     with pytest.raises(UsageError):
-        score_sampling(db, schemes, cfg, SamplingParams(facts_per_scheme=1, epochs=2))
+        score_sampling(db, schemes, cfg, facts_per_scheme=1, epochs=2)
 
 
 @pytest.mark.parametrize("epochs", [0, -2])
 def test_sampling_params_reject_fewer_than_one_epoch(epochs):
     """With no epoch there is no loss to score by."""
-    with pytest.raises(UsageError, match="sampling_epochs must be at least 1"):
-        SamplingParams(epochs=epochs)
+    db = two_cluster_database(3)
+    schemes = enumerate_targeted_schemes(db.schema, "item", 1)
+    with pytest.raises(UsageError, match=f"sampling epochs must be at least 1, got {epochs}"):
+        score_sampling(db, schemes, TrainConfig(k=4, epochs=2), facts_per_scheme=3, epochs=epochs)
 
 
 # -- selection arithmetic ----------------------------------------------------------------
